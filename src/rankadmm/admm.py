@@ -239,7 +239,7 @@ def kkt_surrogates(
     return state.rho * d_norm * dw, state.r * dw, feas
 
 
-def _resolve_r(config: SolverConfig, reg: RegularizerSpec, smooth: bool) -> float:
+def _resolve_r(config: SolverConfig, reg: RegularizerSpec) -> float:
     c = reg.weak_convexity_c
     r = config.r
     if c > 0 and r <= c:
@@ -291,7 +291,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     D = materialize_D(problem)
     solver = WSolver(D, seed=config.seed)
     d_norm = solver.d_norm
-    r = _resolve_r(config, reg, smooth_active)
+    r = _resolve_r(config, reg)
 
     w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=float).copy()
     Dw = problem.apply_D(w)
@@ -304,6 +304,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         states.append(SolverState(-1, w.copy(), z.copy(), lam.copy(), Dw.copy(), 0.0, r, None))
 
     rho = None
+    r_eff = r
     premise_warned = False
     clamp_warned = False
     converged = False
@@ -314,7 +315,6 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         rho = config.rho_schedule.rho_at(k, rho, feas_now)
 
         gamma = None
-        r_eff = r
         if smooth_active:
             gamma = config.gamma_schedule.gamma_at(k)
             if c > 0 and c * gamma > MOREAU_CURVATURE_LIMIT:
@@ -350,6 +350,8 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             )
         except RankAdmmError as exc:
             raise SolverError(str(exc), iteration=k) from exc
+        if not np.all(np.isfinite(w_new)):
+            raise SolverError("w-step returned non-finite entries", iteration=k)
 
         Dw_new = problem.apply_D(w_new)
         lam_new = lam + rho * (z_new - Dw_new)
@@ -441,7 +443,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         states=states,
         converged=converged,
         d_norm=d_norm,
-        r_effective=r,
+        r_effective=r_eff,
     )
 
 

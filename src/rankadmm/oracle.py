@@ -1,16 +1,20 @@
-"""Brute-force reference solver for the chain-constrained subproblem.
+"""Reference solvers for the chain-constrained subproblem.
 
-Discretizes the variable on a uniform grid and runs a forward dynamic
-program with prefix minimization to enforce the nondecreasing chain.
-Deliberately shares no logic with the block-merge solver so it can serve
-as an independent oracle in tests and from the command line.
+The grid solver discretizes the variable on a uniform grid and runs a
+forward dynamic program with prefix minimization to enforce the
+nondecreasing chain.  It deliberately shares no logic with the block-merge
+solver so it can serve as an independent oracle in tests and from the
+command line.  The pairwise solver is the textbook pool-adjacent-violators
+loop that merges two adjacent blocks per scalar solve; it shares only the
+scalar block solver with the merge engine in :mod:`rankadmm.pava`, so the
+tests can check the engine's partitions against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .losses import LossKind, loss_value_vec
+from .losses import BlockObjective, LossKind, block_minimize, loss_value_vec
 from .weights import ResolvedWeights
 
 
@@ -119,3 +123,34 @@ def chain_objective_reference(
         sigma = resolved.sigma
     losses = loss_value_vec(kind, z_sorted)
     return float(sigma @ losses) + 0.5 * rho * float(np.sum((z_sorted - m_sorted) ** 2))
+
+
+def pairwise_merge_chain(
+    m_sorted: np.ndarray,
+    sigma: np.ndarray,
+    rho: float,
+    kind: LossKind,
+) -> list[tuple[int, int, float]]:
+    """Textbook block merging for constant weights on ascending targets.
+
+    Merges exactly two adjacent blocks per scalar solve and backs up one
+    block after each merge.  Returns the blocks as (lo, hi, value) triples
+    with 0-based inclusive index ranges in the sorted order.
+    """
+    # Each block is (lo, hi, weight sum, target sum, value).
+    blocks = []
+    for i, (s, m_i) in enumerate(zip(np.asarray(sigma, dtype=float), m_sorted)):
+        s, m_i = float(s), float(m_i)
+        blocks.append((i, i, s, m_i, block_minimize(BlockObjective(s, 1, m_i, rho), kind)))
+    i = 0
+    while i < len(blocks) - 1:
+        lo, _, s_left, m_left, v_left = blocks[i]
+        _, hi, s_right, m_right, v_right = blocks[i + 1]
+        if v_left > v_right:
+            s, m_sum = s_left + s_right, m_left + m_right
+            v = block_minimize(BlockObjective(s, hi - lo + 1, m_sum, rho), kind)
+            blocks[i : i + 2] = [(lo, hi, s, m_sum, v)]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return [(lo, hi, v) for lo, hi, _, _, v in blocks]

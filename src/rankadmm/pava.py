@@ -5,13 +5,17 @@ Solves, after sorting the targets m ascending,
     min_z  sum_i sigma_i * l(z_i) + (rho/2) (z_i - m_i)^2
     s.t.   z_1 <= z_2 <= ... <= z_n
 
-by pool-adjacent-violators block merging.  The refined merge loop folds a
-whole run of strictly decreasing block values into one block with a single
-scalar solve; the merged value always lands between the run's last and
-first values, which is what makes the multi-merge safe.  A fast path for
-one-contiguous-run weight patterns (ranked-range / top-k) only inspects
-blocks adjacent to the positive-weight run, and a two-piece variant
-handles the value-dependent prospect-theory weights.
+by pool-adjacent-violators block merging in one left-to-right stack pass
+(the O(n) formulation of Best, Chakravarti & Ubhaya, SIAM J. Optim.
+10(3), 2000).  The blocks left of the cursor form an isotonic stack.  When
+the stack top exceeds the next block, the run of strictly decreasing block
+values starting at the top is extended over the following singletons and
+folded into one block with a single scalar solve; the merged value always
+lands between the run's last and first values, which is what makes the
+multi-merge safe.  The merged block is then compared with the new stack
+top.  Constant (rank-indexed) weights use the convex scalar solver; the
+value-dependent prospect-theory weights carry both branch weight sums per
+block and use the two-piece scalar solver.
 """
 
 from __future__ import annotations
@@ -31,23 +35,18 @@ from .losses import (
 )
 from .weights import ResolvedWeights
 
-#: Optional slack when comparing adjacent block values.  0 keeps the
-#: comparison exact; block values come from deterministic scalar solves.
-ORDER_SLACK = 0.0
-
 
 @dataclass(frozen=True)
 class Block:
     """Consecutive index range [lo, hi] (0-based, inclusive) in the sorted
-    order, its current optimal value, and its aggregated sums."""
+    order, its current optimal value, its rank-weight sums (one per weight
+    branch) and its target sum."""
 
     lo: int
     hi: int
     value: float
-    s_sum: float
+    sums: tuple[float, ...]
     m_sum: float
-    s_low_sum: float = 0.0
-    s_high_sum: float = 0.0
 
     @property
     def count(self) -> int:
@@ -84,209 +83,67 @@ class BlockPartition:
         vals = [b.value for b in self.blocks]
         return all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
-    def index_ranges(self) -> list[tuple[int, int]]:
-        return [(b.lo, b.hi) for b in self.blocks]
 
-
-def _singleton(i: int, sigma_i: float, m_i: float, rho: float, kind: LossKind) -> Block:
-    v = block_minimize(BlockObjective(sigma_i, 1, m_i, rho), kind)
-    return Block(i, i, v, sigma_i, m_i)
-
-
-def _merge_run(
-    blocks: list[Block],
-    i: int,
-    j: int,
-    rho: float,
-    kind: LossKind,
-    merge_log: list[MergeEvent] | None,
-) -> Block:
-    """Fold blocks[i..j] (strictly decreasing values) into one block."""
-    s_sum = 0.0
-    m_sum = 0.0
-    for b in blocks[i : j + 1]:
-        s_sum += b.s_sum
-        m_sum += b.m_sum
-    lo, hi = blocks[i].lo, blocks[j].hi
-    count = hi - lo + 1
-    v = block_minimize(BlockObjective(s_sum, count, m_sum, rho), kind)
-    if merge_log is not None:
-        merge_log.append(MergeEvent(lo, hi, blocks[i].value, blocks[j].value, v))
-    return Block(lo, hi, v, s_sum, m_sum)
-
-
-def pava_run(
-    sigma: np.ndarray,
+def merge_blocks(
     m_sorted: np.ndarray,
+    resolved: ResolvedWeights,
     rho: float,
     kind: LossKind,
     merge_log: list[MergeEvent] | None = None,
 ) -> BlockPartition:
-    """Refined merge loop for constant (rank-indexed) weights.
+    """Isotonic block partition of the sorted chain problem.
 
-    Scans left to right; on a violation it extends the run while block
-    values keep strictly decreasing, merges the whole run with one scalar
-    solve, then resumes at the merged block's left neighbor.
+    Computes every singleton value first; a singleton whose weights are
+    all zero is an exact quadratic and takes its target directly.  Then
+    one stack pass merges each strictly decreasing run with one scalar
+    solve and compares the result with the new stack top.  For the
+    value-dependent weights the result is a first-order point, not
+    necessarily a global minimum, and it depends on this merge order.
     """
-    n = len(m_sorted)
-    blocks = [_singleton(i, float(sigma[i]), float(m_sorted[i]), rho, kind) for i in range(n)]
-    i = 0
-    while i < len(blocks) - 1:
-        if blocks[i].value > blocks[i + 1].value + ORDER_SLACK:
-            j = i + 1
-            while j + 1 < len(blocks) and blocks[j].value > blocks[j + 1].value + ORDER_SLACK:
-                j += 1
-            merged = _merge_run(blocks, i, j, rho, kind, merge_log)
-            blocks[i : j + 1] = [merged]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return BlockPartition(blocks, n)
+    if resolved.is_value_dependent:
+        branch_sums = list(zip(resolved.sigma_low.tolist(), resolved.sigma_high.tolist()))
+        reference = resolved.reference
 
-
-def pava_run_classic(
-    sigma: np.ndarray,
-    m_sorted: np.ndarray,
-    rho: float,
-    kind: LossKind,
-    merge_log: list[MergeEvent] | None = None,
-) -> BlockPartition:
-    """Textbook variant merging exactly two blocks per scalar solve."""
-    n = len(m_sorted)
-    blocks = [_singleton(i, float(sigma[i]), float(m_sorted[i]), rho, kind) for i in range(n)]
-    i = 0
-    while i < len(blocks) - 1:
-        if blocks[i].value > blocks[i + 1].value + ORDER_SLACK:
-            merged = _merge_run(blocks, i, i + 1, rho, kind, merge_log)
-            blocks[i : i + 2] = [merged]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return BlockPartition(blocks, n)
-
-
-def is_topk_pattern(sigma: np.ndarray) -> tuple[int, int] | None:
-    """Detect one contiguous run of equal positive weights, zeros elsewhere.
-
-    Returns (run_start, run_end) inclusive, or None.
-    """
-    positive = np.flatnonzero(sigma > 0)
-    if positive.size == 0:
-        return None
-    lo, hi = int(positive[0]), int(positive[-1])
-    if hi - lo + 1 != positive.size:
-        return None
-    run = sigma[lo : hi + 1]
-    if not np.all(run == run[0]):
-        return None
-    return lo, hi
-
-
-def pava_run_topk_fast(
-    sigma: np.ndarray,
-    m_sorted: np.ndarray,
-    rho: float,
-    kind: LossKind,
-    merge_log: list[MergeEvent] | None = None,
-) -> BlockPartition:
-    """Fast path for ranked-range weight patterns.
-
-    A merge requires the mean weight to increase across the boundary, so
-    with zeros outside one positive run the only possible violations sit
-    at and left of that run: zero-weight singletons are exact quadratics
-    (v = m_i, already isotonic) and nothing ever merges across the run's
-    right edge.  Falls back to the generic loop if the pattern check or
-    the final order check fails.
-    """
-    pattern = is_topk_pattern(sigma)
-    if pattern is None:
-        return pava_run(sigma, m_sorted, rho, kind, merge_log)
-    lo, hi = pattern
-    n = len(m_sorted)
-    local_log: list[MergeEvent] = []
-    blocks = [Block(i, i, float(m_sorted[i]), 0.0, float(m_sorted[i])) for i in range(lo)]
-    for i in range(lo, hi + 1):
-        blocks.append(_singleton(i, float(sigma[i]), float(m_sorted[i]), rho, kind))
-    i = max(lo - 1, 0)
-    while i < len(blocks) - 1:
-        if blocks[i].value > blocks[i + 1].value + ORDER_SLACK:
-            j = i + 1
-            while j + 1 < len(blocks) and blocks[j].value > blocks[j + 1].value + ORDER_SLACK:
-                j += 1
-            merged = _merge_run(blocks, i, j, rho, kind, local_log)
-            blocks[i : j + 1] = [merged]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    for i in range(hi + 1, n):
-        blocks.append(Block(i, i, float(m_sorted[i]), 0.0, float(m_sorted[i])))
-    partition = BlockPartition(blocks, n)
-    if not partition.is_isotonic():
-        return pava_run(sigma, m_sorted, rho, kind, merge_log)
-    if merge_log is not None:
-        merge_log.extend(local_log)
-    return partition
-
-
-def _cpt_singleton(
-    i: int, s_low: float, s_high: float, m_i: float, rho: float, B: float, kind: LossKind
-) -> Block:
-    v = block_minimize_cpt(
-        BlockObjective(s_low, 1, m_i, rho),
-        BlockObjective(s_high, 1, m_i, rho),
-        B,
-        kind,
-    )
-    return Block(i, i, v, 0.0, m_i, s_low, s_high)
-
-
-def pava_run_cpt(
-    sigma_low: np.ndarray,
-    sigma_high: np.ndarray,
-    m_sorted: np.ndarray,
-    rho: float,
-    B: float,
-    kind: LossKind,
-    merge_log: list[MergeEvent] | None = None,
-) -> BlockPartition:
-    """Merge loop for two-piece value-dependent weights.
-
-    Per-rank weights switch at the reference point B depending on where
-    the block value lands, so each block carries both branch weight sums
-    and block values come from the two-piece scalar solve.  The result is
-    a first-order point, not necessarily a global minimum.
-    """
-    n = len(m_sorted)
-    blocks = [
-        _cpt_singleton(
-            i, float(sigma_low[i]), float(sigma_high[i]), float(m_sorted[i]), rho, B, kind
-        )
-        for i in range(n)
-    ]
-    i = 0
-    while i < len(blocks) - 1:
-        if blocks[i].value > blocks[i + 1].value + ORDER_SLACK:
-            j = i + 1
-            while j + 1 < len(blocks) and blocks[j].value > blocks[j + 1].value + ORDER_SLACK:
-                j += 1
-            s_low = sum(b.s_low_sum for b in blocks[i : j + 1])
-            s_high = sum(b.s_high_sum for b in blocks[i : j + 1])
-            m_sum = sum(b.m_sum for b in blocks[i : j + 1])
-            lo, hi = blocks[i].lo, blocks[j].hi
-            count = hi - lo + 1
-            v = block_minimize_cpt(
-                BlockObjective(s_low, count, m_sum, rho),
-                BlockObjective(s_high, count, m_sum, rho),
-                B,
+        def solve(sums: tuple[float, ...], count: int, m_sum: float) -> float:
+            return block_minimize_cpt(
+                BlockObjective(sums[0], count, m_sum, rho),
+                BlockObjective(sums[1], count, m_sum, rho),
+                reference,
                 kind,
             )
+
+    else:
+        branch_sums = [(s,) for s in resolved.sigma.tolist()]
+
+        def solve(sums: tuple[float, ...], count: int, m_sum: float) -> float:
+            return block_minimize(BlockObjective(sums[0], count, m_sum, rho), kind)
+
+    singles = [
+        Block(i, i, solve(sums, 1, m_i) if any(sums) else m_i, sums, m_i)
+        for i, (sums, m_i) in enumerate(zip(branch_sums, m_sorted.tolist()))
+    ]
+    n = len(singles)
+    stack: list[Block] = []
+    k = 0
+    while k < n:
+        block = singles[k]
+        k += 1
+        while stack and stack[-1].value > block.value:
+            run = [stack.pop(), block]
+            while k < n and run[-1].value > singles[k].value:
+                run.append(singles[k])
+                k += 1
+            sums, m_sum = run[0].sums, run[0].m_sum
+            for b in run[1:]:
+                sums = tuple(a + c for a, c in zip(sums, b.sums))
+                m_sum += b.m_sum
+            lo, hi = run[0].lo, run[-1].hi
+            v = solve(sums, hi - lo + 1, m_sum)
             if merge_log is not None:
-                merge_log.append(MergeEvent(lo, hi, blocks[i].value, blocks[j].value, v))
-            blocks[i : j + 1] = [Block(lo, hi, v, 0.0, m_sum, s_low, s_high)]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return BlockPartition(blocks, n)
+                merge_log.append(MergeEvent(lo, hi, run[0].value, run[-1].value, v))
+            block = Block(lo, hi, v, sums, m_sum)
+        stack.append(block)
+    return BlockPartition(stack, n)
 
 
 def stationarity_residual(
@@ -329,7 +186,7 @@ def solve_z_subproblem(
     """Minimize the rank-weighted loss plus (rho/2)||z - m||^2 over z.
 
     Sorts m ascending (stable), pairs rank weights with sorted slots,
-    runs the merge loop, and inverse-permutes the block values back to
+    runs the merge pass, and inverse-permutes the block values back to
     the original sample order.
     """
     m = np.asarray(m, dtype=float).ravel()
@@ -340,33 +197,7 @@ def solve_z_subproblem(
     if m.shape[0] != resolved.n:
         raise InvalidParameterError(f"m has length {m.shape[0]}, expected {resolved.n}")
     order = np.argsort(m, kind="stable")
-    m_sorted = m[order]
-    if resolved.is_value_dependent:
-        partition = pava_run_cpt(
-            resolved.sigma_low, resolved.sigma_high, m_sorted, rho,
-            resolved.reference, kind, merge_log,
-        )
-    elif is_topk_pattern(resolved.sigma) is not None:
-        partition = pava_run_topk_fast(resolved.sigma, m_sorted, rho, kind, merge_log)
-    else:
-        partition = pava_run(resolved.sigma, m_sorted, rho, kind, merge_log)
+    partition = merge_blocks(m[order], resolved, rho, kind, merge_log)
     z = np.empty_like(m)
     z[order] = partition.values()
     return z
-
-
-def chain_objective(
-    z_sorted: np.ndarray,
-    resolved: ResolvedWeights,
-    m_sorted: np.ndarray,
-    rho: float,
-    kind: LossKind,
-) -> float:
-    """Objective of the sorted chain problem at a feasible z_sorted."""
-    from .losses import loss_value_vec
-
-    z_sorted = np.asarray(z_sorted, dtype=float)
-    sigma = resolved.sigma_for(z_sorted)
-    losses = loss_value_vec(kind, z_sorted)
-    quad = 0.5 * rho * float(np.sum((z_sorted - m_sorted) ** 2))
-    return float(sigma @ losses) + quad

@@ -76,16 +76,6 @@ class Problem:
             Xw = np.asarray(Xw).ravel()
         return -self.y * Xw
 
-    def apply_D_transpose(self, v: np.ndarray) -> np.ndarray:
-        """D^T v = -X^T (y * v)."""
-        v = np.asarray(v, dtype=float).ravel()
-        if v.shape[0] != self.n:
-            raise DimensionError(f"v has length {v.shape[0]}, expected {self.n}")
-        out = self.X.T @ (-self.y * v)
-        if sp.issparse(self.X):
-            out = np.asarray(out).ravel()
-        return out
-
     def rank_loss(self, z: np.ndarray) -> float:
         """Weighted sum of sorted losses at margin vector z."""
         return rank_loss_value(z, self._resolved, self.loss)

@@ -261,7 +261,6 @@ class ResolvedWeights:
     sigma_high: np.ndarray | None = None
     reference: float | None = None
     is_value_dependent: bool = False
-    is_constant_nondecreasing: bool = False
 
     def sigma_for(self, z_sorted: np.ndarray) -> np.ndarray:
         """Weight vector for ascending-sorted margin values."""
@@ -291,10 +290,7 @@ def resolve(scheme: WeightScheme, n: int) -> ResolvedWeights:
             raise InvalidParameterError(f"spectral weights sum to {total}, expected 1")
         if np.any(np.diff(sigma) < -_SUM_TOL):
             raise InvalidParameterError("spectral weights must be nondecreasing")
-    nondecreasing = bool(np.all(np.diff(sigma) >= -_SUM_TOL)) and bool(
-        np.all(sigma >= -_SUM_TOL)
-    )
-    return ResolvedWeights(n=n, sigma=sigma, is_constant_nondecreasing=nondecreasing)
+    return ResolvedWeights(n=n, sigma=sigma)
 
 
 def _check_n(n: int) -> None:

@@ -21,13 +21,8 @@ from rankadmm.admm import (
 )
 from rankadmm.baselines import SgdConfig, rank_subgradient, sgd_solve
 from rankadmm.losses import LossKind
-from rankadmm.oracle import chain_objective_reference, grid_dp_chain
-from rankadmm.pava import (
-    pava_run,
-    pava_run_classic,
-    pava_run_topk_fast,
-    solve_z_subproblem,
-)
+from rankadmm.oracle import chain_objective_reference, grid_dp_chain, pairwise_merge_chain
+from rankadmm.pava import merge_blocks, solve_z_subproblem
 from rankadmm.regularizers import (
     ZERO,
     l1,
@@ -98,7 +93,7 @@ def test_criterion_2_merge_interval():
         m = np.sort(rng.standard_normal(n) * float(rng.uniform(0.2, 1.0)))
         resolved = random_constant_weights(rng, n)
         kind = LossKind.HINGE if instances % 2 else LossKind.LOGISTIC
-        pava_run(resolved.sigma, m, float(rng.choice([0.3, 1.0, 5.0])), kind, merge_log=log)
+        merge_blocks(m, resolved, float(rng.choice([0.3, 1.0, 5.0])), kind, merge_log=log)
         instances += 1
     assert len(log) >= 10**4, f"only {len(log)} merges logged"
     violations = [
@@ -118,11 +113,12 @@ def test_criterion_3_fast_path_identical():
         m = np.sort(rng.standard_normal(n) * float(rng.uniform(0.5, 2.0)))
         kind = LossKind.HINGE if trial % 2 else LossKind.LOGISTIC
         rho = float(rng.choice([0.1, 1.0, 10.0]))
-        fast = pava_run_topk_fast(resolved.sigma, m, rho, kind)
-        generic = pava_run(resolved.sigma, m, rho, kind)
-        assert fast.index_ranges() == generic.index_ranges()
-        assert np.max(np.abs(fast.values() - generic.values())) <= 1e-12
-    passline(3, "ranked-range fast path identical to generic on 100 instances (n<=500)")
+        engine = merge_blocks(m, resolved, rho, kind)
+        reference = pairwise_merge_chain(m, resolved.sigma, rho, kind)
+        assert [(b.lo, b.hi) for b in engine.blocks] == [(lo, hi) for lo, hi, _ in reference]
+        gaps = [abs(b.value - v) for b, (*_, v) in zip(engine.blocks, reference)]
+        assert max(gaps) <= 1e-12
+    passline(3, "ranked-range partitions identical to pairwise merging on 100 instances (n<=500)")
 
 
 def test_criterion_4_refined_vs_classic():
@@ -133,9 +129,9 @@ def test_criterion_4_refined_vs_classic():
         resolved = random_constant_weights(rng, n)
         kind = LossKind.HINGE if trial % 2 else LossKind.LOGISTIC
         rho = float(rng.choice([0.1, 1.0, 10.0]))
-        refined = pava_run(resolved.sigma, m, rho, kind)
-        classic = pava_run_classic(resolved.sigma, m, rho, kind)
-        assert refined.index_ranges() == classic.index_ranges()
+        refined = merge_blocks(m, resolved, rho, kind)
+        classic = pairwise_merge_chain(m, resolved.sigma, rho, kind)
+        assert [(b.lo, b.hi) for b in refined.blocks] == [(lo, hi) for lo, hi, _ in classic]
     passline(4, "refined multi-merge partitions identical to pairwise merging")
 
 

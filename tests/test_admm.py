@@ -19,10 +19,11 @@ from rankadmm.admm import (
     trace_to_json,
     write_trace_csv,
 )
-from rankadmm.errors import InvalidParameterError
+from rankadmm.errors import InvalidParameterError, SolverError
 from rankadmm.losses import LossKind
 from rankadmm.regularizers import ZERO, l1, l2, mcp
 from rankadmm.weights import ERM, Superquantile
+from rankadmm.wsolver import WSolver
 from tests.conftest import make_synthetic_problem
 
 
@@ -168,6 +169,33 @@ def test_sadmm_reports_proximal_point():
 
     final_gamma = res.trace[-1].gamma
     assert np.array_equal(res.w, prox(problem.regularizer, final_gamma, res.states[-1].w))
+
+
+def test_sadmm_reports_premise_bumped_r():
+    problem = make_synthetic_problem(n=30, d=5, regularizer=l1(0.1), seed=9)
+    cfg = SolverConfig(max_iter=5, rho_schedule=ScheduleSpec.constant(1.0), r=0.5,
+                       gamma_schedule=GammaSchedule.constant(0.5), stop_eps=0.0,
+                       enforce_smooth_premise=True)
+    res = sadmm_solve(problem, cfg)
+    # the last iteration ran with r_eff = max(r, 2 / gamma) = 4
+    assert res.r_effective == pytest.approx(4.0)
+    assert admm_solve(problem, cfg).r_effective == 0.5
+
+
+def test_nonfinite_w_step_stops_at_its_iteration(monkeypatch):
+    problem = make_synthetic_problem(n=20, d=4, regularizer=l2(1e-2), seed=10)
+    real_solve = WSolver.solve
+    calls = []
+
+    def nan_on_third_call(self, *args, **kwargs):
+        w = real_solve(self, *args, **kwargs)
+        calls.append(w)
+        return np.full_like(w, np.nan) if len(calls) == 3 else w
+
+    monkeypatch.setattr(WSolver, "solve", nan_on_third_call)
+    with pytest.raises(SolverError, match="w-step") as info:
+        admm_solve(problem, SolverConfig(max_iter=10, stop_eps=0.0))
+    assert info.value.iteration == 2
 
 
 def test_gamma_clamp_warns():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankadmm.errors import InvalidParameterError
 from rankadmm.losses import (
@@ -11,17 +13,26 @@ from rankadmm.losses import (
     block_minimize_cpt,
     loss_subgradient_interval,
 )
-from rankadmm.oracle import chain_objective_reference, grid_dp_chain
-from rankadmm.pava import (
-    is_topk_pattern,
-    pava_run,
-    pava_run_classic,
-    pava_run_cpt,
-    pava_run_topk_fast,
-    solve_z_subproblem,
-    stationarity_residual,
+from rankadmm import pava
+from rankadmm.oracle import chain_objective_reference, grid_dp_chain, pairwise_merge_chain
+from rankadmm.pava import merge_blocks, solve_z_subproblem, stationarity_residual
+from rankadmm.weights import (
+    AoRR,
+    CPTValueDependent,
+    ERM,
+    ESRM,
+    Explicit,
+    Extremile,
+    HumanAligned,
+    Superquantile,
+    resolve,
 )
-from rankadmm.weights import AoRR, CPTValueDependent, Explicit, Superquantile, resolve
+
+
+def assert_matches_pairwise(partition, reference, tol):
+    """Same index ranges as the (lo, hi, value) reference, values within tol."""
+    assert [(b.lo, b.hi) for b in partition.blocks] == [(lo, hi) for lo, hi, _ in reference]
+    assert max(abs(b.value - v) for b, (*_, v) in zip(partition.blocks, reference)) <= tol
 
 
 def random_resolved(rng, n):
@@ -58,11 +69,48 @@ def test_against_grid_dp(kind, rho, rng):
         assert np.all(np.diff(z[order]) >= 0.0)
 
 
+CONSTANT_SCHEMES = {
+    "erm": lambda n, draw: ERM(),
+    "superquantile": lambda n, draw: Superquantile(draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))),
+    "extremile": lambda n, draw: Extremile(draw(st.floats(1.0, 4.0))),
+    "esrm": lambda n, draw: ESRM(draw(st.floats(0.1, 10.0))),
+    # b near 1 keeps the S-shaped weights nonnegative
+    "human_aligned": lambda n, draw: HumanAligned(draw(st.floats(0.1, 0.9)), 0.9),
+    "aorr": lambda n, draw: AoRR(k=n, m=draw(st.integers(1, n - 1))),
+    "explicit_zero_heavy": lambda n, draw: Explicit(
+        draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0]), min_size=n, max_size=n))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+@pytest.mark.parametrize("scheme_name", sorted(CONSTANT_SCHEMES))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_differential_against_grid_dp_with_ties(scheme_name, kind, data):
+    n = data.draw(st.integers(2 if scheme_name == "aorr" else 1, 8))
+    resolved = resolve(CONSTANT_SCHEMES[scheme_name](n, data.draw), n)
+    # few distinct values, so targets tie and repeat
+    pool = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=n))
+    m = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    rho = data.draw(st.floats(0.25, 10.0))
+    z = solve_z_subproblem(m, resolved, rho, kind)
+    order = np.argsort(m, kind="stable")
+    assert np.all(np.diff(z[order]) >= 0.0)
+    # every optimal value lies in [min(m) - sum(sigma)/rho, max(m)]
+    _, ref_obj = grid_dp_chain(
+        m, resolved, rho, kind, pad_lo=1.0 + float(np.sum(resolved.sigma)) / rho
+    )
+    got = chain_objective_reference(z, m, resolved, rho, kind)
+    assert got <= ref_obj + 1e-9
+    assert ref_obj - got <= 1e-3
+
+
 def test_in_order_input_single_pass(rng):
     m = np.sort(rng.standard_normal(8))
     resolved = resolve(Explicit(np.full(8, 0.125)), 8)
     log = []
-    partition = pava_run(resolved.sigma, m, 1.0, LossKind.LOGISTIC, merge_log=log)
+    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC, merge_log=log)
     values = partition.values()
     assert np.all(np.diff(values) >= 0.0)
     # merges only happen when singleton minimizers go out of order
@@ -79,6 +127,7 @@ def test_multi_merge_matches_classic_three_singletons():
     # increasing weights on nearly equal targets force strictly decreasing
     # singleton values, so the whole run merges in one aggregated solve
     sigma = np.array([0.0, 2.0, 6.0])
+    resolved = resolve(Explicit(sigma), 3)
     m_sorted = np.array([0.0, 0.1, 0.2])
     singles = [
         block_minimize(BlockObjective(s, 1, mi, 1.0), LossKind.LOGISTIC)
@@ -86,10 +135,9 @@ def test_multi_merge_matches_classic_three_singletons():
     ]
     assert singles[0] > singles[1] > singles[2]
     refined_log = []
-    refined = pava_run(sigma, m_sorted, 1.0, LossKind.LOGISTIC, merge_log=refined_log)
-    classic = pava_run_classic(sigma, m_sorted, 1.0, LossKind.LOGISTIC)
-    assert refined.index_ranges() == classic.index_ranges()
-    assert refined.values() == pytest.approx(classic.values(), abs=1e-9)
+    refined = merge_blocks(m_sorted, resolved, 1.0, LossKind.LOGISTIC, merge_log=refined_log)
+    classic = pairwise_merge_chain(m_sorted, sigma, 1.0, LossKind.LOGISTIC)
+    assert_matches_pairwise(refined, classic, 1e-9)
     assert len(refined.blocks) == 1
     assert len(refined_log) == 1  # multi-merge path: one solve for the run
     event = refined_log[0]
@@ -103,17 +151,16 @@ def test_refined_equals_classic_random(kind, rng):
         m = np.sort(rng.standard_normal(n) * rng.uniform(0.3, 3.0))
         resolved = random_resolved(rng, n)
         rho = float(rng.choice([0.1, 1.0, 10.0]))
-        a = pava_run(resolved.sigma, m, rho, kind)
-        b = pava_run_classic(resolved.sigma, m, rho, kind)
-        assert a.index_ranges() == b.index_ranges()
-        assert a.values() == pytest.approx(b.values(), abs=1e-9)
+        a = merge_blocks(m, resolved, rho, kind)
+        b = pairwise_merge_chain(m, resolved.sigma, rho, kind)
+        assert_matches_pairwise(a, b, 1e-9)
 
 
 def test_partition_values_self_consistent(rng):
     n = 50
     m = np.sort(rng.standard_normal(n))
     resolved = random_resolved(rng, n)
-    partition = pava_run(resolved.sigma, m, 1.0, LossKind.LOGISTIC)
+    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC)
     assert partition.is_isotonic()
     for b in partition.blocks:
         s = float(np.sum(resolved.sigma[b.lo : b.hi + 1]))
@@ -129,24 +176,40 @@ def test_merge_interval_property(rng):
         n = int(rng.integers(3, 60))
         m = np.sort(rng.standard_normal(n) * rng.uniform(0.3, 2.0))
         resolved = random_resolved(rng, n)
-        pava_run(resolved.sigma, m, float(rng.choice([0.5, 1.0, 5.0])),
-                 LossKind.HINGE if rng.random() < 0.5 else LossKind.LOGISTIC,
-                 merge_log=log)
+        merge_blocks(m, resolved, float(rng.choice([0.5, 1.0, 5.0])),
+                     LossKind.HINGE if rng.random() < 0.5 else LossKind.LOGISTIC,
+                     merge_log=log)
     assert log, "expected merges in randomized runs"
     for event in log:
         assert event.v_last - 1e-9 <= event.v_merged <= event.v_first + 1e-9
 
 
-def test_topk_pattern_detection():
-    assert is_topk_pattern(np.array([0.0, 0.5, 0.5, 0.0])) == (1, 2)
-    assert is_topk_pattern(np.array([0.0, 0.0, 1.0])) == (2, 2)
-    assert is_topk_pattern(np.array([0.2, 0.0, 0.2])) is None
-    assert is_topk_pattern(np.array([0.0, 0.3, 0.5, 0.0])) is None
-    assert is_topk_pattern(np.zeros(3)) is None
+@pytest.mark.parametrize(
+    "scheme", [Superquantile(0.9), AoRR(k=5, m=2), Explicit([0, 1, 0, 2, 0, 0, 3, 0, 0, 4])]
+)
+def test_zero_weight_singletons_skip_scalar_solve(scheme, monkeypatch, rng):
+    # the engine looks the scalar solver up as a module global at call time
+    calls = []
+
+    def counting(obj, kind):
+        calls.append(obj)
+        return block_minimize(obj, kind)
+
+    monkeypatch.setattr(pava, "block_minimize", counting)
+    resolved = resolve(scheme, 10)
+    m = np.sort(rng.standard_normal(10))
+    log = []
+    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC, merge_log=log)
+    assert len(calls) == np.count_nonzero(resolved.sigma) + len(log)
+    for b in partition.blocks:
+        if b.count == 1 and resolved.sigma[b.lo] == 0.0:
+            assert b.value == m[b.lo]
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
 def test_fast_path_identical_to_generic(kind, rng):
+    # ranked-range weights: the zero-weight singletons skip their scalar
+    # solves, and the result matches the textbook pairwise loop
     for _ in range(25):
         n = int(rng.integers(3, 201))
         k = int(rng.integers(2, n + 1))
@@ -154,10 +217,9 @@ def test_fast_path_identical_to_generic(kind, rng):
         resolved = resolve(AoRR(k=k, m=mm), n)
         m = np.sort(rng.standard_normal(n) * rng.uniform(0.5, 2.0))
         rho = float(rng.choice([0.1, 1.0, 10.0]))
-        fast = pava_run_topk_fast(resolved.sigma, m, rho, kind)
-        generic = pava_run(resolved.sigma, m, rho, kind)
-        assert fast.index_ranges() == generic.index_ranges()
-        assert np.max(np.abs(fast.values() - generic.values())) <= 1e-12
+        fast = merge_blocks(m, resolved, rho, kind)
+        generic = pairwise_merge_chain(m, resolved.sigma, rho, kind)
+        assert_matches_pairwise(fast, generic, 1e-12)
 
 
 def test_topk_tiny_against_grid_dp(rng):
@@ -173,7 +235,7 @@ def test_fast_path_in_order_no_merges(rng):
     resolved = resolve(AoRR(k=3, m=1, ), 6)
     m = np.linspace(-1.0, 4.0, 6)
     log = []
-    partition = pava_run_topk_fast(resolved.sigma, m, 1.0, LossKind.LOGISTIC, merge_log=log)
+    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC, merge_log=log)
     if partition.is_isotonic() and len(partition.blocks) == 6:
         assert log == []
 
@@ -271,9 +333,7 @@ def test_cpt_first_order_and_competitive(kind, rng):
         m = np.sort(rng.standard_normal(n))
         scheme = CPTValueDependent(gamma=0.61, delta=0.69, B=float(rng.uniform(-1, 1)))
         resolved = resolve(scheme, n)
-        partition = pava_run_cpt(
-            resolved.sigma_low, resolved.sigma_high, m, 1.0, scheme.B, kind
-        )
+        partition = merge_blocks(m, resolved, 1.0, kind)
         assert partition.is_isotonic()
         res = stationarity_residual(partition, resolved, m, 1.0, kind)
         assert res <= 1e-6
@@ -300,5 +360,5 @@ def test_inverse_permutation(rng):
     resolved = resolve(Superquantile(0.4), n)
     z = solve_z_subproblem(m, resolved, 2.0, LossKind.LOGISTIC)
     order = np.argsort(m, kind="stable")
-    z_byhand = pava_run(resolved.sigma, m[order], 2.0, LossKind.LOGISTIC).values()
+    z_byhand = merge_blocks(m[order], resolved, 2.0, LossKind.LOGISTIC).values()
     assert z[order] == pytest.approx(z_byhand)

@@ -12,7 +12,6 @@ from rankadmm.weights import (
     ESRM,
     Explicit,
     Extremile,
-    HumanAligned,
     Superquantile,
     cpt_omega,
     cpt_sigma,
@@ -99,12 +98,6 @@ def test_human_aligned_matches_elementwise_loop():
         t = i / n
         expected = (3 - 3 * b) / (a * a - a + 1) * (3 * t * t - 2 * (a + 1) * t + a) + 1
         assert got[i - 1] == pytest.approx(expected, abs=1e-14)
-
-
-def test_human_aligned_not_flagged_nondecreasing():
-    # the reweighting dips below 1 in the middle for b < 1
-    resolved = resolve(HumanAligned(a=0.4, b=0.0), 50)
-    assert not resolved.is_constant_nondecreasing
 
 
 def test_cpt_omega_endpoints():
