@@ -11,12 +11,11 @@ stationarity surrogates, and descent margins for the monitors.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,21 +35,6 @@ from .wsolver import WSolver
 logger = logging.getLogger(__name__)
 
 TRACE_SCHEMA_VERSION = 1
-TRACE_COLUMNS = (
-    "k",
-    "objective",
-    "aug_lagrangian",
-    "lyapunov",
-    "kkt_z",
-    "kkt_w",
-    "kkt_feas",
-    "dual_step",
-    "z_decrease",
-    "w_decrease",
-    "rho",
-    "gamma",
-    "wall_ns",
-)
 
 
 @dataclass(frozen=True)
@@ -59,22 +43,16 @@ class ScheduleSpec:
 
     kinds: constant | srm (rho0 * 1.2^k) | aorr (rho0 * 5^floor((k-7)/3))
     | ehrm (multiply 1.02 while the residual ||z - Dw|| exceeds 1e-2,
-    else 1.07) | custom (explicit list, last value repeated).
+    else 1.07).
     """
 
     kind: str
     rho0: float = 1.0
-    values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "srm", "aorr", "ehrm", "custom"):
+        if self.kind not in ("constant", "srm", "aorr", "ehrm"):
             raise InvalidParameterError(f"unknown schedule {self.kind!r}")
-        if self.kind == "custom":
-            if not self.values or any(v <= 0 for v in self.values):
-                raise InvalidParameterError("custom schedule needs positive values")
-            if any(b < a for a, b in zip(self.values, self.values[1:])):
-                raise InvalidParameterError("custom schedule must be nondecreasing")
-        elif not (self.rho0 > 0):
+        if not (self.rho0 > 0):
             raise InvalidParameterError(f"rho0 must be positive, got {self.rho0}")
 
     @staticmethod
@@ -93,10 +71,6 @@ class ScheduleSpec:
     def ehrm(rho0: float = 1e-4) -> "ScheduleSpec":
         return ScheduleSpec("ehrm", rho0=rho0)
 
-    @staticmethod
-    def custom(values) -> "ScheduleSpec":
-        return ScheduleSpec("custom", values=tuple(float(v) for v in values))
-
     def rho_at(self, k: int, prev_rho: float | None, feas_norm: float) -> float:
         if self.kind == "constant":
             return self.rho0
@@ -104,8 +78,6 @@ class ScheduleSpec:
             return min(self.rho0 * 1.2**k, 1e300)
         if self.kind == "aorr":
             return self.rho0 * 5.0 ** math.floor((k - 7) / 3)
-        if self.kind == "custom":
-            return self.values[min(k, len(self.values) - 1)]
         if k == 0 or prev_rho is None:
             return self.rho0
         return prev_rho * (1.02 if feas_norm > 1e-2 else 1.07)
@@ -113,13 +85,10 @@ class ScheduleSpec:
 
 @dataclass(frozen=True)
 class GammaSchedule:
-    """Smoothing parameter sequence: decaying max(g0 * decay^k, floor)
+    """Smoothing parameter sequence: decaying max(1e-5 * 0.9^k, 1e-9)
     or constant."""
 
     kind: str = "decay"
-    g0: float = 1e-5
-    decay: float = 0.9
-    floor: float = 1e-9
     value: float = 0.0
 
     @staticmethod
@@ -135,7 +104,7 @@ class GammaSchedule:
     def gamma_at(self, k: int) -> float:
         if self.kind == "constant":
             return self.value
-        return max(self.g0 * self.decay**k, self.floor)
+        return max(1e-5 * 0.9**k, 1e-9)
 
 
 @dataclass(frozen=True)
@@ -146,7 +115,6 @@ class SolverConfig:
     gamma_schedule: GammaSchedule = field(default_factory=GammaSchedule.default)
     stop_eps: float = 1e-6
     seed: int = 0
-    inner_tol: float = 1e-9
     sigma_min: float | None = None
     wall_budget_s: float | None = None
     record_states: bool = False
@@ -175,7 +143,8 @@ class SolverState:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """One row per outer iteration; CSV schema v1 columns match fields."""
+    """One row per outer iteration; the fields, in order, are the CSV
+    schema v1 columns."""
 
     k: int
     objective: float
@@ -190,6 +159,10 @@ class IterationTrace:
     rho: float
     gamma: float | None
     wall_ns: int
+
+
+_TRACE_FIELDS = fields(IterationTrace)
+TRACE_COLUMNS = tuple(f.name for f in _TRACE_FIELDS)
 
 
 @dataclass
@@ -209,24 +182,11 @@ def materialize_D(problem: Problem):
     return -problem.y[:, None] * problem.X
 
 
-def augmented_lagrangian(
-    z: np.ndarray,
-    w: np.ndarray,
-    lam: np.ndarray,
-    Dw: np.ndarray,
-    rho: float,
-    problem: Problem,
-    smooth_gamma: float | None = None,
-) -> float:
-    """L_rho(w, z; lambda) in the cancellation-safe form
-    Omega(z) + lambda.(z - Dw) + (rho/2)||z - Dw||^2 + penalty(w)."""
-    resid = z - Dw
-    omega = rank_loss_value(z, problem.resolved_weights, problem.loss)
-    if smooth_gamma is not None and problem.regularizer.variant != "zero":
-        pen, _ = moreau_value_and_grad(problem.regularizer, smooth_gamma, w)
-    else:
-        pen = reg_value(problem.regularizer, w)
-    return omega + float(lam @ resid) + 0.5 * rho * float(resid @ resid) + pen
+def _penalty(reg: RegularizerSpec, gamma: float | None, w: np.ndarray) -> float:
+    """g(w), or its smoothed envelope with parameter gamma when given."""
+    if gamma is None:
+        return reg_value(reg, w)
+    return moreau_value_and_grad(reg, gamma, w)[0]
 
 
 def kkt_surrogates(
@@ -309,6 +269,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     clamp_warned = False
     converged = False
     start = time.perf_counter_ns()
+    omega = rank_loss_value(z, resolved, problem.loss)
 
     for k in range(config.max_iter):
         feas_now = float(np.linalg.norm(z - Dw))
@@ -343,19 +304,21 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             m = Dw - lam / rho
             z_new = solve_z_subproblem(m, resolved, rho, problem.loss)
             target = z_new + lam / rho
-            w_new = solver.solve(
-                target, w, rho, r_eff, reg,
-                moreau_gamma=gamma if smooth_active else None,
-                tol=config.inner_tol,
-            )
+            w_new = solver.solve(target, w, rho, r_eff, reg, gamma)
         except RankAdmmError as exc:
             raise SolverError(str(exc), iteration=k) from exc
         if not np.all(np.isfinite(w_new)):
             raise SolverError("w-step returned non-finite entries", iteration=k)
 
         Dw_new = problem.apply_D(w_new)
-        lam_new = lam + rho * (z_new - Dw_new)
-        aug = augmented_lagrangian(z_new, w_new, lam_new, Dw_new, rho, problem, gamma)
+        r_new = z_new - Dw_new
+        lam_new = lam + rho * r_new
+        omega_new = rank_loss_value(z_new, resolved, problem.loss)
+        pen_old = _penalty(reg, gamma, w)
+        pen_new = _penalty(reg, gamma, w_new)
+        # L_rho(w, z; lambda) in the cancellation-safe form
+        # Omega(z) + lambda.(z - Dw) + (rho/2)||z - Dw||^2 + penalty(w).
+        aug = omega_new + float(lam_new @ r_new) + 0.5 * rho * float(r_new @ r_new) + pen_new
 
         # Descent margins in difference form: the terms are built from the
         # step vectors themselves, so they vanish exactly when a step is
@@ -363,21 +326,12 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         r_old = z - Dw
         r_mid = z_new - Dw
         dz = z_new - z
-        omega_old = rank_loss_value(z, resolved, problem.loss)
-        omega_new = rank_loss_value(z_new, resolved, problem.loss)
         z_decrease = (
-            omega_old - omega_new
+            omega - omega_new
             - float(lam @ dz)
             - 0.5 * rho * float(dz @ (r_old + r_mid))
         )
         Ddw = problem.apply_D(w_new - w)
-        r_new = z_new - Dw_new
-        if smooth_active:
-            pen_old, _ = moreau_value_and_grad(reg, gamma, w)
-            pen_new, _ = moreau_value_and_grad(reg, gamma, w_new)
-        else:
-            pen_old = reg_value(reg, w)
-            pen_new = reg_value(reg, w_new)
         w_decrease = (
             float(lam @ Ddw)
             + 0.5 * rho * float(Ddw @ (r_mid + r_new))
@@ -419,7 +373,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
                 wall_ns=time.perf_counter_ns() - start,
             )
         )
-        w, z, lam, Dw = w_new, z_new, lam_new, Dw_new
+        w, z, lam, Dw, omega = w_new, z_new, lam_new, Dw_new, omega_new
         if states is not None:
             states.append(SolverState(k, w.copy(), z.copy(), lam.copy(), Dw.copy(), rho, r_eff, gamma))
 
@@ -567,24 +521,19 @@ def theory_mode_config(
 
 
 def trace_rows(trace: list[IterationTrace], include_wall: bool = True) -> list[dict]:
+    """CSV records: int fields as is, floats in repr precision, "" for None."""
     rows = []
     for row in trace:
-        d = {
-            "k": row.k,
-            "objective": repr(row.objective),
-            "aug_lagrangian": repr(row.aug_lagrangian),
-            "lyapunov": "" if row.lyapunov is None else repr(row.lyapunov),
-            "kkt_z": repr(row.kkt_z),
-            "kkt_w": repr(row.kkt_w),
-            "kkt_feas": repr(row.kkt_feas),
-            "dual_step": repr(row.dual_step),
-            "z_decrease": repr(row.z_decrease),
-            "w_decrease": repr(row.w_decrease),
-            "rho": repr(row.rho),
-            "gamma": "" if row.gamma is None else repr(row.gamma),
-            "wall_ns": row.wall_ns if include_wall else 0,
-        }
-        rows.append(d)
+        rec = {}
+        for f in _TRACE_FIELDS:
+            value = getattr(row, f.name)
+            if f.type == "int":
+                rec[f.name] = value
+            else:
+                rec[f.name] = "" if value is None else repr(value)
+        if not include_wall:
+            rec["wall_ns"] = 0
+        rows.append(rec)
     return rows
 
 
@@ -601,15 +550,6 @@ def write_trace_csv(trace: list[IterationTrace], path, include_wall: bool = True
             writer.writerow(row)
 
 
-def trace_to_json(trace: list[IterationTrace], include_wall: bool = True) -> str:
-    payload = {
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "columns": list(TRACE_COLUMNS),
-        "rows": trace_rows(trace, include_wall),
-    }
-    return json.dumps(payload, indent=2)
-
-
 def read_trace_csv(path) -> list[IterationTrace]:
     out: list[IterationTrace] = []
     with open(path, newline="") as fh:
@@ -618,21 +558,14 @@ def read_trace_csv(path) -> list[IterationTrace]:
         if missing:
             raise InvalidParameterError(f"trace file missing columns: {sorted(missing)}")
         for rec in reader:
-            out.append(
-                IterationTrace(
-                    k=int(rec["k"]),
-                    objective=float(rec["objective"]),
-                    aug_lagrangian=float(rec["aug_lagrangian"]),
-                    lyapunov=float(rec["lyapunov"]) if rec["lyapunov"] else None,
-                    kkt_z=float(rec["kkt_z"]),
-                    kkt_w=float(rec["kkt_w"]),
-                    kkt_feas=float(rec["kkt_feas"]),
-                    dual_step=float(rec["dual_step"]),
-                    z_decrease=float(rec["z_decrease"]),
-                    w_decrease=float(rec["w_decrease"]),
-                    rho=float(rec["rho"]),
-                    gamma=float(rec["gamma"]) if rec["gamma"] else None,
-                    wall_ns=int(rec["wall_ns"]),
-                )
-            )
+            values = {}
+            for f in _TRACE_FIELDS:
+                text = rec[f.name]
+                if f.type == "int":
+                    values[f.name] = int(text)
+                elif not text and f.type.endswith("| None"):
+                    values[f.name] = None
+                else:
+                    values[f.name] = float(text)
+            out.append(IterationTrace(**values))
     return out

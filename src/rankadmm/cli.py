@@ -25,7 +25,7 @@ from .admm import (
     theory_mode_config,
     write_trace_csv,
 )
-from .errors import RankAdmmError
+from .errors import InvalidParameterError, RankAdmmError
 from .harness import (
     BenchmarkPlan,
     regularizer_from_dict,
@@ -222,7 +222,11 @@ def _cmd_train(args, parser) -> int:
 
 
 def _cmd_benchmark(args, parser) -> int:
-    plan = BenchmarkPlan.from_json(args.plan)
+    try:
+        plan = BenchmarkPlan.from_json(args.plan)
+    except InvalidParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = run_benchmark(plan, out_dir=args.out)
     failures = sum(r["failures"] for r in out["summary"])
     for row in out["summary"]:

@@ -115,6 +115,19 @@ class BenchmarkCell:
             raise InvalidParameterError("repetitions must be >= 1")
         if self.solver not in ("admm", "sadmm", "sgd"):
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
+        # Build every part a run needs, so a bad cell fails before any run.
+        try:
+            scheme_from_dict(self.scheme)
+            regularizer_from_dict(self.regularizer)
+            LossKind(self.loss)
+            if self.solver == "sgd":
+                _sgd_config(self, 0)
+            else:
+                _solver_config(self, 0)
+        except KeyError as exc:
+            raise InvalidParameterError(f"cell {self.name!r}: missing key {exc}") from exc
+        except (InvalidParameterError, AttributeError, TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"cell {self.name!r}: {exc}") from exc
 
     def run_seeds(self) -> list[int]:
         if self.seeds is not None:
@@ -142,9 +155,17 @@ class BenchmarkPlan:
 
     @staticmethod
     def from_json(path) -> "BenchmarkPlan":
+        """Load a plan and build every cell; an invalid plan raises
+        InvalidParameterError before anything runs."""
         with open(path) as fh:
-            raw = json.load(fh)
-        cells = [BenchmarkCell(**c) for c in raw["cells"]]
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidParameterError(f"plan is not valid JSON: {exc}") from exc
+        try:
+            cells = [BenchmarkCell(**c) for c in raw["cells"]]
+        except (KeyError, TypeError) as exc:
+            raise InvalidParameterError(f"invalid plan: {exc}") from exc
         return BenchmarkPlan(cells=cells, out=raw.get("out", "benchmark_out"))
 
 
@@ -210,24 +231,28 @@ def _solver_config(cell: BenchmarkCell, seed: int) -> SolverConfig:
     )
 
 
-def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path, include_wall: bool = True) -> RunRecord:
+def _sgd_config(cell: BenchmarkCell, seed: int) -> SgdConfig:
+    cfg = cell.config
+    return SgdConfig(
+        learning_rate=float(cfg.get("learning_rate", 1e-3)),
+        batch=cfg.get("batch", 64),
+        epochs=int(cfg.get("epochs", 2000)),
+        seed=seed,
+        wall_budget_s=cfg.get("wall_budget_s"),
+    )
+
+
+def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
     trace_path = out_dir / f"{cell.name}_{cell.solver}_seed{seed}.csv"
     try:
         problem, test = _build_problem(cell, seed)
         if cell.solver == "sgd":
-            sgd_cfg = SgdConfig(
-                learning_rate=float(cell.config.get("learning_rate", 1e-3)),
-                batch=cell.config.get("batch", 64),
-                epochs=int(cell.config.get("epochs", 2000)),
-                seed=seed,
-                wall_budget_s=cell.config.get("wall_budget_s"),
-            )
-            w, trace = sgd_solve(problem, sgd_cfg)
+            w, trace = sgd_solve(problem, _sgd_config(cell, seed))
         else:
             solve = sadmm_solve if cell.solver == "sadmm" else admm_solve
             result = solve(problem, _solver_config(cell, seed))
             w, trace = result.w, result.trace
-        write_trace_csv(trace, trace_path, include_wall=include_wall)
+        write_trace_csv(trace, trace_path)
         eval_ds = test if test is not None else None
         if eval_ds is not None:
             acc = accuracy(predict(eval_ds.X, w), eval_ds.y)
@@ -256,7 +281,7 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path, include_wall: bool =
         )
 
 
-def run_benchmark(plan: BenchmarkPlan, out_dir=None, include_wall: bool = True) -> dict:
+def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
     """Execute every (cell, seed) pair in a bounded worker pool.
 
     Returns {"records": [...], "summary": [...]} and writes summary.csv
@@ -268,7 +293,7 @@ def run_benchmark(plan: BenchmarkPlan, out_dir=None, include_wall: bool = True) 
     tasks = [(cell, seed) for cell in plan.cells for seed in cell.run_seeds()]
     records: list[RunRecord] = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(run_cell, cell, seed, out, include_wall) for cell, seed in tasks]
+        futures = [pool.submit(run_cell, cell, seed, out) for cell, seed in tasks]
         records = [f.result() for f in futures]
 
     summary = summarize(plan, records)

@@ -74,10 +74,9 @@ class BlockPartition:
 
     def values(self) -> np.ndarray:
         """Expand block values to a length-n vector in sorted order."""
-        out = np.empty(self.n)
-        for b in self.blocks:
-            out[b.lo : b.hi + 1] = b.value
-        return out
+        values = np.array([b.value for b in self.blocks], dtype=float)
+        counts = np.array([b.count for b in self.blocks], dtype=np.intp)
+        return np.repeat(values, counts)
 
     def is_isotonic(self) -> bool:
         vals = [b.value for b in self.blocks]

@@ -70,7 +70,8 @@ def resolve_human_aligned(a: float, b: float, n: int) -> np.ndarray:
 
         w_{a,b}(t) = (3 - 3b) / (a^2 - a + 1) * (3t^2 - 2(a+1)t + a) + 1.
 
-    These need not be nonnegative, nondecreasing, or normalized.
+    These need not be nondecreasing or normalized; ``resolve`` rejects
+    parameters that make any weight negative.
     """
     _check_n(n)
     t = np.arange(1, n + 1, dtype=float) / n
@@ -282,8 +283,11 @@ def resolve(scheme: WeightScheme, n: int) -> ResolvedWeights:
             is_value_dependent=True,
         )
     sigma = scheme.resolve(n)
-    if np.any(sigma < 0) and isinstance(scheme, _SPECTRAL):
-        raise InvalidParameterError("spectral weights must be nonnegative")
+    if np.any(sigma < 0):
+        raise InvalidParameterError(
+            f"{type(scheme).__name__} weights must be nonnegative, "
+            f"min weight {float(sigma.min()):g} at n={n}"
+        )
     if isinstance(scheme, _SPECTRAL):
         total = float(sigma.sum())
         if abs(total - 1.0) > _SUM_TOL:

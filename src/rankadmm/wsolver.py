@@ -1,13 +1,15 @@
-"""Solvers for the regularized least-squares step
+"""The w-step of the outer loop: a regularized least-squares problem
 
-    min_w  (rho/2) ||t - D w||^2 + penalty(w) + (r/2) ||w - anchor||^2
+    min_w  (rho/2) ||t - D w||^2 + penalty(w) + (r/2) ||w - anchor||^2.
 
-where penalty is the regularizer g, or its smoothed envelope for the
-smoothed outer loop.  Zero and l2 penalties admit an exact linear solve;
-l1 and the concave penalties use an accelerated proximal gradient method;
-the smoothed penalty uses quasi-Newton minimization with an exact
-splitting fallback whose conditioning does not degrade as the smoothing
-parameter shrinks.
+``WSolver.solve`` is the single entry point.  Without ``gamma`` the
+penalty is the regularizer g itself: zero and l2 penalties admit an exact
+linear solve, l1 and the concave penalties use an accelerated proximal
+gradient method.  With ``gamma`` the penalty is the Moreau envelope of g
+with smoothing parameter gamma (the smoothed outer loop), minimized by
+quasi-Newton with an exact splitting fallback whose conditioning does not
+degrade as gamma shrinks.  ``WSolver.last_info`` reports the method, the
+inner iteration count and the final residual of the latest solve.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ logger = logging.getLogger(__name__)
 
 _EIG_THRESHOLD = 2000
 _POWER_ITERATIONS = 100
-_DEFAULT_TOL = 1e-9
+_TOL = 1e-9
 _FISTA_MAX_ITER = 5000
 _LBFGS_MAX_ITER = 500
 _SPLIT_MAX_ITER = 20000
@@ -43,20 +45,6 @@ def _fp_floor(curvature: float, w: np.ndarray) -> float:
     """Smallest gradient/mapping norm still distinguishable from rounding
     noise for a smooth term with the given curvature scale."""
     return 64.0 * np.finfo(float).eps * curvature * (1.0 + float(np.linalg.norm(w)))
-
-
-@dataclass
-class WSubproblem:
-    """One w-step instance.  moreau_gamma switches the penalty to its
-    smoothed envelope; requires r > weak-convexity modulus either way."""
-
-    D: np.ndarray | sp.spmatrix
-    target: np.ndarray
-    rho: float
-    r: float
-    anchor: np.ndarray
-    reg: RegularizerSpec
-    moreau_gamma: float | None = None
 
 
 @dataclass
@@ -114,10 +102,7 @@ class WSolver:
             return self._gram @ v
         if self.d <= _EIG_THRESHOLD:
             return self._gram_matrix() @ v
-        out = self.D.T @ (self.D @ v)
-        if sp.issparse(self.D):
-            out = np.asarray(out).ravel()
-        return out
+        return self._rmatvec(self._matvec(v))
 
     def _eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
@@ -168,8 +153,8 @@ class WSolver:
 
     # -- exact path for zero / l2 ----------------------------------------
 
-    def solve_closed_form(
-        self, target: np.ndarray, anchor: np.ndarray, rho: float, r: float, mu: float = 0.0
+    def _solve_closed_form(
+        self, target: np.ndarray, anchor: np.ndarray, rho: float, r: float, mu: float
     ) -> np.ndarray:
         """Exact solve of (rho D^T D + (mu + r) I) w = rho D^T t + r anchor."""
         rhs = rho * self._rmatvec(target) + r * anchor
@@ -196,15 +181,8 @@ class WSolver:
 
     # -- accelerated proximal gradient ------------------------------------
 
-    def solve_prox_gradient(
-        self,
-        target: np.ndarray,
-        anchor: np.ndarray,
-        rho: float,
-        r: float,
-        reg: RegularizerSpec,
-        tol: float = _DEFAULT_TOL,
-        max_iter: int = _FISTA_MAX_ITER,
+    def _solve_prox_gradient(
+        self, target: np.ndarray, anchor: np.ndarray, rho: float, r: float, reg: RegularizerSpec
     ) -> np.ndarray:
         """Accelerated proximal gradient with objective restarts.
 
@@ -215,7 +193,7 @@ class WSolver:
         An objective increase resets the momentum and the offending step
         is retaken without extrapolation, so every iteration makes
         monotone progress (up to rounding).  Stops when the prox-gradient
-        mapping norm falls below tol.
+        mapping norm falls below _TOL.
         """
         Dt = self._rmatvec(target)
 
@@ -239,8 +217,8 @@ class WSolver:
         f_w = full(w)
         mapping = float("inf")
         iterations = 0
-        for iterations in range(1, max_iter + 1):
-            stop_at = max(tol, _fp_floor(L, w))
+        for iterations in range(1, _FISTA_MAX_ITER + 1):
+            stop_at = max(_TOL, _fp_floor(L, w))
             w_new = prox(reg, eta, y - eta * q_grad(y))
             plain = np.array_equal(y, w)
             step_norm = float(np.linalg.norm(y - w_new)) / eta
@@ -268,7 +246,7 @@ class WSolver:
         self.last_info = SolveInfo(
             method="prox_gradient", iterations=iterations, residual=mapping
         )
-        if mapping > max(tol, _fp_floor(L, w)):
+        if mapping > max(_TOL, _fp_floor(L, w)):
             self.last_info.warning = (
                 f"prox-gradient mapping {mapping:.2e} above tol after {iterations} iters"
             )
@@ -277,7 +255,7 @@ class WSolver:
 
     # -- smoothed penalty --------------------------------------------------
 
-    def solve_smooth(
+    def _solve_smooth(
         self,
         target: np.ndarray,
         anchor: np.ndarray,
@@ -285,18 +263,13 @@ class WSolver:
         r: float,
         reg: RegularizerSpec,
         gamma: float,
-        tol: float = _DEFAULT_TOL,
     ) -> np.ndarray:
-        """Minimize q(w) + smoothed penalty to gradient norm <= tol.
+        """Minimize q(w) + smoothed penalty to gradient norm <= _TOL.
 
         Quasi-Newton works well for moderate gamma; for tiny gamma the
         envelope gradient is badly conditioned, so the solve switches to
         an exact splitting whose rate depends only on the data spectrum.
         """
-        if reg.variant == "zero":
-            w = self.solve_closed_form(target, anchor, rho, r, mu=0.0)
-            self.last_info.method = "smooth_closed_form"
-            return w
 
         def value_grad(w):
             rz = self._matvec(w) - target
@@ -316,25 +289,25 @@ class WSolver:
                 options={"maxcor": 10, "maxiter": _LBFGS_MAX_ITER, "ftol": 1e-18, "gtol": 1e-12},
             )
             gnorm = float(np.linalg.norm(value_grad(res.x)[1]))
-            if gnorm <= max(tol, _fp_floor(curvature, res.x)):
+            if gnorm <= max(_TOL, _fp_floor(curvature, res.x)):
                 self.last_info = SolveInfo(
                     method="smooth_lbfgs", iterations=int(res.nit), residual=gnorm
                 )
                 return res.x
             logger.debug("L-BFGS gradient %.2e above tol, switching to splitting", gnorm)
 
-        w, iterations, gnorm = self._smooth_splitting(target, anchor, rho, r, reg, gamma, tol)
+        w, iterations, gnorm = self._smooth_splitting(target, anchor, rho, r, reg, gamma)
         self.last_info = SolveInfo(
             method="smooth_splitting", iterations=iterations, residual=gnorm
         )
-        if gnorm > max(tol, _fp_floor(curvature, w)):
+        if gnorm > max(_TOL, _fp_floor(curvature, w)):
             self.last_info.warning = (
                 f"smoothed solve gradient {gnorm:.2e} above tol after {iterations} iters"
             )
             logger.warning(self.last_info.warning)
         return w
 
-    def _smooth_splitting(self, target, anchor, rho, r, reg, gamma, tol):
+    def _smooth_splitting(self, target, anchor, rho, r, reg, gamma):
         """Exact reformulation min_{w,x} q(w) + g(x) + ||x-w||^2/(2 gamma).
 
         For fixed x the w-block is a ridge solve; eliminating w leaves a
@@ -380,7 +353,7 @@ class WSolver:
         gnorm = true_grad_norm(w)
         iterations = 0
         for iterations in range(1, _SPLIT_MAX_ITER + 1):
-            if gnorm <= max(tol, _fp_floor(curvature, w)):
+            if gnorm <= max(_TOL, _fp_floor(curvature, w)):
                 break
             w_y = w_of_x(y)
             x_new = prox(reg, eta, y - eta * (y - w_y) / gamma)
@@ -407,46 +380,14 @@ class WSolver:
         rho: float,
         r: float,
         reg: RegularizerSpec,
-        moreau_gamma: float | None = None,
-        tol: float = _DEFAULT_TOL,
+        gamma: float | None = None,
     ) -> np.ndarray:
-        if moreau_gamma is not None and reg.variant != "zero":
-            return self.solve_smooth(target, anchor, rho, r, reg, moreau_gamma, tol)
-        if reg.variant == "zero":
-            return self.solve_closed_form(target, anchor, rho, r, mu=0.0)
-        if reg.variant == "l2":
-            return self.solve_closed_form(target, anchor, rho, r, mu=reg.mu)
-        return self.solve_prox_gradient(target, anchor, rho, r, reg, tol=tol)
-
-
-def subproblem_objective(sub: WSubproblem, w: np.ndarray) -> float:
-    """Objective value of a w-step instance at w."""
-    Dw = sub.D @ w
-    if sp.issparse(sub.D):
-        Dw = np.asarray(Dw).ravel()
-    rz = Dw - sub.target
-    dw = w - sub.anchor
-    if sub.moreau_gamma is not None and sub.reg.variant != "zero":
-        pen, _ = moreau_value_and_grad(sub.reg, sub.moreau_gamma, w)
-    else:
-        pen = reg_value(sub.reg, w)
-    return 0.5 * sub.rho * float(rz @ rz) + 0.5 * sub.r * float(dw @ dw) + pen
-
-
-def solve_closed_form(sub: WSubproblem) -> np.ndarray:
-    mu = sub.reg.mu if sub.reg.variant == "l2" else 0.0
-    return WSolver(sub.D).solve_closed_form(sub.target, sub.anchor, sub.rho, sub.r, mu)
-
-
-def solve_prox_gradient(sub: WSubproblem, tol: float = _DEFAULT_TOL) -> np.ndarray:
-    return WSolver(sub.D).solve_prox_gradient(
-        sub.target, sub.anchor, sub.rho, sub.r, sub.reg, tol=tol
-    )
-
-
-def solve_smooth(sub: WSubproblem, tol: float = _DEFAULT_TOL) -> np.ndarray:
-    if sub.moreau_gamma is None:
-        raise SolverError("solve_smooth needs moreau_gamma on the subproblem")
-    return WSolver(sub.D).solve_smooth(
-        sub.target, sub.anchor, sub.rho, sub.r, sub.reg, sub.moreau_gamma, tol=tol
-    )
+        """One w-step.  ``gamma`` selects the smoothed penalty (the Moreau
+        envelope of ``reg``); None minimizes with ``reg`` itself.  Requires
+        r above the penalty's weak-convexity modulus either way."""
+        if gamma is not None:
+            return self._solve_smooth(target, anchor, rho, r, reg, gamma)
+        if reg.variant in ("zero", "l2"):
+            mu = reg.mu if reg.variant == "l2" else 0.0
+            return self._solve_closed_form(target, anchor, rho, r, mu)
+        return self._solve_prox_gradient(target, anchor, rho, r, reg)

@@ -149,6 +149,24 @@ def test_cli_benchmark(tmp_path, capsys):
     assert "erm-l2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("change", [
+    {"regulariser": {"variant": "l2", "mu": 0.01}},
+    {"loss": "squared"},
+    {"scheme": {"kind": "superquantile"}},
+])
+def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change):
+    good = json.loads(make_plan(tmp_path, reps=1).read_text())
+    bad = dict(good["cells"][0], name="bad", **change)
+    path = tmp_path / "bad_plan.json"
+    path.write_text(json.dumps({"cells": [good["cells"][0], bad], "out": good["out"]}))
+    with pytest.raises(InvalidParameterError):
+        BenchmarkPlan.from_json(path)
+    assert cli_main(["benchmark", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_oracle(capsys):
     code = cli_main(["oracle", "--n", "5", "--scheme", "superquantile", "--q", "0.5",
                      "--seed", "1", "--step", "1e-4"])

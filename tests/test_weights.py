@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankadmm.errors import InvalidParameterError
+from rankadmm.problem import Problem
 from rankadmm.weights import (
     CPTValueDependent,
     ERM,
     ESRM,
     Explicit,
     Extremile,
+    HumanAligned,
     Superquantile,
     cpt_omega,
     cpt_sigma,
@@ -98,6 +100,17 @@ def test_human_aligned_matches_elementwise_loop():
         t = i / n
         expected = (3 - 3 * b) / (a * a - a + 1) * (3 * t * t - 2 * (a + 1) * t + a) + 1
         assert got[i - 1] == pytest.approx(expected, abs=1e-14)
+
+
+def test_human_aligned_negative_weights_rejected():
+    assert resolve_human_aligned(0.5, -0.5, 10).min() == pytest.approx(-0.5)
+    with pytest.raises(InvalidParameterError, match="HumanAligned.*min weight -0.5"):
+        resolve(HumanAligned(0.5, -0.5), 10)
+    X = np.ones((10, 2))
+    y = np.ones(10)
+    with pytest.raises(InvalidParameterError, match="HumanAligned"):
+        Problem(X=X, y=y, weights=HumanAligned(0.5, -0.5))
+    assert resolve(HumanAligned(0.4, 0.6), 10).sigma.min() > 0
 
 
 def test_cpt_omega_endpoints():

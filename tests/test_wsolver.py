@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from rankadmm.regularizers import ZERO, l1, l2, mcp, moreau_value_and_grad, prox, scad
-from rankadmm.wsolver import (
-    WSolver,
-    WSubproblem,
-    solve_closed_form,
-    solve_prox_gradient,
-    solve_smooth,
-    subproblem_objective,
-)
+from rankadmm.regularizers import ZERO, l1, l2, mcp, moreau_value_and_grad, prox, reg_value, scad
+from rankadmm.wsolver import WSolver
+
+
+def objective(D, target, rho, r, anchor, reg, w):
+    """Unsmoothed w-step objective at w."""
+    rz = D @ w - target
+    dw = w - anchor
+    return 0.5 * rho * float(rz @ rz) + 0.5 * r * float(dw @ dw) + reg_value(reg, w)
 
 
 def subgrad_residual(D, target, rho, r, anchor, reg, w):
@@ -40,32 +40,30 @@ def make_instance(rng, n=20, d=5):
 
 
 def test_closed_form_scalar_example():
-    sub = WSubproblem(
-        D=np.array([[1.0]]), target=np.array([4.0]), rho=1.0, r=1.0,
-        anchor=np.array([0.0]), reg=l2(1.0),
-    )
-    assert solve_closed_form(sub) == pytest.approx([4.0 / 3.0])
+    solver = WSolver(np.array([[1.0]]))
+    w = solver.solve(np.array([4.0]), np.array([0.0]), 1.0, 1.0, l2(1.0))
+    assert w == pytest.approx([4.0 / 3.0])
+    assert solver.last_info.method == "closed_form"
 
 
 def test_closed_form_proximal_dominance(rng):
     D, target, anchor = make_instance(rng)
-    w = WSolver(D).solve_closed_form(target, anchor, rho=1.0, r=1e8, mu=0.5)
+    w = WSolver(D).solve(target, anchor, rho=1.0, r=1e8, reg=l2(0.5))
     assert np.linalg.norm(w - anchor) <= 1e-6
 
 
 def test_closed_form_gradient_residual(rng):
     D, target, anchor = make_instance(rng)
     solver = WSolver(D)
-    for mu in (0.0, 0.3):
-        w = solver.solve_closed_form(target, anchor, rho=2.0, r=1.0, mu=mu)
-        reg = ZERO if mu == 0.0 else l2(mu)
+    for reg in (ZERO, l2(0.3)):
+        w = solver.solve(target, anchor, rho=2.0, r=1.0, reg=reg)
         assert subgrad_residual(D, target, 2.0, 1.0, anchor, reg, w) <= 1e-8
 
 
 def test_closed_form_extreme_rho(rng):
     D, target, anchor = make_instance(rng, n=30, d=5)
     solver = WSolver(D)
-    w = solver.solve_closed_form(target, anchor, rho=1e18, r=1.0, mu=0.0)
+    w = solver.solve(target, anchor, rho=1e18, r=1.0, reg=ZERO)
     # solution of the huge-penalty limit: least squares of the target
     ls, *_ = np.linalg.lstsq(D, target, rcond=None)
     assert np.linalg.norm(w - ls) <= 1e-6 * max(1.0, np.linalg.norm(ls))
@@ -76,8 +74,7 @@ def test_prox_gradient_pure_prox_when_data_vanishes(rng):
     D = np.zeros((6, d))
     anchor = rng.standard_normal(d)
     reg = l1(1.0)
-    sub = WSubproblem(D=D, target=np.zeros(6), rho=1.0, r=2.0, anchor=anchor, reg=reg)
-    w = solve_prox_gradient(sub)
+    w = WSolver(D).solve(np.zeros(6), anchor, 1.0, 2.0, reg)
     assert w == pytest.approx(prox(reg, 1.0 / 2.0, anchor), abs=1e-9)
 
 
@@ -86,7 +83,7 @@ def test_prox_gradient_1d_grid_oracle(rng):
     target = np.array([1.0, 0.3, -0.4])
     anchor = np.array([0.2])
     reg = l1(0.8)
-    w = WSolver(D).solve_prox_gradient(target, anchor, 1.0, 1.0, reg)
+    w = WSolver(D).solve(target, anchor, 1.0, 1.0, reg)
     grid = np.arange(-2.0, 2.0, 1e-7)
     vals = (
         0.5 * ((grid[None, :] * D) - target[:, None]).__pow__(2).sum(axis=0)
@@ -101,20 +98,20 @@ def test_prox_gradient_1d_grid_oracle(rng):
 def test_prox_gradient_residual_and_probes(reg, rng):
     D, target, anchor = make_instance(rng)
     solver = WSolver(D)
-    w = solver.solve_prox_gradient(target, anchor, 1.0, 1.0, reg)
+    w = solver.solve(target, anchor, 1.0, 1.0, reg)
+    assert solver.last_info.method == "prox_gradient"
     assert solver.last_info.residual <= 1e-8
-    sub = WSubproblem(D=D, target=target, rho=1.0, r=1.0, anchor=anchor, reg=reg)
-    f_w = subproblem_objective(sub, w)
+    f_w = objective(D, target, 1.0, 1.0, anchor, reg, w)
     for _ in range(1000):
         delta = rng.standard_normal(len(w))
         delta *= 1e-3 / np.linalg.norm(delta)
-        assert f_w <= subproblem_objective(sub, w + delta) + 1e-12
+        assert f_w <= objective(D, target, 1.0, 1.0, anchor, reg, w + delta) + 1e-12
 
 
 def test_prox_gradient_l1_residual(rng):
     D, target, anchor = make_instance(rng)
     reg = l1(0.6)
-    w = WSolver(D).solve_prox_gradient(target, anchor, 1.0, 1.0, reg)
+    w = WSolver(D).solve(target, anchor, 1.0, 1.0, reg)
     assert subgrad_residual(D, target, 1.0, 1.0, anchor, reg, w) <= 1e-7
 
 
@@ -122,7 +119,7 @@ def test_prox_gradient_huge_rho_warm_start(rng):
     D, target, anchor = make_instance(rng, n=40, d=6)
     reg = l1(0.01)
     solver = WSolver(D)
-    w = solver.solve_prox_gradient(target, anchor, 1e10, 1.0, reg)
+    w = solver.solve(target, anchor, 1e10, 1.0, reg)
     ls, *_ = np.linalg.lstsq(D, target, rcond=None)
     assert np.linalg.norm(w - ls) <= 1e-5 * max(1.0, np.linalg.norm(ls))
 
@@ -130,8 +127,8 @@ def test_prox_gradient_huge_rho_warm_start(rng):
 def test_smooth_zero_matches_closed_form(rng):
     D, target, anchor = make_instance(rng)
     solver = WSolver(D)
-    w_smooth = solver.solve_smooth(target, anchor, 1.0, 1.0, ZERO, gamma=0.5)
-    w_exact = solver.solve_closed_form(target, anchor, 1.0, 1.0, mu=0.0)
+    w_smooth = solver.solve(target, anchor, 1.0, 1.0, ZERO, gamma=0.5)
+    w_exact = solver.solve(target, anchor, 1.0, 1.0, ZERO)
     assert np.linalg.norm(w_smooth - w_exact) <= 1e-7
 
 
@@ -142,7 +139,7 @@ def test_smooth_gradient_residual(reg, gamma, rng):
         pytest.skip("outside envelope curvature range")
     D, target, anchor = make_instance(rng)
     solver = WSolver(D)
-    w = solver.solve_smooth(target, anchor, 1.0, 1.0, reg, gamma=gamma)
+    w = solver.solve(target, anchor, 1.0, 1.0, reg, gamma=gamma)
     _, mgrad = moreau_value_and_grad(reg, gamma, w)
     grad = D.T @ (D @ w - target) + (w - anchor) + mgrad
     assert np.linalg.norm(grad) <= 1e-8 * max(1.0, 1e9 * gamma)
@@ -152,31 +149,18 @@ def test_smooth_tiny_gamma_approaches_nonsmooth(rng):
     D, target, anchor = make_instance(rng)
     reg = l1(0.6)
     solver = WSolver(D)
-    w_sharp = solver.solve_prox_gradient(target, anchor, 1.0, 1.0, reg)
-    w_smooth = solver.solve_smooth(target, anchor, 1.0, 1.0, reg, gamma=1e-9)
+    w_sharp = solver.solve(target, anchor, 1.0, 1.0, reg)
+    w_smooth = solver.solve(target, anchor, 1.0, 1.0, reg, gamma=1e-9)
     assert np.linalg.norm(w_smooth - w_sharp) <= 1e-4
-
-
-def test_smooth_module_function_requires_gamma(rng):
-    D, target, anchor = make_instance(rng)
-    sub = WSubproblem(D=D, target=target, rho=1.0, r=1.0, anchor=anchor, reg=l1(0.5))
-    from rankadmm.errors import SolverError
-
-    with pytest.raises(SolverError):
-        solve_smooth(sub)
-    sub.moreau_gamma = 0.01
-    w = solve_smooth(sub)
-    assert w.shape == anchor.shape
 
 
 def test_descent_versus_anchor(rng):
     # exactness implies the w-step never loses to its anchor
     for reg in (ZERO, l2(0.4), l1(0.7), mcp(0.5, 4.0)):
         D, target, anchor = make_instance(rng)
-        sub = WSubproblem(D=D, target=target, rho=1.5, r=1.0, anchor=anchor, reg=reg)
-        solver = WSolver(D)
-        w = solver.solve(target, anchor, 1.5, 1.0, reg)
-        assert subproblem_objective(sub, w) <= subproblem_objective(sub, anchor) + 1e-12
+        w = WSolver(D).solve(target, anchor, 1.5, 1.0, reg)
+        f_w = objective(D, target, 1.5, 1.0, anchor, reg, w)
+        assert f_w <= objective(D, target, 1.5, 1.0, anchor, reg, anchor) + 1e-12
 
 
 def test_power_iteration_norm(rng):
