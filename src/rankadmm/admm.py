@@ -241,7 +241,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     resolved = problem.resolved_weights
     c = reg.weak_convexity_c
     smooth_active = smooth and reg.variant != "zero"
-    if smooth_active and reg.subgradient_bound is None:
+    if smooth_active and reg.variant == "l2":
         logger.warning(
             "smoothed run with an unbounded-gradient penalty (%s) is outside "
             "the bounded-envelope assumptions; proceeding anyway",
@@ -483,11 +483,15 @@ def sigma_min_positive(problem: Problem, limit: int = 10**6) -> float | None:
     return float(positive[0]) if positive.size else None
 
 
+#: r * eps of the theory-mode preset; the analysis needs it above 1.
+_THEORY_C2 = 2.0
+
+
 def theory_mode_config(
     problem: Problem,
     eps: float,
-    C2: float = 2.0,
     max_iter: int = 300,
+    stop_eps: float = 1e-6,
     seed: int = 0,
 ) -> SolverConfig:
     """Fixed-parameter preset tying (gamma, rho, r) to a target accuracy.
@@ -504,16 +508,15 @@ def theory_mode_config(
     if sigma is None:
         raise InvalidParameterError("problem too large for the dense eigensolve")
     gamma = min(eps, 1.0 / (3.0 * c))
-    if C2 <= 1.0:
-        raise InvalidParameterError(f"C2 must exceed 1, got {C2}")
+    C2 = _THEORY_C2
     C1 = 1.01 * (8.0 * C2**2 + 1.0 / (3.0 * c) + 4.0) / (sigma * (2.0 * C2 - 1.0))
     return SolverConfig(
         max_iter=max_iter,
         rho_schedule=ScheduleSpec.constant(C1 / eps),
         r=C2 / eps,
         gamma_schedule=GammaSchedule.constant(gamma),
+        stop_eps=stop_eps,
         seed=seed,
-        enforce_smooth_premise=False,
     )
 
 

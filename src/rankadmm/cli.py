@@ -4,13 +4,17 @@ Subcommands: ``train`` (one solve), ``benchmark`` (run a JSON plan),
 ``weights`` (print a resolved weight vector), ``oracle`` (cross-check the
 block-merge solver against the grid reference on a random instance).
 Exit codes: 0 success, 1 solver failure, 2 usage errors.
+
+The scheme flags only map onto parameters: ``--scheme`` takes its choices
+from ``weights.SCHEMES`` and the scheme is built, defaulted and checked by
+``weights.scheme_from_dict``, as for a benchmark plan.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
-import json
 import sys
 from pathlib import Path
 
@@ -41,18 +45,20 @@ from .weights import resolve
 
 
 def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", default=None,
-                   help="erm|superquantile|extremile|esrm|human-aligned|cpt|aorr")
+    # Each flag's dest is the scheme parameter it sets; a flag left unset
+    # takes the class default.  Explicit weights have no flag.
+    kinds = [k for k in wgt.SCHEMES if k != "explicit"]
+    p.add_argument("--scheme", default=None, choices=[*kinds, "human-aligned"])
     p.add_argument("--q", type=float, default=None, help="superquantile level in [0,1)")
     p.add_argument("--order", type=float, default=None, help="extremile order >= 1")
     p.add_argument("--risk", type=float, default=None, help="esrm risk > 0")
-    p.add_argument("--ha-a", type=float, default=0.4, dest="ha_a")
-    p.add_argument("--ha-b", type=float, default=0.6, dest="ha_b")
+    p.add_argument("--ha-a", type=float, default=None, dest="a", help="human-aligned a in (0,1)")
+    p.add_argument("--ha-b", type=float, default=None, dest="b", help="human-aligned b")
     p.add_argument("--k", type=int, default=None, help="ranked-range upper index")
     p.add_argument("--m", type=int, default=None, help="ranked-range lower index")
-    p.add_argument("--cpt-gamma", type=float, default=0.61, dest="cpt_gamma")
-    p.add_argument("--cpt-delta", type=float, default=0.69, dest="cpt_delta")
-    p.add_argument("--cpt-b", type=float, default=-5.0, dest="cpt_b")
+    p.add_argument("--cpt-gamma", type=float, default=None, dest="gamma")
+    p.add_argument("--cpt-delta", type=float, default=None, dest="delta")
+    p.add_argument("--cpt-b", type=float, default=None, dest="B")
 
 
 def _scheme_from_args(args, parser: argparse.ArgumentParser) -> wgt.WeightScheme:
@@ -67,32 +73,16 @@ def _scheme_from_args(args, parser: argparse.ArgumentParser) -> wgt.WeightScheme
             name = "superquantile"
         else:
             name = "erm"
+    kind = name.replace("-", "_")
+    params = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(wgt.SCHEMES[kind])
+        if getattr(args, f.name) is not None
+    }
     try:
-        if name == "erm":
-            return wgt.ERM()
-        if name == "superquantile":
-            if args.q is None:
-                parser.error("superquantile needs --q")
-            return wgt.Superquantile(q=args.q)
-        if name == "extremile":
-            if args.order is None:
-                parser.error("extremile needs --order")
-            return wgt.Extremile(order=args.order)
-        if name == "esrm":
-            if args.risk is None:
-                parser.error("esrm needs --risk")
-            return wgt.ESRM(risk=args.risk)
-        if name == "human-aligned":
-            return wgt.HumanAligned(a=args.ha_a, b=args.ha_b)
-        if name == "cpt":
-            return wgt.CPTValueDependent(gamma=args.cpt_gamma, delta=args.cpt_delta, B=args.cpt_b)
-        if name == "aorr":
-            if args.k is None or args.m is None:
-                parser.error("aorr needs --k and --m")
-            return wgt.AoRR(k=args.k, m=args.m)
+        return wgt.scheme_from_dict({"kind": kind, **params})
     except RankAdmmError as exc:
         parser.error(str(exc))
-    parser.error(f"unknown scheme {name!r}")
 
 
 _FRAMEWORK_DEFAULTS = {
@@ -168,8 +158,7 @@ def _cmd_train(args, parser) -> int:
     mu = args.mu if args.mu is not None else defaults.get("mu", 1e-2)
     schedule_name = args.schedule if args.schedule is not None else defaults.get("schedule", "srm")
 
-    if args.q is not None and not (0.0 <= args.q < 1.0):
-        parser.error(f"--q must be in [0, 1), got {args.q}")
+    scheme = _scheme_from_args(args, parser)
 
     if args.synthetic:
         ds = data_io.generate_synthetic(_parse_synthetic(args.synthetic, parser))
@@ -181,20 +170,12 @@ def _cmd_train(args, parser) -> int:
         with importlib.resources.as_file(ref) as p:
             ds = data_io.load_csv(p)
 
-    scheme = _scheme_from_args(args, parser)
     reg = regularizer_from_dict({"variant": reg_variant, "mu": mu, "theta": args.theta})
     problem = Problem(X=ds.X, y=ds.y, loss=LossKind(args.loss), weights=scheme, regularizer=reg)
 
     if args.theory_mode:
-        config = theory_mode_config(problem, eps=args.theory_eps, seed=args.seed)
-        config = SolverConfig(
-            max_iter=args.max_iter,
-            rho_schedule=config.rho_schedule,
-            r=config.r,
-            gamma_schedule=config.gamma_schedule,
-            stop_eps=args.eps,
-            seed=args.seed,
-        )
+        config = theory_mode_config(problem, eps=args.theory_eps, max_iter=args.max_iter,
+                                    stop_eps=args.eps, seed=args.seed)
         use_smooth = True
     else:
         config = SolverConfig(

@@ -26,10 +26,6 @@ class RawDataset:
     def sample_count(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def feature_count(self) -> int:
-        return self.X.shape[1]
-
     def subset(self, idx: np.ndarray) -> "RawDataset":
         return RawDataset(self.X[idx], self.y[idx], source=self.source)
 

@@ -2,6 +2,8 @@
 
 A plan is a list of cells; each cell names a dataset, a weight scheme, a
 loss, a regularizer, a solver, and how many seeded repetitions to run.
+The scheme entry is built by ``weights.scheme_from_dict``, which holds the
+catalogue of scheme kinds, parameters and defaults.
 Every run writes a trace CSV; the harness then writes a summary table
 (mean and sample deviation of objective, accuracy, and time) plus
 sub-optimality traces measured against the best final objective seen for
@@ -15,7 +17,7 @@ import json
 import logging
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,31 +54,6 @@ SUMMARY_COLUMNS = (
     "time_s_mean",
     "time_s_std",
 )
-
-
-def scheme_from_dict(d: dict) -> wgt.WeightScheme:
-    kind = d.get("kind", "erm")
-    if kind == "erm":
-        return wgt.ERM()
-    if kind == "superquantile":
-        return wgt.Superquantile(q=float(d["q"]))
-    if kind == "extremile":
-        return wgt.Extremile(order=float(d["order"]))
-    if kind == "esrm":
-        return wgt.ESRM(risk=float(d["risk"]))
-    if kind == "human_aligned":
-        return wgt.HumanAligned(a=float(d["a"]), b=float(d["b"]))
-    if kind == "cpt":
-        return wgt.CPTValueDependent(
-            gamma=float(d.get("gamma", 0.61)),
-            delta=float(d.get("delta", 0.69)),
-            B=float(d.get("B", -5.0)),
-        )
-    if kind == "aorr":
-        return wgt.AoRR(k=int(d["k"]), m=int(d["m"]))
-    if kind == "explicit":
-        return wgt.Explicit(d["sigma"])
-    raise InvalidParameterError(f"unknown scheme kind {kind!r}")
 
 
 def regularizer_from_dict(d: dict) -> RegularizerSpec:
@@ -117,15 +94,13 @@ class BenchmarkCell:
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
         # Build every part a run needs, so a bad cell fails before any run.
         try:
-            scheme_from_dict(self.scheme)
+            wgt.scheme_from_dict(self.scheme)
             regularizer_from_dict(self.regularizer)
             LossKind(self.loss)
             if self.solver == "sgd":
                 _sgd_config(self, 0)
             else:
                 _solver_config(self, 0)
-        except KeyError as exc:
-            raise InvalidParameterError(f"cell {self.name!r}: missing key {exc}") from exc
         except (InvalidParameterError, AttributeError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"cell {self.name!r}: {exc}") from exc
 
@@ -135,13 +110,16 @@ class BenchmarkCell:
         return list(range(self.repetitions))
 
     def problem_key(self) -> str:
-        """Cells with the same key share an F* for sub-optimality."""
+        """Cells with the same key share an F* for sub-optimality.  The
+        scheme and regularizer enter as built, so spellings of the same
+        problem (a default written out, an unused strength) share a key."""
+        scheme = wgt.scheme_from_dict(self.scheme)
         return json.dumps(
             {
                 "dataset": self.dataset,
-                "scheme": self.scheme,
+                "scheme": [type(scheme).__name__, asdict(scheme)],
                 "loss": self.loss,
-                "regularizer": self.regularizer,
+                "regularizer": asdict(regularizer_from_dict(self.regularizer)),
                 "split": self.split,
             },
             sort_keys=True,
@@ -208,7 +186,7 @@ def _build_problem(cell: BenchmarkCell, seed: int):
         X=ds.X,
         y=ds.y,
         loss=LossKind(cell.loss),
-        weights=scheme_from_dict(cell.scheme),
+        weights=wgt.scheme_from_dict(cell.scheme),
         regularizer=regularizer_from_dict(cell.regularizer),
     )
     return problem, test

@@ -26,11 +26,6 @@ class LossKind(str, Enum):
     HINGE = "hinge"
 
 
-#: Upper bound on l' used to bracket scalar solves.  Both shipped losses
-#: have derivative <= 1 (sigmoid and unit hinge slope).  A new loss must
-#: supply its value, subgradient interval, and a derivative bound here.
-DERIVATIVE_BOUND = {LossKind.LOGISTIC: 1.0, LossKind.HINGE: 1.0}
-
 _NEWTON_MAX_ITER = 100
 _DERIV_TOL = 1e-12
 
@@ -121,7 +116,8 @@ def block_minimize(obj: BlockObjective, kind: LossKind) -> float:
     Hinge uses the three-case closed form around the kink at v = -1.
     Logistic uses safeguarded Newton on the strictly increasing derivative
     ``s*sigmoid(v) + rho*(count*v - m_sum)``, bracketed by
-    ``[m_sum/count - s/(rho*count), m_sum/count]``.
+    ``[m_sum/count - s/(rho*count), m_sum/count]``; the bracket assumes
+    0 <= l' <= 1, which both losses satisfy (sigmoid, unit hinge slope).
     """
     if not (math.isfinite(obj.s) and math.isfinite(obj.m_sum)):
         raise InvalidParameterError("non-finite block objective inputs")

@@ -115,12 +115,7 @@ def chain_objective_reference(
     order = np.argsort(m, kind="stable")
     z_sorted = z[order]
     m_sorted = m[order]
-    if resolved.is_value_dependent:
-        sigma = np.where(
-            z_sorted <= resolved.reference, resolved.sigma_low, resolved.sigma_high
-        )
-    else:
-        sigma = resolved.sigma
+    sigma = resolved.sigma_for(z_sorted)
     losses = loss_value_vec(kind, z_sorted)
     return float(sigma @ losses) + 0.5 * rho * float(np.sum((z_sorted - m_sorted) ** 2))
 

@@ -20,7 +20,8 @@ MOREAU_CURVATURE_LIMIT = 1.0 / 3.0
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """One of: zero | l2 | l1 | mcp | scad, with strength mu and shape theta."""
+    """One of: zero | l2 | l1 | mcp | scad, with strength mu (all but zero)
+    and shape theta (mcp and scad)."""
 
     variant: str
     mu: float = 0.0
@@ -36,6 +37,12 @@ class RegularizerSpec:
             raise InvalidParameterError(f"mcp needs theta > 1, got {self.theta}")
         if v == "scad" and not (self.theta > 2):
             raise InvalidParameterError(f"scad needs theta > 2, got {self.theta}")
+        # A parameter the variant does not read is stored as 0, so specs
+        # that differ only in an unused value compare equal.
+        if v == "zero":
+            object.__setattr__(self, "mu", 0.0)
+        if v in ("zero", "l1", "l2"):
+            object.__setattr__(self, "theta", 0.0)
 
     @property
     def weak_convexity_c(self) -> float:
@@ -44,15 +51,6 @@ class RegularizerSpec:
         if self.variant == "scad":
             return 1.0 / (self.theta - 1.0)
         return 0.0
-
-    @property
-    def subgradient_bound(self) -> float | None:
-        """sup ||subgradient|| per coordinate; None when unbounded (l2)."""
-        if self.variant == "zero":
-            return 0.0
-        if self.variant in ("l1", "mcp", "scad"):
-            return self.mu / 2.0 if self.variant == "l1" else self.mu
-        return None
 
 
 ZERO = RegularizerSpec("zero")

@@ -1,4 +1,4 @@
-"""Rank-weight generators.
+"""Rank-weight schemes.
 
 Every scheme resolves, for a sample size n, the weight vector sigma that
 multiplies the ascending-sorted per-sample losses.  Spectral schemes
@@ -6,10 +6,17 @@ integrate a density over the rank bins [(i-1)/n, i/n]; the prospect-theory
 scheme produces weights that depend on the sorted margin values themselves
 and is therefore resolved to a pair of branch vectors plus a reference
 point.
+
+This module is the one catalogue of schemes: ``SCHEMES`` maps each name (a
+benchmark plan's ``kind``, a CLI ``--scheme`` choice) to its class.  A
+class's fields are the scheme's parameters, its ``__post_init__`` checks
+them and its field defaults are the only defaults; ``scheme_from_dict``
+builds a scheme from a plan entry.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,80 +26,6 @@ import numpy as np
 from .errors import InvalidParameterError
 
 _SUM_TOL = 1e-12
-
-
-def resolve_erm(n: int) -> np.ndarray:
-    """Uniform weights 1/n (unit density)."""
-    _check_n(n)
-    return np.full(n, 1.0 / n)
-
-
-def resolve_superquantile(q: float, n: int) -> np.ndarray:
-    """Bin integrals of the density 1_{[q,1]}(t) / (1 - q).
-
-    Averages the worst (1-q)-fraction of losses; q = 0 recovers ERM.
-    """
-    _check_n(n)
-    if not (0.0 <= q < 1.0):
-        raise InvalidParameterError(f"superquantile level must be in [0, 1), got {q}")
-    i = np.arange(1, n + 1, dtype=float)
-    upper = i / n
-    lower = np.maximum(q, (i - 1) / n)
-    return np.maximum(0.0, upper - lower) / (1.0 - q)
-
-
-def resolve_extremile(order: float, n: int) -> np.ndarray:
-    """Bin integrals of the density order * t^(order-1).
-
-    Orders below 1 would make the weights decreasing in rank, which breaks
-    the nondecreasing-weight contract, so they are rejected.
-    """
-    _check_n(n)
-    if not (order >= 1.0):
-        raise InvalidParameterError(f"extremile order must be >= 1, got {order}")
-    i = np.arange(0, n + 1, dtype=float) / n
-    cdf = i**order
-    return np.diff(cdf)
-
-
-def resolve_esrm(risk: float, n: int) -> np.ndarray:
-    """Bin integrals of the exponential density risk*e^{risk(t-1)}/(1-e^{-risk})."""
-    _check_n(n)
-    if not (risk > 0.0):
-        raise InvalidParameterError(f"esrm risk must be > 0, got {risk}")
-    t = np.arange(0, n + 1, dtype=float) / n
-    cdf = np.exp(risk * (t - 1.0))
-    return np.diff(cdf) / (1.0 - math.exp(-risk))
-
-
-def resolve_human_aligned(a: float, b: float, n: int) -> np.ndarray:
-    """Weights w_{a,b}(i/n) from the S-shaped reweighting polynomial
-
-        w_{a,b}(t) = (3 - 3b) / (a^2 - a + 1) * (3t^2 - 2(a+1)t + a) + 1.
-
-    These need not be nondecreasing or normalized; ``resolve`` rejects
-    parameters that make any weight negative.
-    """
-    _check_n(n)
-    t = np.arange(1, n + 1, dtype=float) / n
-    coeff = (3.0 - 3.0 * b) / (a * a - a + 1.0)
-    return coeff * (3.0 * t * t - 2.0 * (a + 1.0) * t + a) + 1.0
-
-
-def resolve_aorr(k: int, m: int, n: int) -> np.ndarray:
-    """Ranked-range weights: average of the losses ranked between the
-    m-th and k-th largest.
-
-    On descending-sorted losses the weight is 1/(k-m) for ranks m+1..k;
-    our convention sorts ascending, so the vector is reversed: ascending
-    positions n-k+1 .. n-m carry 1/(k-m).
-    """
-    _check_n(n)
-    if not (1 <= m < k <= n):
-        raise InvalidParameterError(f"need 1 <= m < k <= n, got k={k}, m={m}, n={n}")
-    sigma = np.zeros(n)
-    sigma[n - k : n - m] = 1.0 / (k - m)
-    return sigma
 
 
 def cpt_omega(p: float, exponent: float) -> float:
@@ -110,24 +43,11 @@ def cpt_omega(p: float, exponent: float) -> float:
     return pg / (pg + qg) ** (1.0 / exponent)
 
 
-def cpt_sigma(i: int, n: int, z_sorted_i: float, scheme: "CPTValueDependent") -> float:
-    """Weight of ascending rank i given the sorted margin value at that rank.
-
-    Values at or below the reference point take successive differences of
-    the pessimistic weighting (exponent delta); values above take the
-    optimistic differences (exponent gamma) counted from the top.
-    """
-    if not (1 <= i <= n):
-        raise InvalidParameterError(f"rank must be in 1..{n}, got {i}")
-    if z_sorted_i <= scheme.B:
-        return cpt_omega(i / n, scheme.delta) - cpt_omega((i - 1) / n, scheme.delta)
-    return cpt_omega((n - i + 1) / n, scheme.gamma) - cpt_omega((n - i) / n, scheme.gamma)
-
-
 @dataclass(frozen=True)
 class ERM:
     def resolve(self, n: int) -> np.ndarray:
-        return resolve_erm(n)
+        """Uniform weights 1/n (unit density)."""
+        return np.full(n, 1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -139,7 +59,14 @@ class Superquantile:
             raise InvalidParameterError(f"superquantile level must be in [0, 1), got {self.q}")
 
     def resolve(self, n: int) -> np.ndarray:
-        return resolve_superquantile(self.q, n)
+        """Bin integrals of the density 1_{[q,1]}(t) / (1 - q).
+
+        Averages the worst (1-q)-fraction of losses; q = 0 recovers ERM.
+        """
+        i = np.arange(1, n + 1, dtype=float)
+        upper = i / n
+        lower = np.maximum(self.q, (i - 1) / n)
+        return np.maximum(0.0, upper - lower) / (1.0 - self.q)
 
 
 @dataclass(frozen=True)
@@ -151,7 +78,14 @@ class Extremile:
             raise InvalidParameterError(f"extremile order must be >= 1, got {self.order}")
 
     def resolve(self, n: int) -> np.ndarray:
-        return resolve_extremile(self.order, n)
+        """Bin integrals of the density order * t^(order-1).
+
+        Orders below 1 would make the weights decreasing in rank, which
+        breaks the nondecreasing-weight contract, so they are rejected.
+        """
+        i = np.arange(0, n + 1, dtype=float) / n
+        cdf = i**self.order
+        return np.diff(cdf)
 
 
 @dataclass(frozen=True)
@@ -163,20 +97,33 @@ class ESRM:
             raise InvalidParameterError(f"esrm risk must be > 0, got {self.risk}")
 
     def resolve(self, n: int) -> np.ndarray:
-        return resolve_esrm(self.risk, n)
+        """Bin integrals of the exponential density risk*e^{risk(t-1)}/(1-e^{-risk})."""
+        t = np.arange(0, n + 1, dtype=float) / n
+        cdf = np.exp(self.risk * (t - 1.0))
+        return np.diff(cdf) / (1.0 - math.exp(-self.risk))
 
 
 @dataclass(frozen=True)
 class HumanAligned:
-    a: float
-    b: float
+    a: float = 0.4
+    b: float = 0.6
 
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
             raise InvalidParameterError(f"a must be in (0, 1), got {self.a}")
 
     def resolve(self, n: int) -> np.ndarray:
-        return resolve_human_aligned(self.a, self.b, n)
+        """Weights w_{a,b}(i/n) from the S-shaped reweighting polynomial
+
+            w_{a,b}(t) = (3 - 3b) / (a^2 - a + 1) * (3t^2 - 2(a+1)t + a) + 1.
+
+        These need not be nondecreasing or normalized; the module-level
+        ``resolve`` rejects parameters that make any weight negative.
+        """
+        a, b = self.a, self.b
+        t = np.arange(1, n + 1, dtype=float) / n
+        coeff = (3.0 - 3.0 * b) / (a * a - a + 1.0)
+        return coeff * (3.0 * t * t - 2.0 * (a + 1.0) * t + a) + 1.0
 
 
 @dataclass(frozen=True)
@@ -200,8 +147,12 @@ class CPTValueDependent:
 
     def branch_vectors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(sigma_low, sigma_high): weights per rank for values at/below
-        and above the reference point."""
-        _check_n(n)
+        and above the reference point.
+
+        Values at or below B take successive differences of the
+        pessimistic weighting (exponent delta); values above take the
+        optimistic differences (exponent gamma) counted from the top.
+        """
         grid = np.arange(0, n + 1, dtype=float) / n
         om_minus = np.array([cpt_omega(p, self.delta) for p in grid])
         om_plus = np.array([cpt_omega(p, self.gamma) for p in grid])
@@ -220,7 +171,19 @@ class AoRR:
             raise InvalidParameterError(f"need 1 <= m < k, got k={self.k}, m={self.m}")
 
     def resolve(self, n: int) -> np.ndarray:
-        return resolve_aorr(self.k, self.m, n)
+        """Ranked-range weights: average of the losses ranked between the
+        m-th and k-th largest.
+
+        On descending-sorted losses the weight is 1/(k-m) for ranks
+        m+1..k; our convention sorts ascending, so the vector is reversed:
+        ascending positions n-k+1 .. n-m carry 1/(k-m).
+        """
+        k, m = self.k, self.m
+        if k > n:
+            raise InvalidParameterError(f"need 1 <= m < k <= n, got k={k}, m={m}, n={n}")
+        sigma = np.zeros(n)
+        sigma[n - k : n - m] = 1.0 / (k - m)
+        return sigma
 
 
 @dataclass(frozen=True)
@@ -272,6 +235,8 @@ class ResolvedWeights:
 
 def resolve(scheme: WeightScheme, n: int) -> ResolvedWeights:
     """Fix a weight scheme to sample size n, validating scheme invariants."""
+    if n < 1:
+        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if isinstance(scheme, CPTValueDependent):
         low, high = scheme.branch_vectors(n)
         return ResolvedWeights(
@@ -297,6 +262,42 @@ def resolve(scheme: WeightScheme, n: int) -> ResolvedWeights:
     return ResolvedWeights(n=n, sigma=sigma)
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
+#: Scheme name -> class; the parameters of a scheme are its fields.
+SCHEMES = {
+    "erm": ERM,
+    "superquantile": Superquantile,
+    "extremile": Extremile,
+    "esrm": ESRM,
+    "human_aligned": HumanAligned,
+    "cpt": CPTValueDependent,
+    "aorr": AoRR,
+    "explicit": Explicit,
+}
+
+_CONVERT = {"int": int, "float": float}
+
+
+def scheme_from_dict(d: dict) -> WeightScheme:
+    """Build ``SCHEMES[d["kind"]]`` (default "erm") from the other entries.
+
+    Each value is converted by its field's annotation (``int`` or
+    ``float``); a parameter left out takes the class default.  An unknown
+    kind, an unknown parameter or a missing one raises
+    InvalidParameterError.
+    """
+    params = dict(d)
+    kind = params.pop("kind", "erm")
+    cls = SCHEMES.get(kind)
+    if cls is None:
+        raise InvalidParameterError(f"unknown scheme kind {kind!r} ({'|'.join(SCHEMES)})")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name in params:
+        if name not in fields:
+            raise InvalidParameterError(f"{kind}: unknown parameter {name!r}")
+    for name, f in fields.items():
+        if name not in params and f.default is dataclasses.MISSING:
+            raise InvalidParameterError(f"{kind}: missing parameter {name!r}")
+    return cls(**{
+        name: _CONVERT.get(fields[name].type, lambda v: v)(value)
+        for name, value in params.items()
+    })

@@ -388,6 +388,5 @@ class WSolver:
         if gamma is not None:
             return self._solve_smooth(target, anchor, rho, r, reg, gamma)
         if reg.variant in ("zero", "l2"):
-            mu = reg.mu if reg.variant == "l2" else 0.0
-            return self._solve_closed_form(target, anchor, rho, r, mu)
+            return self._solve_closed_form(target, anchor, rho, r, reg.mu)
         return self._solve_prox_gradient(target, anchor, rho, r, reg)

@@ -42,7 +42,6 @@ from rankadmm.weights import (
     Superquantile,
     cpt_omega,
     resolve,
-    resolve_aorr,
 )
 from rankadmm.admm import materialize_D
 from tests.conftest import make_synthetic_problem
@@ -278,7 +277,7 @@ def test_criterion_9_weight_generators():
             assert abs(sigma.sum() - 1.0) <= 1e-12
             assert np.all(np.diff(sigma) >= -1e-12)
             assert np.all(sigma >= 0.0)
-    sigma = resolve_aorr(7, 2, 12)
+    sigma = AoRR(7, 2).resolve(12)
     assert abs(sigma.sum() - 1.0) <= 1e-12
     assert int(np.count_nonzero(sigma)) == 5
     resolved = resolve(CPTValueDependent(B=0.0), 9)

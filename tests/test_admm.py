@@ -325,6 +325,8 @@ def test_theory_mode_config():
     assert cfg.rho_schedule.kind == "constant"
     assert cfg.r == pytest.approx(2.0 / 0.01)
     assert cfg.gamma_schedule.value == pytest.approx(0.01)
+    cfg = theory_mode_config(problem, eps=0.01, max_iter=40, stop_eps=1e-4, seed=3)
+    assert (cfg.max_iter, cfg.stop_eps, cfg.seed) == (40, 1e-4, 3)
     with pytest.raises(InvalidParameterError):
         theory_mode_config(make_synthetic_problem(n=10, d=4, regularizer=l2(0.1), seed=1), eps=0.01)
 

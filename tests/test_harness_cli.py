@@ -9,11 +9,12 @@ from rankadmm.harness import (
     BenchmarkCell,
     BenchmarkPlan,
     run_benchmark,
-    scheme_from_dict,
     schedule_from_string,
     summarize,
 )
 from rankadmm.errors import InvalidParameterError
+from rankadmm.regularizers import ZERO, RegularizerSpec
+from rankadmm.weights import ERM, CPTValueDependent, resolve, scheme_from_dict
 
 
 def make_plan(tmp_path, solver="admm", reps=2):
@@ -44,8 +45,13 @@ def test_schedule_parsing():
 def test_scheme_parsing():
     assert scheme_from_dict({"kind": "superquantile", "q": 0.8}).q == 0.8
     assert scheme_from_dict({"kind": "aorr", "k": 5, "m": 2}).k == 5
-    with pytest.raises(InvalidParameterError):
-        scheme_from_dict({"kind": "mystery"})
+    assert scheme_from_dict({"kind": "cpt"}) == CPTValueDependent()
+    assert scheme_from_dict({}) == ERM()
+    for bad, named in [({"kind": "mystery"}, "mystery"),
+                       ({"kind": "superquantile", "q": 0.9, "qq": 1}, "'qq'"),
+                       ({"kind": "aorr", "k": 5}, "'m'")]:
+        with pytest.raises(InvalidParameterError, match=named):
+            scheme_from_dict(bad)
 
 
 def test_summary_stdev_hand_triple(tmp_path):
@@ -153,6 +159,7 @@ def test_cli_benchmark(tmp_path, capsys):
     {"regulariser": {"variant": "l2", "mu": 0.01}},
     {"loss": "squared"},
     {"scheme": {"kind": "superquantile"}},
+    {"scheme": {"kind": "superquantile", "q": 0.9, "qq": 1}},
 ])
 def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change):
     good = json.loads(make_plan(tmp_path, reps=1).read_text())
@@ -165,6 +172,42 @@ def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_plan_float_aorr_k_builds(tmp_path):
+    good = json.loads(make_plan(tmp_path, reps=1).read_text())
+    cell = dict(good["cells"][0], scheme={"kind": "aorr", "k": 5.0, "m": 2})
+    path = tmp_path / "aorr_plan.json"
+    path.write_text(json.dumps({"cells": [cell]}))
+    scheme = scheme_from_dict(BenchmarkPlan.from_json(path).cells[0].scheme)
+    assert scheme.k == 5 and type(scheme.k) is int
+
+
+def test_unused_regularizer_values_share_problem_key():
+    assert RegularizerSpec("zero", mu=1e-2) == ZERO
+    assert RegularizerSpec("l2", mu=1e-2, theta=4.0) == RegularizerSpec("l2", mu=1e-2)
+    cells = [
+        BenchmarkCell(name=f"c{i}", dataset={"synthetic": {"n": 4, "d": 2}},
+                      scheme=scheme, regularizer=reg)
+        for i, (scheme, reg) in enumerate([
+            ({"kind": "cpt"}, {"variant": "zero"}),
+            ({"kind": "cpt", "gamma": 0.61}, {"variant": "zero", "mu": 1e-2, "theta": 3.0}),
+        ])
+    ]
+    assert cells[0].problem_key() == cells[1].problem_key()
+    other = BenchmarkCell(name="l2", dataset={"synthetic": {"n": 4, "d": 2}},
+                          scheme={"kind": "cpt"}, regularizer={"variant": "l2", "mu": 1e-2})
+    assert other.problem_key() != cells[0].problem_key()
+
+
+def test_cli_weights_cpt_defaults(capsys):
+    assert cli_main(["weights", "--scheme", "cpt", "--n", "7"]) == 0
+    resolved = resolve(CPTValueDependent(), 7)
+    expected = [
+        f"{label}:" + ",".join(format(v, ".12g") for v in vec)
+        for label, vec in (("low", resolved.sigma_low), ("high", resolved.sigma_high))
+    ]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_cli_oracle(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from rankadmm.errors import InvalidParameterError
 from rankadmm.problem import Problem
 from rankadmm.weights import (
+    SCHEMES,
+    AoRR,
     CPTValueDependent,
     ERM,
     ESRM,
@@ -16,11 +19,8 @@ from rankadmm.weights import (
     HumanAligned,
     Superquantile,
     cpt_omega,
-    cpt_sigma,
     resolve,
-    resolve_aorr,
-    resolve_human_aligned,
-    resolve_superquantile,
+    scheme_from_dict,
 )
 
 
@@ -51,8 +51,8 @@ def test_erm_uniform():
 
 
 def test_superquantile_examples():
-    assert resolve_superquantile(0.8, 5) == pytest.approx([0, 0, 0, 0, 1])
-    assert resolve_superquantile(0.5, 5) == pytest.approx([0, 0, 0.2, 0.4, 0.4])
+    assert Superquantile(0.8).resolve(5) == pytest.approx([0, 0, 0, 0, 1])
+    assert Superquantile(0.5).resolve(5) == pytest.approx([0, 0, 0.2, 0.4, 0.4])
 
 
 @pytest.mark.parametrize(
@@ -65,9 +65,9 @@ def test_bin_integrals_match_quadrature(scheme):
 
 def test_superquantile_rejects_bad_level():
     with pytest.raises(InvalidParameterError):
-        resolve_superquantile(1.0, 3)
+        Superquantile(1.0).resolve(3)
     with pytest.raises(InvalidParameterError):
-        resolve_superquantile(-0.1, 3)
+        Superquantile(-0.1).resolve(3)
 
 
 @pytest.mark.parametrize("scheme", [ERM(), Superquantile(0.5), Superquantile(0.9),
@@ -86,16 +86,16 @@ def test_extremile_order_below_one_rejected():
 
 
 def test_human_aligned_flat_when_b_is_one():
-    assert resolve_human_aligned(0.3, 1.0, 3) == pytest.approx([1.0, 1.0, 1.0])
+    assert HumanAligned(0.3, 1.0).resolve(3) == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_human_aligned_scalar_example():
-    assert resolve_human_aligned(0.5, 0.0, 1) == pytest.approx([3.0])
+    assert HumanAligned(0.5, 0.0).resolve(1) == pytest.approx([3.0])
 
 
 def test_human_aligned_matches_elementwise_loop():
     a, b, n = 0.4, 0.6, 100
-    got = resolve_human_aligned(a, b, n)
+    got = HumanAligned(a, b).resolve(n)
     for i in range(1, n + 1):
         t = i / n
         expected = (3 - 3 * b) / (a * a - a + 1) * (3 * t * t - 2 * (a + 1) * t + a) + 1
@@ -103,7 +103,7 @@ def test_human_aligned_matches_elementwise_loop():
 
 
 def test_human_aligned_negative_weights_rejected():
-    assert resolve_human_aligned(0.5, -0.5, 10).min() == pytest.approx(-0.5)
+    assert HumanAligned(0.5, -0.5).resolve(10).min() == pytest.approx(-0.5)
     with pytest.raises(InvalidParameterError, match="HumanAligned.*min weight -0.5"):
         resolve(HumanAligned(0.5, -0.5), 10)
     X = np.ones((10, 2))
@@ -138,8 +138,9 @@ def test_cpt_omega_monotone_on_validated_range():
 
 def test_cpt_sigma_single_sample():
     scheme = CPTValueDependent(gamma=0.61, delta=0.69, B=0.0)
-    assert cpt_sigma(1, 1, -1.0, scheme) == pytest.approx(1.0)
-    assert cpt_sigma(1, 1, 1.0, scheme) == pytest.approx(1.0)
+    low, high = scheme.branch_vectors(1)
+    assert low[0] == pytest.approx(1.0)
+    assert high[0] == pytest.approx(1.0)
 
 
 def test_cpt_sigma_matches_direct_differences():
@@ -147,8 +148,9 @@ def test_cpt_sigma_matches_direct_differences():
     n, i = 4, 2
     low = cpt_omega(i / n, scheme.delta) - cpt_omega((i - 1) / n, scheme.delta)
     high = cpt_omega((n - i + 1) / n, scheme.gamma) - cpt_omega((n - i) / n, scheme.gamma)
-    assert cpt_sigma(i, n, -1.0, scheme) == pytest.approx(low, abs=1e-14)
-    assert cpt_sigma(i, n, 1.0, scheme) == pytest.approx(high, abs=1e-14)
+    sigma_low, sigma_high = scheme.branch_vectors(n)
+    assert sigma_low[i - 1] == pytest.approx(low, abs=1e-14)
+    assert sigma_high[i - 1] == pytest.approx(high, abs=1e-14)
 
 
 def test_cpt_branch_vectors_telescope():
@@ -162,8 +164,8 @@ def test_cpt_branch_vectors_telescope():
 
 
 def test_aorr_examples():
-    assert resolve_aorr(3, 1, 4) == pytest.approx([0, 0.5, 0.5, 0])
-    assert resolve_aorr(2, 1, 5) == pytest.approx([0, 0, 0, 1, 0])
+    assert AoRR(3, 1).resolve(4) == pytest.approx([0, 0.5, 0.5, 0])
+    assert AoRR(2, 1).resolve(5) == pytest.approx([0, 0, 0, 1, 0])
 
 
 @given(st.integers(2, 60).flatmap(
@@ -172,16 +174,16 @@ def test_aorr_examples():
 @settings(max_examples=60, deadline=None)
 def test_aorr_sum_and_support(nkm):
     n, k, m = nkm
-    sigma = resolve_aorr(k, m, n)
+    sigma = AoRR(k, m).resolve(n)
     assert sigma.sum() == pytest.approx(1.0, abs=1e-12)
     assert int(np.count_nonzero(sigma)) == k - m
 
 
 def test_aorr_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError):
-        resolve_aorr(2, 2, 5)
+        AoRR(2, 2).resolve(5)
     with pytest.raises(InvalidParameterError):
-        resolve_aorr(6, 1, 5)
+        AoRR(6, 1).resolve(5)
 
 
 def test_explicit_length_check():
@@ -189,3 +191,22 @@ def test_explicit_length_check():
         resolve(Explicit([0.5, 0.5]), 3)
     with pytest.raises(InvalidParameterError):
         Explicit([-0.1, 1.1])
+
+
+TABLE_EXAMPLES = {
+    "erm": ERM(),
+    "superquantile": Superquantile(0.8),
+    "extremile": Extremile(2.5),
+    "esrm": ESRM(1.7),
+    "human_aligned": HumanAligned(0.3, 0.9),
+    "cpt": CPTValueDependent(0.5, 0.6, 1.0),
+    "aorr": AoRR(5, 2),
+    "explicit": Explicit([0.25, 0.75]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMES))
+def test_scheme_table_round_trip(kind):
+    scheme = TABLE_EXAMPLES[kind]
+    assert type(scheme) is SCHEMES[kind]
+    assert scheme_from_dict({"kind": kind, **dataclasses.asdict(scheme)}) == scheme
