@@ -118,7 +118,6 @@ class SolverConfig:
     sigma_min: float | None = None
     wall_budget_s: float | None = None
     record_states: bool = False
-    enforce_smooth_premise: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -264,7 +263,6 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         states.append(SolverState(-1, w.copy(), z.copy(), lam.copy(), Dw.copy(), 0.0, r, None))
 
     rho = None
-    r_eff = r
     premise_warned = False
     clamp_warned = False
     converged = False
@@ -289,12 +287,10 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
                     )
                     clamp_warned = True
                 gamma = gamma_clamped
-            if config.enforce_smooth_premise:
-                r_eff = max(r, 2.0 / gamma)
-            elif r <= 1.0 / gamma and not premise_warned:
+            if r <= 1.0 / gamma and not premise_warned:
                 logger.warning(
                     "r=%g does not exceed 1/gamma=%g; run is outside the "
-                    "smoothed-descent premise (enforce_smooth_premise to bump)",
+                    "smoothed-descent premise",
                     r,
                     1.0 / gamma,
                 )
@@ -304,7 +300,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             m = Dw - lam / rho
             z_new = solve_z_subproblem(m, resolved, rho, problem.loss)
             target = z_new + lam / rho
-            w_new = solver.solve(target, w, rho, r_eff, reg, gamma)
+            w_new = solver.solve(target, w, rho, r, reg, gamma)
         except RankAdmmError as exc:
             raise SolverError(str(exc), iteration=k) from exc
         if not np.all(np.isfinite(w_new)):
@@ -319,6 +315,11 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         # L_rho(w, z; lambda) in the cancellation-safe form
         # Omega(z) + lambda.(z - Dw) + (rho/2)||z - Dw||^2 + penalty(w).
         aug = omega_new + float(lam_new @ r_new) + 0.5 * rho * float(r_new @ r_new) + pen_new
+        # a non-finite entry of lam_new makes aug non-finite as well
+        if not math.isfinite(aug):
+            raise SolverError(
+                "dual update or augmented Lagrangian is non-finite", iteration=k
+            )
 
         # Descent margins in difference form: the terms are built from the
         # step vectors themselves, so they vanish exactly when a step is
@@ -342,7 +343,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         dw_norm = float(np.linalg.norm(w_new - w))
         dual_step = float(np.linalg.norm(lam_new - lam))
         kkt_z = rho * d_norm * dw_norm
-        kkt_w = r_eff * dw_norm
+        kkt_w = r * dw_norm
 
         if smooth_active:
             w_report = prox(reg, gamma, w_new)
@@ -354,7 +355,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
 
         lyapunov = None
         if config.sigma_min is not None and config.sigma_min > 0:
-            lyapunov = aug + (2.0 * r_eff**2 / (config.sigma_min * rho)) * dw_norm**2
+            lyapunov = aug + (2.0 * r**2 / (config.sigma_min * rho)) * dw_norm**2
 
         trace.append(
             IterationTrace(
@@ -375,7 +376,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         )
         w, z, lam, Dw, omega = w_new, z_new, lam_new, Dw_new, omega_new
         if states is not None:
-            states.append(SolverState(k, w.copy(), z.copy(), lam.copy(), Dw.copy(), rho, r_eff, gamma))
+            states.append(SolverState(k, w.copy(), z.copy(), lam.copy(), Dw.copy(), rho, r, gamma))
 
         if max(kkt_z, kkt_w, kkt_feas) <= config.stop_eps:
             converged = True
@@ -397,7 +398,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         states=states,
         converged=converged,
         d_norm=d_norm,
-        r_effective=r_eff,
+        r_effective=r,
     )
 
 

@@ -79,8 +79,13 @@ def _scheme_from_args(args, parser: argparse.ArgumentParser) -> wgt.WeightScheme
         for f in dataclasses.fields(wgt.SCHEMES[kind])
         if getattr(args, f.name) is not None
     }
+    return _or_usage_error(parser, wgt.scheme_from_dict, {"kind": kind, **params})
+
+
+def _or_usage_error(parser: argparse.ArgumentParser, build, *args):
+    """``build(*args)``, a RankAdmmError becoming a usage error (exit 2)."""
     try:
-        return wgt.scheme_from_dict({"kind": kind, **params})
+        return build(*args)
     except RankAdmmError as exc:
         parser.error(str(exc))
 
@@ -170,6 +175,7 @@ def _cmd_train(args, parser) -> int:
         with importlib.resources.as_file(ref) as p:
             ds = data_io.load_csv(p)
 
+    _or_usage_error(parser, resolve, scheme, ds.sample_count)
     reg = regularizer_from_dict({"variant": reg_variant, "mu": mu, "theta": args.theta})
     problem = Problem(X=ds.X, y=ds.y, loss=LossKind(args.loss), weights=scheme, regularizer=reg)
 
@@ -221,7 +227,7 @@ def _cmd_benchmark(args, parser) -> int:
 
 def _cmd_weights(args, parser) -> int:
     scheme = _scheme_from_args(args, parser)
-    resolved = resolve(scheme, args.n)
+    resolved = _or_usage_error(parser, resolve, scheme, args.n)
     if resolved.is_value_dependent:
         low = ",".join(format(v, ".12g") for v in resolved.sigma_low)
         high = ",".join(format(v, ".12g") for v in resolved.sigma_high)
@@ -234,7 +240,7 @@ def _cmd_weights(args, parser) -> int:
 
 def _cmd_oracle(args, parser) -> int:
     scheme = _scheme_from_args(args, parser)
-    resolved = resolve(scheme, args.n)
+    resolved = _or_usage_error(parser, resolve, scheme, args.n)
     rng = np.random.default_rng(args.seed)
     m = rng.standard_normal(args.n)
     kind = LossKind(args.loss)

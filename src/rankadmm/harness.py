@@ -56,7 +56,25 @@ SUMMARY_COLUMNS = (
 )
 
 
+_ADMM_KEYS = ("schedule", "max_iter", "r", "gamma", "eps", "wall_budget_s")
+#: The keys a cell's ``config`` may hold, per solver.
+_CONFIG_KEYS = {
+    "admm": _ADMM_KEYS,
+    "sadmm": _ADMM_KEYS,
+    "sgd": ("learning_rate", "batch", "epochs", "wall_budget_s"),
+}
+
+
+def _reject_unknown_keys(what: str, d: dict, allowed: tuple[str, ...]) -> None:
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown {what} key(s) {', '.join(map(repr, unknown))} ({'|'.join(allowed)})"
+        )
+
+
 def regularizer_from_dict(d: dict) -> RegularizerSpec:
+    _reject_unknown_keys("regularizer", d, ("variant", "mu", "theta"))
     return RegularizerSpec(
         d.get("variant", "zero"), mu=float(d.get("mu", 0.0)), theta=float(d.get("theta", 0.0))
     )
@@ -90,10 +108,11 @@ class BenchmarkCell:
     def __post_init__(self):
         if self.repetitions < 1:
             raise InvalidParameterError("repetitions must be >= 1")
-        if self.solver not in ("admm", "sadmm", "sgd"):
+        if self.solver not in _CONFIG_KEYS:
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
         # Build every part a run needs, so a bad cell fails before any run.
         try:
+            _reject_unknown_keys(f"{self.solver} config", self.config, _CONFIG_KEYS[self.solver])
             wgt.scheme_from_dict(self.scheme)
             regularizer_from_dict(self.regularizer)
             LossKind(self.loss)

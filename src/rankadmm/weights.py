@@ -274,15 +274,25 @@ SCHEMES = {
     "explicit": Explicit,
 }
 
-_CONVERT = {"int": int, "float": float}
+
+def _to_int(value) -> int:
+    """``int(value)`` for an integral value; ValueError for 5.5."""
+    as_int = int(value)
+    if as_int != float(value):
+        raise ValueError(f"{value!r} is not integral")
+    return as_int
+
+
+_CONVERT = {"int": _to_int, "float": float}
 
 
 def scheme_from_dict(d: dict) -> WeightScheme:
     """Build ``SCHEMES[d["kind"]]`` (default "erm") from the other entries.
 
     Each value is converted by its field's annotation (``int`` or
-    ``float``); a parameter left out takes the class default.  An unknown
-    kind, an unknown parameter or a missing one raises
+    ``float``; ``5.0`` is the int 5); a parameter left out takes the class
+    default.  An unknown kind, an unknown or missing parameter, or a value
+    its annotation cannot hold (``5.5`` for an ``int``) raises
     InvalidParameterError.
     """
     params = dict(d)
@@ -297,7 +307,13 @@ def scheme_from_dict(d: dict) -> WeightScheme:
     for name, f in fields.items():
         if name not in params and f.default is dataclasses.MISSING:
             raise InvalidParameterError(f"{kind}: missing parameter {name!r}")
-    return cls(**{
-        name: _CONVERT.get(fields[name].type, lambda v: v)(value)
-        for name, value in params.items()
-    })
+    built = {}
+    for name, value in params.items():
+        convert = _CONVERT.get(fields[name].type, lambda v: v)
+        try:
+            built[name] = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParameterError(
+                f"{kind}: parameter {name!r} must be {fields[name].type}, got {value!r}"
+            ) from None
+    return cls(**built)

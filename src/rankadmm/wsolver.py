@@ -6,9 +6,9 @@
 penalty is the regularizer g itself: zero and l2 penalties admit an exact
 linear solve, l1 and the concave penalties use an accelerated proximal
 gradient method.  With ``gamma`` the penalty is the Moreau envelope of g
-with smoothing parameter gamma (the smoothed outer loop), minimized by
-quasi-Newton with an exact splitting fallback whose conditioning does not
-degrade as gamma shrinks.  ``WSolver.last_info`` reports the method, the
+with smoothing parameter gamma (the smoothed outer loop), minimized by an
+exact splitting whose rate depends only on the data spectrum, so it does
+not degrade as gamma shrinks.  ``WSolver.last_info`` reports the method, the
 inner iteration count and the final residual of the latest solve.
 """
 
@@ -18,7 +18,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -36,9 +35,7 @@ _EIG_THRESHOLD = 2000
 _POWER_ITERATIONS = 100
 _TOL = 1e-9
 _FISTA_MAX_ITER = 5000
-_LBFGS_MAX_ITER = 500
 _SPLIT_MAX_ITER = 20000
-_LBFGS_GAMMA_CUTOFF = 1e-4
 
 
 def _fp_floor(curvature: float, w: np.ndarray) -> float:
@@ -264,51 +261,8 @@ class WSolver:
         reg: RegularizerSpec,
         gamma: float,
     ) -> np.ndarray:
-        """Minimize q(w) + smoothed penalty to gradient norm <= _TOL.
-
-        Quasi-Newton works well for moderate gamma; for tiny gamma the
-        envelope gradient is badly conditioned, so the solve switches to
-        an exact splitting whose rate depends only on the data spectrum.
-        """
-
-        def value_grad(w):
-            rz = self._matvec(w) - target
-            dw = w - anchor
-            mval, mgrad = moreau_value_and_grad(reg, gamma, w)
-            val = 0.5 * rho * float(rz @ rz) + 0.5 * r * float(dw @ dw) + mval
-            grad = rho * self._rmatvec(rz) + r * dw + mgrad
-            return val, grad
-
-        curvature = rho * self.d_norm**2 + r + 1.0 / gamma
-        if gamma >= _LBFGS_GAMMA_CUTOFF:
-            res = scipy.optimize.minimize(
-                value_grad,
-                anchor,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxcor": 10, "maxiter": _LBFGS_MAX_ITER, "ftol": 1e-18, "gtol": 1e-12},
-            )
-            gnorm = float(np.linalg.norm(value_grad(res.x)[1]))
-            if gnorm <= max(_TOL, _fp_floor(curvature, res.x)):
-                self.last_info = SolveInfo(
-                    method="smooth_lbfgs", iterations=int(res.nit), residual=gnorm
-                )
-                return res.x
-            logger.debug("L-BFGS gradient %.2e above tol, switching to splitting", gnorm)
-
-        w, iterations, gnorm = self._smooth_splitting(target, anchor, rho, r, reg, gamma)
-        self.last_info = SolveInfo(
-            method="smooth_splitting", iterations=iterations, residual=gnorm
-        )
-        if gnorm > max(_TOL, _fp_floor(curvature, w)):
-            self.last_info.warning = (
-                f"smoothed solve gradient {gnorm:.2e} above tol after {iterations} iters"
-            )
-            logger.warning(self.last_info.warning)
-        return w
-
-    def _smooth_splitting(self, target, anchor, rho, r, reg, gamma):
-        """Exact reformulation min_{w,x} q(w) + g(x) + ||x-w||^2/(2 gamma).
+        """Minimize q(w) + smoothed penalty to gradient norm <= _TOL by the
+        exact reformulation min_{w,x} q(w) + g(x) + ||x-w||^2/(2 gamma).
 
         For fixed x the w-block is a ridge solve; eliminating w leaves a
         composite problem in x whose smooth part has curvature bounded by
@@ -369,7 +323,15 @@ class WSolver:
             y = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
             x, w, f_x, t_momentum = x_new, w_new, f_new, t_next
             gnorm = true_grad_norm(w)
-        return w, iterations, gnorm
+        self.last_info = SolveInfo(
+            method="smooth_splitting", iterations=iterations, residual=gnorm
+        )
+        if gnorm > max(_TOL, _fp_floor(curvature, w)):
+            self.last_info.warning = (
+                f"smoothed solve gradient {gnorm:.2e} above tol after {iterations} iters"
+            )
+            logger.warning(self.last_info.warning)
+        return w
 
     # -- dispatch ----------------------------------------------------------
 

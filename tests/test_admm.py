@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rankadmm.admm as admm_module
 from rankadmm.admm import (
     GammaSchedule,
     ScheduleSpec,
@@ -169,14 +170,13 @@ def test_sadmm_reports_proximal_point():
 
 
 def test_sadmm_reports_premise_bumped_r():
-    problem = make_synthetic_problem(n=30, d=5, regularizer=l1(0.1), seed=9)
+    c = 1.0 / 1.5
+    problem = make_synthetic_problem(n=30, d=5, regularizer=mcp(0.5, 1.5), seed=9)
     cfg = SolverConfig(max_iter=5, rho_schedule=ScheduleSpec.constant(1.0), r=0.5,
-                       gamma_schedule=GammaSchedule.constant(0.5), stop_eps=0.0,
-                       enforce_smooth_premise=True)
-    res = sadmm_solve(problem, cfg)
-    # the last iteration ran with r_eff = max(r, 2 / gamma) = 4
-    assert res.r_effective == pytest.approx(4.0)
-    assert admm_solve(problem, cfg).r_effective == 0.5
+                       stop_eps=0.0)
+    # r = 0.5 <= c = 1/theta, so both loops run with the bumped r = 2c
+    assert sadmm_solve(problem, cfg).r_effective == pytest.approx(2.0 * c)
+    assert admm_solve(problem, cfg).r_effective == pytest.approx(2.0 * c)
 
 
 def test_nonfinite_w_step_stops_at_its_iteration(monkeypatch):
@@ -193,6 +193,22 @@ def test_nonfinite_w_step_stops_at_its_iteration(monkeypatch):
     with pytest.raises(SolverError, match="w-step") as info:
         admm_solve(problem, SolverConfig(max_iter=10, stop_eps=0.0))
     assert info.value.iteration == 2
+
+
+def test_nonfinite_dual_stops_at_its_iteration(monkeypatch):
+    problem = make_synthetic_problem(n=20, d=4, regularizer=l2(1e-2), seed=10)
+    real_z_step = admm_module.solve_z_subproblem
+    calls = []
+
+    def huge_on_second_call(*args, **kwargs):
+        z = real_z_step(*args, **kwargs)
+        calls.append(z)
+        return np.full_like(z, 1e200) if len(calls) == 2 else z
+
+    monkeypatch.setattr(admm_module, "solve_z_subproblem", huge_on_second_call)
+    with pytest.raises(SolverError, match="non-finite") as info:
+        admm_solve(problem, SolverConfig(max_iter=5, stop_eps=0.0))
+    assert info.value.iteration == 1
 
 
 def test_gamma_clamp_warns():

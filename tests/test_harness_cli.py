@@ -25,8 +25,8 @@ def make_plan(tmp_path, solver="admm", reps=2):
         "loss": "logistic",
         "regularizer": {"variant": "l2", "mu": 0.01},
         "solver": solver,
-        "config": {"max_iter": 20, "schedule": "constant:1.0",
-                   "epochs": 5, "learning_rate": 0.001},
+        "config": ({"epochs": 5, "learning_rate": 0.001} if solver == "sgd"
+                   else {"max_iter": 20, "schedule": "constant:1.0"}),
         "repetitions": reps,
     }
     plan = {"cells": [cell], "out": str(tmp_path / "out")}
@@ -49,7 +49,8 @@ def test_scheme_parsing():
     assert scheme_from_dict({}) == ERM()
     for bad, named in [({"kind": "mystery"}, "mystery"),
                        ({"kind": "superquantile", "q": 0.9, "qq": 1}, "'qq'"),
-                       ({"kind": "aorr", "k": 5}, "'m'")]:
+                       ({"kind": "aorr", "k": 5}, "'m'"),
+                       ({"kind": "aorr", "k": 5.5, "m": 2}, "'k'")]:
         with pytest.raises(InvalidParameterError, match=named):
             scheme_from_dict(bad)
 
@@ -108,6 +109,16 @@ def test_cli_weights_superquantile(capsys):
 def test_cli_weights_validation():
     assert cli_main(["weights", "--scheme", "superquantile", "--q", "1.5", "--n", "5"]) == 2
     assert cli_main(["weights", "--scheme", "aorr", "--n", "5"]) == 2
+    # the negative weight only shows once the scheme is resolved at n
+    assert cli_main(["weights", "--scheme", "human-aligned", "--ha-b", "-0.5",
+                     "--n", "10"]) == 2
+
+
+def test_cli_train_bad_scheme_value_exits_2(tmp_path, capsys):
+    assert cli_main(["train", "--synthetic", "n=20,d=3,seed=1", "--scheme", "human-aligned",
+                     "--ha-b", "-0.5", "--out", str(tmp_path)]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_cli_unknown_flag_exits_2():
@@ -160,6 +171,9 @@ def test_cli_benchmark(tmp_path, capsys):
     {"loss": "squared"},
     {"scheme": {"kind": "superquantile"}},
     {"scheme": {"kind": "superquantile", "q": 0.9, "qq": 1}},
+    {"scheme": {"kind": "aorr", "k": 5.5, "m": 2}},
+    {"config": {"max_iters": 5}},
+    {"regularizer": {"variant": "l2", "mu": 0.01, "thetta": 3.0}},
 ])
 def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change):
     good = json.loads(make_plan(tmp_path, reps=1).read_text())

@@ -128,6 +128,7 @@ def test_smooth_zero_matches_closed_form(rng):
     D, target, anchor = make_instance(rng)
     solver = WSolver(D)
     w_smooth = solver.solve(target, anchor, 1.0, 1.0, ZERO, gamma=0.5)
+    assert solver.last_info.method == "smooth_splitting"
     w_exact = solver.solve(target, anchor, 1.0, 1.0, ZERO)
     assert np.linalg.norm(w_smooth - w_exact) <= 1e-7
 
@@ -140,6 +141,7 @@ def test_smooth_gradient_residual(reg, gamma, rng):
     D, target, anchor = make_instance(rng)
     solver = WSolver(D)
     w = solver.solve(target, anchor, 1.0, 1.0, reg, gamma=gamma)
+    assert solver.last_info.method == "smooth_splitting"
     _, mgrad = moreau_value_and_grad(reg, gamma, w)
     grad = D.T @ (D @ w - target) + (w - anchor) + mgrad
     assert np.linalg.norm(grad) <= 1e-8 * max(1.0, 1e9 * gamma)
