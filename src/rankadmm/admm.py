@@ -348,10 +348,11 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         if smooth_active:
             w_report = prox(reg, gamma, w_new)
             kkt_feas = float(np.linalg.norm(z_new - problem.apply_D(w_report)))
+            objective = problem.objective(w_report)
         else:
-            w_report = w_new
             kkt_feas = float(np.linalg.norm(z_new - Dw_new))
-        objective = problem.objective(w_report)
+            # Dw_new is D applied to this same point; no second product.
+            objective = rank_loss_value(Dw_new, resolved, problem.loss) + reg_value(reg, w_new)
 
         lyapunov = None
         if config.sigma_min is not None and config.sigma_min > 0:

@@ -34,17 +34,21 @@ class SgdConfig:
             raise InvalidParameterError("learning rate must be >= 0")
         if self.epochs < 1:
             raise InvalidParameterError("epochs must be >= 1")
-        if self.batch is not None and self.batch < 1:
-            raise InvalidParameterError("batch must be >= 1 or None for full batch")
+        if self.batch is not None and (self.batch < 1 or self.batch != int(self.batch)):
+            raise InvalidParameterError("batch must be an integer >= 1 or None for full batch")
 
 
 def rank_subgradient(
-    problem: Problem, w: np.ndarray, batch_indices: np.ndarray
+    problem: Problem,
+    w: np.ndarray,
+    batch_indices: np.ndarray,
+    resolved: wgt.ResolvedWeights | None = None,
 ) -> np.ndarray:
     """Subgradient of the batch rank-weighted loss plus the penalty.
 
-    Sorts the batch margins, resolves batch-sized weights, scatters them
-    back to sample positions, and chains through the data operator.
+    Sorts the batch margins, takes the batch-sized weights (``resolved``,
+    or the scheme resolved at the batch size when not given), scatters
+    them back to sample positions, and chains through the data operator.
     """
     idx = np.asarray(batch_indices)
     if idx.size == 0:
@@ -55,7 +59,8 @@ def rank_subgradient(
     zb = -yb * (np.asarray(zb).ravel())
     nb = idx.size
 
-    resolved = wgt.resolve(problem.weights, nb)
+    if resolved is None:
+        resolved = wgt.resolve(problem.weights, nb)
     order = np.argsort(zb, kind="stable")
     sigma_sorted = resolved.sigma_for(zb[order])
     weight = np.empty(nb)
@@ -77,13 +82,16 @@ def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, list[Ite
     n = problem.n
     w = np.zeros(problem.d)
     batch = n if config.batch is None else min(config.batch, n)
+    # Every epoch has the same batch sizes: full ones and the remainder.
+    sizes = {batch, n - (n - 1) // batch * batch}
+    resolved = {nb: wgt.resolve(problem.weights, nb) for nb in sizes}
     trace: list[IterationTrace] = []
     start = time.perf_counter_ns()
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, batch):
             idx = perm[lo : lo + batch]
-            g = rank_subgradient(problem, w, idx)
+            g = rank_subgradient(problem, w, idx, resolved[idx.size])
             w = w - config.learning_rate * g
         trace.append(
             IterationTrace(

@@ -220,7 +220,7 @@ def _solver_config(cell: BenchmarkCell, seed: int) -> SolverConfig:
         rho_schedule=schedule,
         r=float(cfg.get("r", 1.0)),
         gamma_schedule=(
-            GammaSchedule.constant(float(gamma)) if gamma else GammaSchedule.default()
+            GammaSchedule.constant(float(gamma)) if gamma is not None else GammaSchedule.default()
         ),
         stop_eps=float(cfg.get("eps", 1e-6)),
         seed=seed,
@@ -230,9 +230,10 @@ def _solver_config(cell: BenchmarkCell, seed: int) -> SolverConfig:
 
 def _sgd_config(cell: BenchmarkCell, seed: int) -> SgdConfig:
     cfg = cell.config
+    batch = cfg.get("batch", 64)
     return SgdConfig(
         learning_rate=float(cfg.get("learning_rate", 1e-3)),
-        batch=cfg.get("batch", 64),
+        batch=None if batch is None else wgt.to_int(batch),
         epochs=int(cfg.get("epochs", 2000)),
         seed=seed,
         wall_budget_s=cfg.get("wall_budget_s"),

@@ -8,6 +8,13 @@ block objective
 where s is the total rank weight of the block.  Only (s, count, m_sum)
 are needed: sum_i (v - m_i)^2 differs from count * (v - m_sum/count)^2
 by a v-independent constant, which is what makes block merges O(1).
+
+Hinge has a closed form.  Logistic uses bracketed Newton with Numerical
+Recipes' ``rtsafe`` rule (bisect when the Newton step leaves the bracket
+or fails to halve relative to the step before last), which bounds the
+iteration count.  :func:`block_minimize` solves one block;
+:func:`singleton_minimize` solves every count-1 block of a chain at once
+with the same bracket, rule and bisection tail.
 """
 
 from __future__ import annotations
@@ -110,14 +117,24 @@ class BlockObjective:
         return self.s * loss_value(kind, v) + self.quadratic_part(v)
 
 
+def _bisects(v_new, lo, hi, step, dx_old):
+    """Numerical Recipes' rtsafe rule: bisect instead of taking the Newton
+    point ``v_new`` when it leaves the open bracket (lo, hi) or when the
+    Newton step is larger than half the step before last.  Without the
+    second test the iterates can alternate between the bracket's ends and
+    shrink it only slowly.  Works elementwise on arrays as well."""
+    return (v_new <= lo) | (v_new >= hi) | (abs(step) > 0.5 * abs(dx_old))
+
+
 def block_minimize(obj: BlockObjective, kind: LossKind) -> float:
     """Unique minimizer of ``s*l(v) + (rho/2)*sum (v - m_i)^2``.
 
     Hinge uses the three-case closed form around the kink at v = -1.
-    Logistic uses safeguarded Newton on the strictly increasing derivative
+    Logistic uses Newton on the strictly increasing derivative
     ``s*sigmoid(v) + rho*(count*v - m_sum)``, bracketed by
-    ``[m_sum/count - s/(rho*count), m_sum/count]``; the bracket assumes
-    0 <= l' <= 1, which both losses satisfy (sigmoid, unit hinge slope).
+    ``[m_sum/count - s/(rho*count), m_sum/count]`` and safeguarded by the
+    rtsafe rule of :func:`_bisects`; the bracket assumes 0 <= l' <= 1,
+    which both losses satisfy (sigmoid, unit hinge slope).
     """
     if not (math.isfinite(obj.s) and math.isfinite(obj.m_sum)):
         raise InvalidParameterError("non-finite block objective inputs")
@@ -135,45 +152,103 @@ def block_minimize(obj: BlockObjective, kind: LossKind) -> float:
         # 0 lies in the subdifferential at the kink.
         return -1.0
 
-    rc = obj.rho * obj.count
-    lo = mean_m - obj.s / rc
+    s, rho, m_sum = obj.s, obj.rho, obj.m_sum
+    rc = rho * obj.count
+    lo = mean_m - s / rc
     hi = mean_m
     if lo == hi:
         return lo
 
-    def deriv(v: float) -> float:
-        return obj.s * _sigmoid_scalar(v) + rc * v - obj.rho * obj.m_sum
-
-    def deriv2(v: float) -> float:
-        sg = _sigmoid_scalar(v)
-        return obj.s * sg * (1.0 - sg) + rc
-
     v = 0.5 * (lo + hi)
+    dx_old = dx = hi - lo
     for _ in range(_NEWTON_MAX_ITER):
-        d = deriv(v)
+        sg = _sigmoid_scalar(v)
+        d = s * sg + rc * v - rho * m_sum
         if abs(d) <= _DERIV_TOL:
             return v
         if d > 0:
             hi = v
         else:
             lo = v
-        step = d / deriv2(v)
+        step = d / (s * sg * (1.0 - sg) + rc)
         v_new = v - step
-        if not (lo < v_new < hi):
-            v_new = 0.5 * (lo + hi)  # Newton left the bracket: bisect
+        if _bisects(v_new, lo, hi, step, dx_old):
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            v_new = 0.5 * (lo + hi)
+        else:
+            dx_old, dx = dx, step
         if v_new == v:
             return v
         v = v_new
-    # Bracket is tiny by now; finish with plain bisection.
+    # Rarely reached: the rtsafe rule at least halves the step every
+    # second iteration.  Finish with plain bisection.
     for _ in range(200):
         v = 0.5 * (lo + hi)
         if v == lo or v == hi:
             break
-        if deriv(v) > 0:
+        if s * _sigmoid_scalar(v) + rc * v - rho * m_sum > 0:
             hi = v
         else:
             lo = v
     return v
+
+
+def singleton_minimize(
+    s: np.ndarray, m: np.ndarray, rho: float, kind: LossKind
+) -> np.ndarray:
+    """``block_minimize(BlockObjective(s[i], 1, m[i], rho), kind)`` for every i.
+
+    Hinge takes the closed form elementwise.  Logistic runs the same
+    bracketed Newton with the same rtsafe rule and bisection tail over the
+    entries still active.  A zero weight returns its target exactly.
+    numpy's ``exp`` may differ from ``math.exp`` in the last place, so the
+    logistic values agree with the scalar solve to rounding, not bitwise.
+    """
+    s = np.asarray(s, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if kind == LossKind.HINGE:
+        v_right = (rho * m - s) / rho
+        out = np.where(m < -1.0, m, np.where(v_right > -1.0, v_right, -1.0))
+        return np.where(s == 0.0, m, out)
+
+    out = m.copy()
+    lo_all = m - s / rho
+    # lo == hi (s == 0, or s/rho below m's ulp) leaves the target itself
+    act = np.flatnonzero(lo_all != m)
+    s, m, lo, hi = s[act], m[act], lo_all[act], m[act]
+    v = 0.5 * (lo + hi)
+    dx_old = dx = hi - lo
+    for _ in range(_NEWTON_MAX_ITER):
+        if act.size == 0:
+            return out
+        sg = _sigmoid(v)
+        d = s * sg + rho * v - rho * m
+        right = d > 0
+        hi = np.where(right, v, hi)
+        lo = np.where(right, lo, v)
+        step = d / (s * sg * (1.0 - sg) + rho)
+        bis = _bisects(v - step, lo, hi, step, dx_old)
+        dx_old, dx = dx, np.where(bis, 0.5 * (hi - lo), step)
+        v_new = np.where(bis, 0.5 * (lo + hi), v - step)
+        done = (np.abs(d) <= _DERIV_TOL) | (v_new == v)
+        out[act[done]] = v[done]
+        keep = ~done
+        act, s, m, lo, hi, dx_old, dx, v = (
+            a[keep] for a in (act, s, m, lo, hi, dx_old, dx, v_new)
+        )
+    for _ in range(200):
+        v = 0.5 * (lo + hi)
+        done = (v == lo) | (v == hi)
+        out[act[done]] = v[done]
+        keep = ~done
+        act, s, m, lo, hi, v = (a[keep] for a in (act, s, m, lo, hi, v))
+        if act.size == 0:
+            return out
+        right = s * _sigmoid(v) + rho * v - rho * m > 0
+        hi = np.where(right, v, hi)
+        lo = np.where(right, lo, v)
+    out[act] = v
+    return out
 
 
 def block_minimize_cpt(

@@ -7,15 +7,21 @@ Solves, after sorting the targets m ascending,
 
 by pool-adjacent-violators block merging in one left-to-right stack pass
 (the O(n) formulation of Best, Chakravarti & Ubhaya, SIAM J. Optim.
-10(3), 2000).  The blocks left of the cursor form an isotonic stack.  When
-the stack top exceeds the next block, the run of strictly decreasing block
-values starting at the top is extended over the following singletons and
-folded into one block with a single scalar solve; the merged value always
-lands between the run's last and first values, which is what makes the
-multi-merge safe.  The merged block is then compared with the new stack
-top.  Constant (rank-indexed) weights use the convex scalar solver; the
-value-dependent prospect-theory weights carry both branch weight sums per
-block and use the two-piece scalar solver.
+10(3), 2000).  The singleton values come first: for constant
+(rank-indexed) weights one array solve computes them all.  One numpy
+comparison finds every singleton below its left neighbour; between two
+such breaks the singletons are in order, so a stretch that starts at or
+above the stack top is pushed with one ``list.extend``.  Python work
+therefore scales with merges, not with n.  When the stack top exceeds the
+next block, the run of strictly decreasing block values starting at the
+top is extended over the following singletons and folded into one block
+with a single scalar solve; the merged value always lands between the
+run's last and first values, which is what makes the multi-merge safe.
+The merged block is then compared with the new stack top.  The stack is
+kept as parallel lists of block starts, values, weight sums and target
+sums.  The value-dependent prospect-theory weights use the same pass with
+two weight-sum columns, scalar two-piece singleton solves and the
+two-piece scalar solver for merges.
 """
 
 from __future__ import annotations
@@ -32,25 +38,9 @@ from .losses import (
     block_minimize_cpt,
     block_stationarity_residual,
     block_stationarity_residual_cpt,
+    singleton_minimize,
 )
 from .weights import ResolvedWeights
-
-
-@dataclass(frozen=True)
-class Block:
-    """Consecutive index range [lo, hi] (0-based, inclusive) in the sorted
-    order, its current optimal value, its rank-weight sums (one per weight
-    branch) and its target sum."""
-
-    lo: int
-    hi: int
-    value: float
-    sums: tuple[float, ...]
-    m_sum: float
-
-    @property
-    def count(self) -> int:
-        return self.hi - self.lo + 1
 
 
 @dataclass(frozen=True)
@@ -67,20 +57,28 @@ class MergeEvent:
 
 @dataclass
 class BlockPartition:
-    """Ordered blocks covering 0..n-1 with no gaps or overlaps."""
+    """Ordered blocks covering 0..n-1 with no gaps or overlaps: block j
+    spans ``lo[j]..hi[j]`` (0-based, inclusive) in the sorted order and
+    takes the value ``value[j]``."""
 
-    blocks: list[Block]
+    lo: np.ndarray
+    value: np.ndarray
     n: int
+
+    @property
+    def count(self) -> np.ndarray:
+        return np.diff(np.append(self.lo, self.n))
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.lo + self.count - 1
 
     def values(self) -> np.ndarray:
         """Expand block values to a length-n vector in sorted order."""
-        values = np.array([b.value for b in self.blocks], dtype=float)
-        counts = np.array([b.count for b in self.blocks], dtype=np.intp)
-        return np.repeat(values, counts)
+        return np.repeat(self.value, self.count)
 
     def is_isotonic(self) -> bool:
-        vals = [b.value for b in self.blocks]
-        return all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
+        return bool(np.all(self.value[:-1] <= self.value[1:]))
 
 
 def merge_blocks(
@@ -94,16 +92,18 @@ def merge_blocks(
 
     Computes every singleton value first; a singleton whose weights are
     all zero is an exact quadratic and takes its target directly.  Then
-    one stack pass merges each strictly decreasing run with one scalar
-    solve and compares the result with the new stack top.  For the
-    value-dependent weights the result is a first-order point, not
-    necessarily a global minimum, and it depends on this merge order.
+    one stack pass pushes each in-order stretch of singletons at once,
+    merges each strictly decreasing run with one scalar solve and compares
+    the result with the new stack top.  For the value-dependent weights
+    the result is a first-order point, not necessarily a global minimum,
+    and it depends on this merge order.
     """
+    m_list = m_sorted.tolist()
     if resolved.is_value_dependent:
-        branch_sums = list(zip(resolved.sigma_low.tolist(), resolved.sigma_high.tolist()))
+        cols = [resolved.sigma_low.tolist(), resolved.sigma_high.tolist()]
         reference = resolved.reference
 
-        def solve(sums: tuple[float, ...], count: int, m_sum: float) -> float:
+        def solve(sums: list[float], count: int, m_sum: float) -> float:
             return block_minimize_cpt(
                 BlockObjective(sums[0], count, m_sum, rho),
                 BlockObjective(sums[1], count, m_sum, rho),
@@ -111,38 +111,65 @@ def merge_blocks(
                 kind,
             )
 
+        singles_arr = np.array(
+            [solve([a, b], 1, m_i) if a or b else m_i for a, b, m_i in zip(*cols, m_list)]
+        )
     else:
-        branch_sums = [(s,) for s in resolved.sigma.tolist()]
+        cols = [resolved.sigma.tolist()]
 
-        def solve(sums: tuple[float, ...], count: int, m_sum: float) -> float:
+        def solve(sums: list[float], count: int, m_sum: float) -> float:
             return block_minimize(BlockObjective(sums[0], count, m_sum, rho), kind)
 
-    singles = [
-        Block(i, i, solve(sums, 1, m_i) if any(sums) else m_i, sums, m_i)
-        for i, (sums, m_i) in enumerate(zip(branch_sums, m_sorted.tolist()))
-    ]
-    n = len(singles)
-    stack: list[Block] = []
+        singles_arr = singleton_minimize(resolved.sigma, m_sorted, rho, kind)
+
+    n = len(m_list)
+    singles = singles_arr.tolist()
+    # Starts of the in-order stretches: singletons below their left neighbour.
+    breaks = (np.flatnonzero(singles_arr[1:] < singles_arr[:-1]) + 1).tolist() + [n]
+    # The stack, one list per block field; a block ends where the next begins.
+    lo: list[int] = []
+    value: list[float] = []
+    wsum: list[list[float]] = [[] for _ in cols]
+    msum: list[float] = []
     k = 0
+    b = 0
     while k < n:
-        block = singles[k]
+        if not (value and value[-1] > singles[k]):
+            # Nothing to merge up to the next break: push the stretch.
+            while breaks[b] <= k:
+                b += 1
+            end = breaks[b]
+            lo.extend(range(k, end))
+            value.extend(singles[k:end])
+            msum.extend(m_list[k:end])
+            for st, col in zip(wsum, cols):
+                st.extend(col[k:end])
+            k = end
+            continue
+        c_lo, c_value, c_sums, c_msum = k, singles[k], [col[k] for col in cols], m_list[k]
         k += 1
-        while stack and stack[-1].value > block.value:
-            run = [stack.pop(), block]
-            while k < n and run[-1].value > singles[k].value:
-                run.append(singles[k])
+        while value and value[-1] > c_value:
+            # Fold the top, the current block and every following singleton
+            # below the run's last value, summing left to right.
+            r_lo, v_first, r_msum = lo.pop(), value.pop(), msum.pop()
+            sums = [st.pop() + c for st, c in zip(wsum, c_sums)]
+            r_msum += c_msum
+            v_last = c_value
+            while k < n and v_last > singles[k]:
+                v_last = singles[k]
+                sums = [a + col[k] for a, col in zip(sums, cols)]
+                r_msum += m_list[k]
                 k += 1
-            sums, m_sum = run[0].sums, run[0].m_sum
-            for b in run[1:]:
-                sums = tuple(a + c for a, c in zip(sums, b.sums))
-                m_sum += b.m_sum
-            lo, hi = run[0].lo, run[-1].hi
-            v = solve(sums, hi - lo + 1, m_sum)
+            v = solve(sums, k - r_lo, r_msum)
             if merge_log is not None:
-                merge_log.append(MergeEvent(lo, hi, run[0].value, run[-1].value, v))
-            block = Block(lo, hi, v, sums, m_sum)
-        stack.append(block)
-    return BlockPartition(stack, n)
+                merge_log.append(MergeEvent(r_lo, k - 1, v_first, v_last, v))
+            c_lo, c_value, c_sums, c_msum = r_lo, v, sums, r_msum
+        lo.append(c_lo)
+        value.append(c_value)
+        msum.append(c_msum)
+        for st, c in zip(wsum, c_sums):
+            st.append(c)
+    return BlockPartition(np.array(lo, dtype=np.intp), np.array(value, dtype=float), n)
 
 
 def stationarity_residual(
@@ -154,23 +181,22 @@ def stationarity_residual(
 ) -> float:
     """Max over blocks of the first-order residual at the block value."""
     worst = 0.0
-    for b in partition.blocks:
-        m_sum = float(np.sum(m_sorted[b.lo : b.hi + 1]))
+    for lo, hi, v in zip(partition.lo.tolist(), partition.hi.tolist(), partition.value.tolist()):
+        count = hi - lo + 1
+        m_sum = float(np.sum(m_sorted[lo : hi + 1]))
         if resolved.is_value_dependent:
-            s_low = float(np.sum(resolved.sigma_low[b.lo : b.hi + 1]))
-            s_high = float(np.sum(resolved.sigma_high[b.lo : b.hi + 1]))
+            s_low = float(np.sum(resolved.sigma_low[lo : hi + 1]))
+            s_high = float(np.sum(resolved.sigma_high[lo : hi + 1]))
             r = block_stationarity_residual_cpt(
-                BlockObjective(s_low, b.count, m_sum, rho),
-                BlockObjective(s_high, b.count, m_sum, rho),
+                BlockObjective(s_low, count, m_sum, rho),
+                BlockObjective(s_high, count, m_sum, rho),
                 resolved.reference,
                 kind,
-                b.value,
+                v,
             )
         else:
-            s = float(np.sum(resolved.sigma[b.lo : b.hi + 1]))
-            r = block_stationarity_residual(
-                BlockObjective(s, b.count, m_sum, rho), kind, b.value
-            )
+            s = float(np.sum(resolved.sigma[lo : hi + 1]))
+            r = block_stationarity_residual(BlockObjective(s, count, m_sum, rho), kind, v)
         worst = max(worst, r)
     return worst
 

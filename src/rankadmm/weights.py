@@ -275,7 +275,7 @@ SCHEMES = {
 }
 
 
-def _to_int(value) -> int:
+def to_int(value) -> int:
     """``int(value)`` for an integral value; ValueError for 5.5."""
     as_int = int(value)
     if as_int != float(value):
@@ -283,7 +283,7 @@ def _to_int(value) -> int:
     return as_int
 
 
-_CONVERT = {"int": _to_int, "float": float}
+_CONVERT = {"int": to_int, "float": float}
 
 
 def scheme_from_dict(d: dict) -> WeightScheme:

@@ -114,8 +114,10 @@ def test_criterion_3_fast_path_identical():
         rho = float(rng.choice([0.1, 1.0, 10.0]))
         engine = merge_blocks(m, resolved, rho, kind)
         reference = pairwise_merge_chain(m, resolved.sigma, rho, kind)
-        assert [(b.lo, b.hi) for b in engine.blocks] == [(lo, hi) for lo, hi, _ in reference]
-        gaps = [abs(b.value - v) for b, (*_, v) in zip(engine.blocks, reference)]
+        assert list(zip(engine.lo.tolist(), engine.hi.tolist())) == [
+            (lo, hi) for lo, hi, _ in reference
+        ]
+        gaps = abs(engine.value - [v for *_, v in reference])
         assert max(gaps) <= 1e-12
     passline(3, "ranked-range partitions identical to pairwise merging on 100 instances (n<=500)")
 
@@ -130,7 +132,9 @@ def test_criterion_4_refined_vs_classic():
         rho = float(rng.choice([0.1, 1.0, 10.0]))
         refined = merge_blocks(m, resolved, rho, kind)
         classic = pairwise_merge_chain(m, resolved.sigma, rho, kind)
-        assert [(b.lo, b.hi) for b in refined.blocks] == [(lo, hi) for lo, hi, _ in classic]
+        assert list(zip(refined.lo.tolist(), refined.hi.tolist())) == [
+            (lo, hi) for lo, hi, _ in classic
+        ]
     passline(4, "refined multi-merge partitions identical to pairwise merging")
 
 

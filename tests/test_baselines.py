@@ -93,3 +93,20 @@ def test_config_validation():
         SgdConfig(epochs=0)
     with pytest.raises(InvalidParameterError):
         SgdConfig(batch=0)
+    with pytest.raises(InvalidParameterError):
+        SgdConfig(batch=5.5)
+
+
+def test_cached_batch_weights_match_per_batch_resolve():
+    # 37 = 4 * 8 + 5: full batches and a shorter last one per epoch
+    problem = make_synthetic_problem(n=37, d=4, weights=Superquantile(0.6),
+                                     regularizer=l2(1e-2), seed=8)
+    cfg = SgdConfig(learning_rate=1e-2, batch=8, epochs=3, seed=4)
+    w_cached, _ = sgd_solve(problem, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    w = np.zeros(problem.d)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(problem.n)
+        for lo in range(0, problem.n, cfg.batch):
+            w = w - cfg.learning_rate * rank_subgradient(problem, w, perm[lo : lo + cfg.batch])
+    assert np.array_equal(w_cached, w)

@@ -174,6 +174,8 @@ def test_cli_benchmark(tmp_path, capsys):
     {"scheme": {"kind": "aorr", "k": 5.5, "m": 2}},
     {"config": {"max_iters": 5}},
     {"regularizer": {"variant": "l2", "mu": 0.01, "thetta": 3.0}},
+    {"solver": "sgd", "config": {"epochs": 5, "batch": 5.5}},
+    {"config": {"max_iter": 20, "gamma": 0}},
 ])
 def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change):
     good = json.loads(make_plan(tmp_path, reps=1).read_text())
@@ -195,6 +197,14 @@ def test_plan_float_aorr_k_builds(tmp_path):
     path.write_text(json.dumps({"cells": [cell]}))
     scheme = scheme_from_dict(BenchmarkPlan.from_json(path).cells[0].scheme)
     assert scheme.k == 5 and type(scheme.k) is int
+
+
+def test_plan_float_sgd_batch_runs(tmp_path):
+    plan = json.loads(make_plan(tmp_path, solver="sgd", reps=1).read_text())
+    plan["cells"][0]["config"]["batch"] = 16.0
+    path = tmp_path / "sgd_plan.json"
+    path.write_text(json.dumps(plan))
+    assert cli_main(["benchmark", str(path)]) == 0
 
 
 def test_unused_regularizer_values_share_problem_key():

@@ -14,7 +14,9 @@ from rankadmm.losses import (
     block_stationarity_residual,
     loss_subgradient_interval,
     loss_value,
+    singleton_minimize,
 )
+from rankadmm import losses
 
 
 def grid_scan_minimizer(fn, lo=-10.0, hi=10.0, step=1e-6, chunk=2_000_000):
@@ -153,6 +155,42 @@ def test_block_minimize_shift_bound(s, count, m_sum, kind):
     assert v <= m_sum / count + 1e-12
     if s == 0.0:
         assert v == pytest.approx(m_sum / count)
+
+
+def test_block_minimize_no_bracket_ping_pong(monkeypatch):
+    # plain safeguarded Newton alternates between the bracket's ends here
+    # and spends all 100 iterations plus a bisection tail (254 sigmoid calls)
+    calls = []
+    sigmoid = losses._sigmoid_scalar
+
+    def counting(u):
+        calls.append(u)
+        return sigmoid(u)
+
+    monkeypatch.setattr(losses, "_sigmoid_scalar", counting)
+    obj = BlockObjective(s=1.0, count=1101, m_sum=3010.85, rho=1.728e-05)
+    v = block_minimize(obj, LossKind.LOGISTIC)
+    assert len(calls) <= 20
+    assert block_stationarity_residual(obj, LossKind.LOGISTIC, v) <= 1e-12
+
+
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), st.floats(-50.0, 50.0)),
+        min_size=1,
+        max_size=20,
+    ),
+    st.floats(-5.0, 6.0),
+    st.sampled_from([LossKind.HINGE, LossKind.LOGISTIC]),
+)
+@settings(max_examples=200, deadline=None)
+def test_singleton_minimize_matches_scalar(pairs, log_rho, kind):
+    s, m = (np.array(col) for col in zip(*pairs))
+    rho = 10.0**log_rho
+    got = singleton_minimize(s, m, rho, kind)
+    want = [block_minimize(BlockObjective(si, 1, mi, rho), kind) for si, mi in pairs]
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(got[s == 0.0], m[s == 0.0])
 
 
 def test_cpt_identical_pieces_degenerate():

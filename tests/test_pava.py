@@ -12,6 +12,7 @@ from rankadmm.losses import (
     block_minimize,
     block_minimize_cpt,
     loss_subgradient_interval,
+    singleton_minimize,
 )
 from rankadmm import pava
 from rankadmm.oracle import chain_objective_reference, grid_dp_chain, pairwise_merge_chain
@@ -31,8 +32,10 @@ from rankadmm.weights import (
 
 def assert_matches_pairwise(partition, reference, tol):
     """Same index ranges as the (lo, hi, value) reference, values within tol."""
-    assert [(b.lo, b.hi) for b in partition.blocks] == [(lo, hi) for lo, hi, _ in reference]
-    assert max(abs(b.value - v) for b, (*_, v) in zip(partition.blocks, reference)) <= tol
+    assert list(zip(partition.lo.tolist(), partition.hi.tolist())) == [
+        (lo, hi) for lo, hi, _ in reference
+    ]
+    assert max(abs(partition.value - [v for *_, v in reference])) <= tol
 
 
 def random_resolved(rng, n):
@@ -120,7 +123,53 @@ def test_in_order_input_single_pass(rng):
     ]
     if np.all(np.diff(singletons) >= 0.0):
         assert log == []
-        assert len(partition.blocks) == 8
+        assert len(partition.lo) == 8
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+def test_long_in_order_stretch_pushed_without_merges(kind):
+    # equal weights keep the singleton values in the targets' order
+    n = 500
+    resolved = resolve(ERM(), n)
+    m = np.linspace(-3.0, 3.0, n)
+    log = []
+    partition = merge_blocks(m, resolved, 1.0, kind, merge_log=log)
+    assert log == []
+    assert np.array_equal(partition.lo, np.arange(n))
+    assert np.array_equal(partition.hi, np.arange(n))
+    assert np.array_equal(partition.value, singleton_minimize(resolved.sigma, m, 1.0, kind))
+
+
+def test_violation_directly_after_merged_block():
+    # hinge singletons m - s: 0.0, -0.4, -0.3, 1.0.  Index 2 is in order
+    # with its left singleton but below the merged block {0, 1} at -0.2.
+    sigma = np.array([0.0, 0.5, 0.5, 0.0])
+    m = np.array([0.0, 0.1, 0.2, 1.0])
+    log = []
+    partition = merge_blocks(m, resolve(Explicit(sigma), 4), 1.0, LossKind.HINGE, merge_log=log)
+    assert [(e.lo, e.hi) for e in log] == [(0, 1), (0, 2)]
+    assert [e.v_merged for e in log] == pytest.approx([-0.2, -0.7 / 3.0])
+    assert_matches_pairwise(partition, pairwise_merge_chain(m, sigma, 1.0, LossKind.HINGE), 0.0)
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+def test_all_zero_weights_take_targets(kind, rng):
+    n = 50
+    m = np.sort(np.round(rng.standard_normal(n), 1))  # with ties
+    log = []
+    partition = merge_blocks(m, resolve(Explicit(np.zeros(n)), n), 1.0, kind, merge_log=log)
+    assert log == []
+    assert len(partition.lo) == n
+    assert np.array_equal(partition.values(), m)
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+def test_single_sample(kind):
+    partition = merge_blocks(np.array([0.3]), resolve(ERM(), 1), 2.0, kind)
+    assert partition.lo.tolist() == [0] and partition.hi.tolist() == [0]
+    assert partition.value[0] == pytest.approx(
+        block_minimize(BlockObjective(1.0, 1, 0.3, 2.0), kind), abs=1e-12
+    )
 
 
 def test_multi_merge_matches_classic_three_singletons():
@@ -138,7 +187,7 @@ def test_multi_merge_matches_classic_three_singletons():
     refined = merge_blocks(m_sorted, resolved, 1.0, LossKind.LOGISTIC, merge_log=refined_log)
     classic = pairwise_merge_chain(m_sorted, sigma, 1.0, LossKind.LOGISTIC)
     assert_matches_pairwise(refined, classic, 1e-9)
-    assert len(refined.blocks) == 1
+    assert len(refined.lo) == 1
     assert len(refined_log) == 1  # multi-merge path: one solve for the run
     event = refined_log[0]
     assert singles[2] - 1e-9 <= event.v_merged <= singles[0] + 1e-9
@@ -162,11 +211,11 @@ def test_partition_values_self_consistent(rng):
     resolved = random_resolved(rng, n)
     partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC)
     assert partition.is_isotonic()
-    for b in partition.blocks:
-        s = float(np.sum(resolved.sigma[b.lo : b.hi + 1]))
-        msum = float(np.sum(m[b.lo : b.hi + 1]))
-        v = block_minimize(BlockObjective(s, b.count, msum, 1.0), LossKind.LOGISTIC)
-        assert b.value == pytest.approx(v, abs=1e-12)
+    for lo, hi, value in zip(partition.lo, partition.hi, partition.value):
+        s = float(np.sum(resolved.sigma[lo : hi + 1]))
+        msum = float(np.sum(m[lo : hi + 1]))
+        v = block_minimize(BlockObjective(s, int(hi - lo + 1), msum, 1.0), LossKind.LOGISTIC)
+        assert value == pytest.approx(v, abs=1e-12)
     assert stationarity_residual(partition, resolved, m, 1.0, LossKind.LOGISTIC) <= 1e-8
 
 
@@ -200,10 +249,11 @@ def test_zero_weight_singletons_skip_scalar_solve(scheme, monkeypatch, rng):
     m = np.sort(rng.standard_normal(10))
     log = []
     partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC, merge_log=log)
-    assert len(calls) == np.count_nonzero(resolved.sigma) + len(log)
-    for b in partition.blocks:
-        if b.count == 1 and resolved.sigma[b.lo] == 0.0:
-            assert b.value == m[b.lo]
+    # singletons are solved in bulk: merge solves are the only scalar calls
+    assert len(calls) == len(log)
+    for lo, count, value in zip(partition.lo, partition.count, partition.value):
+        if count == 1 and resolved.sigma[lo] == 0.0:
+            assert value == m[lo]
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
@@ -236,7 +286,7 @@ def test_fast_path_in_order_no_merges(rng):
     m = np.linspace(-1.0, 4.0, 6)
     log = []
     partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC, merge_log=log)
-    if partition.is_isotonic() and len(partition.blocks) == 6:
+    if partition.is_isotonic() and len(partition.lo) == 6:
         assert log == []
 
 
