@@ -81,18 +81,29 @@ def reg_value(spec: RegularizerSpec, w: np.ndarray) -> float:
         return 0.5 * spec.mu * float(w @ w)
     if spec.variant == "l1":
         return 0.5 * spec.mu * float(np.abs(w).sum())
-    a = np.abs(w)
-    if spec.variant == "mcp":
-        mu, th = spec.mu, spec.theta
-        inner = a <= th * mu
-        vals = np.where(inner, mu * a - a * a / (2.0 * th), 0.5 * th * mu * mu)
-        return float(vals.sum())
+    return float(reg_terms(spec, w).sum())
+
+
+def reg_terms(spec: RegularizerSpec, w: np.ndarray) -> np.ndarray:
+    """Per-coordinate penalty values of l1, MCP or SCAD.
+
+    A penalty change taken as the sum of differences of two such vectors
+    is exact on coordinates that stay in a constant piece and free of the
+    rounding of the full sum elsewhere.
+    """
+    a = np.abs(np.asarray(w, dtype=float))
     mu, th = spec.mu, spec.theta
+    if spec.variant == "l1":
+        return 0.5 * mu * a
+    if spec.variant == "mcp":
+        inner = a <= th * mu
+        return np.where(inner, mu * a - a * a / (2.0 * th), 0.5 * th * mu * mu)
+    if spec.variant != "scad":
+        raise InvalidParameterError(f"no per-coordinate terms for {spec.variant!r}")
     quad = (2.0 * th * mu * a - a * a - mu * mu) / (2.0 * (th - 1.0))
-    vals = np.where(
+    return np.where(
         a <= mu, mu * a, np.where(a <= th * mu, quad, 0.5 * (th + 1.0) * mu * mu)
     )
-    return float(vals.sum())
 
 
 def reg_subgradient(spec: RegularizerSpec, w: np.ndarray) -> np.ndarray:

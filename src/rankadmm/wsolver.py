@@ -5,11 +5,14 @@
 ``WSolver.solve`` is the single entry point.  Without ``gamma`` the
 penalty is the regularizer g itself: zero and l2 penalties admit an exact
 linear solve, l1 and the concave penalties use an accelerated proximal
-gradient method.  With ``gamma`` the penalty is the Moreau envelope of g
-with smoothing parameter gamma (the smoothed outer loop), minimized by an
-exact splitting whose rate depends only on the data spectrum, so it does
-not degrade as gamma shrinks.  ``WSolver.last_info`` reports the method, the
-inner iteration count and the final residual of the latest solve.
+gradient method with one Gram product per iteration, whose restart test
+takes the objective change from the step (difference form) rather than
+from two objective values.  With ``gamma`` the penalty is the Moreau
+envelope of g with smoothing parameter gamma (the smoothed outer loop),
+minimized by an exact splitting whose rate depends only on the data
+spectrum, so it does not degrade as gamma shrinks.  ``WSolver.last_info``
+reports the method, the inner iteration and restart counts and the final
+residual of the latest solve.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .regularizers import (
     RegularizerSpec,
     moreau_value_and_grad,
     prox,
+    reg_terms,
     reg_value,
 )
 
@@ -49,6 +53,7 @@ class SolveInfo:
     method: str = ""
     iterations: int = 0
     residual: float = float("nan")
+    restarts: int = 0
     warning: str | None = None
 
 
@@ -191,57 +196,87 @@ class WSolver:
         is retaken without extrapolation, so every iteration makes
         monotone progress (up to rounding).  Stops when the prox-gradient
         mapping norm falls below _TOL.
+
+        Each iteration makes one Gram product, G w_new with G = D^T D, and
+        no product with D: the product at the extrapolated point follows
+        by linearity from the two latest fresh ones, and the restart test
+        takes the objective change from the step d = w_new - w,
+
+            rho (d^T (G w - D^T t) + d^T G d / 2)
+              + r (d^T (w - anchor) + |d|^2 / 2) + sum_j (g_j(w_new) - g_j(w)),
+
+        never as a difference of two objective values, whose cancellation
+        at large rho flips the test.  The penalty change is summed over
+        coordinates (``reg_terms``): near the solution the rounding of the
+        full penalty sum alone decides the test, and the spurious restarts
+        cost iterations.  The objective itself is evaluated only in the
+        set-up, to choose the start.
         """
         Dt = self._rmatvec(target)
 
-        def q_grad(w):
-            return rho * (self._gram_matvec(w) - Dt) + r * (w - anchor)
+        def q_grad(v, Gv):
+            return rho * (Gv - Dt) + r * (v - anchor)
 
-        def q_val(w):
-            rz = self._matvec(w) - target
-            dw = w - anchor
-            return 0.5 * rho * float(rz @ rz) + 0.5 * r * float(dw @ dw)
-
-        def full(w):
-            return q_val(w) + reg_value(reg, w)
+        def full(v):
+            rz = self._matvec(v) - target
+            dv = v - anchor
+            return (
+                0.5 * rho * float(rz @ rz) + 0.5 * r * float(dv @ dv) + reg_value(reg, v)
+            )
 
         L = rho * self.d_norm**2 + r
         eta = 1.0 / L
         ridge = self.ridge_solve(rho, r, rho * Dt + r * anchor)
         w = anchor.copy() if full(anchor) <= full(ridge) else ridge
-        y = w.copy()
+        Gw = self._gram_matvec(w)
+        g_w = reg_terms(reg, w)
+        y, Gy = w.copy(), Gw
         t_momentum = 1.0
-        f_w = full(w)
         mapping = float("inf")
-        iterations = 0
+        iterations = restarts = 0
         for iterations in range(1, _FISTA_MAX_ITER + 1):
             stop_at = max(_TOL, _fp_floor(L, w))
-            w_new = prox(reg, eta, y - eta * q_grad(y))
+            w_new = prox(reg, eta, y - eta * q_grad(y, Gy))
             plain = np.array_equal(y, w)
             step_norm = float(np.linalg.norm(y - w_new)) / eta
-            f_new = full(w_new)
-            if f_new > f_w and not plain:
-                # momentum overshoot: retake the step without extrapolation
-                t_momentum = 1.0
-                w_new = prox(reg, eta, w - eta * q_grad(w))
-                step_norm = float(np.linalg.norm(w - w_new)) / eta
-                f_new = full(w_new)
-                plain = True
+            Gw_new = self._gram_matvec(w_new)
+            g_new = reg_terms(reg, w_new)
+            if not plain:
+                d = w_new - w
+                change = (
+                    rho * (float(d @ (Gw - Dt)) + 0.5 * float(d @ (Gw_new - Gw)))
+                    + r * (float(d @ (w - anchor)) + 0.5 * float(d @ d))
+                    + float((g_new - g_w).sum())
+                )
+                if change > 0.0:
+                    # momentum overshoot: retake the step without extrapolation
+                    restarts += 1
+                    t_momentum = 1.0
+                    w_new = prox(reg, eta, w - eta * q_grad(w, Gw))
+                    step_norm = float(np.linalg.norm(w - w_new)) / eta
+                    Gw_new = self._gram_matvec(w_new)
+                    g_new = reg_terms(reg, w_new)
+                    plain = True
             if plain:
                 mapping = step_norm  # exact mapping at w
                 if mapping <= stop_at:
                     w = w_new
                     break
             elif step_norm <= stop_at:
-                mapping = float(np.linalg.norm(w_new - prox(reg, eta, w_new - eta * q_grad(w_new)))) / eta
+                mapping = float(np.linalg.norm(
+                    w_new - prox(reg, eta, w_new - eta * q_grad(w_new, Gw_new))
+                )) / eta
                 if mapping <= stop_at:
                     w = w_new
                     break
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-            y = w_new + ((t_momentum - 1.0) / t_next) * (w_new - w)
-            w, f_w, t_momentum = w_new, f_new, t_next
+            beta = (t_momentum - 1.0) / t_next
+            y = w_new + beta * (w_new - w)
+            Gy = Gw_new + beta * (Gw_new - Gw)
+            w, Gw, g_w, t_momentum = w_new, Gw_new, g_new, t_next
         self.last_info = SolveInfo(
-            method="prox_gradient", iterations=iterations, residual=mapping
+            method="prox_gradient", iterations=iterations, residual=mapping,
+            restarts=restarts,
         )
         if mapping > max(_TOL, _fp_floor(L, w)):
             self.last_info.warning = (
@@ -305,7 +340,7 @@ class WSolver:
         t_momentum = 1.0
         f_x = phi(x, w)
         gnorm = true_grad_norm(w)
-        iterations = 0
+        iterations = restarts = 0
         for iterations in range(1, _SPLIT_MAX_ITER + 1):
             if gnorm <= max(_TOL, _fp_floor(curvature, w)):
                 break
@@ -315,6 +350,7 @@ class WSolver:
             f_new = phi(x_new, w_new)
             if f_new > f_x and not np.array_equal(y, x):
                 # overshoot: drop the momentum and retake a plain step
+                restarts += 1
                 t_momentum = 1.0
                 x_new = prox(reg, eta, x - eta * (x - w) / gamma)
                 w_new = w_of_x(x_new)
@@ -324,7 +360,8 @@ class WSolver:
             x, w, f_x, t_momentum = x_new, w_new, f_new, t_next
             gnorm = true_grad_norm(w)
         self.last_info = SolveInfo(
-            method="smooth_splitting", iterations=iterations, residual=gnorm
+            method="smooth_splitting", iterations=iterations, residual=gnorm,
+            restarts=restarts,
         )
         if gnorm > max(_TOL, _fp_floor(curvature, w)):
             self.last_info.warning = (

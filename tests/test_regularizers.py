@@ -10,6 +10,7 @@ from rankadmm.regularizers import (
     mcp,
     moreau_value_and_grad,
     prox,
+    reg_terms,
     reg_value,
     scad,
 )
@@ -47,6 +48,21 @@ def test_values():
     assert reg_value(ZERO, np.array([5.0, -3.0])) == 0.0
     assert reg_value(l2(2.0), np.array([3.0, 4.0])) == pytest.approx(25.0)
     assert reg_value(l1(2.0), np.array([3.0, -4.0])) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("spec", [l1(1.3), mcp(0.8, 4.0), scad(0.6, 3.5)])
+def test_reg_terms_are_the_coordinate_penalties(spec, rng):
+    w = rng.standard_normal(50) * 3.0
+    terms = reg_terms(spec, w)
+    assert terms == pytest.approx(penalty_on_grid(spec, w), rel=1e-14, abs=0.0)
+    assert float(terms.sum()) == pytest.approx(reg_value(spec, w), rel=1e-14)
+    # a coordinate that stays in a constant piece contributes exactly zero
+    if spec.variant != "l1":
+        v = w.copy()
+        v[0] = 1e3
+        moved = v.copy()
+        moved[0] = 2e3
+        assert (reg_terms(spec, moved) - reg_terms(spec, v))[0] == 0.0
 
 
 def test_spec_validation():

@@ -153,6 +153,19 @@ def test_cpt_sigma_matches_direct_differences():
     assert sigma_high[i - 1] == pytest.approx(high, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 2000])
+def test_cpt_branch_vectors_bit_identical_to_scalar_omega(n):
+    # The grid evaluation must reproduce the scalar cpt_omega exactly: a
+    # last-place change in a weight moves the smoothed CPT trajectories.
+    scheme = CPTValueDependent(gamma=0.61, delta=0.69, B=0.0)
+    grid = np.arange(0, n + 1, dtype=float) / n
+    low = np.diff([cpt_omega(p, scheme.delta) for p in grid])
+    high = np.diff([cpt_omega(p, scheme.gamma) for p in grid])[::-1]
+    sigma_low, sigma_high = scheme.branch_vectors(n)
+    assert np.array_equal(sigma_low, low)
+    assert np.array_equal(sigma_high, high)
+
+
 def test_cpt_branch_vectors_telescope():
     resolved = resolve(CPTValueDependent(B=0.0), 7)
     assert resolved.sigma_low.sum() == pytest.approx(1.0, abs=1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from rankadmm import wsolver
 from rankadmm.regularizers import ZERO, l1, l2, mcp, moreau_value_and_grad, prox, reg_value, scad
 from rankadmm.wsolver import WSolver
 
@@ -122,6 +124,70 @@ def test_prox_gradient_huge_rho_warm_start(rng):
     w = solver.solve(target, anchor, 1e10, 1.0, reg)
     ls, *_ = np.linalg.lstsq(D, target, rcond=None)
     assert np.linalg.norm(w - ls) <= 1e-5 * max(1.0, np.linalg.norm(ls))
+
+
+@pytest.mark.parametrize("rho, parent_iterations", [(1e6, 112), (1e10, 13)])
+def test_prox_gradient_huge_rho_restarts_stay_sound(rho, parent_iterations, rng):
+    # The restart test takes the objective change from the step.  Written
+    # as a difference of two Gram-form objective values it cancels at large
+    # rho, restarts at random and needs 118 and 14 iterations here; the
+    # bounds are the counts of the former D-form objective test.
+    D, target, anchor = make_instance(rng, n=60, d=20)
+    solver = WSolver(D)
+    solver.solve(target, anchor, rho, 1.0, mcp(0.1, 3.0))
+    assert solver.last_info.iterations <= parent_iterations
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("reg", [l1(0.6), mcp(0.5, 4.0)])
+def test_prox_gradient_matrix_free_matches_gram(reg, sparse, rng, monkeypatch):
+    D, target, anchor = make_instance(rng, n=30, d=8)
+    w_gram = WSolver(D).solve(target, anchor, 2.0, 1.0, reg)
+    # Above the threshold the Gram matrix is never formed: products are
+    # D^T (D v) and the ridge start is a conjugate gradient solve.
+    monkeypatch.setattr(wsolver, "_EIG_THRESHOLD", 4)
+    solver = WSolver(sp.csr_matrix(D) if sparse else D)
+    w = solver.solve(target, anchor, 2.0, 1.0, reg)
+    assert solver._gram is None
+    assert solver.last_info.method == "prox_gradient"
+    assert solver.last_info.residual <= 1e-8
+    assert np.linalg.norm(w - w_gram) <= 1e-9
+
+
+@pytest.mark.parametrize("reg", [l1(0.6), mcp(0.5, 4.0), scad(0.4, 3.0)])
+def test_prox_gradient_one_gram_product_per_iteration(reg, rng, monkeypatch):
+    D, target, anchor = make_instance(rng, n=40, d=12)
+    solver = WSolver(D)
+    assert solver.d_norm > 0  # the cached power iteration is shared set-up
+    events = []
+    in_ridge = []
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            if not in_ridge:
+                events.append(name)
+            return method(self, *args)
+        return wrapper
+
+    def ridge(self, *args):
+        in_ridge.append(True)
+        try:
+            return ridge_solve(self, *args)
+        finally:
+            in_ridge.pop()
+
+    ridge_solve = WSolver.ridge_solve
+    monkeypatch.setattr(WSolver, "ridge_solve", ridge)
+    monkeypatch.setattr(WSolver, "_gram_matvec", counted("G", WSolver._gram_matvec))
+    monkeypatch.setattr(WSolver, "_matvec", counted("D", WSolver._matvec))
+    solver.solve(target, anchor, 3.0, 1.0, reg)
+    info = solver.last_info
+    assert info.residual <= 1e-8
+    # set-up picks the start by two objective values; from the start
+    # point's Gram product on, the iteration makes no product with D
+    first_gram = events.index("G")
+    assert "D" not in events[first_gram:]
+    assert events.count("G") <= info.iterations + info.restarts + 2
 
 
 def test_smooth_zero_matches_closed_form(rng):
