@@ -35,6 +35,7 @@ from .harness import (
     regularizer_from_dict,
     run_benchmark,
     schedule_from_string,
+    worker_count,
 )
 from .losses import LossKind
 from .metrics import accuracy, predict
@@ -82,10 +83,11 @@ def _scheme_from_args(args, parser: argparse.ArgumentParser) -> wgt.WeightScheme
     return _or_usage_error(parser, wgt.scheme_from_dict, {"kind": kind, **params})
 
 
-def _or_usage_error(parser: argparse.ArgumentParser, build, *args):
-    """``build(*args)``, a RankAdmmError becoming a usage error (exit 2)."""
+def _or_usage_error(parser: argparse.ArgumentParser, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a RankAdmmError becoming a usage error
+    (exit 2)."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except RankAdmmError as exc:
         parser.error(str(exc))
 
@@ -150,10 +152,15 @@ def _parse_synthetic(text: str, parser) -> data_io.SyntheticSpec:
         key = key.strip()
         if key not in mapping:
             parser.error(f"unknown synthetic parameter {key!r}")
-        params[mapping[key]] = float(value) if key not in ("n", "d", "seed") else int(value)
+        kind = int if key in ("n", "d", "seed") else float
+        try:
+            params[mapping[key]] = kind(value)
+        except ValueError:
+            parser.error(f"--synthetic {key}={value.strip()!r} is not "
+                         f"{'an integer' if kind is int else 'a number'}")
     if "n" not in params or "d" not in params:
         parser.error("--synthetic needs at least n=...,d=...")
-    return data_io.SyntheticSpec(**params)
+    return _or_usage_error(parser, data_io.SyntheticSpec, **params)
 
 
 def _cmd_train(args, parser) -> int:
@@ -211,6 +218,7 @@ def _cmd_train(args, parser) -> int:
 def _cmd_benchmark(args, parser) -> int:
     try:
         plan = BenchmarkPlan.from_json(args.plan)
+        worker_count()
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -265,7 +265,7 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
             time_s=trace[-1].wall_ns / 1e9 if trace else 0.0,
             trace_path=str(trace_path),
         )
-    except RankAdmmError as exc:
+    except (RankAdmmError, OSError) as exc:
         logger.error("cell %s seed %d failed: %s", cell.name, seed, exc)
         return RunRecord(
             cell=cell.name,
@@ -279,18 +279,29 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
         )
 
 
+def worker_count() -> int:
+    """Worker threads for ``run_benchmark``: RANK_ADMM_THREADS, a positive
+    integer, or the CPU count when it is unset."""
+    value = os.environ.get(THREADS_ENV)
+    if value is None:
+        return os.cpu_count() or 1
+    if not (value.strip().isdecimal() and int(value) >= 1):
+        raise InvalidParameterError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
     """Execute every (cell, seed) pair in a bounded worker pool.
 
     Returns {"records": [...], "summary": [...]} and writes summary.csv
     plus per-run sub-optimality CSVs under the output directory.
     """
+    workers = worker_count()
     out = Path(out_dir if out_dir is not None else plan.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get(THREADS_ENV, os.cpu_count() or 1))
     tasks = [(cell, seed) for cell in plan.cells for seed in cell.run_seeds()]
     records: list[RunRecord] = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_cell, cell, seed, out) for cell, seed in tasks]
         records = [f.result() for f in futures]
 

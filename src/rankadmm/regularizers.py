@@ -81,29 +81,16 @@ def reg_value(spec: RegularizerSpec, w: np.ndarray) -> float:
         return 0.5 * spec.mu * float(w @ w)
     if spec.variant == "l1":
         return 0.5 * spec.mu * float(np.abs(w).sum())
-    return float(reg_terms(spec, w).sum())
-
-
-def reg_terms(spec: RegularizerSpec, w: np.ndarray) -> np.ndarray:
-    """Per-coordinate penalty values of l1, MCP or SCAD.
-
-    A penalty change taken as the sum of differences of two such vectors
-    is exact on coordinates that stay in a constant piece and free of the
-    rounding of the full sum elsewhere.
-    """
-    a = np.abs(np.asarray(w, dtype=float))
+    a = np.abs(w)
     mu, th = spec.mu, spec.theta
-    if spec.variant == "l1":
-        return 0.5 * mu * a
     if spec.variant == "mcp":
-        inner = a <= th * mu
-        return np.where(inner, mu * a - a * a / (2.0 * th), 0.5 * th * mu * mu)
-    if spec.variant != "scad":
-        raise InvalidParameterError(f"no per-coordinate terms for {spec.variant!r}")
-    quad = (2.0 * th * mu * a - a * a - mu * mu) / (2.0 * (th - 1.0))
-    return np.where(
-        a <= mu, mu * a, np.where(a <= th * mu, quad, 0.5 * (th + 1.0) * mu * mu)
-    )
+        terms = np.where(a <= th * mu, mu * a - a * a / (2.0 * th), 0.5 * th * mu * mu)
+    else:
+        quad = (2.0 * th * mu * a - a * a - mu * mu) / (2.0 * (th - 1.0))
+        terms = np.where(
+            a <= mu, mu * a, np.where(a <= th * mu, quad, 0.5 * (th + 1.0) * mu * mu)
+        )
+    return float(terms.sum())
 
 
 def reg_subgradient(spec: RegularizerSpec, w: np.ndarray) -> np.ndarray:

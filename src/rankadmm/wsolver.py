@@ -5,14 +5,13 @@
 ``WSolver.solve`` is the single entry point.  Without ``gamma`` the
 penalty is the regularizer g itself: zero and l2 penalties admit an exact
 linear solve, l1 and the concave penalties use an accelerated proximal
-gradient method with one Gram product per iteration, whose restart test
-takes the objective change from the step (difference form) rather than
-from two objective values.  With ``gamma`` the penalty is the Moreau
-envelope of g with smoothing parameter gamma (the smoothed outer loop),
-minimized by an exact splitting whose rate depends only on the data
-spectrum, so it does not degrade as gamma shrinks.  ``WSolver.last_info``
-reports the method, the inner iteration and restart counts and the final
-residual of the latest solve.
+gradient method with one Gram product per iteration, whose momentum
+restarts on a gradient test that needs no objective value.  With ``gamma``
+the penalty is the Moreau envelope of g with smoothing parameter gamma
+(the smoothed outer loop), minimized by an exact splitting whose rate
+depends only on the data spectrum, so it does not degrade as gamma
+shrinks.  ``WSolver.last_info`` reports the method, the inner iteration
+and restart counts and the final residual of the latest solve.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .regularizers import (
     RegularizerSpec,
     moreau_value_and_grad,
     prox,
-    reg_terms,
     reg_value,
 )
 
@@ -186,31 +184,21 @@ class WSolver:
     def _solve_prox_gradient(
         self, target: np.ndarray, anchor: np.ndarray, rho: float, r: float, reg: RegularizerSpec
     ) -> np.ndarray:
-        """Accelerated proximal gradient with objective restarts.
+        """Accelerated proximal gradient with gradient restarts.
 
         Smooth part q(w) = (rho/2)||t - Dw||^2 + (r/2)||w - anchor||^2,
         step 1/(rho ||D||^2 + r).  Starts from the better of the anchor
         and the exact penalty-free solution, which keeps the iteration
         count bounded by the data conditioning even for very large rho.
-        An objective increase resets the momentum and the offending step
-        is retaken without extrapolation, so every iteration makes
-        monotone progress (up to rounding).  Stops when the prox-gradient
-        mapping norm falls below _TOL.
+        Stops when the prox-gradient mapping norm falls below _TOL.
 
         Each iteration makes one Gram product, G w_new with G = D^T D, and
-        no product with D: the product at the extrapolated point follows
-        by linearity from the two latest fresh ones, and the restart test
-        takes the objective change from the step d = w_new - w,
-
-            rho (d^T (G w - D^T t) + d^T G d / 2)
-              + r (d^T (w - anchor) + |d|^2 / 2) + sum_j (g_j(w_new) - g_j(w)),
-
-        never as a difference of two objective values, whose cancellation
-        at large rho flips the test.  The penalty change is summed over
-        coordinates (``reg_terms``): near the solution the rounding of the
-        full penalty sum alone decides the test, and the spurious restarts
-        cost iterations.  The objective itself is evaluated only in the
-        set-up, to choose the start.
+        no product with D: the product at the extrapolated point y follows
+        by linearity from the two latest fresh ones.  The momentum restarts
+        when the prox step from y turns against the last move,
+        (y - w_new)^T (w_new - w) > 0 (O'Donoghue & Candes 2015), so the
+        loop needs no objective or penalty value; the objective is
+        evaluated only in the set-up, to choose the start.
         """
         Dt = self._rmatvec(target)
 
@@ -229,7 +217,6 @@ class WSolver:
         ridge = self.ridge_solve(rho, r, rho * Dt + r * anchor)
         w = anchor.copy() if full(anchor) <= full(ridge) else ridge
         Gw = self._gram_matvec(w)
-        g_w = reg_terms(reg, w)
         y, Gy = w.copy(), Gw
         t_momentum = 1.0
         mapping = float("inf")
@@ -237,28 +224,11 @@ class WSolver:
         for iterations in range(1, _FISTA_MAX_ITER + 1):
             stop_at = max(_TOL, _fp_floor(L, w))
             w_new = prox(reg, eta, y - eta * q_grad(y, Gy))
-            plain = np.array_equal(y, w)
-            step_norm = float(np.linalg.norm(y - w_new)) / eta
+            step = y - w_new
+            step_norm = float(np.linalg.norm(step)) / eta
             Gw_new = self._gram_matvec(w_new)
-            g_new = reg_terms(reg, w_new)
-            if not plain:
-                d = w_new - w
-                change = (
-                    rho * (float(d @ (Gw - Dt)) + 0.5 * float(d @ (Gw_new - Gw)))
-                    + r * (float(d @ (w - anchor)) + 0.5 * float(d @ d))
-                    + float((g_new - g_w).sum())
-                )
-                if change > 0.0:
-                    # momentum overshoot: retake the step without extrapolation
-                    restarts += 1
-                    t_momentum = 1.0
-                    w_new = prox(reg, eta, w - eta * q_grad(w, Gw))
-                    step_norm = float(np.linalg.norm(w - w_new)) / eta
-                    Gw_new = self._gram_matvec(w_new)
-                    g_new = reg_terms(reg, w_new)
-                    plain = True
-            if plain:
-                mapping = step_norm  # exact mapping at w
+            if t_momentum == 1.0:
+                mapping = step_norm  # y is w: the exact mapping at w
                 if mapping <= stop_at:
                     w = w_new
                     break
@@ -269,11 +239,14 @@ class WSolver:
                 if mapping <= stop_at:
                     w = w_new
                     break
+            if float(step @ (w_new - w)) > 0.0:
+                restarts += 1
+                t_momentum = 1.0
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
             beta = (t_momentum - 1.0) / t_next
             y = w_new + beta * (w_new - w)
             Gy = Gw_new + beta * (Gw_new - Gw)
-            w, Gw, g_w, t_momentum = w_new, Gw_new, g_new, t_next
+            w, Gw, t_momentum = w_new, Gw_new, t_next
         self.last_info = SolveInfo(
             method="prox_gradient", iterations=iterations, residual=mapping,
             restarts=restarts,

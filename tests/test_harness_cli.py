@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -245,3 +246,40 @@ def test_cli_oracle(capsys):
 
 def test_cli_missing_data_file_exits_1(tmp_path):
     assert cli_main(["train", "--data", str(tmp_path / "nope.csv")]) == 1
+
+
+@pytest.mark.parametrize("spec", ["n=abc,d=3", "n=20,d=3,seed=1.5", "n=0,d=3",
+                                  "n=20,d=3,flip=0.7"])
+def test_cli_train_bad_synthetic_exits_2(tmp_path, capsys, spec):
+    assert cli_main(["train", "--synthetic", spec, "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_benchmark_unreadable_data_file_is_a_failed_run(tmp_path, capsys):
+    good = json.loads(make_plan(tmp_path, reps=1).read_text())
+    bad = dict(good["cells"][0], name="missing",
+               dataset={"path": str(tmp_path / "nope.csv")})
+    path = tmp_path / "mixed_plan.json"
+    path.write_text(json.dumps({"cells": [good["cells"][0], bad], "out": good["out"]}))
+    assert cli_main(["benchmark", str(path)]) == 1
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        failures = {row["cell"]: row["failures"] for row in csv.DictReader(fh)}
+    assert failures == {"erm-l2": "0", "missing": "1"}
+    assert (tmp_path / "out" / "erm-l2_admm_seed0.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_cli_benchmark_bad_threads_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("RANK_ADMM_THREADS", value)
+    path = make_plan(tmp_path, reps=1)
+    assert cli_main(["benchmark", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "RANK_ADMM_THREADS" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_benchmark_threads_positive_integer(tmp_path, monkeypatch):
+    monkeypatch.setenv("RANK_ADMM_THREADS", "2")
+    assert cli_main(["benchmark", str(make_plan(tmp_path, reps=2))]) == 0

@@ -128,10 +128,11 @@ def test_prox_gradient_huge_rho_warm_start(rng):
 
 @pytest.mark.parametrize("rho, parent_iterations", [(1e6, 112), (1e10, 13)])
 def test_prox_gradient_huge_rho_restarts_stay_sound(rho, parent_iterations, rng):
-    # The restart test takes the objective change from the step.  Written
-    # as a difference of two Gram-form objective values it cancels at large
-    # rho, restarts at random and needs 118 and 14 iterations here; the
-    # bounds are the counts of the former D-form objective test.
+    # The restart test compares the prox step from y with the last move and
+    # needs no objective value, so nothing cancels at large rho (44 and 9
+    # iterations here).  The bounds are the counts of the former objective
+    # restart test in D form; in Gram form its objective difference
+    # cancelled at large rho and took 118 and 14.
     D, target, anchor = make_instance(rng, n=60, d=20)
     solver = WSolver(D)
     solver.solve(target, anchor, rho, 1.0, mcp(0.1, 3.0))
@@ -152,6 +153,23 @@ def test_prox_gradient_matrix_free_matches_gram(reg, sparse, rng, monkeypatch):
     assert solver.last_info.method == "prox_gradient"
     assert solver.last_info.residual <= 1e-8
     assert np.linalg.norm(w - w_gram) <= 1e-9
+
+
+@pytest.mark.parametrize("reg", [l1(0.1), mcp(0.1, 3.0), scad(0.1, 3.0)])
+def test_prox_gradient_matrix_free_gradient_restarts(reg, monkeypatch):
+    # A sparse D on the matrix-free path.  The gradient restart takes
+    # 215 / 244 / 277 iterations (l1 / MCP / SCAD); the objective restart
+    # it replaced took 425 / 518 / 377.
+    D = sp.random(200, 120, density=0.05, random_state=1, format="csr")
+    rng = np.random.default_rng(0)
+    target = rng.standard_normal(200)
+    anchor = 0.3 * rng.standard_normal(120)
+    monkeypatch.setattr(wsolver, "_EIG_THRESHOLD", 4)
+    solver = WSolver(D)
+    solver.solve(target, anchor, 5.0, 1.0, reg)
+    assert solver._gram is None
+    assert solver.last_info.iterations <= 320
+    assert solver.last_info.residual <= 1e-8
 
 
 @pytest.mark.parametrize("reg", [l1(0.6), mcp(0.5, 4.0), scad(0.4, 3.0)])
