@@ -169,9 +169,15 @@ class SolverResult:
     w: np.ndarray
     trace: list[IterationTrace]
     states: list[SolverState] | None = None
-    converged: bool = False
+    #: Why the loop stopped: "eps" (the KKT surrogates fell to stop_eps),
+    #: "max_iter" or "wall_budget".
+    stop_reason: str = "max_iter"
     d_norm: float = 0.0
     r_effective: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "eps"
 
 
 def materialize_D(problem: Problem):
@@ -265,7 +271,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     rho = None
     premise_warned = False
     clamp_warned = False
-    converged = False
+    stop_reason = "max_iter"
     start = time.perf_counter_ns()
     omega = rank_loss_value(z, resolved, problem.loss)
 
@@ -380,12 +386,13 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             states.append(SolverState(k, w.copy(), z.copy(), lam.copy(), Dw.copy(), rho, r, gamma))
 
         if max(kkt_z, kkt_w, kkt_feas) <= config.stop_eps:
-            converged = True
+            stop_reason = "eps"
             break
         if (
             config.wall_budget_s is not None
             and (time.perf_counter_ns() - start) / 1e9 >= config.wall_budget_s
         ):
+            stop_reason = "wall_budget"
             break
 
     if smooth_active and trace:
@@ -397,7 +404,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         w=w_final,
         trace=trace,
         states=states,
-        converged=converged,
+        stop_reason=stop_reason,
         d_norm=d_norm,
         r_effective=r,
     )

@@ -206,7 +206,8 @@ def _cmd_train(args, parser) -> int:
     acc = accuracy(predict(problem.X, result.w), problem.y)
     print(f"objective: {obj:.6f}")
     print(f"train_accuracy: {acc:.4f}")
-    print(f"iterations: {len(result.trace)}  converged: {result.converged}")
+    print(f"iterations: {len(result.trace)}  converged: {result.converged}  "
+          f"stop: {result.stop_reason}")
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"

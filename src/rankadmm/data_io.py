@@ -3,6 +3,7 @@ splits, and train-statistics standardization."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,18 @@ def _normalize_labels(raw: np.ndarray, context: str) -> np.ndarray:
     raise DataFormatError(f"{context}: labels must be in {{0,1}} or {{-1,+1}}, saw {sorted(values)}")
 
 
+def _open_text(path) -> io.StringIO:
+    """The file's UTF-8 text with universal newlines, as ``open`` reads it.
+    Bytes that are not valid UTF-8 raise with the number of their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"bytes that are not valid UTF-8 ({exc.reason})", line=line) from None
+
+
 def load_libsvm(path) -> RawDataset:
     """Parse ``label index:value ...`` lines with 1-based indices into a
     CSR matrix.  Malformed content raises with the offending line number.
@@ -66,7 +79,7 @@ def load_libsvm(path) -> RawDataset:
     vals: list[float] = []
     labels: list[float] = []
     max_col = 0
-    with open(path) as fh:
+    with _open_text(path) as fh:
         lineno = 0
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -122,7 +135,7 @@ def save_libsvm(dataset: RawDataset, path) -> None:
 def load_csv(path) -> RawDataset:
     """Dense CSV with header ``y,f1,...,fd``."""
     path = Path(path)
-    with open(path) as fh:
+    with _open_text(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("y"):
             raise DataFormatError("csv header must start with 'y'", line=1)

@@ -241,6 +241,8 @@ def _sgd_config(cell: BenchmarkCell, seed: int) -> SgdConfig:
 
 
 def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
+    """One seeded run of a cell.  A run that raises becomes a failed record
+    whose ``error`` names the failure, so one bad run cannot stop a plan."""
     trace_path = out_dir / f"{cell.name}_{cell.solver}_seed{seed}.csv"
     try:
         problem, test = _build_problem(cell, seed)
@@ -267,16 +269,21 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
         )
     except (RankAdmmError, OSError) as exc:
         logger.error("cell %s seed %d failed: %s", cell.name, seed, exc)
-        return RunRecord(
-            cell=cell.name,
-            solver=cell.solver,
-            seed=seed,
-            objective=float("nan"),
-            accuracy=float("nan"),
-            time_s=float("nan"),
-            trace_path=str(trace_path),
-            error=str(exc),
-        )
+        error = str(exc)
+    except Exception as exc:
+        # not a failure the run's inputs explain: log the traceback too
+        logger.exception("cell %s seed %d failed", cell.name, seed)
+        error = f"{type(exc).__name__}: {exc}"
+    return RunRecord(
+        cell=cell.name,
+        solver=cell.solver,
+        seed=seed,
+        objective=float("nan"),
+        accuracy=float("nan"),
+        time_s=float("nan"),
+        trace_path=str(trace_path),
+        error=error,
+    )
 
 
 def worker_count() -> int:

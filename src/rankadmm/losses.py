@@ -14,7 +14,9 @@ Recipes' ``rtsafe`` rule (bisect when the Newton step leaves the bracket
 or fails to halve relative to the step before last), which bounds the
 iteration count.  :func:`block_minimize` solves one block;
 :func:`singleton_minimize` solves every count-1 block of a chain at once
-with the same bracket, rule and bisection tail.
+with the same bracket, rule and bisection tail.  The two-piece
+value-dependent objective has the same pair: :func:`block_minimize_cpt`
+and :func:`singleton_minimize_cpt`.
 """
 
 from __future__ import annotations
@@ -270,6 +272,37 @@ def block_minimize_cpt(
     f_low = obj_low.value(kind, v_low)
     f_high = obj_high.value(kind, v_high)
     return v_low if f_low <= f_high else v_high
+
+
+def singleton_minimize_cpt(
+    s_low: np.ndarray,
+    s_high: np.ndarray,
+    m: np.ndarray,
+    boundary: float,
+    rho: float,
+    kind: LossKind,
+) -> np.ndarray:
+    """:func:`block_minimize_cpt` of every count-1 block at once.
+
+    Entry i has the weights ``s_low[i]`` on ``v <= boundary``,
+    ``s_high[i]`` above it and the target ``m[i]``.  Each piece takes its
+    :func:`singleton_minimize` value clamped to its half-line; the better
+    piece wins, ties going low.  An entry with both weights zero returns
+    its target exactly.  The piece values use :func:`loss_value_vec`, so
+    they agree with the scalar solve to rounding, not bitwise.
+    """
+    s_low = np.asarray(s_low, dtype=float)
+    s_high = np.asarray(s_high, dtype=float)
+    m = np.asarray(m, dtype=float)
+
+    def piece_value(s, v):
+        # BlockObjective.value with count 1
+        return s * loss_value_vec(kind, v) + 0.5 * rho * (v * v - 2.0 * m * v)
+
+    v_low = np.minimum(singleton_minimize(s_low, m, rho, kind), boundary)
+    v_high = np.maximum(singleton_minimize(s_high, m, rho, kind), boundary)
+    out = np.where(piece_value(s_low, v_low) <= piece_value(s_high, v_high), v_low, v_high)
+    return np.where((s_low == 0.0) & (s_high == 0.0), m, out)
 
 
 def block_stationarity_residual(

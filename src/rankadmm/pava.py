@@ -7,8 +7,8 @@ Solves, after sorting the targets m ascending,
 
 by pool-adjacent-violators block merging in one left-to-right stack pass
 (the O(n) formulation of Best, Chakravarti & Ubhaya, SIAM J. Optim.
-10(3), 2000).  The singleton values come first: for constant
-(rank-indexed) weights one array solve computes them all.  One numpy
+10(3), 2000).  The singleton values come first: one array solve
+computes them all, for every weight scheme.  One numpy
 comparison finds every singleton below its left neighbour; between two
 such breaks the singletons are in order, so a stretch that starts at or
 above the stack top is pushed with one ``list.extend``.  Python work
@@ -20,7 +20,7 @@ run's last and first values, which is what makes the multi-merge safe.
 The merged block is then compared with the new stack top.  The stack is
 kept as parallel lists of block starts, values, weight sums and target
 sums.  The value-dependent prospect-theory weights use the same pass with
-two weight-sum columns, scalar two-piece singleton solves and the
+two weight-sum columns, an array two-piece singleton solve and the
 two-piece scalar solver for merges.
 """
 
@@ -39,6 +39,7 @@ from .losses import (
     block_stationarity_residual,
     block_stationarity_residual_cpt,
     singleton_minimize,
+    singleton_minimize_cpt,
 )
 from .weights import ResolvedWeights
 
@@ -90,11 +91,11 @@ def merge_blocks(
 ) -> BlockPartition:
     """Isotonic block partition of the sorted chain problem.
 
-    Computes every singleton value first; a singleton whose weights are
-    all zero is an exact quadratic and takes its target directly.  Then
-    one stack pass pushes each in-order stretch of singletons at once,
-    merges each strictly decreasing run with one scalar solve and compares
-    the result with the new stack top.  For the value-dependent weights
+    Computes every singleton value first, in one array solve; a singleton
+    whose weights are all zero is an exact quadratic and takes its target
+    directly.  Then one stack pass pushes each in-order stretch of
+    singletons at once, merges each strictly decreasing run with one
+    scalar solve and compares the result with the new stack top.  For the value-dependent weights
     the result is a first-order point, not necessarily a global minimum,
     and it depends on this merge order.
     """
@@ -111,8 +112,8 @@ def merge_blocks(
                 kind,
             )
 
-        singles_arr = np.array(
-            [solve([a, b], 1, m_i) if a or b else m_i for a, b, m_i in zip(*cols, m_list)]
+        singles_arr = singleton_minimize_cpt(
+            resolved.sigma_low, resolved.sigma_high, m_sorted, reference, rho, kind
         )
     else:
         cols = [resolved.sigma.tolist()]

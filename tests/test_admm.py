@@ -363,6 +363,29 @@ def test_wall_budget_stops_early():
                        stop_eps=0.0, wall_budget_s=0.3)
     res = admm_solve(problem, cfg)
     assert len(res.trace) < 100000
+    assert res.stop_reason == "wall_budget"
+    assert not res.converged
+
+
+def test_stop_reason_eps():
+    problem = make_synthetic_problem(n=60, d=8, regularizer=l2(1e-2), seed=17)
+    cfg = SolverConfig(max_iter=2000, rho_schedule=ScheduleSpec.constant(0.1), stop_eps=1e-3)
+    res = admm_solve(problem, cfg)
+    assert res.stop_reason == "eps"
+    assert res.converged
+    last = res.trace[-1]
+    assert len(res.trace) < 2000
+    assert max(last.kkt_z, last.kkt_w, last.kkt_feas) <= 1e-3
+
+
+@pytest.mark.parametrize("solve", [admm_solve, sadmm_solve])
+def test_stop_reason_max_iter(solve):
+    problem = make_synthetic_problem(n=60, d=8, regularizer=l1(1e-2), seed=17)
+    cfg = SolverConfig(max_iter=7, rho_schedule=ScheduleSpec.constant(1.0), stop_eps=0.0)
+    res = solve(problem, cfg)
+    assert res.stop_reason == "max_iter"
+    assert not res.converged
+    assert len(res.trace) == 7
 
 
 def test_invalid_config():

@@ -76,6 +76,34 @@ def test_libsvm_never_crashes_unstructured(tmp_path_factory, text):
         pass
 
 
+@pytest.mark.parametrize(
+    "loader, content, line",
+    [
+        (load_csv, b"y,x1\n1,\xff\xfe\n", 2),
+        (load_csv, b"y,x\xe9\n1,2\n", 1),
+        (load_libsvm, b"1 1:\xff", 1),
+        (load_libsvm, b"+1 1:2\r\n-1 2:\xc3\n", 2),
+    ],
+)
+def test_undecodable_bytes_are_a_data_error(tmp_path, loader, content, line):
+    path = tmp_path / "f.txt"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError, match=f"line {line}: .*UTF-8") as info:
+        loader(path)
+    assert info.value.line == line
+
+
+@given(st.binary(max_size=120), st.sampled_from([load_csv, load_libsvm]))
+@settings(max_examples=120, deadline=None)
+def test_loaders_never_crash_on_arbitrary_bytes(tmp_path_factory, data, loader):
+    path = tmp_path_factory.mktemp("bytes") / "f.txt"
+    path.write_bytes(data)
+    try:
+        loader(path)
+    except DataFormatError:
+        pass
+
+
 def test_csv_loader(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("y,f1,f2\n1,0.5,-1\n-1,2,3\n")

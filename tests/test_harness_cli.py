@@ -138,6 +138,14 @@ def test_cli_train_bundled_csv(tmp_path, capsys):
     assert all(r.wall_ns == 0 for r in rows)
 
 
+def test_cli_train_prints_stop_reason(tmp_path, capsys):
+    code = cli_main(["train", "--out", str(tmp_path), "--max-iter", "4", "--eps", "0",
+                     "--schedule", "constant:1.0"])
+    assert code == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("iterations:")]
+    assert lines == ["iterations: 4  converged: False  stop: max_iter"]
+
+
 def test_cli_train_q_validation(tmp_path):
     assert cli_main(["train", "--q", "1.5", "--out", str(tmp_path)]) == 2
 
@@ -256,17 +264,70 @@ def test_cli_train_bad_synthetic_exits_2(tmp_path, capsys, spec):
     assert not (tmp_path / "trace.csv").exists()
 
 
-def test_benchmark_unreadable_data_file_is_a_failed_run(tmp_path, capsys):
+def _mixed_plan(tmp_path, bad_cell: dict):
+    """A plan of make_plan's cell (one run) and a copy updated by bad_cell."""
     good = json.loads(make_plan(tmp_path, reps=1).read_text())
-    bad = dict(good["cells"][0], name="missing",
-               dataset={"path": str(tmp_path / "nope.csv")})
+    bad = dict(good["cells"][0], **bad_cell)
     path = tmp_path / "mixed_plan.json"
     path.write_text(json.dumps({"cells": [good["cells"][0], bad], "out": good["out"]}))
+    return path
+
+
+def _failures(out_dir):
+    with open(out_dir / "summary.csv") as fh:
+        return {row["cell"]: row["failures"] for row in csv.DictReader(fh)}
+
+
+def test_benchmark_unreadable_data_file_is_a_failed_run(tmp_path, capsys):
+    path = _mixed_plan(tmp_path, {"name": "missing",
+                                  "dataset": {"path": str(tmp_path / "nope.csv")}})
     assert cli_main(["benchmark", str(path)]) == 1
-    with open(tmp_path / "out" / "summary.csv") as fh:
-        failures = {row["cell"]: row["failures"] for row in csv.DictReader(fh)}
-    assert failures == {"erm-l2": "0", "missing": "1"}
+    assert _failures(tmp_path / "out") == {"erm-l2": "0", "missing": "1"}
     assert (tmp_path / "out" / "erm-l2_admm_seed0.csv").exists()
+
+
+@pytest.mark.parametrize("content", [b"y,x1\n1,\xff\xfe\n", b"1 1:\xff"])
+def test_cli_train_undecodable_data_exits_1(tmp_path, capsys, content):
+    path = tmp_path / ("f.csv" if content.startswith(b"y") else "f.txt")
+    path.write_bytes(content)
+    assert cli_main(["train", "--data", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and "UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_benchmark_undecodable_data_file_is_a_failed_run(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"y,x1\n1,\xff\xfe\n")
+    path = _mixed_plan(tmp_path, {"name": "garbled", "dataset": {"path": str(data)}})
+    assert cli_main(["benchmark", str(path)]) == 1
+    assert _failures(tmp_path / "out") == {"erm-l2": "0", "garbled": "1"}
+    assert (tmp_path / "out" / "erm-l2_admm_seed0.csv").exists()
+
+
+def test_benchmark_unexpected_exception_is_a_failed_run(tmp_path, monkeypatch, caplog):
+    from rankadmm import harness
+
+    real = harness.admm_solve
+
+    def flaky(problem, config):
+        if problem.n == 41:
+            raise FloatingPointError("overflow in the w-step")
+        return real(problem, config)
+
+    monkeypatch.setattr(harness, "admm_solve", flaky)
+    path = _mixed_plan(tmp_path, {"name": "faulty",
+                                  "dataset": {"synthetic": {"n": 41, "d": 5, "seed": 1}}})
+    plan = BenchmarkPlan.from_json(path)
+    with caplog.at_level("ERROR", logger="rankadmm.harness"):
+        out = run_benchmark(plan)
+    errors = {r.cell: r.error for r in out["records"]}
+    assert errors == {"erm-l2": None, "faulty": "FloatingPointError: overflow in the w-step"}
+    assert any(rec.exc_info and rec.exc_info[0] is FloatingPointError for rec in caplog.records)
+    assert _failures(tmp_path / "out") == {"erm-l2": "0", "faulty": "1"}
+    assert (tmp_path / "out" / "erm-l2_admm_seed0.csv").exists()
+    assert (tmp_path / "out" / "erm-l2_admm_seed0_subopt.csv").exists()
+    assert cli_main(["benchmark", str(path)]) == 1
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])

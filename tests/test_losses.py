@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankadmm.errors import InvalidParameterError
@@ -15,6 +15,7 @@ from rankadmm.losses import (
     loss_subgradient_interval,
     loss_value,
     singleton_minimize,
+    singleton_minimize_cpt,
 )
 from rankadmm import losses
 
@@ -191,6 +192,40 @@ def test_singleton_minimize_matches_scalar(pairs, log_rho, kind):
     want = [block_minimize(BlockObjective(si, 1, mi, rho), kind) for si, mi in pairs]
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.array_equal(got[s == 0.0], m[s == 0.0])
+
+
+_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+# zero weights on the low side, the high side and both sides
+_ZERO_SIDES = [(0.0, 1.0, -0.5), (0.0, 1.0, 0.5), (1.0, 0.0, -0.5), (1.0, 0.0, 0.5),
+               (0.0, 0.0, -0.5), (0.0, 0.0, 0.5)]
+
+
+@given(
+    st.lists(
+        st.tuples(_WEIGHT, _WEIGHT, st.floats(-50.0, 50.0)),
+        min_size=1,
+        max_size=20,
+    ),
+    st.floats(-10.0, 10.0),
+    st.floats(-5.0, 6.0),
+    st.sampled_from([LossKind.HINGE, LossKind.LOGISTIC]),
+)
+@example(_ZERO_SIDES, 0.0, 0.0, LossKind.HINGE)
+@example(_ZERO_SIDES, 0.0, 0.0, LossKind.LOGISTIC)
+@settings(max_examples=300, deadline=None)
+def test_singleton_minimize_cpt_matches_scalar(triples, boundary, log_rho, kind):
+    s_low, s_high, m = (np.array(col) for col in zip(*triples))
+    rho = 10.0**log_rho
+    got = singleton_minimize_cpt(s_low, s_high, m, boundary, rho, kind)
+    want = np.array([
+        block_minimize_cpt(
+            BlockObjective(a, 1, mi, rho), BlockObjective(b, 1, mi, rho), boundary, kind
+        )
+        for a, b, mi in triples
+    ])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    both_zero = (s_low == 0.0) & (s_high == 0.0)
+    assert np.array_equal(got[both_zero], m[both_zero])
 
 
 def test_cpt_identical_pieces_degenerate():

@@ -257,6 +257,25 @@ def test_zero_weight_singletons_skip_scalar_solve(scheme, monkeypatch, rng):
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+def test_cpt_singletons_skip_scalar_solve(kind, monkeypatch, rng):
+    calls = []
+
+    def counting(obj_low, obj_high, boundary, kind):
+        calls.append(obj_low.count)
+        return block_minimize_cpt(obj_low, obj_high, boundary, kind)
+
+    monkeypatch.setattr(pava, "block_minimize_cpt", counting)
+    resolved = resolve(CPTValueDependent(B=0.0), 200)
+    m = np.sort(rng.standard_normal(200) * 2.0)
+    log = []
+    merge_blocks(m, resolved, 0.01, kind, merge_log=log)
+    # the singletons are solved in one array pass: merge solves only
+    assert log
+    assert len(calls) == len(log)
+    assert min(calls) >= 2
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
 def test_fast_path_identical_to_generic(kind, rng):
     # ranked-range weights: the zero-weight singletons skip their scalar
     # solves, and the result matches the textbook pairwise loop
