@@ -13,7 +13,6 @@ from .admm import (
     SolverConfig,
     SolverResult,
     admm_solve,
-    kkt_surrogates,
     lyapunov_check,
     sadmm_solve,
     sigma_min_positive,
@@ -30,7 +29,7 @@ from .errors import (
     SolverError,
 )
 from .losses import LossKind
-from .metrics import FairnessReport, accuracy, fairness, predict
+from .metrics import accuracy, predict
 from .pava import solve_z_subproblem
 from .problem import Problem
 from .regularizers import RegularizerSpec, l1, l2, mcp, moreau_value_and_grad, prox, scad

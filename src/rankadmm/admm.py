@@ -34,8 +34,6 @@ from .wsolver import WSolver
 
 logger = logging.getLogger(__name__)
 
-TRACE_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -117,27 +115,12 @@ class SolverConfig:
     seed: int = 0
     sigma_min: float | None = None
     wall_budget_s: float | None = None
-    record_states: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (self.r > 0):
             raise InvalidParameterError(f"r must be positive, got {self.r}")
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """Iterates after one outer iteration (Dw cached for the monitors)."""
-
-    k: int
-    w: np.ndarray
-    z: np.ndarray
-    lam: np.ndarray
-    Dw: np.ndarray
-    rho: float
-    r: float
-    gamma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -168,11 +151,9 @@ TRACE_COLUMNS = tuple(f.name for f in _TRACE_FIELDS)
 class SolverResult:
     w: np.ndarray
     trace: list[IterationTrace]
-    states: list[SolverState] | None = None
     #: Why the loop stopped: "eps" (the KKT surrogates fell to stop_eps),
     #: "max_iter" or "wall_budget".
     stop_reason: str = "max_iter"
-    d_norm: float = 0.0
     r_effective: float = 0.0
 
     @property
@@ -192,16 +173,6 @@ def _penalty(reg: RegularizerSpec, gamma: float | None, w: np.ndarray) -> float:
     if gamma is None:
         return reg_value(reg, w)
     return moreau_value_and_grad(reg, gamma, w)[0]
-
-
-def kkt_surrogates(
-    state: SolverState, prev_state: SolverState, d_norm: float
-) -> tuple[float, float, float]:
-    """Computable bounds on the three stationarity distances:
-    rho ||D|| ||dw||, r ||dw||, and the constraint residual."""
-    dw = float(np.linalg.norm(state.w - prev_state.w))
-    feas = float(np.linalg.norm(state.z - state.Dw))
-    return state.rho * d_norm * dw, state.r * dw, feas
 
 
 def _resolve_r(config: SolverConfig, reg: RegularizerSpec) -> float:
@@ -264,9 +235,6 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     lam = np.zeros(n) if lambda0 is None else np.asarray(lambda0, dtype=float).copy()
 
     trace: list[IterationTrace] = []
-    states: list[SolverState] | None = [] if config.record_states else None
-    if states is not None:
-        states.append(SolverState(-1, w.copy(), z.copy(), lam.copy(), Dw.copy(), 0.0, r, None))
 
     rho = None
     premise_warned = False
@@ -382,8 +350,6 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             )
         )
         w, z, lam, Dw, omega = w_new, z_new, lam_new, Dw_new, omega_new
-        if states is not None:
-            states.append(SolverState(k, w.copy(), z.copy(), lam.copy(), Dw.copy(), rho, r, gamma))
 
         if max(kkt_z, kkt_w, kkt_feas) <= config.stop_eps:
             stop_reason = "eps"
@@ -400,14 +366,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         w_final = prox(reg, final_gamma, w)
     else:
         w_final = w
-    return SolverResult(
-        w=w_final,
-        trace=trace,
-        states=states,
-        stop_reason=stop_reason,
-        d_norm=d_norm,
-        r_effective=r,
-    )
+    return SolverResult(w=w_final, trace=trace, stop_reason=stop_reason, r_effective=r)
 
 
 # -- monitors ----------------------------------------------------------------
@@ -496,17 +455,14 @@ def sigma_min_positive(problem: Problem, limit: int = 10**6) -> float | None:
 _THEORY_C2 = 2.0
 
 
-def theory_mode_config(
-    problem: Problem,
-    eps: float,
-    max_iter: int = 300,
-    stop_eps: float = 1e-6,
-    seed: int = 0,
-) -> SolverConfig:
+def theory_mode_config(problem: Problem, eps: float, **settings) -> SolverConfig:
     """Fixed-parameter preset tying (gamma, rho, r) to a target accuracy.
 
     Needs a strictly weakly convex penalty (the constant bound involves
-    1/c) and a computable smallest positive Gram eigenvalue.
+    1/c) and a computable smallest positive Gram eigenvalue.  ``settings``
+    sets the SolverConfig fields the preset leaves free, such as
+    ``max_iter``, ``stop_eps`` and ``seed``; the others keep their
+    defaults.
     """
     c = problem.regularizer.weak_convexity_c
     if c <= 0:
@@ -520,12 +476,10 @@ def theory_mode_config(
     C2 = _THEORY_C2
     C1 = 1.01 * (8.0 * C2**2 + 1.0 / (3.0 * c) + 4.0) / (sigma * (2.0 * C2 - 1.0))
     return SolverConfig(
-        max_iter=max_iter,
         rho_schedule=ScheduleSpec.constant(C1 / eps),
         r=C2 / eps,
         gamma_schedule=GammaSchedule.constant(gamma),
-        stop_eps=stop_eps,
-        seed=seed,
+        **settings,
     )
 
 

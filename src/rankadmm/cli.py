@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.resources
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import data_io, weights as wgt
 from .admm import (
-    GammaSchedule,
     SolverConfig,
     admm_solve,
     sadmm_solve,
@@ -99,6 +99,10 @@ _FRAMEWORK_DEFAULTS = {
 }
 
 
+#: train flag -> the SolverConfig field it sets, in every mode.
+_CONFIG_FLAGS = {"max_iter": "max_iter", "eps": "stop_eps", "seed": "seed"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rankadmm")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -114,10 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--theta", type=float, default=4.0)
     _add_scheme_flags(train)
     train.add_argument("--schedule", default=None, help="srm|aorr|ehrm|constant:<rho>")
-    train.add_argument("--max-iter", type=int, default=300, dest="max_iter")
-    train.add_argument("--eps", type=float, default=1e-6)
-    train.add_argument("--r", type=float, default=1.0)
-    train.add_argument("--seed", type=int, default=0)
+    # Solver flags left unset keep the SolverConfig field defaults.
+    train.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+    train.add_argument("--eps", type=float, default=None)
+    train.add_argument("--r", type=float, default=None)
+    train.add_argument("--seed", type=int, default=None)
     train.add_argument("--smooth", action="store_true", help="use the smoothed variant")
     train.add_argument("--theory-mode", action="store_true", dest="theory_mode")
     train.add_argument("--theory-eps", type=float, default=1e-2, dest="theory_eps")
@@ -168,7 +173,7 @@ def _cmd_train(args, parser) -> int:
     defaults = _FRAMEWORK_DEFAULTS.get(framework, {})
     reg_variant = args.reg if args.reg is not None else defaults.get("reg", "zero")
     mu = args.mu if args.mu is not None else defaults.get("mu", 1e-2)
-    schedule_name = args.schedule if args.schedule is not None else defaults.get("schedule", "srm")
+    schedule_name = args.schedule if args.schedule is not None else defaults.get("schedule")
 
     scheme = _scheme_from_args(args, parser)
 
@@ -186,19 +191,17 @@ def _cmd_train(args, parser) -> int:
     reg = regularizer_from_dict({"variant": reg_variant, "mu": mu, "theta": args.theta})
     problem = Problem(X=ds.X, y=ds.y, loss=LossKind(args.loss), weights=scheme, regularizer=reg)
 
+    settings = {field: getattr(args, flag) for flag, field in _CONFIG_FLAGS.items()
+                if getattr(args, flag) is not None}
     if args.theory_mode:
-        config = theory_mode_config(problem, eps=args.theory_eps, max_iter=args.max_iter,
-                                    stop_eps=args.eps, seed=args.seed)
+        config = theory_mode_config(problem, eps=args.theory_eps, **settings)
         use_smooth = True
     else:
-        config = SolverConfig(
-            max_iter=args.max_iter,
-            rho_schedule=schedule_from_string(schedule_name),
-            r=args.r,
-            gamma_schedule=GammaSchedule.default(),
-            stop_eps=args.eps,
-            seed=args.seed,
-        )
+        if args.r is not None:
+            settings["r"] = args.r
+        if schedule_name is not None:
+            settings["rho_schedule"] = schedule_from_string(schedule_name)
+        config = SolverConfig(**settings)
         use_smooth = args.smooth
 
     result = (sadmm_solve if use_smooth else admm_solve)(problem, config)
@@ -248,6 +251,9 @@ def _cmd_weights(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
+    for flag, value in (("--rho", args.rho), ("--step", args.step)):
+        if not (math.isfinite(value) and value > 0):
+            parser.error(f"{flag} must be finite and > 0, got {value}")
     scheme = _scheme_from_args(args, parser)
     resolved = _or_usage_error(parser, resolve, scheme, args.n)
     rng = np.random.default_rng(args.seed)

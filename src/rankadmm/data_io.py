@@ -119,19 +119,6 @@ def load_libsvm(path) -> RawDataset:
     return RawDataset(X, y, source=str(path))
 
 
-def save_libsvm(dataset: RawDataset, path) -> None:
-    """Write in the same text format (1-based indices, zeros omitted)."""
-    X = dataset.X.tocsr() if sp.issparse(dataset.X) else sp.csr_matrix(dataset.X)
-    with open(path, "w") as fh:
-        for i in range(X.shape[0]):
-            start, end = X.indptr[i], X.indptr[i + 1]
-            feats = " ".join(
-                f"{j + 1}:{float(v)!r}" for j, v in zip(X.indices[start:end], X.data[start:end])
-            )
-            label = int(dataset.y[i])
-            fh.write(f"{'+1' if label > 0 else '-1'} {feats}".rstrip() + "\n")
-
-
 def load_csv(path) -> RawDataset:
     """Dense CSV with header ``y,f1,...,fd``."""
     path = Path(path)
@@ -178,15 +165,21 @@ def generate_synthetic(spec: SyntheticSpec) -> RawDataset:
     return RawDataset(X, y, source=f"synthetic(seed={spec.seed})")
 
 
-def split(
-    dataset: RawDataset, fractions: tuple[float, ...], seed: int = 0
-) -> tuple[RawDataset, ...]:
-    """Seeded shuffle then contiguous slices sized by the fractions."""
+def split_fractions(fractions) -> tuple[float, ...]:
+    """The fractions of a split as floats: nonnegative, summing to 1."""
     fractions = tuple(float(f) for f in fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise InvalidParameterError(f"fractions sum to {sum(fractions)}, expected 1")
     if any(f < 0 for f in fractions):
         raise InvalidParameterError("fractions must be nonnegative")
+    return fractions
+
+
+def split(
+    dataset: RawDataset, fractions: tuple[float, ...], seed: int = 0
+) -> tuple[RawDataset, ...]:
+    """Seeded shuffle then contiguous slices sized by the fractions."""
+    fractions = split_fractions(fractions)
     n = dataset.sample_count
     perm = np.random.default_rng(seed).permutation(n)
     bounds = np.floor(np.cumsum(fractions) * n + 0.5).astype(int)

@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,15 +56,6 @@ SUMMARY_COLUMNS = (
 )
 
 
-_ADMM_KEYS = ("schedule", "max_iter", "r", "gamma", "eps", "wall_budget_s")
-#: The keys a cell's ``config`` may hold, per solver.
-_CONFIG_KEYS = {
-    "admm": _ADMM_KEYS,
-    "sadmm": _ADMM_KEYS,
-    "sgd": ("learning_rate", "batch", "epochs", "wall_budget_s"),
-}
-
-
 def _reject_unknown_keys(what: str, d: dict, allowed: tuple[str, ...]) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
@@ -92,6 +83,40 @@ def schedule_from_string(s: str) -> ScheduleSpec:
     raise InvalidParameterError(f"unknown schedule {s!r} (srm|aorr|ehrm|constant:<rho>)")
 
 
+def _optional(convert):
+    """``convert`` for a field whose None is a setting of its own."""
+    return lambda value: None if value is None else convert(value)
+
+
+_ADMM_FIELDS = {
+    "schedule": ("rho_schedule", schedule_from_string),
+    "max_iter": ("max_iter", wgt.to_int),
+    "r": ("r", float),
+    "gamma": ("gamma_schedule", lambda gamma: GammaSchedule.constant(float(gamma))),
+    "eps": ("stop_eps", float),
+    "wall_budget_s": ("wall_budget_s", _optional(float)),
+}
+#: Per solver: the config class and, for each key a cell's ``config`` may
+#: hold, the field it sets and the converter of its value.  A key left out
+#: keeps the field's default, so the dataclasses hold the only defaults.
+_SOLVER_CONFIGS = {
+    "admm": (SolverConfig, _ADMM_FIELDS),
+    "sadmm": (SolverConfig, _ADMM_FIELDS),
+    "sgd": (
+        SgdConfig,
+        {
+            "learning_rate": ("learning_rate", float),
+            "batch": ("batch", _optional(wgt.to_int)),
+            "epochs": ("epochs", wgt.to_int),
+            "wall_budget_s": ("wall_budget_s", _optional(float)),
+        },
+    ),
+}
+
+_DATASET_KEYS = {"path": ("path", "format"), "synthetic": ("synthetic",)}
+_FORMATS = ("csv", "libsvm")
+
+
 @dataclass
 class BenchmarkCell:
     name: str
@@ -106,27 +131,41 @@ class BenchmarkCell:
     seeds: list[int] | None = None
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise InvalidParameterError("repetitions must be >= 1")
-        if self.solver not in _CONFIG_KEYS:
+        if self.solver not in _SOLVER_CONFIGS:
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
         # Build every part a run needs, so a bad cell fails before any run.
+        # A data file is not opened: one that cannot be read is a failed run.
         try:
-            _reject_unknown_keys(f"{self.solver} config", self.config, _CONFIG_KEYS[self.solver])
+            if wgt.to_int(self.repetitions) < 1:
+                raise InvalidParameterError("repetitions must be >= 1")
+            if isinstance(self.seeds, str):
+                raise InvalidParameterError(f"seeds must be a list, got {self.seeds!r}")
+            self.run_seeds()
+            self._check_dataset()
+            if self.split:
+                _split_args(self.split, 0)
             wgt.scheme_from_dict(self.scheme)
             regularizer_from_dict(self.regularizer)
             LossKind(self.loss)
-            if self.solver == "sgd":
-                _sgd_config(self, 0)
-            else:
-                _solver_config(self, 0)
+            _run_config(self, 0)
         except (InvalidParameterError, AttributeError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"cell {self.name!r}: {exc}") from exc
 
+    def _check_dataset(self) -> None:
+        kinds = [k for k in _DATASET_KEYS if k in self.dataset]
+        if len(kinds) != 1:
+            raise InvalidParameterError("dataset needs exactly one of 'path' or 'synthetic'")
+        _reject_unknown_keys("dataset", self.dataset, _DATASET_KEYS[kinds[0]])
+        fmt = self.dataset.get("format")
+        if kinds[0] == "synthetic":
+            _synthetic_spec(self.dataset["synthetic"], 0)
+        elif fmt is not None and fmt not in _FORMATS:
+            raise InvalidParameterError(f"unknown dataset format {fmt!r} ({'|'.join(_FORMATS)})")
+
     def run_seeds(self) -> list[int]:
         if self.seeds is not None:
-            return [int(s) for s in self.seeds]
-        return list(range(self.repetitions))
+            return [wgt.to_int(s) for s in self.seeds]
+        return list(range(wgt.to_int(self.repetitions)))
 
     def problem_key(self) -> str:
         """Cells with the same key share an F* for sub-optimality.  The
@@ -178,24 +217,38 @@ class RunRecord:
     error: str | None = None
 
 
+def _synthetic_spec(params: dict, seed: int) -> data_io.SyntheticSpec:
+    """A cell's synthetic data, each value converted by its field's type;
+    ``seed`` unless the cell sets one."""
+    types = {f.name: f.type for f in fields(data_io.SyntheticSpec)}
+    _reject_unknown_keys("synthetic", params, tuple(types))
+    values = {"seed": seed, **params}
+    return data_io.SyntheticSpec(
+        **{k: wgt.to_int(v) if types[k] == "int" else float(v) for k, v in values.items()}
+    )
+
+
+def _split_args(split: dict, seed: int) -> tuple[tuple[float, ...], int]:
+    """(fractions, seed) of a cell's split; the seed defaults to the run's."""
+    _reject_unknown_keys("split", split, ("fractions", "seed"))
+    fractions = data_io.split_fractions(split.get("fractions", (0.6, 0.4)))
+    return fractions, wgt.to_int(split.get("seed", seed))
+
+
 def _load_dataset(spec: dict, seed: int) -> data_io.RawDataset:
-    if "path" in spec:
-        path = spec["path"]
-        fmt = spec.get("format") or ("csv" if str(path).endswith(".csv") else "libsvm")
-        return data_io.load_csv(path) if fmt == "csv" else data_io.load_libsvm(path)
     if "synthetic" in spec:
-        params = dict(spec["synthetic"])
-        params.setdefault("seed", seed)
-        return data_io.generate_synthetic(data_io.SyntheticSpec(**params))
-    raise InvalidParameterError("dataset spec needs 'path' or 'synthetic'")
+        return data_io.generate_synthetic(_synthetic_spec(spec["synthetic"], seed))
+    path = spec["path"]
+    fmt = spec.get("format") or ("csv" if str(path).endswith(".csv") else "libsvm")
+    return data_io.load_csv(path) if fmt == "csv" else data_io.load_libsvm(path)
 
 
 def _build_problem(cell: BenchmarkCell, seed: int):
     ds = _load_dataset(cell.dataset, seed)
     test = None
     if cell.split:
-        fr = cell.split.get("fractions", [0.6, 0.4])
-        parts = data_io.split(ds, tuple(fr), seed=cell.split.get("seed", seed))
+        fractions, split_seed = _split_args(cell.split, seed)
+        parts = data_io.split(ds, fractions, seed=split_seed)
         if len(parts) >= 2:
             parts = data_io.standardize(parts[0], *parts[1:])
             ds, test = parts[0], parts[1]
@@ -211,33 +264,16 @@ def _build_problem(cell: BenchmarkCell, seed: int):
     return problem, test
 
 
-def _solver_config(cell: BenchmarkCell, seed: int) -> SolverConfig:
-    cfg = cell.config
-    schedule = schedule_from_string(cfg.get("schedule", "srm"))
-    gamma = cfg.get("gamma")
-    return SolverConfig(
-        max_iter=int(cfg.get("max_iter", 300)),
-        rho_schedule=schedule,
-        r=float(cfg.get("r", 1.0)),
-        gamma_schedule=(
-            GammaSchedule.constant(float(gamma)) if gamma is not None else GammaSchedule.default()
-        ),
-        stop_eps=float(cfg.get("eps", 1e-6)),
-        seed=seed,
-        wall_budget_s=cfg.get("wall_budget_s"),
-    )
-
-
-def _sgd_config(cell: BenchmarkCell, seed: int) -> SgdConfig:
-    cfg = cell.config
-    batch = cfg.get("batch", 64)
-    return SgdConfig(
-        learning_rate=float(cfg.get("learning_rate", 1e-3)),
-        batch=None if batch is None else wgt.to_int(batch),
-        epochs=int(cfg.get("epochs", 2000)),
-        seed=seed,
-        wall_budget_s=cfg.get("wall_budget_s"),
-    )
+def _run_config(cell: BenchmarkCell, seed: int) -> SolverConfig | SgdConfig:
+    """The config of one run: the keys the cell's ``config`` sets, the
+    run's seed and the field defaults for everything else."""
+    cls, table = _SOLVER_CONFIGS[cell.solver]
+    _reject_unknown_keys(f"{cell.solver} config", cell.config, tuple(table))
+    settings = {}
+    for key, value in cell.config.items():
+        name, convert = table[key]
+        settings[name] = convert(value)
+    return cls(seed=seed, **settings)
 
 
 def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
@@ -246,11 +282,12 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
     trace_path = out_dir / f"{cell.name}_{cell.solver}_seed{seed}.csv"
     try:
         problem, test = _build_problem(cell, seed)
+        config = _run_config(cell, seed)
         if cell.solver == "sgd":
-            w, trace = sgd_solve(problem, _sgd_config(cell, seed))
+            w, trace = sgd_solve(problem, config)
         else:
             solve = sadmm_solve if cell.solver == "sadmm" else admm_solve
-            result = solve(problem, _solver_config(cell, seed))
+            result = solve(problem, config)
             w, trace = result.w, result.trace
         write_trace_csv(trace, trace_path)
         eval_ds = test if test is not None else None

@@ -65,18 +65,6 @@ def loss_derivative_vec(kind: LossKind, u: np.ndarray) -> np.ndarray:
     return _sigmoid(u)
 
 
-def loss_subgradient_interval(kind: LossKind, u: float) -> tuple[float, float]:
-    """Subdifferential of the loss at u as a closed interval [lo, hi]."""
-    if kind == LossKind.LOGISTIC:
-        s = _sigmoid_scalar(u)
-        return (s, s)
-    if u < -1.0:
-        return (0.0, 0.0)
-    if u == -1.0:
-        return (0.0, 1.0)
-    return (1.0, 1.0)
-
-
 def _sigmoid(u: np.ndarray) -> np.ndarray:
     out = np.empty_like(u, dtype=float)
     pos = u >= 0
@@ -303,40 +291,3 @@ def singleton_minimize_cpt(
     v_high = np.maximum(singleton_minimize(s_high, m, rho, kind), boundary)
     out = np.where(piece_value(s_low, v_low) <= piece_value(s_high, v_high), v_low, v_high)
     return np.where((s_low == 0.0) & (s_high == 0.0), m, out)
-
-
-def block_stationarity_residual(
-    obj: BlockObjective, kind: LossKind, v: float
-) -> float:
-    """Distance from 0 to the block subdifferential at v (0 when stationary)."""
-    lo, hi = loss_subgradient_interval(kind, v)
-    lin = obj.rho * (obj.count * v - obj.m_sum)
-    a, b = obj.s * lo + lin, obj.s * hi + lin
-    if a <= 0.0 <= b:
-        return 0.0
-    return min(abs(a), abs(b))
-
-
-def block_stationarity_residual_cpt(
-    obj_low: BlockObjective,
-    obj_high: BlockObjective,
-    boundary: float,
-    kind: LossKind,
-    v: float,
-) -> float:
-    """First-order residual of the two-piece block objective at v.
-
-    At v == boundary the condition is one-sided: either the low piece is
-    nonincreasing into the boundary or the high piece is nondecreasing
-    away from it.
-    """
-    if v < boundary:
-        return block_stationarity_residual(obj_low, kind, v)
-    if v > boundary:
-        return block_stationarity_residual(obj_high, kind, v)
-    lo_l, hi_l = loss_subgradient_interval(kind, v)
-    lin_l = obj_low.rho * (obj_low.count * v - obj_low.m_sum)
-    low_ok = obj_low.s * lo_l + lin_l  # smallest low-piece subgradient
-    lin_h = obj_high.rho * (obj_high.count * v - obj_high.m_sum)
-    high_ok = obj_high.s * hi_l + lin_h  # largest high-piece subgradient
-    return min(max(0.0, low_ok), max(0.0, -high_ok))

@@ -1,15 +1,9 @@
-"""Classification accuracy and group fairness metrics.
+"""Sign predictions of a linear classifier and their accuracy.
 
-Labels and predictions arrive in {-1, +1} and are mapped to {0, 1}
-internally.  The group mask marks the unprivileged group G2; everything
-else is the privileged group G1.  Rates conditioned on an empty stratum
-are reported as 0 with a flag rather than NaN.
+Labels and predictions are in {-1, +1}.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,83 +18,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     predictions = np.asarray(predictions).ravel()
     labels = np.asarray(labels).ravel()
     return float(np.mean(predictions == labels))
-
-
-@dataclass
-class FairnessReport:
-    spd: float
-    di: float
-    eod: float
-    aod: float
-    theil: float
-    fnrd: float
-    group_sizes: tuple[int, int]
-    flags: list[str] = field(default_factory=list)
-
-
-def _to01(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
-    return (v + 1.0) / 2.0 if set(np.unique(v)) <= {-1.0, 1.0} else v
-
-
-def _rate(mask_num: np.ndarray, mask_den: np.ndarray, flags: list[str], name: str) -> float:
-    den = int(mask_den.sum())
-    if den == 0:
-        flags.append(f"{name}: empty stratum")
-        return 0.0
-    return float(mask_num[mask_den].mean())
-
-
-def fairness(
-    predictions: np.ndarray, labels: np.ndarray, group_mask: np.ndarray
-) -> FairnessReport:
-    """Statistical parity difference, disparate impact, equal opportunity
-    difference, average odds difference, Theil index, and false negative
-    rate difference between group G2 (mask True) and G1."""
-    yhat = _to01(predictions)
-    y = _to01(labels)
-    g2 = np.asarray(group_mask, dtype=bool).ravel()
-    g1 = ~g2
-    flags: list[str] = []
-
-    p2 = _rate(yhat == 1.0, g2, flags, "P(Y=1|G2)")
-    p1 = _rate(yhat == 1.0, g1, flags, "P(Y=1|G1)")
-    spd = p2 - p1
-    if p1 > 0:
-        di = p2 / p1
-    else:
-        di = math.inf
-        flags.append("DI: privileged group has zero positive rate")
-
-    def tpr(g):
-        return _rate(yhat == 1.0, g & (y == 1.0), flags, "TPR")
-
-    def fpr(g):
-        return _rate(yhat == 1.0, g & (y == 0.0), flags, "FPR")
-
-    tpr2, tpr1 = tpr(g2), tpr(g1)
-    fpr2, fpr1 = fpr(g2), fpr(g1)
-    eod = tpr2 - tpr1
-    aod = 0.5 * ((fpr2 - fpr1) + (tpr2 - tpr1))
-    fnrd = (1.0 - tpr2) - (1.0 - tpr1)
-
-    b = yhat - y + 1.0
-    mu = float(b.mean())
-    if mu > 0:
-        ratio = b / mu
-        terms = np.where(ratio > 0, ratio * np.log(np.where(ratio > 0, ratio, 1.0)), 0.0)
-        theil = float(terms.mean())
-    else:
-        theil = 0.0
-        flags.append("Theil: degenerate benefit vector")
-
-    return FairnessReport(
-        spd=spd,
-        di=di,
-        eod=eod,
-        aod=aod,
-        theil=theil,
-        fnrd=fnrd,
-        group_sizes=(int(g1.sum()), int(g2.sum())),
-        flags=flags,
-    )

@@ -1,4 +1,4 @@
-"""Reference solvers for the chain-constrained subproblem.
+"""Reference solvers and optimality checks for the chain-constrained subproblem.
 
 The grid solver discretizes the variable on a uniform grid and runs a
 forward dynamic program with prefix minimization to enforce the
@@ -8,13 +8,20 @@ command line.  The pairwise solver is the textbook pool-adjacent-violators
 loop that merges two adjacent blocks per scalar solve; it shares only the
 scalar block solver with the merge engine in :mod:`rankadmm.pava`, so the
 tests can check the engine's partitions against it.
+
+The stationarity residuals measure first-order optimality from the loss
+subdifferential (:func:`loss_subgradient_interval`): of one block value
+(:func:`block_stationarity_residual`), of one value-dependent two-piece
+block (:func:`block_stationarity_residual_cpt`), and of a whole partition
+(:func:`stationarity_residual`, the worst block).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .losses import BlockObjective, LossKind, block_minimize, loss_value_vec
+from .losses import BlockObjective, LossKind, block_minimize, loss_derivative_vec, loss_value_vec
+from .pava import BlockPartition
 from .weights import ResolvedWeights
 
 
@@ -149,3 +156,79 @@ def pairwise_merge_chain(
         else:
             i += 1
     return [(lo, hi, v) for lo, hi, _, _, v in blocks]
+
+
+def loss_subgradient_interval(kind: LossKind, u: float) -> tuple[float, float]:
+    """Subdifferential of the loss at u as a closed interval [lo, hi]."""
+    if kind == LossKind.LOGISTIC:
+        s = float(loss_derivative_vec(kind, np.array([u]))[0])
+        return (s, s)
+    if u < -1.0:
+        return (0.0, 0.0)
+    if u == -1.0:
+        return (0.0, 1.0)
+    return (1.0, 1.0)
+
+
+def block_stationarity_residual(obj: BlockObjective, kind: LossKind, v: float) -> float:
+    """Distance from 0 to the block subdifferential at v (0 when stationary)."""
+    lo, hi = loss_subgradient_interval(kind, v)
+    lin = obj.rho * (obj.count * v - obj.m_sum)
+    a, b = obj.s * lo + lin, obj.s * hi + lin
+    if a <= 0.0 <= b:
+        return 0.0
+    return min(abs(a), abs(b))
+
+
+def block_stationarity_residual_cpt(
+    obj_low: BlockObjective,
+    obj_high: BlockObjective,
+    boundary: float,
+    kind: LossKind,
+    v: float,
+) -> float:
+    """First-order residual of the two-piece block objective at v.
+
+    At v == boundary the condition is one-sided: either the low piece is
+    nonincreasing into the boundary or the high piece is nondecreasing
+    away from it.
+    """
+    if v < boundary:
+        return block_stationarity_residual(obj_low, kind, v)
+    if v > boundary:
+        return block_stationarity_residual(obj_high, kind, v)
+    lo_l, hi_l = loss_subgradient_interval(kind, v)
+    lin_l = obj_low.rho * (obj_low.count * v - obj_low.m_sum)
+    low_ok = obj_low.s * lo_l + lin_l  # smallest low-piece subgradient
+    lin_h = obj_high.rho * (obj_high.count * v - obj_high.m_sum)
+    high_ok = obj_high.s * hi_l + lin_h  # largest high-piece subgradient
+    return min(max(0.0, low_ok), max(0.0, -high_ok))
+
+
+def stationarity_residual(
+    partition: BlockPartition,
+    resolved: ResolvedWeights,
+    m_sorted: np.ndarray,
+    rho: float,
+    kind: LossKind,
+) -> float:
+    """Max over blocks of the first-order residual at the block value."""
+    worst = 0.0
+    for lo, hi, v in zip(partition.lo.tolist(), partition.hi.tolist(), partition.value.tolist()):
+        count = hi - lo + 1
+        m_sum = float(np.sum(m_sorted[lo : hi + 1]))
+        if resolved.is_value_dependent:
+            s_low = float(np.sum(resolved.sigma_low[lo : hi + 1]))
+            s_high = float(np.sum(resolved.sigma_high[lo : hi + 1]))
+            r = block_stationarity_residual_cpt(
+                BlockObjective(s_low, count, m_sum, rho),
+                BlockObjective(s_high, count, m_sum, rho),
+                resolved.reference,
+                kind,
+                v,
+            )
+        else:
+            s = float(np.sum(resolved.sigma[lo : hi + 1]))
+            r = block_stationarity_residual(BlockObjective(s, count, m_sum, rho), kind, v)
+        worst = max(worst, r)
+    return worst

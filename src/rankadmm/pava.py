@@ -36,8 +36,6 @@ from .losses import (
     LossKind,
     block_minimize,
     block_minimize_cpt,
-    block_stationarity_residual,
-    block_stationarity_residual_cpt,
     singleton_minimize,
     singleton_minimize_cpt,
 )
@@ -77,9 +75,6 @@ class BlockPartition:
     def values(self) -> np.ndarray:
         """Expand block values to a length-n vector in sorted order."""
         return np.repeat(self.value, self.count)
-
-    def is_isotonic(self) -> bool:
-        return bool(np.all(self.value[:-1] <= self.value[1:]))
 
 
 def merge_blocks(
@@ -171,35 +166,6 @@ def merge_blocks(
         for st, c in zip(wsum, c_sums):
             st.append(c)
     return BlockPartition(np.array(lo, dtype=np.intp), np.array(value, dtype=float), n)
-
-
-def stationarity_residual(
-    partition: BlockPartition,
-    resolved: ResolvedWeights,
-    m_sorted: np.ndarray,
-    rho: float,
-    kind: LossKind,
-) -> float:
-    """Max over blocks of the first-order residual at the block value."""
-    worst = 0.0
-    for lo, hi, v in zip(partition.lo.tolist(), partition.hi.tolist(), partition.value.tolist()):
-        count = hi - lo + 1
-        m_sum = float(np.sum(m_sorted[lo : hi + 1]))
-        if resolved.is_value_dependent:
-            s_low = float(np.sum(resolved.sigma_low[lo : hi + 1]))
-            s_high = float(np.sum(resolved.sigma_high[lo : hi + 1]))
-            r = block_stationarity_residual_cpt(
-                BlockObjective(s_low, count, m_sum, rho),
-                BlockObjective(s_high, count, m_sum, rho),
-                resolved.reference,
-                kind,
-                v,
-            )
-        else:
-            s = float(np.sum(resolved.sigma[lo : hi + 1]))
-            r = block_stationarity_residual(BlockObjective(s, count, m_sum, rho), kind, v)
-        worst = max(worst, r)
-    return worst
 
 
 def solve_z_subproblem(

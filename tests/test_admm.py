@@ -10,7 +10,6 @@ from rankadmm.admm import (
     SolverConfig,
     IterationTrace,
     admm_solve,
-    kkt_surrogates,
     lyapunov_check,
     materialize_D,
     read_trace_csv,
@@ -94,25 +93,30 @@ def test_fixed_point_stationarity():
     assert max(t.kkt_z, t.kkt_w, t.kkt_feas) <= 1e-8
 
 
-def test_kkt_surrogate_identities():
+def test_kkt_surrogate_identities(iterates):
     problem = make_synthetic_problem(n=30, d=5, regularizer=l2(1e-2), seed=3)
-    cfg = SolverConfig(max_iter=25, rho_schedule=ScheduleSpec.constant(2.0),
-                       stop_eps=0.0, record_states=True)
+    cfg = SolverConfig(max_iter=25, rho_schedule=ScheduleSpec.constant(2.0), stop_eps=0.0)
     res = admm_solve(problem, cfg)
-    d_norm = res.d_norm
-    for prev, state, row in zip(res.states, res.states[1:], res.trace):
-        kz, kw, kf = kkt_surrogates(state, prev, d_norm)
-        assert kz == pytest.approx(row.kkt_z, rel=1e-12, abs=1e-15)
-        assert kw == pytest.approx(row.kkt_w, rel=1e-12, abs=1e-15)
-        assert kf == pytest.approx(row.kkt_feas, rel=1e-12, abs=1e-15)
-        # dual-update identity lambda' - lambda = rho (z - Dw)
-        dlam = state.lam - prev.lam
-        scale = max(1.0, float(np.linalg.norm(dlam)))
-        assert np.linalg.norm(dlam - state.rho * (state.z - state.Dw)) <= 1e-12 * scale
-        assert row.dual_step == pytest.approx(state.rho * np.linalg.norm(state.z - state.Dw), rel=1e-12)
-        dw = np.linalg.norm(state.w - prev.w)
+    states = iterates.states(problem)
+    d_norm = iterates.d_norm
+    assert len(states) == len(res.trace) + 1
+    for k, (prev, state, row) in enumerate(zip(states, states[1:], res.trace)):
+        (w_prev, _, lam_prev, _), (w, z, lam, Dw) = prev, state
+        rho, r = iterates.rho[k], iterates.r[k]
+        dw = float(np.linalg.norm(w - w_prev))
+        assert rho * d_norm * dw == pytest.approx(row.kkt_z, rel=1e-12, abs=1e-15)
+        assert r * dw == pytest.approx(row.kkt_w, rel=1e-12, abs=1e-15)
+        assert float(np.linalg.norm(z - Dw)) == pytest.approx(row.kkt_feas, rel=1e-12, abs=1e-15)
+        # dual-update identity lambda' - lambda = rho (z - Dw), with lambda
+        # as the next z-step sees it
+        if k + 1 < len(res.trace):
+            dlam = iterates.dual_seen(problem, k + 1) - lam_prev
+            scale = max(1.0, float(np.linalg.norm(dlam)))
+            assert np.linalg.norm(dlam - rho * (z - Dw)) <= 1e-12 * scale
+        assert row.dual_step == pytest.approx(rho * np.linalg.norm(z - Dw), rel=1e-12)
+        assert row.dual_step == pytest.approx(float(np.linalg.norm(lam - lam_prev)), rel=1e-12)
         if dw > 0:
-            assert row.kkt_z / dw == pytest.approx(state.rho * d_norm, rel=1e-12)
+            assert row.kkt_z / dw == pytest.approx(rho * d_norm, rel=1e-12)
 
 
 def test_descent_margins_nonnegative():
@@ -158,15 +162,15 @@ def test_sadmm_zero_reg_identical_to_admm():
         assert ta.aug_lagrangian == ts.aug_lagrangian
 
 
-def test_sadmm_reports_proximal_point():
+def test_sadmm_reports_proximal_point(iterates):
     problem = make_synthetic_problem(n=40, d=5, regularizer=l1(0.5), seed=7)
-    cfg = SolverConfig(max_iter=30, rho_schedule=ScheduleSpec.constant(1.0),
-                       stop_eps=0.0, record_states=True)
+    cfg = SolverConfig(max_iter=30, rho_schedule=ScheduleSpec.constant(1.0), stop_eps=0.0)
     res = sadmm_solve(problem, cfg)
     from rankadmm.regularizers import prox
 
     final_gamma = res.trace[-1].gamma
-    assert np.array_equal(res.w, prox(problem.regularizer, final_gamma, res.states[-1].w))
+    assert len(iterates.w) == len(res.trace)
+    assert np.array_equal(res.w, prox(problem.regularizer, final_gamma, iterates.w[-1]))
 
 
 def test_sadmm_reports_premise_bumped_r():
@@ -270,18 +274,19 @@ def test_plain_descent_check_unsmoothed():
     assert report.violations == []
 
 
-def test_augmented_lagrangian_value():
+def test_augmented_lagrangian_value(iterates):
     problem = make_synthetic_problem(n=12, d=3, regularizer=l2(0.1), seed=12)
-    cfg = SolverConfig(max_iter=8, rho_schedule=ScheduleSpec.constant(2.5),
-                       stop_eps=0.0, record_states=True)
+    cfg = SolverConfig(max_iter=8, rho_schedule=ScheduleSpec.constant(2.5), stop_eps=0.0)
     res = admm_solve(problem, cfg)
-    for state, row in zip(res.states[1:], res.trace):
-        resid = state.z - state.Dw
+    states = iterates.states(problem)
+    assert len(states) == len(res.trace) + 1
+    for (w, z, lam, Dw), row in zip(states[1:], res.trace):
+        resid = z - Dw
         expected = (
-            problem.rank_loss(state.z)
-            + float(state.lam @ resid)
+            problem.rank_loss(z)
+            + float(lam @ resid)
             + 0.5 * 2.5 * float(resid @ resid)
-            + reg_value(problem.regularizer, state.w)
+            + reg_value(problem.regularizer, w)
         )
         assert row.aug_lagrangian == pytest.approx(expected, rel=1e-12)
 

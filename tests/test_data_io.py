@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -11,7 +10,6 @@ from rankadmm.data_io import (
     generate_synthetic,
     load_csv,
     load_libsvm,
-    save_libsvm,
     split,
     standardize,
 )
@@ -50,14 +48,28 @@ def test_libsvm_malformed_reports_line(tmp_path):
         load_libsvm(path)
 
 
-def test_libsvm_roundtrip(tmp_path, rng):
-    X = rng.standard_normal((7, 5))
-    X[rng.random((7, 5)) < 0.6] = 0.0
-    X[0, -1] = 1.25  # pin the last column so the width survives
-    y = rng.choice([-1.0, 1.0], size=7)
-    ds = RawDataset(sp.csr_matrix(X), y)
-    path = tmp_path / "round.txt"
-    save_libsvm(ds, path)
+def test_libsvm_roundtrip(tmp_path):
+    # the text a libsvm writer gives for X and y: 1-based indices, zeros left out
+    X = np.array([
+        [0.0, 0.5, 0.0, 0.0, 1.25],  # the last column pins the width
+        [-1.5, 0.0, 0.0, 2.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.1, 0.0, -2.718281828459045, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1e-300, 0.0],
+        [3.0, 3.0, 3.0, 3.0, 0.0],
+        [0.0, -0.0625, 0.0, 0.0, 7.0],
+    ])
+    y = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    path = tmp_path / "literal.txt"
+    path.write_text(
+        "+1 2:0.5 5:1.25\n"
+        "-1 1:-1.5 4:2.0\n"
+        "-1\n"
+        "+1 1:0.1 3:-2.718281828459045\n"
+        "+1 4:1e-300\n"
+        "-1 1:3.0 2:3.0 3:3.0 4:3.0\n"
+        "+1 2:-0.0625 5:7.0\n"
+    )
     back = load_libsvm(path)
     assert back.X.shape == (7, 5)
     assert back.X.toarray() == pytest.approx(X, abs=0.0)

@@ -2,9 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from rankadmm.admm import TRACE_COLUMNS, read_trace_csv
+from rankadmm.admm import TRACE_COLUMNS, IterationTrace, SolverConfig, read_trace_csv
+from rankadmm.baselines import SgdConfig
 from rankadmm.cli import cli_main
 from rankadmm.harness import (
     BenchmarkCell,
@@ -16,6 +18,11 @@ from rankadmm.harness import (
 from rankadmm.errors import InvalidParameterError
 from rankadmm.regularizers import ZERO, RegularizerSpec
 from rankadmm.weights import ERM, CPTValueDependent, resolve, scheme_from_dict
+
+
+_ONE_ROW = IterationTrace(k=0, objective=0.0, aug_lagrangian=0.0, lyapunov=None, kkt_z=0.0,
+                          kkt_w=0.0, kkt_feas=0.0, dual_step=0.0, z_decrease=0.0,
+                          w_decrease=0.0, rho=1.0, gamma=None, wall_ns=0)
 
 
 def make_plan(tmp_path, solver="admm", reps=2):
@@ -185,6 +192,17 @@ def test_cli_benchmark(tmp_path, capsys):
     {"regularizer": {"variant": "l2", "mu": 0.01, "thetta": 3.0}},
     {"solver": "sgd", "config": {"epochs": 5, "batch": 5.5}},
     {"config": {"max_iter": 20, "gamma": 0}},
+    {"seeds": ["x"]},
+    {"seeds": [0, 1.5]},
+    {"repetitions": 1.5},
+    {"dataset": {"synthetic": {"n": 0, "d": 3}}},
+    {"dataset": {"synthetic": {"n": 40, "d": 5, "sep": 2.0}}},
+    {"dataset": {"synthetc": {"n": 40, "d": 5}}},
+    {"dataset": {"synthetic": {"n": 40, "d": 5}, "path": "data.csv"}},
+    {"dataset": {"path": "data.csv", "format": "arff"}},
+    {"split": {"fractions": [0.5, 0.2]}},
+    {"split": {"fractions": [1.2, -0.2]}},
+    {"split": {"fractions": [0.6, 0.4], "sed": 3}},
 ])
 def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change):
     good = json.loads(make_plan(tmp_path, reps=1).read_text())
@@ -250,6 +268,53 @@ def test_cli_oracle(capsys):
     assert code == 0
     gap = float(out.strip().splitlines()[-1].split(":")[1])
     assert abs(gap) <= 1e-3
+
+
+@pytest.mark.parametrize("flags", [["--step", "0"], ["--step", "-1"], ["--step", "nan"],
+                                   ["--step", "inf"], ["--rho", "0"], ["--rho", "-2"],
+                                   ["--rho", "nan"]])
+def test_cli_oracle_bad_step_or_rho_exits_2(capsys, flags):
+    assert cli_main(["oracle", "--n", "5", *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"{flags[0]} must be finite and > 0" in err
+
+
+def _captured_configs(monkeypatch):
+    """Swap the solver entry points of the harness and the CLI for stubs
+    that record the config they get and return a one-row solve."""
+    from rankadmm import cli, harness
+    from rankadmm.admm import SolverResult
+
+    configs = []
+
+    def fake_admm(problem, config):
+        configs.append(config)
+        return SolverResult(w=np.zeros(problem.d), trace=[_ONE_ROW])
+
+    def fake_sgd(problem, config):
+        configs.append(config)
+        return np.zeros(problem.d), [_ONE_ROW]
+
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "admm_solve", fake_admm)
+    monkeypatch.setattr(harness, "sgd_solve", fake_sgd)
+    return configs
+
+
+def test_field_defaults_reach_every_entry_point(tmp_path, monkeypatch):
+    configs = _captured_configs(monkeypatch)
+    cells = [{"name": f"{solver}-defaults", "dataset": {"synthetic": {"n": 12, "d": 3}},
+              "solver": solver, "config": {}, "seeds": [5]} for solver in ("admm", "sgd")]
+    path = tmp_path / "defaults_plan.json"
+    path.write_text(json.dumps({"cells": cells, "out": str(tmp_path / "out")}))
+    assert cli_main(["benchmark", str(path)]) == 0
+    assert cli_main(["train", "--synthetic", "n=12,d=3", "--out", str(tmp_path)]) == 0
+    assert sorted(configs, key=lambda c: type(c).__name__) == [
+        SgdConfig(seed=5), SolverConfig(seed=5), SolverConfig(seed=0)
+    ]
+    assert cli_main(["train", "--synthetic", "n=12,d=3", "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+    assert configs[-1] == SolverConfig(seed=5)
 
 
 def test_cli_missing_data_file_exits_1(tmp_path):

@@ -11,13 +11,12 @@ from rankadmm.losses import (
     LossKind,
     block_minimize,
     block_minimize_cpt,
-    block_stationarity_residual,
-    loss_subgradient_interval,
     loss_value,
     singleton_minimize,
     singleton_minimize_cpt,
 )
 from rankadmm import losses
+from rankadmm.oracle import block_stationarity_residual, loss_subgradient_interval
 
 
 def grid_scan_minimizer(fn, lo=-10.0, hi=10.0, step=1e-6, chunk=2_000_000):

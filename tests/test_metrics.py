@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from rankadmm.metrics import accuracy, fairness, predict
+from rankadmm.metrics import accuracy, predict
 
 
 def test_predict_signs():
@@ -13,54 +11,3 @@ def test_predict_signs():
 
 def test_accuracy():
     assert accuracy(np.array([1, -1, 1, 1]), np.array([1, -1, -1, 1])) == pytest.approx(0.75)
-
-
-def test_identical_group_behavior_is_fair():
-    labels = np.array([1, -1, 1, -1, 1, -1, 1, -1])
-    preds = np.array([1, -1, 1, 1, 1, -1, 1, 1])
-    group = np.array([False, False, False, False, True, True, True, True])
-    rep = fairness(preds, labels, group)
-    assert rep.spd == pytest.approx(0.0)
-    assert rep.di == pytest.approx(1.0)
-    assert rep.eod == pytest.approx(0.0)
-    assert rep.aod == pytest.approx(0.0)
-    assert rep.fnrd == pytest.approx(0.0)
-
-
-def test_perfect_predictions_zero_theil():
-    labels = np.array([1, -1, 1, -1])
-    rep = fairness(labels.copy(), labels, np.array([True, True, False, False]))
-    assert rep.theil == pytest.approx(0.0)
-
-
-def test_four_sample_hand_case():
-    # G1: (pred 1, label 1), (pred 0, label 0)
-    # G2: (pred 1, label 0), (pred 0, label 1)
-    preds = np.array([1, -1, 1, -1])
-    labels = np.array([1, -1, -1, 1])
-    group = np.array([False, False, True, True])
-    rep = fairness(preds, labels, group)
-    assert rep.spd == pytest.approx(0.0)
-    assert rep.di == pytest.approx(1.0)
-    assert rep.eod == pytest.approx(-1.0)
-    assert rep.fnrd == pytest.approx(1.0)
-    assert rep.aod == pytest.approx(0.0)
-    # benefits b = yhat - y + 1 are (1, 1, 2, 0); mean 1
-    assert rep.theil == pytest.approx(0.25 * 2 * math.log(2.0))
-    assert rep.group_sizes == (2, 2)
-
-
-def test_disparate_impact_sentinel():
-    preds = np.array([-1, -1, 1, 1])
-    labels = np.array([1, -1, 1, -1])
-    group = np.array([False, False, True, True])
-    rep = fairness(preds, labels, group)
-    assert math.isinf(rep.di)
-    assert any("DI" in f for f in rep.flags)
-
-
-def test_zero_one_inputs_accepted():
-    preds = np.array([1.0, 0.0, 1.0, 0.0])
-    labels = np.array([1.0, 0.0, 0.0, 1.0])
-    rep = fairness(preds, labels, np.array([False, False, True, True]))
-    assert rep.spd == pytest.approx(0.0)
