@@ -3,11 +3,13 @@
 Subcommands: ``train`` (one solve), ``benchmark`` (run a JSON plan),
 ``weights`` (print a resolved weight vector), ``oracle`` (cross-check the
 block-merge solver against the grid reference on a random instance).
-Exit codes: 0 success, 1 solver failure, 2 usage errors.
+Exit codes: 0 success, 1 solver or data failure, 2 usage errors.
 
-The scheme flags only map onto parameters: ``--scheme`` takes its choices
-from ``weights.SCHEMES`` and the scheme is built, defaulted and checked by
-``weights.scheme_from_dict``, as for a benchmark plan.
+``train`` maps its flags onto one benchmark plan cell and runs it through
+the harness, so a setting is built, defaulted and checked as a plan key
+is; here stay the flags, the ``--framework`` presets, the bundled data,
+the theory-mode preset and the report.  The scheme flags of every
+subcommand map onto the parameters of ``weights.scheme_from_dict``.
 """
 
 from __future__ import annotations
@@ -21,27 +23,22 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data_io, weights as wgt
-from .admm import (
-    SolverConfig,
-    admm_solve,
-    sadmm_solve,
-    theory_mode_config,
-    write_trace_csv,
-)
+from . import weights as wgt
+from .admm import theory_mode_config, write_trace_csv
 from .errors import InvalidParameterError, RankAdmmError
 from .harness import (
+    BenchmarkCell,
     BenchmarkPlan,
-    regularizer_from_dict,
+    build_problem,
     run_benchmark,
-    schedule_from_string,
+    run_config,
+    solve,
     worker_count,
 )
 from .losses import LossKind
 from .metrics import accuracy, predict
 from .oracle import chain_objective_reference, grid_dp_chain
 from .pava import solve_z_subproblem
-from .problem import Problem
 from .weights import resolve
 
 
@@ -62,7 +59,8 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cpt-b", type=float, default=None, dest="B")
 
 
-def _scheme_from_args(args, parser: argparse.ArgumentParser) -> wgt.WeightScheme:
+def _scheme_params(args) -> dict:
+    """The plan ``scheme`` entry of the scheme flags."""
     name = args.scheme
     if name is None:
         framework = getattr(args, "framework", None)
@@ -80,15 +78,15 @@ def _scheme_from_args(args, parser: argparse.ArgumentParser) -> wgt.WeightScheme
         for f in dataclasses.fields(wgt.SCHEMES[kind])
         if getattr(args, f.name) is not None
     }
-    return _or_usage_error(parser, wgt.scheme_from_dict, {"kind": kind, **params})
+    return {"kind": kind, **params}
 
 
 def _or_usage_error(parser: argparse.ArgumentParser, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, a RankAdmmError becoming a usage error
-    (exit 2)."""
+    """``build(*args, **kwargs)``, an InvalidParameterError becoming a usage
+    error (exit 2)."""
     try:
         return build(*args, **kwargs)
-    except RankAdmmError as exc:
+    except InvalidParameterError as exc:
         parser.error(str(exc))
 
 
@@ -98,9 +96,9 @@ _FRAMEWORK_DEFAULTS = {
     "ehrm": {"schedule": "ehrm", "reg": "l2", "mu": 1e-2},
 }
 
-
-#: train flag -> the SolverConfig field it sets, in every mode.
-_CONFIG_FLAGS = {"max_iter": "max_iter", "eps": "stop_eps", "seed": "seed"}
+#: --synthetic spelling -> SyntheticSpec field, for the names that differ.
+_SYNTHETIC_ALIASES = {"sep": "class_sep", "flip": "flip_fraction",
+                      "informative": "informative_fraction"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,63 +146,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_synthetic(text: str, parser) -> data_io.SyntheticSpec:
-    params = {}
-    mapping = {"n": "n", "d": "d", "sep": "class_sep", "flip": "flip_fraction",
-               "seed": "seed", "informative": "informative_fraction"}
-    for item in text.split(","):
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in mapping:
-            parser.error(f"unknown synthetic parameter {key!r}")
-        kind = int if key in ("n", "d", "seed") else float
-        try:
-            params[mapping[key]] = kind(value)
-        except ValueError:
-            parser.error(f"--synthetic {key}={value.strip()!r} is not "
-                         f"{'an integer' if kind is int else 'a number'}")
-    if "n" not in params or "d" not in params:
-        parser.error("--synthetic needs at least n=...,d=...")
-    return _or_usage_error(parser, data_io.SyntheticSpec, **params)
+def _parse_synthetic(text: str) -> dict:
+    """The ``key=value`` items of ``--synthetic`` under their field names;
+    the values stay strings for the cell to convert and check."""
+    items = (item.partition("=") for item in text.split(","))
+    return {_SYNTHETIC_ALIASES.get(key.strip(), key.strip()): value for key, _, value in items}
+
+
+def _train_cell(args, bundled: Path) -> dict:
+    """The plan cell that ``train`` runs, each flag under its plan key."""
+    flags = {"reg": "zero", "mu": 1e-2, **_FRAMEWORK_DEFAULTS.get(args.framework, {}),
+             **{flag: value for flag, value in vars(args).items() if value is not None}}
+    if args.synthetic:
+        # --seed seeds the solver only; the data seed is 0 unless given.
+        dataset = {"synthetic": {"seed": "0", **_parse_synthetic(args.synthetic)}}
+    else:
+        dataset = {"path": str(args.data or bundled)}
+    return {
+        "name": "train",
+        "dataset": dataset,
+        "scheme": _scheme_params(args),
+        "loss": args.loss,
+        "regularizer": {"variant": flags["reg"], "mu": flags["mu"], "theta": args.theta},
+        "solver": "sadmm" if args.smooth or args.theory_mode else "admm",
+        "config": {key: flags[key] for key in ("max_iter", "eps", "r", "schedule") if key in flags},
+        "seeds": None if args.seed is None else [args.seed],
+    }
 
 
 def _cmd_train(args, parser) -> int:
-    framework = args.framework
-    defaults = _FRAMEWORK_DEFAULTS.get(framework, {})
-    reg_variant = args.reg if args.reg is not None else defaults.get("reg", "zero")
-    mu = args.mu if args.mu is not None else defaults.get("mu", 1e-2)
-    schedule_name = args.schedule if args.schedule is not None else defaults.get("schedule")
-
-    scheme = _scheme_from_args(args, parser)
-
-    if args.synthetic:
-        ds = data_io.generate_synthetic(_parse_synthetic(args.synthetic, parser))
-    elif args.data:
-        path = args.data
-        ds = data_io.load_csv(path) if str(path).endswith(".csv") else data_io.load_libsvm(path)
-    else:
-        ref = importlib.resources.files("rankadmm").joinpath("assets/tiny.csv")
-        with importlib.resources.as_file(ref) as p:
-            ds = data_io.load_csv(p)
-
-    _or_usage_error(parser, resolve, scheme, ds.sample_count)
-    reg = regularizer_from_dict({"variant": reg_variant, "mu": mu, "theta": args.theta})
-    problem = Problem(X=ds.X, y=ds.y, loss=LossKind(args.loss), weights=scheme, regularizer=reg)
-
-    settings = {field: getattr(args, flag) for flag, field in _CONFIG_FLAGS.items()
-                if getattr(args, flag) is not None}
+    bundled = importlib.resources.files("rankadmm").joinpath("assets/tiny.csv")
+    with importlib.resources.as_file(bundled) as tiny:
+        cell = _or_usage_error(parser, BenchmarkCell, **_train_cell(args, tiny))
+        seed, = cell.run_seeds()
+        problem, _ = _or_usage_error(parser, build_problem, cell, seed)
+    config = run_config(cell, seed)
     if args.theory_mode:
-        config = theory_mode_config(problem, eps=args.theory_eps, **settings)
-        use_smooth = True
-    else:
-        if args.r is not None:
-            settings["r"] = args.r
-        if schedule_name is not None:
-            settings["rho_schedule"] = schedule_from_string(schedule_name)
-        config = SolverConfig(**settings)
-        use_smooth = args.smooth
-
-    result = (sadmm_solve if use_smooth else admm_solve)(problem, config)
+        # The preset sets the schedule, r and gamma; the flags set the rest.
+        config = _or_usage_error(parser, theory_mode_config, problem, eps=args.theory_eps,
+                                 max_iter=config.max_iter, stop_eps=config.stop_eps,
+                                 seed=config.seed)
+    result = solve(cell.solver, problem, config)
     obj = problem.objective(result.w)
     acc = accuracy(predict(problem.X, result.w), problem.y)
     print(f"objective: {obj:.6f}")
@@ -238,7 +220,7 @@ def _cmd_benchmark(args, parser) -> int:
 
 
 def _cmd_weights(args, parser) -> int:
-    scheme = _scheme_from_args(args, parser)
+    scheme = _or_usage_error(parser, wgt.scheme_from_dict, _scheme_params(args))
     resolved = _or_usage_error(parser, resolve, scheme, args.n)
     if resolved.is_value_dependent:
         low = ",".join(format(v, ".12g") for v in resolved.sigma_low)
@@ -254,7 +236,7 @@ def _cmd_oracle(args, parser) -> int:
     for flag, value in (("--rho", args.rho), ("--step", args.step)):
         if not (math.isfinite(value) and value > 0):
             parser.error(f"{flag} must be finite and > 0, got {value}")
-    scheme = _scheme_from_args(args, parser)
+    scheme = _or_usage_error(parser, wgt.scheme_from_dict, _scheme_params(args))
     resolved = _or_usage_error(parser, resolve, scheme, args.n)
     rng = np.random.default_rng(args.seed)
     m = rng.standard_normal(args.n)

@@ -4,6 +4,9 @@ A plan is a list of cells; each cell names a dataset, a weight scheme, a
 loss, a regularizer, a solver, and how many seeded repetitions to run.
 The scheme entry is built by ``weights.scheme_from_dict``, which holds the
 catalogue of scheme kinds, parameters and defaults.
+A cell is the one description of a solve: ``build_problem``,
+``run_config`` and ``solve`` turn it into one run, here and for
+``rankadmm train``, which maps its flags onto a cell.
 Every run writes a trace CSV; the harness then writes a summary table
 (mean and sample deviation of objective, accuracy, and time) plus
 sub-optimality traces measured against the best final objective seen for
@@ -27,6 +30,7 @@ from .admm import (
     GammaSchedule,
     ScheduleSpec,
     SolverConfig,
+    SolverResult,
     admm_solve,
     sadmm_solve,
     write_trace_csv,
@@ -147,7 +151,7 @@ class BenchmarkCell:
             wgt.scheme_from_dict(self.scheme)
             regularizer_from_dict(self.regularizer)
             LossKind(self.loss)
-            _run_config(self, 0)
+            run_config(self, 0)
         except (InvalidParameterError, AttributeError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"cell {self.name!r}: {exc}") from exc
 
@@ -188,6 +192,14 @@ class BenchmarkCell:
 class BenchmarkPlan:
     cells: list[BenchmarkCell]
     out: str = "benchmark_out"
+
+    def __post_init__(self):
+        # A run's trace file is named by its cell, solver and seed.
+        runs = [(cell.name, cell.solver) for cell in self.cells]
+        twice = sorted({run for run in runs if runs.count(run) > 1})
+        if twice:
+            raise InvalidParameterError(f"(cell, solver) {twice[0]} appears twice; "
+                                        "its runs would write the same trace files")
 
     @staticmethod
     def from_json(path) -> "BenchmarkPlan":
@@ -243,7 +255,8 @@ def _load_dataset(spec: dict, seed: int) -> data_io.RawDataset:
     return data_io.load_csv(path) if fmt == "csv" else data_io.load_libsvm(path)
 
 
-def _build_problem(cell: BenchmarkCell, seed: int):
+def build_problem(cell: BenchmarkCell, seed: int) -> tuple[Problem, data_io.RawDataset | None]:
+    """The problem of one run of ``cell`` and its held-out split, if any."""
     ds = _load_dataset(cell.dataset, seed)
     test = None
     if cell.split:
@@ -264,7 +277,7 @@ def _build_problem(cell: BenchmarkCell, seed: int):
     return problem, test
 
 
-def _run_config(cell: BenchmarkCell, seed: int) -> SolverConfig | SgdConfig:
+def run_config(cell: BenchmarkCell, seed: int) -> SolverConfig | SgdConfig:
     """The config of one run: the keys the cell's ``config`` sets, the
     run's seed and the field defaults for everything else."""
     cls, table = _SOLVER_CONFIGS[cell.solver]
@@ -276,32 +289,33 @@ def _run_config(cell: BenchmarkCell, seed: int) -> SolverConfig | SgdConfig:
     return cls(seed=seed, **settings)
 
 
+def solve(solver: str, problem: Problem, config: SolverConfig | SgdConfig) -> SolverResult:
+    """Run the named solver.  Its entry point is looked up in this module
+    when the run starts, so one that is wrapped or replaced here is the one
+    that runs; sgd's (w, trace) comes back as a SolverResult."""
+    if solver == "sgd":
+        w, trace = sgd_solve(problem, config)
+        stop = "wall_budget" if len(trace) < config.epochs else "max_iter"
+        return SolverResult(w=w, trace=trace, stop_reason=stop)
+    return (sadmm_solve if solver == "sadmm" else admm_solve)(problem, config)
+
+
 def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
     """One seeded run of a cell.  A run that raises becomes a failed record
     whose ``error`` names the failure, so one bad run cannot stop a plan."""
     trace_path = out_dir / f"{cell.name}_{cell.solver}_seed{seed}.csv"
     try:
-        problem, test = _build_problem(cell, seed)
-        config = _run_config(cell, seed)
-        if cell.solver == "sgd":
-            w, trace = sgd_solve(problem, config)
-        else:
-            solve = sadmm_solve if cell.solver == "sadmm" else admm_solve
-            result = solve(problem, config)
-            w, trace = result.w, result.trace
-        write_trace_csv(trace, trace_path)
-        eval_ds = test if test is not None else None
-        if eval_ds is not None:
-            acc = accuracy(predict(eval_ds.X, w), eval_ds.y)
-        else:
-            acc = accuracy(predict(problem.X, w), problem.y)
+        problem, test = build_problem(cell, seed)
+        result = solve(cell.solver, problem, run_config(cell, seed))
+        write_trace_csv(result.trace, trace_path)
+        held_out = test if test is not None else problem
         return RunRecord(
             cell=cell.name,
             solver=cell.solver,
             seed=seed,
-            objective=problem.objective(w),
-            accuracy=acc,
-            time_s=trace[-1].wall_ns / 1e9 if trace else 0.0,
+            objective=problem.objective(result.w),
+            accuracy=accuracy(predict(held_out.X, result.w), held_out.y),
+            time_s=result.trace[-1].wall_ns / 1e9 if result.trace else 0.0,
             trace_path=str(trace_path),
         )
     except (RankAdmmError, OSError) as exc:
@@ -402,16 +416,16 @@ def _write_suboptimality(plan: BenchmarkPlan, records: list[RunRecord], out: Pat
     from .admm import read_trace_csv
 
     best: dict[str, float] = {}
-    key_of = {cell.name: cell.problem_key() for cell in plan.cells}
+    key_of = {(cell.name, cell.solver): cell.problem_key() for cell in plan.cells}
     for rec in records:
         if rec.error is not None or not np.isfinite(rec.objective):
             continue
-        key = key_of[rec.cell]
+        key = key_of[rec.cell, rec.solver]
         best[key] = min(best.get(key, np.inf), rec.objective)
     for rec in records:
         if rec.error is not None:
             continue
-        key = key_of[rec.cell]
+        key = key_of[rec.cell, rec.solver]
         if key not in best:
             continue
         fstar = best[key]

@@ -217,6 +217,39 @@ def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_benchmark_duplicate_cell_exits_2(tmp_path, capsys):
+    # Both cells' runs would write c_admm_seed0.csv.
+    cell = dict(json.loads(make_plan(tmp_path, reps=1).read_text())["cells"][0],
+                name="c", seeds=[0])
+    path = tmp_path / "dup_plan.json"
+    path.write_text(json.dumps({"cells": [cell, cell], "out": str(tmp_path / "out")}))
+    with pytest.raises(InvalidParameterError, match="'c'"):
+        BenchmarkPlan.from_json(path)
+    assert cli_main(["benchmark", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    # the same name with another solver writes other files
+    other = dict(cell, solver="sgd", config={"epochs": 3})
+    path.write_text(json.dumps({"cells": [cell, other], "out": str(tmp_path / "out")}))
+    assert cli_main(["benchmark", str(path)]) == 0
+
+
+def test_suboptimality_per_cell_and_solver(tmp_path):
+    # Two cells share a name but not a problem: each run is its problem's
+    # only run, so each F* is that run's own final objective.
+    cells = [{"name": "c", "dataset": {"synthetic": {"n": 30, "d": 4, "seed": seed}},
+              "solver": solver, "config": config}
+             for seed, solver, config in [(1, "admm", {"max_iter": 10}),
+                                          (2, "sgd", {"epochs": 5})]]
+    path = tmp_path / "shared_name_plan.json"
+    path.write_text(json.dumps({"cells": cells, "out": str(tmp_path / "out")}))
+    run_benchmark(BenchmarkPlan.from_json(path))
+    for solver in ("admm", "sgd"):
+        last = (tmp_path / "out" / f"c_{solver}_seed0_subopt.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[2]) == 0.0
+
+
 def test_plan_float_aorr_k_builds(tmp_path):
     good = json.loads(make_plan(tmp_path, reps=1).read_text())
     cell = dict(good["cells"][0], scheme={"kind": "aorr", "k": 5.0, "m": 2})
@@ -280,9 +313,9 @@ def test_cli_oracle_bad_step_or_rho_exits_2(capsys, flags):
 
 
 def _captured_configs(monkeypatch):
-    """Swap the solver entry points of the harness and the CLI for stubs
-    that record the config they get and return a one-row solve."""
-    from rankadmm import cli, harness
+    """Swap the harness's solver entry points, which ``train`` runs too, for
+    stubs that record the config they get and return a one-row solve."""
+    from rankadmm import harness
     from rankadmm.admm import SolverResult
 
     configs = []
@@ -295,8 +328,7 @@ def _captured_configs(monkeypatch):
         configs.append(config)
         return np.zeros(problem.d), [_ONE_ROW]
 
-    for module in (harness, cli):
-        monkeypatch.setattr(module, "admm_solve", fake_admm)
+    monkeypatch.setattr(harness, "admm_solve", fake_admm)
     monkeypatch.setattr(harness, "sgd_solve", fake_sgd)
     return configs
 
@@ -327,6 +359,60 @@ def test_cli_train_bad_synthetic_exits_2(tmp_path, capsys, spec):
     assert cli_main(["train", "--synthetic", spec, "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-iter", "0"],
+    ["--r", "-1"],
+    ["--schedule", "bogus"],
+    ["--schedule", "constant:abc"],
+    ["--reg", "mcp", "--theta", "0.5"],
+    ["--reg", "l1", "--mu", "-1"],
+    ["--reg", "l2", "--mu", "0"],
+    ["--theory-mode", "--reg", "l2"],
+    ["--theory-mode", "--reg", "mcp", "--theory-eps", "-1"],
+])
+def test_cli_train_bad_solver_or_regularizer_flag_exits_2(tmp_path, capsys, flags):
+    assert cli_main(["train", "--synthetic", "n=20,d=3", *flags, "--out", str(tmp_path)]) == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def _rows_without_wall(path):
+    with open(path) as fh:
+        return [{k: v for k, v in row.items() if k != "wall_ns"} for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("flags, cell", [
+    (["--synthetic", "n=40,d=5,seed=2", "--reg", "l1", "--mu", "0.01", "--max-iter", "20",
+      "--schedule", "constant:1.0", "--seed", "3"],
+     {"dataset": {"synthetic": {"n": 40, "d": 5, "seed": 2}},
+      "regularizer": {"variant": "l1", "mu": 0.01}, "solver": "admm",
+      "config": {"max_iter": 20, "schedule": "constant:1.0"}, "seeds": [3]}),
+    (["--synthetic", "n=40,d=5,seed=2", "--scheme", "superquantile", "--q", "0.5",
+      "--reg", "l2", "--mu", "0.01", "--max-iter", "20", "--smooth"],
+     {"dataset": {"synthetic": {"n": 40, "d": 5, "seed": 2}},
+      "scheme": {"kind": "superquantile", "q": 0.5},
+      "regularizer": {"variant": "l2", "mu": 0.01}, "solver": "sadmm",
+      "config": {"max_iter": 20}}),
+    (["--synthetic", "n=30,d=4,seed=3", "--framework", "aorr", "--k", "10", "--m", "2",
+      "--loss", "hinge", "--max-iter", "25"],
+     {"dataset": {"synthetic": {"n": 30, "d": 4, "seed": 3}},
+      "scheme": {"kind": "aorr", "k": 10, "m": 2}, "loss": "hinge",
+      "regularizer": {"variant": "l2", "mu": 1e-4}, "solver": "admm",
+      "config": {"max_iter": 25, "schedule": "aorr"}}),
+], ids=["admm", "sadmm", "aorr"])
+def test_cli_train_matches_its_plan_cell(tmp_path, capsys, flags, cell):
+    assert cli_main(["train", *flags, "--no-timing", "--out", str(tmp_path / "train")]) == 0
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"cells": [dict(cell, name="c")], "out": str(tmp_path / "plan")}))
+    assert cli_main(["benchmark", str(path)]) == 0
+    seed = cell.get("seeds", [0])[0]
+    plan_rows = _rows_without_wall(tmp_path / "plan" / f"c_{cell['solver']}_seed{seed}.csv")
+    train_rows = _rows_without_wall(tmp_path / "train" / "trace.csv")
+    assert len(train_rows) > 1
+    assert train_rows == plan_rows
 
 
 def _mixed_plan(tmp_path, bad_cell: dict):
