@@ -321,12 +321,12 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
 
         if smooth_active:
             w_report = prox(reg, gamma, w_new)
-            kkt_feas = float(np.linalg.norm(z_new - problem.apply_D(w_report)))
-            objective = problem.objective(w_report)
+            Dw_report = problem.apply_D(w_report)
         else:
-            kkt_feas = float(np.linalg.norm(z_new - Dw_new))
-            # Dw_new is D applied to this same point; no second product.
-            objective = rank_loss_value(Dw_new, resolved, problem.loss) + reg_value(reg, w_new)
+            w_report, Dw_report = w_new, Dw_new
+        kkt_feas = float(np.linalg.norm(z_new - Dw_report))
+        # Problem.objective(w_report), reusing the product D w_report.
+        objective = rank_loss_value(Dw_report, resolved, problem.loss) + reg_value(reg, w_report)
 
         lyapunov = None
         if config.sigma_min is not None and config.sigma_min > 0:

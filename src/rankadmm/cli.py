@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 solver or data failure, 2 usage errors.
 
 ``train`` maps its flags onto one benchmark plan cell and runs it through
 the harness, so a setting is built, defaulted and checked as a plan key
-is; here stay the flags, the ``--framework`` presets, the bundled data,
-the theory-mode preset and the report.  The scheme flags of every
-subcommand map onto the parameters of ``weights.scheme_from_dict``.
+is, and a bad value's error names that key; here stay the flags, the
+``--framework`` presets, the bundled data, the theory-mode preset and the
+report.  The scheme flags of every subcommand map onto a plan ``scheme``
+entry, built by ``harness.scheme_from_dict``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .harness import (
     build_problem,
     run_benchmark,
     run_config,
+    scheme_from_dict,
     solve,
     worker_count,
 )
@@ -220,7 +222,7 @@ def _cmd_benchmark(args, parser) -> int:
 
 
 def _cmd_weights(args, parser) -> int:
-    scheme = _or_usage_error(parser, wgt.scheme_from_dict, _scheme_params(args))
+    scheme = _or_usage_error(parser, scheme_from_dict, _scheme_params(args))
     resolved = _or_usage_error(parser, resolve, scheme, args.n)
     if resolved.is_value_dependent:
         low = ",".join(format(v, ".12g") for v in resolved.sigma_low)
@@ -236,7 +238,7 @@ def _cmd_oracle(args, parser) -> int:
     for flag, value in (("--rho", args.rho), ("--step", args.step)):
         if not (math.isfinite(value) and value > 0):
             parser.error(f"{flag} must be finite and > 0, got {value}")
-    scheme = _or_usage_error(parser, wgt.scheme_from_dict, _scheme_params(args))
+    scheme = _or_usage_error(parser, scheme_from_dict, _scheme_params(args))
     resolved = _or_usage_error(parser, resolve, scheme, args.n)
     rng = np.random.default_rng(args.seed)
     m = rng.standard_normal(args.n)

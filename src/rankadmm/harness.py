@@ -2,8 +2,11 @@
 
 A plan is a list of cells; each cell names a dataset, a weight scheme, a
 loss, a regularizer, a solver, and how many seeded repetitions to run.
-The scheme entry is built by ``weights.scheme_from_dict``, which holds the
-catalogue of scheme kinds, parameters and defaults.
+This module owns the plan format.  ``build`` turns each entry of a cell
+(the scheme, once its kind is looked up in ``weights.SCHEMES``; the
+regularizer; the synthetic data; the solver config) into its dataclass,
+converting each value by its field's type, so the dataclasses hold the
+only defaults and the error of a bad value names its key.
 A cell is the one description of a solve: ``build_problem``,
 ``run_config`` and ``solve`` turn it into one run, here and for
 ``rankadmm train``, which maps its flags onto a cell.
@@ -20,7 +23,7 @@ import json
 import logging
 import os
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +71,6 @@ def _reject_unknown_keys(what: str, d: dict, allowed: tuple[str, ...]) -> None:
         )
 
 
-def regularizer_from_dict(d: dict) -> RegularizerSpec:
-    _reject_unknown_keys("regularizer", d, ("variant", "mu", "theta"))
-    return RegularizerSpec(
-        d.get("variant", "zero"), mu=float(d.get("mu", 0.0)), theta=float(d.get("theta", 0.0))
-    )
-
-
 def schedule_from_string(s: str) -> ScheduleSpec:
     if s.startswith("constant:"):
         return ScheduleSpec.constant(float(s.split(":", 1)[1]))
@@ -87,34 +83,83 @@ def schedule_from_string(s: str) -> ScheduleSpec:
     raise InvalidParameterError(f"unknown schedule {s!r} (srm|aorr|ehrm|constant:<rho>)")
 
 
-def _optional(convert):
-    """``convert`` for a field whose None is a setting of its own."""
-    return lambda value: None if value is None else convert(value)
+def to_int(value) -> int:
+    """``int(value)`` for an integral value; ValueError for 5.5."""
+    as_int = int(value)
+    if as_int != float(value):
+        raise ValueError(f"{value!r} is not integral")
+    return as_int
 
 
-_ADMM_FIELDS = {
-    "schedule": ("rho_schedule", schedule_from_string),
-    "max_iter": ("max_iter", wgt.to_int),
-    "r": ("r", float),
-    "gamma": ("gamma_schedule", lambda gamma: GammaSchedule.constant(float(gamma))),
-    "eps": ("stop_eps", float),
-    "wall_budget_s": ("wall_budget_s", _optional(float)),
+#: Field annotation -> converter of a plan value; a field with another
+#: annotation takes the value as it is.
+_CONVERT = {
+    "int": to_int,
+    "float": float,
+    "ScheduleSpec": schedule_from_string,
+    "GammaSchedule": lambda value: GammaSchedule.constant(float(value)),
 }
-#: Per solver: the config class and, for each key a cell's ``config`` may
-#: hold, the field it sets and the converter of its value.  A key left out
+
+
+def _parse(convert, value, key: str):
+    """``convert(value)``; a value it cannot take raises an
+    InvalidParameterError that names ``key``."""
+    try:
+        return convert(value)
+    except (AttributeError, TypeError, ValueError, OverflowError, InvalidParameterError) as exc:
+        raise InvalidParameterError(f"{key}: {exc}") from exc
+
+
+def build(cls, entry: dict, what: str, keys: dict[str, str] | None = None, **fixed):
+    """``cls`` built from the plan entry ``what``, plus the ``fixed`` fields.
+
+    ``keys`` maps each key the entry may hold to the field it sets; by
+    default every field not in ``fixed`` is a key of its own name.  Each
+    value is converted by its field's annotation through ``_CONVERT`` (an
+    ``| None`` annotation lets None through), and a field left out takes
+    its default.  An unknown key, a missing field without a default, or a
+    value that fails to convert raises an InvalidParameterError naming its
+    key; what ``cls`` itself rejects keeps its own message.
+    """
+    by_name = {f.name: f for f in fields(cls)}
+    if keys is None:
+        keys = {name: name for name in by_name if name not in fixed}
+    _reject_unknown_keys(what, entry, tuple(keys))
+    for key, name in keys.items():
+        f = by_name[name]
+        if key not in entry and f.default is MISSING and f.default_factory is MISSING:
+            raise InvalidParameterError(f"{what}: missing key {key!r}")
+    settings = dict(fixed)
+    for key, value in entry.items():
+        annotation = by_name[keys[key]].type
+        convert = _CONVERT.get(annotation.removesuffix(" | None"))
+        if convert is not None and not (value is None and annotation.endswith(" | None")):
+            value = _parse(convert, value, f"{what} key {key!r}")
+        settings[keys[key]] = value
+    return cls(**settings)
+
+
+def scheme_from_dict(d: dict) -> wgt.WeightScheme:
+    """Build ``weights.SCHEMES[d["kind"]]`` (default "erm") from the other
+    entries; an unknown kind raises InvalidParameterError."""
+    params = dict(d)
+    kind = params.pop("kind", "erm")
+    cls = wgt.SCHEMES.get(kind)
+    if cls is None:
+        raise InvalidParameterError(f"unknown scheme kind {kind!r} ({'|'.join(wgt.SCHEMES)})")
+    return build(cls, params, f"{kind} scheme")
+
+
+#: The field each ``config`` key of admm and sadmm sets.
+_ADMM_KEYS = {"schedule": "rho_schedule", "max_iter": "max_iter", "r": "r",
+              "gamma": "gamma_schedule", "eps": "stop_eps", "wall_budget_s": "wall_budget_s"}
+#: Per solver: the config class and the fields its ``config`` keys set
+#: (None: every field but the seed, under its own name).  A key left out
 #: keeps the field's default, so the dataclasses hold the only defaults.
 _SOLVER_CONFIGS = {
-    "admm": (SolverConfig, _ADMM_FIELDS),
-    "sadmm": (SolverConfig, _ADMM_FIELDS),
-    "sgd": (
-        SgdConfig,
-        {
-            "learning_rate": ("learning_rate", float),
-            "batch": ("batch", _optional(wgt.to_int)),
-            "epochs": ("epochs", wgt.to_int),
-            "wall_budget_s": ("wall_budget_s", _optional(float)),
-        },
-    ),
+    "admm": (SolverConfig, _ADMM_KEYS),
+    "sadmm": (SolverConfig, _ADMM_KEYS),
+    "sgd": (SgdConfig, None),
 }
 
 _DATASET_KEYS = {"path": ("path", "format"), "synthetic": ("synthetic",)}
@@ -140,7 +185,7 @@ class BenchmarkCell:
         # Build every part a run needs, so a bad cell fails before any run.
         # A data file is not opened: one that cannot be read is a failed run.
         try:
-            if wgt.to_int(self.repetitions) < 1:
+            if _parse(to_int, self.repetitions, "key 'repetitions'") < 1:
                 raise InvalidParameterError("repetitions must be >= 1")
             if isinstance(self.seeds, str):
                 raise InvalidParameterError(f"seeds must be a list, got {self.seeds!r}")
@@ -148,9 +193,9 @@ class BenchmarkCell:
             self._check_dataset()
             if self.split:
                 _split_args(self.split, 0)
-            wgt.scheme_from_dict(self.scheme)
-            regularizer_from_dict(self.regularizer)
-            LossKind(self.loss)
+            scheme_from_dict(self.scheme)
+            build(RegularizerSpec, self.regularizer, "regularizer")
+            _parse(LossKind, self.loss, "key 'loss'")
             run_config(self, 0)
         except (InvalidParameterError, AttributeError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"cell {self.name!r}: {exc}") from exc
@@ -168,20 +213,20 @@ class BenchmarkCell:
 
     def run_seeds(self) -> list[int]:
         if self.seeds is not None:
-            return [wgt.to_int(s) for s in self.seeds]
-        return list(range(wgt.to_int(self.repetitions)))
+            return [_parse(to_int, s, "key 'seeds'") for s in self.seeds]
+        return list(range(_parse(to_int, self.repetitions, "key 'repetitions'")))
 
     def problem_key(self) -> str:
         """Cells with the same key share an F* for sub-optimality.  The
         scheme and regularizer enter as built, so spellings of the same
         problem (a default written out, an unused strength) share a key."""
-        scheme = wgt.scheme_from_dict(self.scheme)
+        scheme = scheme_from_dict(self.scheme)
         return json.dumps(
             {
                 "dataset": self.dataset,
                 "scheme": [type(scheme).__name__, asdict(scheme)],
                 "loss": self.loss,
-                "regularizer": asdict(regularizer_from_dict(self.regularizer)),
+                "regularizer": asdict(build(RegularizerSpec, self.regularizer, "regularizer")),
                 "split": self.split,
             },
             sort_keys=True,
@@ -230,21 +275,16 @@ class RunRecord:
 
 
 def _synthetic_spec(params: dict, seed: int) -> data_io.SyntheticSpec:
-    """A cell's synthetic data, each value converted by its field's type;
-    ``seed`` unless the cell sets one."""
-    types = {f.name: f.type for f in fields(data_io.SyntheticSpec)}
-    _reject_unknown_keys("synthetic", params, tuple(types))
-    values = {"seed": seed, **params}
-    return data_io.SyntheticSpec(
-        **{k: wgt.to_int(v) if types[k] == "int" else float(v) for k, v in values.items()}
-    )
+    """A cell's synthetic data; ``seed`` unless the cell sets one."""
+    return build(data_io.SyntheticSpec, {"seed": seed, **params}, "synthetic")
 
 
 def _split_args(split: dict, seed: int) -> tuple[tuple[float, ...], int]:
     """(fractions, seed) of a cell's split; the seed defaults to the run's."""
     _reject_unknown_keys("split", split, ("fractions", "seed"))
-    fractions = data_io.split_fractions(split.get("fractions", (0.6, 0.4)))
-    return fractions, wgt.to_int(split.get("seed", seed))
+    fractions = _parse(data_io.split_fractions, split.get("fractions", (0.6, 0.4)),
+                         "split key 'fractions'")
+    return fractions, _parse(to_int, split.get("seed", seed), "split key 'seed'")
 
 
 def _load_dataset(spec: dict, seed: int) -> data_io.RawDataset:
@@ -271,8 +311,8 @@ def build_problem(cell: BenchmarkCell, seed: int) -> tuple[Problem, data_io.RawD
         X=ds.X,
         y=ds.y,
         loss=LossKind(cell.loss),
-        weights=wgt.scheme_from_dict(cell.scheme),
-        regularizer=regularizer_from_dict(cell.regularizer),
+        weights=scheme_from_dict(cell.scheme),
+        regularizer=build(RegularizerSpec, cell.regularizer, "regularizer"),
     )
     return problem, test
 
@@ -280,13 +320,8 @@ def build_problem(cell: BenchmarkCell, seed: int) -> tuple[Problem, data_io.RawD
 def run_config(cell: BenchmarkCell, seed: int) -> SolverConfig | SgdConfig:
     """The config of one run: the keys the cell's ``config`` sets, the
     run's seed and the field defaults for everything else."""
-    cls, table = _SOLVER_CONFIGS[cell.solver]
-    _reject_unknown_keys(f"{cell.solver} config", cell.config, tuple(table))
-    settings = {}
-    for key, value in cell.config.items():
-        name, convert = table[key]
-        settings[name] = convert(value)
-    return cls(seed=seed, **settings)
+    cls, keys = _SOLVER_CONFIGS[cell.solver]
+    return build(cls, cell.config, f"{cell.solver} config", keys, seed=seed)
 
 
 def solve(solver: str, problem: Problem, config: SolverConfig | SgdConfig) -> SolverResult:

@@ -23,7 +23,7 @@ class RegularizerSpec:
     """One of: zero | l2 | l1 | mcp | scad, with strength mu (all but zero)
     and shape theta (mcp and scad)."""
 
-    variant: str
+    variant: str = "zero"
     mu: float = 0.0
     theta: float = 0.0
 

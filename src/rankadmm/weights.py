@@ -10,13 +10,12 @@ point.
 This module is the one catalogue of schemes: ``SCHEMES`` maps each name (a
 benchmark plan's ``kind``, a CLI ``--scheme`` choice) to its class.  A
 class's fields are the scheme's parameters, its ``__post_init__`` checks
-them and its field defaults are the only defaults; ``scheme_from_dict``
-builds a scheme from a plan entry.
+them and its field defaults are the only defaults.  Plan entries are
+parsed in ``harness``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -291,47 +290,3 @@ SCHEMES = {
     "aorr": AoRR,
     "explicit": Explicit,
 }
-
-
-def to_int(value) -> int:
-    """``int(value)`` for an integral value; ValueError for 5.5."""
-    as_int = int(value)
-    if as_int != float(value):
-        raise ValueError(f"{value!r} is not integral")
-    return as_int
-
-
-_CONVERT = {"int": to_int, "float": float}
-
-
-def scheme_from_dict(d: dict) -> WeightScheme:
-    """Build ``SCHEMES[d["kind"]]`` (default "erm") from the other entries.
-
-    Each value is converted by its field's annotation (``int`` or
-    ``float``; ``5.0`` is the int 5); a parameter left out takes the class
-    default.  An unknown kind, an unknown or missing parameter, or a value
-    its annotation cannot hold (``5.5`` for an ``int``) raises
-    InvalidParameterError.
-    """
-    params = dict(d)
-    kind = params.pop("kind", "erm")
-    cls = SCHEMES.get(kind)
-    if cls is None:
-        raise InvalidParameterError(f"unknown scheme kind {kind!r} ({'|'.join(SCHEMES)})")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for name in params:
-        if name not in fields:
-            raise InvalidParameterError(f"{kind}: unknown parameter {name!r}")
-    for name, f in fields.items():
-        if name not in params and f.default is dataclasses.MISSING:
-            raise InvalidParameterError(f"{kind}: missing parameter {name!r}")
-    built = {}
-    for name, value in params.items():
-        convert = _CONVERT.get(fields[name].type, lambda v: v)
-        try:
-            built[name] = convert(value)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidParameterError(
-                f"{kind}: parameter {name!r} must be {fields[name].type}, got {value!r}"
-            ) from None
-    return cls(**built)

@@ -183,6 +183,26 @@ def test_sadmm_reports_premise_bumped_r():
     assert admm_solve(problem, cfg).r_effective == pytest.approx(2.0 * c)
 
 
+@pytest.mark.parametrize("solve, per_iteration", [(admm_solve, 2), (sadmm_solve, 3)])
+def test_D_products_per_iteration(monkeypatch, solve, per_iteration):
+    # D w_new, D (w_new - w) and, smoothed, D at the reported proximal
+    # point; the objective reuses the last of these.
+    from rankadmm.problem import Problem
+
+    problem = make_synthetic_problem(n=30, d=5, regularizer=mcp(1e-2, 3.0), seed=8)
+    real_apply = Problem.apply_D
+    calls = []
+
+    def counting(self, w):
+        calls.append(1)
+        return real_apply(self, w)
+
+    monkeypatch.setattr(Problem, "apply_D", counting)
+    cfg = SolverConfig(max_iter=10, rho_schedule=ScheduleSpec.constant(1.0), stop_eps=0.0)
+    assert len(solve(problem, cfg).trace) == 10
+    assert len(calls) == 1 + per_iteration * 10
+
+
 def test_nonfinite_w_step_stops_at_its_iteration(monkeypatch):
     problem = make_synthetic_problem(n=20, d=4, regularizer=l2(1e-2), seed=10)
     real_solve = WSolver.solve

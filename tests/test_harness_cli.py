@@ -13,11 +13,12 @@ from rankadmm.harness import (
     BenchmarkPlan,
     run_benchmark,
     schedule_from_string,
+    scheme_from_dict,
     summarize,
 )
 from rankadmm.errors import InvalidParameterError
 from rankadmm.regularizers import ZERO, RegularizerSpec
-from rankadmm.weights import ERM, CPTValueDependent, resolve, scheme_from_dict
+from rankadmm.weights import ERM, CPTValueDependent, resolve
 
 
 _ONE_ROW = IterationTrace(k=0, objective=0.0, aug_lagrangian=0.0, lyapunov=None, kkt_z=0.0,
@@ -182,29 +183,45 @@ def test_cli_benchmark(tmp_path, capsys):
     assert "erm-l2" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("change", [
-    {"regulariser": {"variant": "l2", "mu": 0.01}},
-    {"loss": "squared"},
-    {"scheme": {"kind": "superquantile"}},
-    {"scheme": {"kind": "superquantile", "q": 0.9, "qq": 1}},
-    {"scheme": {"kind": "aorr", "k": 5.5, "m": 2}},
-    {"config": {"max_iters": 5}},
-    {"regularizer": {"variant": "l2", "mu": 0.01, "thetta": 3.0}},
-    {"solver": "sgd", "config": {"epochs": 5, "batch": 5.5}},
-    {"config": {"max_iter": 20, "gamma": 0}},
-    {"seeds": ["x"]},
-    {"seeds": [0, 1.5]},
-    {"repetitions": 1.5},
-    {"dataset": {"synthetic": {"n": 0, "d": 3}}},
-    {"dataset": {"synthetic": {"n": 40, "d": 5, "sep": 2.0}}},
-    {"dataset": {"synthetc": {"n": 40, "d": 5}}},
-    {"dataset": {"synthetic": {"n": 40, "d": 5}, "path": "data.csv"}},
-    {"dataset": {"path": "data.csv", "format": "arff"}},
-    {"split": {"fractions": [0.5, 0.2]}},
-    {"split": {"fractions": [1.2, -0.2]}},
-    {"split": {"fractions": [0.6, 0.4], "sed": 3}},
+#: (change to a good cell, what its one-line error must contain)
+_INVALID_CELLS = [
+    ({"regulariser": {"variant": "l2", "mu": 0.01}}, "'regulariser'"),
+    ({"loss": "squared"}, "'loss'"),
+    ({"scheme": {"kind": "superquantile"}}, "'q'"),
+    ({"scheme": {"kind": "superquantile", "q": 0.9, "qq": 1}}, "'qq'"),
+    ({"scheme": {"kind": "aorr", "k": 5.5, "m": 2}}, "'k'"),
+    ({"config": {"max_iters": 5}}, "'max_iters'"),
+    ({"regularizer": {"variant": "l2", "mu": 0.01, "thetta": 3.0}}, "'thetta'"),
+    ({"solver": "sgd", "config": {"epochs": 5, "batch": 5.5}}, "'batch'"),
+    ({"config": {"max_iter": 20, "gamma": 0}}, "'gamma'"),
+    ({"seeds": ["x"]}, "'seeds'"),
+    ({"seeds": [0, 1.5]}, "'seeds'"),
+    ({"repetitions": 1.5}, "'repetitions'"),
+    ({"dataset": {"synthetic": {"n": 0, "d": 3}}}, "n >= 1"),
+    ({"dataset": {"synthetic": {"n": 40, "d": 5, "sep": 2.0}}}, "'sep'"),
+    ({"dataset": {"synthetc": {"n": 40, "d": 5}}}, "'synthetic'"),
+    ({"dataset": {"synthetic": {"n": 40, "d": 5}, "path": "data.csv"}}, "'path'"),
+    ({"dataset": {"path": "data.csv", "format": "arff"}}, "format 'arff'"),
+    ({"split": {"fractions": [0.5, 0.2]}}, "'fractions'"),
+    ({"split": {"fractions": [1.2, -0.2]}}, "'fractions'"),
+    ({"split": {"fractions": [0.6, 0.4], "sed": 3}}, "'sed'"),
+    ({"regularizer": {"variant": "l2", "mu": "abc"}}, "'mu'"),
+    ({"config": {"max_iter": "x"}}, "'max_iter'"),
+    ({"config": {"schedule": "constant:abc"}}, "'schedule'"),
+    ({"config": {"schedule": "constant:-1"}}, "'schedule'"),
+    ({"solver": "sgd", "config": {"batch": "x"}}, "'batch'"),
+    ({"dataset": {"synthetic": {"n": "abc", "d": 3}}}, "'n'"),
+    ({"dataset": {"synthetic": {"n": 40}}}, "'d'"),
+    ({"split": {"fractions": ["a", 1]}}, "'fractions'"),
+    ({"split": {"seed": "x"}}, "'seed'"),
+    ({"config": {"schedule": 5}}, "'schedule'"),
+]
+
+
+@pytest.mark.parametrize("change, named", [
+    pytest.param(change, named, id=f"change{i}") for i, (change, named) in enumerate(_INVALID_CELLS)
 ])
-def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change):
+def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change, named):
     good = json.loads(make_plan(tmp_path, reps=1).read_text())
     bad = dict(good["cells"][0], name="bad", **change)
     path = tmp_path / "bad_plan.json"
@@ -214,6 +231,7 @@ def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change):
     assert cli_main(["benchmark", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
+    assert named in err
     assert not (tmp_path / "out").exists()
 
 
@@ -353,29 +371,35 @@ def test_cli_missing_data_file_exits_1(tmp_path):
     assert cli_main(["train", "--data", str(tmp_path / "nope.csv")]) == 1
 
 
-@pytest.mark.parametrize("spec", ["n=abc,d=3", "n=20,d=3,seed=1.5", "n=0,d=3",
-                                  "n=20,d=3,flip=0.7"])
-def test_cli_train_bad_synthetic_exits_2(tmp_path, capsys, spec):
+@pytest.mark.parametrize("spec, named", [
+    pytest.param(spec, named, id=spec)
+    for spec, named in [("n=abc,d=3", "'n'"), ("n=20,d=3,seed=1.5", "'seed'"), ("n=0,d=3", "n >= 1"),
+                        ("n=20,d=3,flip=0.7", "flip_fraction"), ("n=20", "'d'")]
+])
+def test_cli_train_bad_synthetic_exits_2(tmp_path, capsys, spec, named):
     assert cli_main(["train", "--synthetic", spec, "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and named in errors[0]
     assert not (tmp_path / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [
-    ["--max-iter", "0"],
-    ["--r", "-1"],
-    ["--schedule", "bogus"],
-    ["--schedule", "constant:abc"],
-    ["--reg", "mcp", "--theta", "0.5"],
-    ["--reg", "l1", "--mu", "-1"],
-    ["--reg", "l2", "--mu", "0"],
-    ["--theory-mode", "--reg", "l2"],
-    ["--theory-mode", "--reg", "mcp", "--theory-eps", "-1"],
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(flags, named, id=f"flags{i}") for i, (flags, named) in enumerate([
+        (["--max-iter", "0"], "max_iter"),
+        (["--r", "-1"], "r must"),
+        (["--schedule", "bogus"], "'schedule'"),
+        (["--schedule", "constant:abc"], "'schedule'"),
+        (["--reg", "mcp", "--theta", "0.5"], "theta"),
+        (["--reg", "l1", "--mu", "-1"], "mu"),
+        (["--reg", "l2", "--mu", "0"], "mu"),
+        (["--theory-mode", "--reg", "l2"], "theory mode"),
+        (["--theory-mode", "--reg", "mcp", "--theory-eps", "-1"], "rho0"),
+    ])
 ])
-def test_cli_train_bad_solver_or_regularizer_flag_exits_2(tmp_path, capsys, flags):
+def test_cli_train_bad_solver_or_regularizer_flag_exits_2(tmp_path, capsys, flags, named):
     assert cli_main(["train", "--synthetic", "n=20,d=3", *flags, "--out", str(tmp_path)]) == 2
     errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
-    assert len(errors) == 1
+    assert len(errors) == 1 and named in errors[0]
     assert not (tmp_path / "trace.csv").exists()
 
 

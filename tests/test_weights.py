@@ -20,8 +20,8 @@ from rankadmm.weights import (
     Superquantile,
     cpt_omega,
     resolve,
-    scheme_from_dict,
 )
+from rankadmm.harness import scheme_from_dict
 
 
 def density(scheme, t):
