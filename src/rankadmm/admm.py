@@ -233,6 +233,8 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     Dw = problem.apply_D(w)
     z = Dw.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
     lam = np.zeros(n) if lambda0 is None else np.asarray(lambda0, dtype=float).copy()
+    # The z-step's sorting order, kept as its next warm start.
+    order = np.arange(n)
 
     trace: list[IterationTrace] = []
 
@@ -272,7 +274,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
 
         try:
             m = Dw - lam / rho
-            z_new = solve_z_subproblem(m, resolved, rho, problem.loss)
+            z_new = solve_z_subproblem(m, resolved, rho, problem.loss, order=order)
             target = z_new + lam / rho
             w_new = solver.solve(target, w, rho, r, reg, gamma)
         except RankAdmmError as exc:

@@ -96,6 +96,7 @@ def to_int(value) -> int:
 _CONVERT = {
     "int": to_int,
     "float": float,
+    "tuple[float, ...]": lambda value: tuple(float(s) for s in value),
     "ScheduleSpec": schedule_from_string,
     "GammaSchedule": lambda value: GammaSchedule.constant(float(value)),
 }
@@ -201,6 +202,8 @@ class BenchmarkCell:
             raise InvalidParameterError(f"cell {self.name!r}: {exc}") from exc
 
     def _check_dataset(self) -> None:
+        every_key = tuple(k for keys in _DATASET_KEYS.values() for k in keys)
+        _reject_unknown_keys("dataset", self.dataset, every_key)
         kinds = [k for k in _DATASET_KEYS if k in self.dataset]
         if len(kinds) != 1:
             raise InvalidParameterError("dataset needs exactly one of 'path' or 'synthetic'")

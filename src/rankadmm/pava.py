@@ -11,21 +11,28 @@ by pool-adjacent-violators block merging in one left-to-right stack pass
 computes them all, for every weight scheme.  One numpy
 comparison finds every singleton below its left neighbour; between two
 such breaks the singletons are in order, so a stretch that starts at or
-above the stack top is pushed with one ``list.extend``.  Python work
+above the stack top is pushed as one (start, end) entry, and a merge that
+reaches into it pops its last singleton by shortening it.  Python work
 therefore scales with merges, not with n.  When the stack top exceeds the
 next block, the run of strictly decreasing block values starting at the
 top is extended over the following singletons and folded into one block
 with a single scalar solve; the merged value always lands between the
 run's last and first values, which is what makes the multi-merge safe.
-The merged block is then compared with the new stack top.  The stack is
-kept as parallel lists of block starts, values, weight sums and target
-sums.  The value-dependent prospect-theory weights use the same pass with
-two weight-sum columns, an array two-piece singleton solve and the
-two-piece scalar solver for merges.
+The merged block is then compared with the new stack top.  The sorted
+solution is a copy of the singleton values with each merged block written
+over its range.  The value-dependent prospect-theory weights use the same
+pass with two weight-sum columns, an array two-piece singleton solve and
+the two-piece scalar solver for merges.
+
+The z-step sorts its targets with a stable argsort.  Between outer
+iterations the targets barely move, so a caller may pass the previous
+sorting order as a warm start, which the stable sort (a merge sort that
+finds presorted runs) orders in near-linear time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +64,15 @@ class MergeEvent:
 @dataclass
 class BlockPartition:
     """Ordered blocks covering 0..n-1 with no gaps or overlaps: block j
-    spans ``lo[j]..hi[j]`` (0-based, inclusive) in the sorted order and
-    takes the value ``value[j]``."""
+    starts at ``lo[j]`` (0-based) in the sorted order and ends where the
+    next begins.  ``z`` holds every block's value over its range."""
 
     lo: np.ndarray
-    value: np.ndarray
-    n: int
+    z: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.z.shape[0]
 
     @property
     def count(self) -> np.ndarray:
@@ -72,9 +82,13 @@ class BlockPartition:
     def hi(self) -> np.ndarray:
         return self.lo + self.count - 1
 
+    @property
+    def value(self) -> np.ndarray:
+        return self.z[self.lo]
+
     def values(self) -> np.ndarray:
-        """Expand block values to a length-n vector in sorted order."""
-        return np.repeat(self.value, self.count)
+        """Block values as a length-n vector in sorted order."""
+        return self.z
 
 
 def merge_blocks(
@@ -89,14 +103,13 @@ def merge_blocks(
     Computes every singleton value first, in one array solve; a singleton
     whose weights are all zero is an exact quadratic and takes its target
     directly.  Then one stack pass pushes each in-order stretch of
-    singletons at once, merges each strictly decreasing run with one
-    scalar solve and compares the result with the new stack top.  For the value-dependent weights
-    the result is a first-order point, not necessarily a global minimum,
-    and it depends on this merge order.
+    singletons as one entry, merges each strictly decreasing run with one
+    scalar solve and compares the result with the new stack top.  For the
+    value-dependent weights the result is a first-order point, not
+    necessarily a global minimum, and it depends on this merge order.
     """
-    m_list = m_sorted.tolist()
     if resolved.is_value_dependent:
-        cols = [resolved.sigma_low.tolist(), resolved.sigma_high.tolist()]
+        col_arrs = [resolved.sigma_low, resolved.sigma_high]
         reference = resolved.reference
 
         def solve(sums: list[float], count: int, m_sum: float) -> float:
@@ -111,61 +124,75 @@ def merge_blocks(
             resolved.sigma_low, resolved.sigma_high, m_sorted, reference, rho, kind
         )
     else:
-        cols = [resolved.sigma.tolist()]
+        col_arrs = [resolved.sigma]
 
         def solve(sums: list[float], count: int, m_sum: float) -> float:
             return block_minimize(BlockObjective(sums[0], count, m_sum, rho), kind)
 
         singles_arr = singleton_minimize(resolved.sigma, m_sorted, rho, kind)
 
-    n = len(m_list)
-    singles = singles_arr.tolist()
+    n = singles_arr.shape[0]
+    # Per-merge reads go through memoryviews, which index to Python floats.
+    singles, targets = memoryview(singles_arr), memoryview(m_sorted)
+    cols = [memoryview(col) for col in col_arrs]
     # Starts of the in-order stretches: singletons below their left neighbour.
     breaks = (np.flatnonzero(singles_arr[1:] < singles_arr[:-1]) + 1).tolist() + [n]
-    # The stack, one list per block field; a block ends where the next begins.
-    lo: list[int] = []
-    value: list[float] = []
-    wsum: list[list[float]] = [[] for _ in cols]
-    msum: list[float] = []
+    # The stack, one entry [lo, end, value, sums, msum] per block or stretch
+    # covering lo..end-1.  A stretch of singletons has sums None, and its
+    # value is that of its last singleton; a merged block carries its
+    # value, weight sums and target sum.  The empty bottom entry at -inf
+    # is never popped.
+    stack: list[list] = [[0, 0, -math.inf, None, 0.0]]
     k = 0
     b = 0
     while k < n:
-        if not (value and value[-1] > singles[k]):
+        if not stack[-1][2] > singles[k]:
             # Nothing to merge up to the next break: push the stretch.
             while breaks[b] <= k:
                 b += 1
             end = breaks[b]
-            lo.extend(range(k, end))
-            value.extend(singles[k:end])
-            msum.extend(m_list[k:end])
-            for st, col in zip(wsum, cols):
-                st.extend(col[k:end])
+            stack.append([k, end, singles[end - 1], None, 0.0])
             k = end
             continue
-        c_lo, c_value, c_sums, c_msum = k, singles[k], [col[k] for col in cols], m_list[k]
+        c_lo, c_value, c_sums, c_msum = k, singles[k], [col[k] for col in cols], targets[k]
         k += 1
-        while value and value[-1] > c_value:
+        while stack[-1][2] > c_value:
             # Fold the top, the current block and every following singleton
             # below the run's last value, summing left to right.
-            r_lo, v_first, r_msum = lo.pop(), value.pop(), msum.pop()
-            sums = [st.pop() + c for st, c in zip(wsum, c_sums)]
-            r_msum += c_msum
+            top = stack[-1]
+            t_lo, t_end, v_first, t_sums, t_msum = top
+            if t_sums is None:
+                # Pop the stretch's last singleton.
+                if t_end - 1 == t_lo:
+                    stack.pop()
+                else:
+                    top[1], top[2] = t_end - 1, singles[t_end - 2]
+                t_lo = t_end - 1
+                sums = [col[t_lo] + c for col, c in zip(cols, c_sums)]
+                r_msum = targets[t_lo] + c_msum
+            else:
+                stack.pop()
+                sums = [a + c for a, c in zip(t_sums, c_sums)]
+                r_msum = t_msum + c_msum
             v_last = c_value
             while k < n and v_last > singles[k]:
                 v_last = singles[k]
                 sums = [a + col[k] for a, col in zip(sums, cols)]
-                r_msum += m_list[k]
+                r_msum += targets[k]
                 k += 1
-            v = solve(sums, k - r_lo, r_msum)
+            v = solve(sums, k - t_lo, r_msum)
             if merge_log is not None:
-                merge_log.append(MergeEvent(r_lo, k - 1, v_first, v_last, v))
-            c_lo, c_value, c_sums, c_msum = r_lo, v, sums, r_msum
-        lo.append(c_lo)
-        value.append(c_value)
-        msum.append(c_msum)
-        for st, c in zip(wsum, c_sums):
-            st.append(c)
-    return BlockPartition(np.array(lo, dtype=np.intp), np.array(value, dtype=float), n)
+                merge_log.append(MergeEvent(t_lo, k - 1, v_first, v_last, v))
+            c_lo, c_value, c_sums, c_msum = t_lo, v, sums, r_msum
+        stack.append([c_lo, k, c_value, c_sums, c_msum])
+    # The sorted result: the singletons, each merged block written over its range.
+    z = singles_arr.copy()
+    starts = np.ones(n, dtype=bool)
+    for lo, end, value, sums, _ in stack:
+        if sums is not None:
+            z[lo:end] = value
+            starts[lo + 1 : end] = False
+    return BlockPartition(np.flatnonzero(starts), z)
 
 
 def solve_z_subproblem(
@@ -174,12 +201,21 @@ def solve_z_subproblem(
     rho: float,
     kind: LossKind,
     merge_log: list[MergeEvent] | None = None,
+    order: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minimize the rank-weighted loss plus (rho/2)||z - m||^2 over z.
 
     Sorts m ascending (stable), pairs rank weights with sorted slots,
-    runs the merge pass, and inverse-permutes the block values back to
-    the original sample order.
+    runs the merge pass, and scatters the sorted solution back to the
+    original sample order.
+
+    ``order``, when given, is a permutation of ``0..n-1`` (an intp array)
+    that is read as a warm start and overwritten with the sorting order of
+    ``m``: m is sorted along it (stably, so near-sorted input sorts in
+    near-linear time).  If the sorted targets hold a tie, the cold stable
+    argsort is used instead, since tied targets must stay in original
+    index order.  Either way the result, and the order written back,
+    equal those of the call without ``order``.
     """
     m = np.asarray(m, dtype=float).ravel()
     if not np.all(np.isfinite(m)):
@@ -188,8 +224,16 @@ def solve_z_subproblem(
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if m.shape[0] != resolved.n:
         raise InvalidParameterError(f"m has length {m.shape[0]}, expected {resolved.n}")
-    order = np.argsort(m, kind="stable")
-    partition = merge_blocks(m[order], resolved, rho, kind, merge_log)
+    if order is None:
+        perm = np.argsort(m, kind="stable")
+        m_sorted = m[perm]
+    else:
+        perm = order[np.argsort(m[order], kind="stable")]
+        m_sorted = m[perm]
+        if np.any(m_sorted[1:] == m_sorted[:-1]):
+            perm = np.argsort(m, kind="stable")
+            m_sorted = m[perm]
+        order[:] = perm
     z = np.empty_like(m)
-    z[order] = partition.values()
+    z[perm] = merge_blocks(m_sorted, resolved, rho, kind, merge_log).values()
     return z

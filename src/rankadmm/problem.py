@@ -88,16 +88,15 @@ class Problem:
 def rank_loss_value(z: np.ndarray, resolved: wgt.ResolvedWeights, kind: LossKind) -> float:
     """Sigma-weighted sum of ascending-sorted losses of the margins z.
 
-    Ties sort stably by original index so weight assignment is
-    deterministic.  The value-dependent scheme evaluates its weights on
-    the sorted margins themselves.
+    The value-dependent scheme evaluates its weights on the sorted margins
+    themselves.  The sum does not depend on how ties are ordered: tied
+    losses are equal (losses are never -0.0), and so are the losses and
+    weights of tied margins, so any sort algorithm gives the same value.
     """
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != resolved.n:
         raise DimensionError(f"z has length {z.shape[0]}, expected {resolved.n}")
-    losses = loss_value_vec(kind, z)
     if resolved.is_value_dependent:
-        order = np.argsort(z, kind="stable")
-        sigma = resolved.sigma_for(z[order])
-        return float(sigma @ losses[order])
-    return float(resolved.sigma @ np.sort(losses, kind="stable"))
+        z_sorted = np.sort(z)
+        return float(resolved.sigma_for(z_sorted) @ loss_value_vec(kind, z_sorted))
+    return float(resolved.sigma @ np.sort(loss_value_vec(kind, z)))

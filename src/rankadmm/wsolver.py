@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .regularizers import (
@@ -131,6 +130,10 @@ class WSolver:
                 return Q @ ((Q.T @ b) / denom)
 
         else:
+            # Imported here: no dense-Gram (d <= _EIG_THRESHOLD) run needs
+            # it, and it weighs about 10 MB of resident memory.
+            import scipy.sparse.linalg as spla
+
             op = spla.LinearOperator(
                 (self.d, self.d),
                 matvec=lambda v: rho * self._gram_matvec(v) + shift * v,

@@ -199,7 +199,7 @@ _INVALID_CELLS = [
     ({"repetitions": 1.5}, "'repetitions'"),
     ({"dataset": {"synthetic": {"n": 0, "d": 3}}}, "n >= 1"),
     ({"dataset": {"synthetic": {"n": 40, "d": 5, "sep": 2.0}}}, "'sep'"),
-    ({"dataset": {"synthetc": {"n": 40, "d": 5}}}, "'synthetic'"),
+    ({"dataset": {"synthetc": {"n": 40, "d": 5}}}, "'synthetc'"),
     ({"dataset": {"synthetic": {"n": 40, "d": 5}, "path": "data.csv"}}, "'path'"),
     ({"dataset": {"path": "data.csv", "format": "arff"}}, "format 'arff'"),
     ({"split": {"fractions": [0.5, 0.2]}}, "'fractions'"),
@@ -215,6 +215,10 @@ _INVALID_CELLS = [
     ({"split": {"fractions": ["a", 1]}}, "'fractions'"),
     ({"split": {"seed": "x"}}, "'seed'"),
     ({"config": {"schedule": 5}}, "'schedule'"),
+    ({"dataset": {"synthetic": {"n": 40, "d": 5}, "synthetc": {}}}, "'synthetc'"),
+    ({"dataset": {}}, "'synthetic'"),
+    ({"scheme": {"kind": "explicit", "sigma": ["a"]}}, "'sigma'"),
+    ({"scheme": {"kind": "explicit", "sigma": 5}}, "'sigma'"),
 ]
 
 

@@ -118,6 +118,34 @@ def test_differential_against_grid_dp_with_ties(scheme_name, kind, data):
     assert ref_obj - got <= 1e-3
 
 
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+@pytest.mark.parametrize("value_dependent", [False, True], ids=["explicit", "cpt"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_warm_order_matches_cold_stable_sort(kind, value_dependent, data):
+    n = data.draw(st.integers(1, 30))
+    values = st.floats(-3.0, 3.0)
+    if data.draw(st.booleans()):
+        # planted ties, signed zeros among them
+        pool = data.draw(st.lists(st.sampled_from([-0.0, 0.0]) | values, min_size=1, max_size=n))
+        m = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    else:
+        m = np.array(data.draw(st.lists(values, min_size=n, max_size=n, unique=True)))
+    if value_dependent:
+        resolved = resolve(CPTValueDependent(B=0.0), n)
+    else:
+        sigma = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+        resolved = resolve(Explicit(sigma), n)
+    rho = data.draw(st.sampled_from([0.05, 1.0, 10.0]))
+    order = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+    cold_log, warm_log = [], []
+    cold = solve_z_subproblem(m, resolved, rho, kind, merge_log=cold_log)
+    warm = solve_z_subproblem(m, resolved, rho, kind, merge_log=warm_log, order=order)
+    assert warm.tobytes() == cold.tobytes()
+    assert warm_log == cold_log
+    assert np.array_equal(order, np.argsort(m, kind="stable"))
+
+
 def test_in_order_input_single_pass(rng):
     m = np.sort(rng.standard_normal(8))
     resolved = resolve(Explicit(np.full(8, 0.125)), 8)

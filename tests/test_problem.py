@@ -3,10 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from rankadmm.errors import DimensionError, InvalidParameterError
-from rankadmm.losses import LossKind, loss_value
+from rankadmm.losses import LossKind, loss_value, loss_value_vec
 from rankadmm.problem import Problem, rank_loss_value
 from rankadmm.regularizers import l2
-from rankadmm.weights import CPTValueDependent, ERM, Explicit, Superquantile, resolve
+from rankadmm.weights import AoRR, CPTValueDependent, ERM, Explicit, Superquantile, resolve
 
 
 def test_apply_d_single_row():
@@ -106,6 +106,32 @@ def test_cpt_objective_uses_sorted_margins():
     sigma = np.where(z_sorted <= 0.0, resolved.sigma_low, resolved.sigma_high)
     expected = sum(s * loss_value(LossKind.LOGISTIC, v) for s, v in zip(sigma, z_sorted))
     assert p.objective(w) == pytest.approx(expected, abs=1e-12)
+
+
+def stable_sort_rank_loss(z, resolved, kind):
+    """The rank loss with every sort stable, ties in original index order."""
+    losses = loss_value_vec(kind, z)
+    if resolved.is_value_dependent:
+        order = np.argsort(z, kind="stable")
+        return float(resolved.sigma_for(z[order]) @ losses[order])
+    return float(resolved.sigma @ np.sort(losses, kind="stable"))
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+@pytest.mark.parametrize(
+    "scheme", [Superquantile(0.7), AoRR(k=150, m=10), CPTValueDependent(B=0.0)],
+    ids=["superquantile", "aorr", "cpt"],
+)
+def test_rank_loss_bitwise_equals_stable_sort_on_ties(scheme, kind, rng):
+    n = 400
+    resolved = resolve(scheme, n)
+    for _ in range(20):
+        # few distinct margins, signed zeros among them, and hinge losses
+        # that tie at 0 below the kink
+        z = rng.choice([-3.0, -2.0, -1.5, -0.5, -0.0, 0.0, 0.25, 1.0], size=n)
+        z[rng.random(n) < 0.2] = rng.standard_normal() * 40.0
+        got, expected = rank_loss_value(z, resolved, kind), stable_sort_rank_loss(z, resolved, kind)
+        assert got.hex() == expected.hex()
 
 
 def test_label_validation():

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import rankadmm
 
 from rankadmm import wsolver
 from rankadmm.regularizers import ZERO, l1, l2, mcp, moreau_value_and_grad, prox, reg_value, scad
@@ -256,3 +263,14 @@ def test_power_iteration_norm(rng):
     assert est == pytest.approx(exact, rel=1e-6)
     # deterministic under the seed
     assert WSolver(D, seed=3).d_norm == est
+
+
+def test_import_does_not_load_sparse_linalg():
+    # Only the conjugate-gradient ridge solve (d > _EIG_THRESHOLD) needs
+    # scipy.sparse.linalg; the package imports it there, not at load time.
+    src = str(Path(rankadmm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, rankadmm; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
