@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidParameterError, RankAdmmError, SolverError
 from .pava import solve_z_subproblem
-from .problem import Problem, rank_loss_value
+from .problem import Problem, rank_loss_value, sorted_rank_loss
 from .regularizers import (
     MOREAU_CURVATURE_LIMIT,
     RegularizerSpec,
@@ -285,7 +285,8 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         Dw_new = problem.apply_D(w_new)
         r_new = z_new - Dw_new
         lam_new = lam + rho * r_new
-        omega_new = rank_loss_value(z_new, resolved, problem.loss)
+        # z_new ascends along the z-step's order: no second sort
+        omega_new = sorted_rank_loss(z_new[order], resolved, problem.loss)
         pen_old = _penalty(reg, gamma, w)
         pen_new = _penalty(reg, gamma, w_new)
         # L_rho(w, z; lambda) in the cancellation-safe form

@@ -96,7 +96,21 @@ def rank_loss_value(z: np.ndarray, resolved: wgt.ResolvedWeights, kind: LossKind
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != resolved.n:
         raise DimensionError(f"z has length {z.shape[0]}, expected {resolved.n}")
+    return sorted_rank_loss(np.sort(z), resolved, kind)
+
+
+def sorted_rank_loss(
+    z_sorted: np.ndarray, resolved: wgt.ResolvedWeights, kind: LossKind
+) -> float:
+    """:func:`rank_loss_value` of margins already in ascending order.
+
+    The losses of ascending margins ascend, as the loss is nondecreasing;
+    where rounding breaks that order they are sorted, so the value equals
+    the sum over the sorted losses bit for bit.
+    """
+    losses = loss_value_vec(kind, z_sorted)
     if resolved.is_value_dependent:
-        z_sorted = np.sort(z)
-        return float(resolved.sigma_for(z_sorted) @ loss_value_vec(kind, z_sorted))
-    return float(resolved.sigma @ np.sort(loss_value_vec(kind, z)))
+        return float(resolved.sigma_for(z_sorted) @ losses)
+    if np.any(losses[1:] < losses[:-1]):
+        losses.sort()
+    return float(resolved.sigma @ losses)

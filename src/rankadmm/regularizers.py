@@ -141,6 +141,28 @@ def prox(spec: RegularizerSpec, gamma: float, w: np.ndarray) -> np.ndarray:
     return np.sign(w) * out
 
 
+def affine_pieces(spec: RegularizerSpec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The derivative of l1, MCP or SCAD on the piece holding each nonzero w_j.
+
+    There g'(x) = alpha_j * sign(x) - beta_j * x is affine, and this
+    returns (alpha, beta): l1 (mu/2, 0); MCP (mu, 1/theta) for
+    |w| <= theta*mu and (0, 0) beyond; SCAD (mu, 0) for |w| <= mu,
+    (theta*mu/(theta - 1), 1/(theta - 1)) up to theta*mu and (0, 0)
+    beyond.  Entries at w_j = 0, where g has no derivative, are those of
+    the piece next to 0.
+    """
+    a = np.abs(np.asarray(w, dtype=float))
+    mu, th = spec.mu, spec.theta
+    if spec.variant == "l1":
+        return np.full_like(a, 0.5 * mu), np.zeros_like(a)
+    if spec.variant == "mcp":
+        inner = a <= th * mu
+        return np.where(inner, mu, 0.0), np.where(inner, 1.0 / th, 0.0)
+    middle = (a > mu) & (a <= th * mu)
+    alpha = np.where(a <= mu, mu, np.where(middle, th * mu / (th - 1.0), 0.0))
+    return alpha, np.where(middle, 1.0 / (th - 1.0), 0.0)
+
+
 def moreau_value_and_grad(
     spec: RegularizerSpec, gamma: float, w: np.ndarray
 ) -> tuple[float, np.ndarray]:

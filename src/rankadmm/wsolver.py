@@ -6,12 +6,18 @@
 penalty is the regularizer g itself: zero and l2 penalties admit an exact
 linear solve, l1 and the concave penalties use an accelerated proximal
 gradient method with one Gram product per iteration, whose momentum
-restarts on a gradient test that needs no objective value.  With ``gamma``
-the penalty is the Moreau envelope of g with smoothing parameter gamma
-(the smoothed outer loop), minimized by an exact splitting whose rate
-depends only on the data spectrum, so it does not degrade as gamma
-shrinks.  ``WSolver.last_info`` reports the method, the inner iteration
-and restart counts and the final residual of the latest solve.
+restarts on a gradient test that needs no objective value.  With the
+dense Gram matrix (d <= _EIG_THRESHOLD), once the anchor (the previous
+w-step's answer) keeps the pattern of the anchor before it -- support,
+signs and penalty pieces -- that method first tries one exact linear
+solve on the pattern, and keeps its point if it passes the method's own
+stopping test (finite identification: Hare & Lewis, J. Convex Anal.
+2004).  With ``gamma`` the penalty is the Moreau envelope of g with
+smoothing parameter gamma (the smoothed outer loop), minimized by an
+exact splitting whose rate depends only on the data spectrum, so it does
+not degrade as gamma shrinks.  ``WSolver.last_info`` reports the method,
+the inner iteration and restart counts and the final residual of the
+latest solve.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import scipy.sparse as sp
 from .errors import SolverError
 from .regularizers import (
     RegularizerSpec,
+    affine_pieces,
     moreau_value_and_grad,
     prox,
     reg_value,
@@ -37,16 +44,21 @@ _POWER_ITERATIONS = 100
 _TOL = 1e-9
 _FISTA_MAX_ITER = 5000
 _SPLIT_MAX_ITER = 20000
+_FP_FLOOR_SCALE = 64.0 * np.finfo(float).eps
 
 
 def _fp_floor(curvature: float, w: np.ndarray) -> float:
     """Smallest gradient/mapping norm still distinguishable from rounding
     noise for a smooth term with the given curvature scale."""
-    return 64.0 * np.finfo(float).eps * curvature * (1.0 + float(np.linalg.norm(w)))
+    return _FP_FLOOR_SCALE * curvature * (1.0 + float(np.linalg.norm(w)))
 
 
 @dataclass
 class SolveInfo:
+    """What the latest w-step did.  ``iterations`` counts inner iterations;
+    for the proximal gradient method 0 means the pattern solve was accepted,
+    and ``residual`` is then its prox-gradient mapping norm."""
+
     method: str = ""
     iterations: int = 0
     residual: float = float("nan")
@@ -57,7 +69,9 @@ class SolveInfo:
 class WSolver:
     """Caches the Gram matrix spectral data of a fixed D across solves.
 
-    One instance per thread: the caches are mutable but write-once.
+    One instance per thread: the caches are mutable but write-once, and
+    the anchor pattern of the latest prox-gradient solve is kept for the
+    next one, so a sequence of w-steps shares one instance.
     """
 
     def __init__(self, D: np.ndarray | sp.spmatrix, seed: int = 0):
@@ -67,6 +81,8 @@ class WSolver:
         self._gram: np.ndarray | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._d_norm: float | None = None
+        # (sign, alpha, beta) of the latest prox-gradient anchor's pattern
+        self._pattern: np.ndarray | None = None
         self.last_info = SolveInfo()
 
     # -- spectral helpers -------------------------------------------------
@@ -190,10 +206,16 @@ class WSolver:
         """Accelerated proximal gradient with gradient restarts.
 
         Smooth part q(w) = (rho/2)||t - Dw||^2 + (r/2)||w - anchor||^2,
-        step 1/(rho ||D||^2 + r).  Starts from the better of the anchor
-        and the exact penalty-free solution, which keeps the iteration
-        count bounded by the data conditioning even for very large rho.
-        Stops when the prox-gradient mapping norm falls below _TOL.
+        step 1/(rho ||D||^2 + r).  With the dense Gram matrix, first tries
+        ``_pattern_solve``: its point is returned with 0 iterations if its
+        prox-gradient mapping norm passes the loop's stopping test, which
+        in a strongly convex w-step makes it the minimizer the loop would
+        reach; otherwise the loop runs as if it had not been tried.
+
+        The loop starts from the better of the anchor and the exact
+        penalty-free solution, which keeps the iteration count bounded by
+        the data conditioning even for very large rho.  Stops when the
+        prox-gradient mapping norm falls below _TOL.
 
         Each iteration makes one Gram product, G w_new with G = D^T D, and
         no product with D: the product at the extrapolated point y follows
@@ -208,6 +230,22 @@ class WSolver:
         def q_grad(v, Gv):
             return rho * (Gv - Dt) + r * (v - anchor)
 
+        L = rho * self.d_norm**2 + r
+        eta = 1.0 / L
+
+        def mapping_at(v, Gv):
+            return float(np.linalg.norm(v - prox(reg, eta, v - eta * q_grad(v, Gv)))) / eta
+
+        if self.d <= _EIG_THRESHOLD:
+            w = self._pattern_solve(Dt, anchor, rho, r, reg)
+            if w is not None:
+                mapping = mapping_at(w, self._gram_matvec(w))
+                if mapping <= max(_TOL, _fp_floor(L, w)):
+                    self.last_info = SolveInfo(
+                        method="prox_gradient", iterations=0, residual=mapping
+                    )
+                    return w
+
         def full(v):
             rz = self._matvec(v) - target
             dv = v - anchor
@@ -215,8 +253,6 @@ class WSolver:
                 0.5 * rho * float(rz @ rz) + 0.5 * r * float(dv @ dv) + reg_value(reg, v)
             )
 
-        L = rho * self.d_norm**2 + r
-        eta = 1.0 / L
         ridge = self.ridge_solve(rho, r, rho * Dt + r * anchor)
         w = anchor.copy() if full(anchor) <= full(ridge) else ridge
         Gw = self._gram_matvec(w)
@@ -236,9 +272,7 @@ class WSolver:
                     w = w_new
                     break
             elif step_norm <= stop_at:
-                mapping = float(np.linalg.norm(
-                    w_new - prox(reg, eta, w_new - eta * q_grad(w_new, Gw_new))
-                )) / eta
+                mapping = mapping_at(w_new, Gw_new)
                 if mapping <= stop_at:
                     w = w_new
                     break
@@ -259,6 +293,49 @@ class WSolver:
                 f"prox-gradient mapping {mapping:.2e} above tol after {iterations} iters"
             )
             logger.warning(self.last_info.warning)
+        return w
+
+    def _pattern_solve(
+        self, Dt: np.ndarray, anchor: np.ndarray, rho: float, r: float, reg: RegularizerSpec
+    ) -> np.ndarray | None:
+        """The w-step's stationary point on the anchor's pattern, or None.
+
+        The pattern puts w = 0 off the anchor's support S and each w_j,
+        j in S, on the anchor's piece of the penalty with the anchor's
+        sign, where g'(w_j) = alpha_j sign(anchor_j) - beta_j w_j
+        (``affine_pieces``).  Stationarity of the smooth part plus g on S
+        is then the linear system
+
+            (rho G_SS + diag(r - beta_S)) w_S
+                = rho (D^T t)_S + r anchor_S - alpha_S sign(anchor_S),
+
+        positive definite because r > c >= beta.  Whether w stays on the
+        pattern is left to the caller's mapping test.
+
+        A rejected solve at |S| = 2000 takes about 0.2 s, up to three times
+        the proximal gradient run that follows it, so the solve is tried
+        only once the pattern has held: None unless the anchor's pattern
+        equals the previous call's anchor pattern, or if the system is
+        singular.
+        """
+        alpha, beta = affine_pieces(reg, anchor)
+        sign = np.sign(anchor)
+        pattern = np.stack((sign, alpha, beta))
+        held = self._pattern is not None and np.array_equal(pattern, self._pattern)
+        self._pattern = pattern
+        if not held:
+            return None
+        S = np.flatnonzero(sign)
+        A = self._gram_matrix()[S][:, S]
+        A *= rho
+        A[np.diag_indices_from(A)] += r - beta[S]
+        b = rho * Dt[S] + r * anchor[S] - alpha[S] * sign[S]
+        try:
+            w_S = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            return None
+        w = np.zeros(self.d)
+        w[S] = w_S
         return w
 
     # -- smoothed penalty --------------------------------------------------

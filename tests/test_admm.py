@@ -21,7 +21,7 @@ from rankadmm.admm import (
 from rankadmm.errors import InvalidParameterError, SolverError
 from rankadmm.losses import LossKind
 from rankadmm.regularizers import ZERO, l1, l2, mcp, reg_value
-from rankadmm.weights import ERM, Superquantile
+from rankadmm.weights import ERM, CPTValueDependent, Superquantile
 from rankadmm.wsolver import WSolver
 from tests.conftest import make_synthetic_problem
 
@@ -295,7 +295,18 @@ def test_plain_descent_check_unsmoothed():
 
 
 def test_augmented_lagrangian_value(iterates):
-    problem = make_synthetic_problem(n=12, d=3, regularizer=l2(0.1), seed=12)
+    check_augmented_lagrangian(iterates, ERM())
+
+
+def test_augmented_lagrangian_value_dependent_weights(iterates):
+    # These weights are evaluated on the sorted margins, so the loop's
+    # rank-loss value must take z in ascending order.
+    check_augmented_lagrangian(iterates, CPTValueDependent())
+
+
+def check_augmented_lagrangian(iterates, weights):
+    problem = make_synthetic_problem(n=12, d=3, weights=weights, regularizer=l2(0.1),
+                                     seed=12)
     cfg = SolverConfig(max_iter=8, rho_schedule=ScheduleSpec.constant(2.5), stop_eps=0.0)
     res = admm_solve(problem, cfg)
     states = iterates.states(problem)

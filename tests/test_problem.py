@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from rankadmm.errors import DimensionError, InvalidParameterError
 from rankadmm.losses import LossKind, loss_value, loss_value_vec
-from rankadmm.problem import Problem, rank_loss_value
+from rankadmm.problem import Problem, rank_loss_value, sorted_rank_loss
 from rankadmm.regularizers import l2
 from rankadmm.weights import AoRR, CPTValueDependent, ERM, Explicit, Superquantile, resolve
 
@@ -132,6 +132,9 @@ def test_rank_loss_bitwise_equals_stable_sort_on_ties(scheme, kind, rng):
         z[rng.random(n) < 0.2] = rng.standard_normal() * 40.0
         got, expected = rank_loss_value(z, resolved, kind), stable_sort_rank_loss(z, resolved, kind)
         assert got.hex() == expected.hex()
+        # any ascending order of the margins, as the outer loop passes them
+        ascending = z[np.lexsort((rng.random(n), z))]
+        assert sorted_rank_loss(ascending, resolved, kind).hex() == expected.hex()
 
 
 def test_label_validation():

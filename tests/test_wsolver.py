@@ -6,12 +6,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rankadmm
 
 from rankadmm import wsolver
-from rankadmm.regularizers import ZERO, l1, l2, mcp, moreau_value_and_grad, prox, reg_value, scad
+from rankadmm.admm import SolverConfig, admm_solve
+from rankadmm.regularizers import (
+    ZERO,
+    RegularizerSpec,
+    affine_pieces,
+    l1,
+    l2,
+    mcp,
+    moreau_value_and_grad,
+    prox,
+    reg_value,
+    scad,
+)
+from rankadmm.weights import Extremile
 from rankadmm.wsolver import WSolver
+from tests.conftest import make_synthetic_problem
 
 
 def objective(D, target, rho, r, anchor, reg, w):
@@ -205,14 +221,113 @@ def test_prox_gradient_one_gram_product_per_iteration(reg, rng, monkeypatch):
     monkeypatch.setattr(WSolver, "ridge_solve", ridge)
     monkeypatch.setattr(WSolver, "_gram_matvec", counted("G", WSolver._gram_matvec))
     monkeypatch.setattr(WSolver, "_matvec", counted("D", WSolver._matvec))
+    # The first solve records the anchor's pattern, so the second tries the
+    # pattern solve; the answer has zeros where the anchor has none, so the
+    # attempt is rejected after one Gram product and the iteration runs.
+    solver.solve(target, anchor, 3.0, 1.0, reg)
+    events.clear()
     solver.solve(target, anchor, 3.0, 1.0, reg)
     info = solver.last_info
+    assert info.iterations > 0 and events[0] == "G"
     assert info.residual <= 1e-8
     # set-up picks the start by two objective values; from the start
     # point's Gram product on, the iteration makes no product with D
-    first_gram = events.index("G")
+    first_gram = events.index("G", events.index("D"))
     assert "D" not in events[first_gram:]
     assert events.count("G") <= info.iterations + info.restarts + 2
+
+
+def fista_only(monkeypatch):
+    """Make every prox-gradient w-step skip the pattern solve."""
+    monkeypatch.setattr(WSolver, "_pattern_solve", lambda self, *args: None)
+
+
+@pytest.mark.parametrize("reg", [l1(0.6), mcp(0.1, 3.0), scad(0.1, 3.0)])
+def test_pattern_solve_once_the_pattern_holds(reg, rng, monkeypatch):
+    D, target, anchor = make_instance(rng, n=30, d=8)
+    solver = WSolver(D)
+    w1 = solver.solve(target, anchor, 2.0, 1.0, reg)
+    w2 = solver.solve(target, w1, 2.0, 1.0, reg)
+    assert solver.last_info.iterations > 0  # w1 holds another pattern than anchor
+    # w2 keeps w1's pattern, so the next w-step is the pattern solve
+    w3 = solver.solve(target, w2, 2.0, 1.0, reg)
+    info = solver.last_info
+    assert info.method == "prox_gradient"
+    assert info.iterations == 0 and info.restarts == 0
+    assert info.residual <= 1e-9
+    a = np.abs(w3)
+    if reg.variant == "mcp":  # the linear piece, and the flat one
+        assert np.any((a > 0) & (a <= reg.theta * reg.mu))
+        assert np.any(a > reg.theta * reg.mu)
+    if reg.variant == "scad":  # the middle piece
+        assert np.any((a > reg.mu) & (a <= reg.theta * reg.mu))
+    fista_only(monkeypatch)
+    reference = WSolver(D)
+    w_ref = reference.solve(target, w2, 2.0, 1.0, reg)
+    assert reference.last_info.iterations > 0
+    assert np.linalg.norm(w3 - w_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("reg", [l1(0.6), mcp(0.1, 3.0), scad(0.1, 3.0)])
+def test_pattern_solve_wrong_support_falls_back(reg, rng, monkeypatch):
+    D, target, _ = make_instance(rng, n=30, d=8)
+    anchor = np.zeros(8)
+    anchor[0] = 0.3
+    tried = []
+    pattern_solve = WSolver._pattern_solve
+
+    def recording(self, *args):
+        tried.append(pattern_solve(self, *args))
+        return tried[-1]
+
+    monkeypatch.setattr(WSolver, "_pattern_solve", recording)
+    solver = WSolver(D)
+    solver.solve(target, anchor, 2.0, 1.0, reg)
+    w = solver.solve(target, anchor, 2.0, 1.0, reg)
+    assert tried[0] is None and tried[1] is not None
+    assert solver.last_info.iterations > 0
+    assert solver.last_info.residual <= 1e-8
+    assert np.count_nonzero(w) > 1
+    fista_only(monkeypatch)
+    assert np.linalg.norm(w - WSolver(D).solve(target, anchor, 2.0, 1.0, reg)) == 0.0
+
+
+@given(
+    st.sampled_from(["l1", "mcp", "scad"]),
+    st.floats(0.05, 2.0),
+    st.floats(2.5, 6.0),
+    st.floats(-15.0, 15.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_affine_pieces_match_finite_differences(variant, mu, theta, x):
+    reg = RegularizerSpec(variant, mu=mu, theta=theta)
+    h = 1e-6
+    assume(all(abs(abs(x) - b) > 10 * h for b in (0.0, mu, theta * mu)))
+    alpha, beta = affine_pieces(reg, np.array([x]))
+    slope = (reg_value(reg, [x + h]) - reg_value(reg, [x - h])) / (2 * h)
+    assert alpha[0] * np.sign(x) - beta[0] * x == pytest.approx(slope, abs=1e-7)
+
+
+def test_admm_mcp_pattern_solve_matches_fista(monkeypatch):
+    problem = make_synthetic_problem(n=100, d=40, weights=Extremile(order=2.0),
+                                     regularizer=mcp(0.01, 3.0), class_sep=3.0)
+    config = SolverConfig(max_iter=60)
+    accepted = []
+    solve = WSolver.solve
+
+    def recording(self, *args):
+        w = solve(self, *args)
+        accepted.append(self.last_info.iterations == 0)
+        return w
+
+    monkeypatch.setattr(WSolver, "solve", recording)
+    with_pattern = admm_solve(problem, config)
+    assert sum(accepted) >= 10
+    fista_only(monkeypatch)
+    plain = admm_solve(problem, config)
+    assert len(with_pattern.trace) == len(plain.trace)
+    f, f_ref = with_pattern.trace[-1].objective, plain.trace[-1].objective
+    assert abs(f - f_ref) <= 1e-8 * abs(f_ref)
 
 
 def test_smooth_zero_matches_closed_form(rng):
