@@ -244,6 +244,9 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     stop_reason = "max_iter"
     start = time.perf_counter_ns()
     omega = rank_loss_value(z, resolved, problem.loss)
+    # g(w) of the current w; only the unsmoothed runs reuse it, since
+    # gamma, and with it the envelope, moves every smoothed iteration
+    pen = reg_value(reg, w)
 
     for k in range(config.max_iter):
         feas_now = float(np.linalg.norm(z - Dw))
@@ -287,7 +290,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         lam_new = lam + rho * r_new
         # z_new ascends along the z-step's order: no second sort
         omega_new = sorted_rank_loss(z_new[order], resolved, problem.loss)
-        pen_old = _penalty(reg, gamma, w)
+        pen_old = pen if gamma is None else _penalty(reg, gamma, w)
         pen_new = _penalty(reg, gamma, w_new)
         # L_rho(w, z; lambda) in the cancellation-safe form
         # Omega(z) + lambda.(z - Dw) + (rho/2)||z - Dw||^2 + penalty(w).
@@ -325,11 +328,12 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         if smooth_active:
             w_report = prox(reg, gamma, w_new)
             Dw_report = problem.apply_D(w_report)
+            pen_report = reg_value(reg, w_report)
         else:
-            w_report, Dw_report = w_new, Dw_new
+            w_report, Dw_report, pen_report = w_new, Dw_new, pen_new
         kkt_feas = float(np.linalg.norm(z_new - Dw_report))
         # Problem.objective(w_report), reusing the product D w_report.
-        objective = rank_loss_value(Dw_report, resolved, problem.loss) + reg_value(reg, w_report)
+        objective = rank_loss_value(Dw_report, resolved, problem.loss) + pen_report
 
         lyapunov = None
         if config.sigma_min is not None and config.sigma_min > 0:
@@ -352,7 +356,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
                 wall_ns=time.perf_counter_ns() - start,
             )
         )
-        w, z, lam, Dw, omega = w_new, z_new, lam_new, Dw_new, omega_new
+        w, z, lam, Dw, omega, pen = w_new, z_new, lam_new, Dw_new, omega_new, pen_new
 
         if max(kkt_z, kkt_w, kkt_feas) <= config.stop_eps:
             stop_reason = "eps"

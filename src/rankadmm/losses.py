@@ -16,7 +16,15 @@ iteration count.  :func:`block_minimize` solves one block;
 :func:`singleton_minimize` solves every count-1 block of a chain at once
 with the same bracket, rule and bisection tail.  The two-piece
 value-dependent objective has the same pair: :func:`block_minimize_cpt`
-and :func:`singleton_minimize_cpt`.
+and :func:`singleton_minimize_cpt`; the latter solves a piece only where
+its bracket can cross the weight switch, and sets the rest to the switch
+point, bitwise what solving would give.
+
+The block solvers take plain floats and trust the caller's validation
+(the merge pass checks its inputs once per z-step); they reject only a
+non-finite weight or target sum.  A merge passes the interval its value
+must lie in, which narrows the Newton bracket.  :class:`BlockObjective`
+is the validated form of the same data, for the oracle and the tests.
 """
 
 from __future__ import annotations
@@ -66,12 +74,10 @@ def loss_derivative_vec(kind: LossKind, u: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u, dtype=float)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    # exp of -|u| never overflows; both branches equal the masked
+    # 1/(1+exp(-u)) for u >= 0 and exp(u)/(1+exp(u)) below bit for bit
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _sigmoid_scalar(u: float) -> float:
@@ -81,10 +87,19 @@ def _sigmoid_scalar(u: float) -> float:
     return eu / (1.0 + eu)
 
 
+def _block_value(
+    s: float, count: int, m_sum: float, rho: float, kind: LossKind, v: float
+) -> float:
+    """``s*l(v) + (rho/2)*(count*v^2 - 2*m_sum*v)``: the block objective
+    without its v-independent constant ``(rho/2)*sum(m_i^2)``."""
+    return s * loss_value(kind, v) + 0.5 * rho * (count * v * v - 2.0 * m_sum * v)
+
+
 @dataclass(frozen=True)
 class BlockObjective:
-    """Aggregated data of one block: s = sum of rank weights, count = block
-    size, m_sum = sum of targets, rho = quadratic penalty weight."""
+    """Aggregated data of one block, validated: s = sum of rank weights,
+    count = block size, m_sum = sum of targets, rho = quadratic penalty
+    weight.  The merge pass passes these as plain floats instead."""
 
     s: float
     count: int
@@ -99,12 +114,8 @@ class BlockObjective:
         if self.s < 0:
             raise InvalidParameterError(f"weight sum must be >= 0, got {self.s}")
 
-    def quadratic_part(self, v: float) -> float:
-        """(rho/2) * (count*v^2 - 2*m_sum*v); the constant sum(m_i^2) is dropped."""
-        return 0.5 * self.rho * (self.count * v * v - 2.0 * self.m_sum * v)
-
     def value(self, kind: LossKind, v: float) -> float:
-        return self.s * loss_value(kind, v) + self.quadratic_part(v)
+        return _block_value(self.s, self.count, self.m_sum, self.rho, kind, v)
 
 
 def _bisects(v_new, lo, hi, step, dx_old):
@@ -116,44 +127,61 @@ def _bisects(v_new, lo, hi, step, dx_old):
     return (v_new <= lo) | (v_new >= hi) | (abs(step) > 0.5 * abs(dx_old))
 
 
-def block_minimize(obj: BlockObjective, kind: LossKind) -> float:
-    """Unique minimizer of ``s*l(v) + (rho/2)*sum (v - m_i)^2``.
+def block_minimize(
+    s: float,
+    count: int,
+    m_sum: float,
+    rho: float,
+    kind: LossKind,
+    v_lo: float = -math.inf,
+    v_hi: float = math.inf,
+) -> float:
+    """Unique minimizer of ``s*l(v) + (rho/2)*sum (v - m_i)^2`` over v.
 
-    Hinge uses the three-case closed form around the kink at v = -1.
-    Logistic uses Newton on the strictly increasing derivative
+    The block has ``count`` targets summing to ``m_sum`` and rank weight
+    sum ``s``.  The caller vouches for ``rho > 0``, ``count >= 1`` and
+    ``s >= 0``; only non-finite ``s`` or ``m_sum`` (an overflowed sum) is
+    rejected here.  Hinge uses the three-case closed form around the kink
+    at v = -1.  Logistic uses Newton on the strictly increasing derivative
     ``s*sigmoid(v) + rho*(count*v - m_sum)``, bracketed by
     ``[m_sum/count - s/(rho*count), m_sum/count]`` and safeguarded by the
     rtsafe rule of :func:`_bisects`; the bracket assumes 0 <= l' <= 1,
-    which both losses satisfy (sigmoid, unit hinge slope).
+    which both losses satisfy (sigmoid, unit hinge slope).  An interval
+    ``[v_lo, v_hi]`` known to hold the minimizer narrows that bracket; if
+    the two do not overlap in more than a point, rounding has put the
+    minimizer outside the interval, and the full bracket is used.
     """
-    if not (math.isfinite(obj.s) and math.isfinite(obj.m_sum)):
+    if not (math.isfinite(s) and math.isfinite(m_sum)):
         raise InvalidParameterError("non-finite block objective inputs")
-    mean_m = obj.m_sum / obj.count
-    if obj.s == 0.0:
+    mean_m = m_sum / count
+    if s == 0.0:
         return mean_m
     if kind == LossKind.HINGE:
         # Left branch (slope 0): valid strictly left of the kink.
         if mean_m < -1.0:
             return mean_m
         # Right branch (slope s).
-        v_right = (obj.rho * obj.m_sum - obj.s) / (obj.rho * obj.count)
+        v_right = (rho * m_sum - s) / (rho * count)
         if v_right > -1.0:
             return v_right
         # 0 lies in the subdifferential at the kink.
         return -1.0
 
-    s, rho, m_sum = obj.s, obj.rho, obj.m_sum
-    rc = rho * obj.count
+    rc = rho * count
     lo = mean_m - s / rc
     hi = mean_m
     if lo == hi:
         return lo
+    a, b = max(lo, v_lo), min(hi, v_hi)
+    if a < b:
+        lo, hi = a, b
 
+    rm = rho * m_sum
     v = 0.5 * (lo + hi)
     dx_old = dx = hi - lo
     for _ in range(_NEWTON_MAX_ITER):
         sg = _sigmoid_scalar(v)
-        d = s * sg + rc * v - rho * m_sum
+        d = s * sg + rc * v - rm
         if abs(d) <= _DERIV_TOL:
             return v
         if d > 0:
@@ -162,7 +190,8 @@ def block_minimize(obj: BlockObjective, kind: LossKind) -> float:
             lo = v
         step = d / (s * sg * (1.0 - sg) + rc)
         v_new = v - step
-        if _bisects(v_new, lo, hi, step, dx_old):
+        # _bisects, written out: one call per iteration is a tenth of a merge
+        if v_new <= lo or v_new >= hi or abs(step) > 0.5 * abs(dx_old):
             dx_old, dx = dx, 0.5 * (hi - lo)
             v_new = 0.5 * (lo + hi)
         else:
@@ -176,7 +205,7 @@ def block_minimize(obj: BlockObjective, kind: LossKind) -> float:
         v = 0.5 * (lo + hi)
         if v == lo or v == hi:
             break
-        if s * _sigmoid_scalar(v) + rc * v - rho * m_sum > 0:
+        if s * _sigmoid_scalar(v) + rc * v - rm > 0:
             hi = v
         else:
             lo = v
@@ -186,7 +215,7 @@ def block_minimize(obj: BlockObjective, kind: LossKind) -> float:
 def singleton_minimize(
     s: np.ndarray, m: np.ndarray, rho: float, kind: LossKind
 ) -> np.ndarray:
-    """``block_minimize(BlockObjective(s[i], 1, m[i], rho), kind)`` for every i.
+    """``block_minimize(s[i], 1, m[i], rho, kind)`` for every i.
 
     Hinge takes the closed form elementwise.  Logistic runs the same
     bracketed Newton with the same rtsafe rule and bisection tail over the
@@ -242,23 +271,27 @@ def singleton_minimize(
 
 
 def block_minimize_cpt(
-    obj_low: BlockObjective,
-    obj_high: BlockObjective,
+    s_low: float,
+    s_high: float,
+    count: int,
+    m_sum: float,
+    rho: float,
     boundary: float,
     kind: LossKind,
 ) -> float:
     """Minimizer of the two-piece block objective with a weight switch.
 
-    The weights obj_low apply on ``v <= boundary`` and obj_high on
-    ``v > boundary``.  Each piece is convex: minimize both restricted to
-    their half-lines (clamping to the boundary when the unconstrained
+    The weight sum s_low applies on ``v <= boundary`` and s_high on
+    ``v > boundary``; count, m_sum and rho are as in
+    :func:`block_minimize`.  Each piece is convex: minimize both restricted
+    to their half-lines (clamping to the boundary when the unconstrained
     minimizer falls on the wrong side) and keep the better one.  Ties go
     to the low piece, consistent with classifying v == boundary as low.
     """
-    v_low = min(block_minimize(obj_low, kind), boundary)
-    v_high = max(block_minimize(obj_high, kind), boundary)
-    f_low = obj_low.value(kind, v_low)
-    f_high = obj_high.value(kind, v_high)
+    v_low = min(block_minimize(s_low, count, m_sum, rho, kind), boundary)
+    v_high = max(block_minimize(s_high, count, m_sum, rho, kind), boundary)
+    f_low = _block_value(s_low, count, m_sum, rho, kind, v_low)
+    f_high = _block_value(s_high, count, m_sum, rho, kind, v_high)
     return v_low if f_low <= f_high else v_high
 
 
@@ -278,16 +311,31 @@ def singleton_minimize_cpt(
     piece wins, ties going low.  An entry with both weights zero returns
     its target exactly.  The piece values use :func:`loss_value_vec`, so
     they agree with the scalar solve to rounding, not bitwise.
+
+    For logistic loss a piece is solved only where it can cross the
+    boundary.  The Newton iterates of :func:`singleton_minimize` never
+    leave ``[m - s/rho, m]``, so the low piece clamps to the boundary
+    wherever ``m - s_low/rho > boundary`` and the high piece wherever
+    ``m < boundary``; those entries are set to the boundary unsolved,
+    which is bitwise what the solve and clamp would give.  Both tests are
+    strict comparisons, so a tie, signed zeros included, still takes the
+    solve.
     """
     s_low = np.asarray(s_low, dtype=float)
     s_high = np.asarray(s_high, dtype=float)
     m = np.asarray(m, dtype=float)
 
     def piece_value(s, v):
-        # BlockObjective.value with count 1
+        # _block_value with count 1
         return s * loss_value_vec(kind, v) + 0.5 * rho * (v * v - 2.0 * m * v)
 
-    v_low = np.minimum(singleton_minimize(s_low, m, rho, kind), boundary)
-    v_high = np.maximum(singleton_minimize(s_high, m, rho, kind), boundary)
+    low = high = slice(None)
+    if kind == LossKind.LOGISTIC:
+        low = np.flatnonzero(m - s_low / rho <= boundary)
+        high = np.flatnonzero(m >= boundary)
+    v_low = np.full_like(m, boundary)
+    v_low[low] = np.minimum(singleton_minimize(s_low[low], m[low], rho, kind), boundary)
+    v_high = np.full_like(m, boundary)
+    v_high[high] = np.maximum(singleton_minimize(s_high[high], m[high], rho, kind), boundary)
     out = np.where(piece_value(s_low, v_low) <= piece_value(s_high, v_high), v_low, v_high)
     return np.where((s_low == 0.0) & (s_high == 0.0), m, out)

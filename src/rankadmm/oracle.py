@@ -143,14 +143,14 @@ def pairwise_merge_chain(
     blocks = []
     for i, (s, m_i) in enumerate(zip(np.asarray(sigma, dtype=float), m_sorted)):
         s, m_i = float(s), float(m_i)
-        blocks.append((i, i, s, m_i, block_minimize(BlockObjective(s, 1, m_i, rho), kind)))
+        blocks.append((i, i, s, m_i, block_minimize(s, 1, m_i, rho, kind)))
     i = 0
     while i < len(blocks) - 1:
         lo, _, s_left, m_left, v_left = blocks[i]
         _, hi, s_right, m_right, v_right = blocks[i + 1]
         if v_left > v_right:
             s, m_sum = s_left + s_right, m_left + m_right
-            v = block_minimize(BlockObjective(s, hi - lo + 1, m_sum, rho), kind)
+            v = block_minimize(s, hi - lo + 1, m_sum, rho, kind)
             blocks[i : i + 2] = [(lo, hi, s, m_sum, v)]
             i = max(i - 1, 0)
         else:

@@ -18,11 +18,19 @@ next block, the run of strictly decreasing block values starting at the
 top is extended over the following singletons and folded into one block
 with a single scalar solve; the merged value always lands between the
 run's last and first values, which is what makes the multi-merge safe.
-The merged block is then compared with the new stack top.  The sorted
-solution is a copy of the singleton values with each merged block written
-over its range.  The value-dependent prospect-theory weights use the same
-pass with two weight-sum columns, an array two-piece singleton solve and
-the two-piece scalar solver for merges.
+The constant-weight merge solve is told that interval and narrows its
+Newton bracket to it.  The merged block is then compared with the new
+stack top.  The sorted solution is a copy of the singleton values with
+each merged block written over its range.  The value-dependent
+prospect-theory weights use the same pass with two weight-sum columns, an
+array two-piece singleton solve and the two-piece scalar solver for
+merges, which takes no such interval: its pieces' roots need not lie
+between the blocks' two-piece values.
+
+The pass validates its inputs once (rho > 0, finite targets, finite
+nonnegative weight columns) and hands each merge solve plain floats: the
+block's weight sums, size and target sum.  Only a sum that overflows is
+caught per merge, by the scalar solve itself.
 
 The z-step sorts its targets with a stable argsort.  Between outer
 iterations the targets barely move, so a caller may pass the previous
@@ -39,7 +47,6 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .losses import (
-    BlockObjective,
     LossKind,
     block_minimize,
     block_minimize_cpt,
@@ -108,27 +115,25 @@ def merge_blocks(
     value-dependent weights the result is a first-order point, not
     necessarily a global minimum, and it depends on this merge order.
     """
-    if resolved.is_value_dependent:
+    cpt = resolved.is_value_dependent
+    if cpt:
         col_arrs = [resolved.sigma_low, resolved.sigma_high]
         reference = resolved.reference
-
-        def solve(sums: list[float], count: int, m_sum: float) -> float:
-            return block_minimize_cpt(
-                BlockObjective(sums[0], count, m_sum, rho),
-                BlockObjective(sums[1], count, m_sum, rho),
-                reference,
-                kind,
-            )
-
+    else:
+        col_arrs = [resolved.sigma]
+    # Validated once here: the scalar solves take plain floats unchecked.
+    if not (rho > 0):
+        raise InvalidParameterError(f"rho must be > 0, got {rho}")
+    if not np.all(np.isfinite(m_sorted)):
+        raise InvalidParameterError("targets contain non-finite entries")
+    for col in col_arrs:
+        if not (col.min() >= 0.0 and col.max() < math.inf):
+            raise InvalidParameterError("rank weights must be finite and nonnegative")
+    if cpt:
         singles_arr = singleton_minimize_cpt(
             resolved.sigma_low, resolved.sigma_high, m_sorted, reference, rho, kind
         )
     else:
-        col_arrs = [resolved.sigma]
-
-        def solve(sums: list[float], count: int, m_sum: float) -> float:
-            return block_minimize(BlockObjective(sums[0], count, m_sum, rho), kind)
-
         singles_arr = singleton_minimize(resolved.sigma, m_sorted, rho, kind)
 
     n = singles_arr.shape[0]
@@ -180,7 +185,11 @@ def merge_blocks(
                 sums = [a + col[k] for a, col in zip(sums, cols)]
                 r_msum += targets[k]
                 k += 1
-            v = solve(sums, k - t_lo, r_msum)
+            if cpt:
+                v = block_minimize_cpt(sums[0], sums[1], k - t_lo, r_msum, rho, reference, kind)
+            else:
+                # the merged value lies between the run's last and first values
+                v = block_minimize(sums[0], k - t_lo, r_msum, rho, kind, v_last, v_first)
             if merge_log is not None:
                 merge_log.append(MergeEvent(t_lo, k - 1, v_first, v_last, v))
             c_lo, c_value, c_sums, c_msum = t_lo, v, sums, r_msum
@@ -218,10 +227,6 @@ def solve_z_subproblem(
     equal those of the call without ``order``.
     """
     m = np.asarray(m, dtype=float).ravel()
-    if not np.all(np.isfinite(m)):
-        raise InvalidParameterError("targets contain non-finite entries")
-    if not (rho > 0):
-        raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if m.shape[0] != resolved.n:
         raise InvalidParameterError(f"m has length {m.shape[0]}, expected {resolved.n}")
     if order is None:

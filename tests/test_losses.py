@@ -1,8 +1,9 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankadmm.errors import InvalidParameterError
@@ -66,22 +67,20 @@ def test_subgradient_intervals():
 
 
 def test_block_minimize_pure_quadratic():
-    obj = BlockObjective(s=0.0, count=4, m_sum=6.0, rho=2.5)
-    assert block_minimize(obj, LossKind.HINGE) == pytest.approx(1.5)
-    assert block_minimize(obj, LossKind.LOGISTIC) == pytest.approx(1.5)
+    assert block_minimize(0.0, 4, 6.0, 2.5, LossKind.HINGE) == pytest.approx(1.5)
+    assert block_minimize(0.0, 4, 6.0, 2.5, LossKind.LOGISTIC) == pytest.approx(1.5)
 
 
 def test_block_minimize_hinge_kink_absorbs():
     obj = BlockObjective(s=5.0, count=2, m_sum=0.05, rho=1.0)
-    v = block_minimize(obj, LossKind.HINGE)
+    v = block_minimize(*astuple(obj), LossKind.HINGE)
     assert v == -1.0
     grid_v, _ = grid_scan_minimizer(block_fn(obj, LossKind.HINGE))
     assert abs(v - grid_v) <= 2e-6
 
 
 def test_block_minimize_logistic_reference_root():
-    obj = BlockObjective(s=1.0, count=1, m_sum=0.0, rho=1.0)
-    v = block_minimize(obj, LossKind.LOGISTIC)
+    v = block_minimize(1.0, 1, 0.0, 1.0, LossKind.LOGISTIC)
     lo, hi = -1.0, 0.0
     for _ in range(60):  # bisection on sigmoid(v) + v = 0
         mid = 0.5 * (lo + hi)
@@ -101,7 +100,7 @@ def test_block_minimize_against_grid_scan(kind, rng):
             m_sum=float(rng.uniform(-4.0, 4.0)),
             rho=float(rng.choice([0.1, 1.0, 10.0])),
         )
-        v = block_minimize(obj, kind)
+        v = block_minimize(*astuple(obj), kind)
         fn = block_fn(obj, kind)
         grid_v, grid_f = grid_scan_minimizer(fn, lo=-8.0, hi=8.0, step=1e-4)
         assert fn(np.array([v]))[0] <= grid_f + 1e-7
@@ -110,7 +109,7 @@ def test_block_minimize_against_grid_scan(kind, rng):
 
 def test_block_minimize_rejects_nonfinite():
     with pytest.raises(InvalidParameterError):
-        block_minimize(BlockObjective(s=float("nan"), count=1, m_sum=0.0, rho=1.0), LossKind.HINGE)
+        block_minimize(float("nan"), 1, 0.0, 1.0, LossKind.HINGE)
     with pytest.raises(InvalidParameterError):
         BlockObjective(s=1.0, count=1, m_sum=0.0, rho=0.0)
 
@@ -125,7 +124,7 @@ def test_block_minimize_rejects_nonfinite():
 @settings(max_examples=120, deadline=None)
 def test_block_minimize_stationarity_property(s, count, m_sum, rho, kind):
     obj = BlockObjective(s=s, count=count, m_sum=m_sum, rho=rho)
-    v = block_minimize(obj, kind)
+    v = block_minimize(s, count, m_sum, rho, kind)
     assert block_stationarity_residual(obj, kind, v) <= 1e-8
 
 
@@ -138,8 +137,8 @@ def test_block_minimize_stationarity_property(s, count, m_sum, rho, kind):
 )
 @settings(max_examples=80, deadline=None)
 def test_block_minimize_monotone_in_m_sum(s, count, m_sum, bump, kind):
-    lo = block_minimize(BlockObjective(s, count, m_sum, 1.0), kind)
-    hi = block_minimize(BlockObjective(s, count, m_sum + bump, 1.0), kind)
+    lo = block_minimize(s, count, m_sum, 1.0, kind)
+    hi = block_minimize(s, count, m_sum + bump, 1.0, kind)
     assert hi >= lo - 1e-11
 
 
@@ -151,7 +150,7 @@ def test_block_minimize_monotone_in_m_sum(s, count, m_sum, bump, kind):
 )
 @settings(max_examples=80, deadline=None)
 def test_block_minimize_shift_bound(s, count, m_sum, kind):
-    v = block_minimize(BlockObjective(s, count, m_sum, 1.0), kind)
+    v = block_minimize(s, count, m_sum, 1.0, kind)
     assert v <= m_sum / count + 1e-12
     if s == 0.0:
         assert v == pytest.approx(m_sum / count)
@@ -169,7 +168,7 @@ def test_block_minimize_no_bracket_ping_pong(monkeypatch):
 
     monkeypatch.setattr(losses, "_sigmoid_scalar", counting)
     obj = BlockObjective(s=1.0, count=1101, m_sum=3010.85, rho=1.728e-05)
-    v = block_minimize(obj, LossKind.LOGISTIC)
+    v = block_minimize(*astuple(obj), LossKind.LOGISTIC)
     assert len(calls) <= 20
     assert block_stationarity_residual(obj, LossKind.LOGISTIC, v) <= 1e-12
 
@@ -188,7 +187,7 @@ def test_singleton_minimize_matches_scalar(pairs, log_rho, kind):
     s, m = (np.array(col) for col in zip(*pairs))
     rho = 10.0**log_rho
     got = singleton_minimize(s, m, rho, kind)
-    want = [block_minimize(BlockObjective(si, 1, mi, rho), kind) for si, mi in pairs]
+    want = [block_minimize(si, 1, mi, rho, kind) for si, mi in pairs]
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.array_equal(got[s == 0.0], m[s == 0.0])
 
@@ -216,30 +215,105 @@ def test_singleton_minimize_cpt_matches_scalar(triples, boundary, log_rho, kind)
     s_low, s_high, m = (np.array(col) for col in zip(*triples))
     rho = 10.0**log_rho
     got = singleton_minimize_cpt(s_low, s_high, m, boundary, rho, kind)
-    want = np.array([
-        block_minimize_cpt(
-            BlockObjective(a, 1, mi, rho), BlockObjective(b, 1, mi, rho), boundary, kind
-        )
-        for a, b, mi in triples
-    ])
+    want = np.array([block_minimize_cpt(a, b, 1, mi, rho, boundary, kind) for a, b, mi in triples])
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
     both_zero = (s_low == 0.0) & (s_high == 0.0)
     assert np.array_equal(got[both_zero], m[both_zero])
 
 
+def masked_sigmoid(u):
+    """The boolean-mask form of the array sigmoid."""
+    out = np.empty_like(u, dtype=float)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    eu = np.exp(u[~pos])
+    out[~pos] = eu / (1.0 + eu)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_form(rng):
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 1e300, -1e300])
+    for u in (edges, rng.standard_normal(3000) * 40.0, rng.standard_normal(257) * 1e-3):
+        assert losses._sigmoid(u).tobytes() == masked_sigmoid(u).tobytes()
+
+
+_RUN = st.lists(
+    st.tuples(_WEIGHT, st.integers(1, 5), st.floats(-50.0, 50.0)), min_size=2, max_size=8
+)
+
+
+@given(_RUN, st.floats(-5.0, 6.0), st.sampled_from([LossKind.HINGE, LossKind.LOGISTIC]))
+@settings(max_examples=300, deadline=None)
+def test_bracketed_merge_solve_stays_in_run(blocks, log_rho, kind):
+    # merging blocks with values v_i: the minimizer lies in [min v_i, max v_i]
+    rho = 10.0**log_rho
+    values = [block_minimize(s, c, c * mean, rho, kind) for s, c, mean in blocks]
+    s = sum(b[0] for b in blocks)
+    count = sum(b[1] for b in blocks)
+    m_sum = sum(c * mean for _, c, mean in blocks)
+    v_last, v_first = min(values), max(values)
+    assume(v_last < v_first)  # a merged run falls strictly
+    got = block_minimize(s, count, m_sum, rho, kind, v_last, v_first)
+    want = block_minimize(s, count, m_sum, rho, kind)
+    assert v_last - 1e-12 <= got <= v_first + 1e-12
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_merge_bracket_outside_the_block_bracket_is_ignored():
+    # [5, 6] misses [-0.5, 0]: the full bracket is used, bit for bit
+    for v_lo, v_hi in ((5.0, 6.0), (-3.0, -0.5), (-0.25, -0.25)):
+        got = block_minimize(1.0, 2, 0.0, 1.0, LossKind.LOGISTIC, v_lo, v_hi)
+        assert got == block_minimize(1.0, 2, 0.0, 1.0, LossKind.LOGISTIC)
+
+
+def solve_both_pieces(s_low, s_high, m, boundary, rho, kind):
+    """singleton_minimize_cpt with both pieces solved at every entry."""
+    v_low = np.minimum(singleton_minimize(s_low, m, rho, kind), boundary)
+    v_high = np.maximum(singleton_minimize(s_high, m, rho, kind), boundary)
+    f_low = s_low * losses.loss_value_vec(kind, v_low) + 0.5 * rho * (v_low**2 - 2.0 * m * v_low)
+    f_high = s_high * losses.loss_value_vec(kind, v_high) + 0.5 * rho * (
+        v_high**2 - 2.0 * m * v_high
+    )
+    out = np.where(f_low <= f_high, v_low, v_high)
+    return np.where((s_low == 0.0) & (s_high == 0.0), m, out)
+
+
+_SIGNED_ZEROS = [(0.0, 1.0, -0.0), (1.0, 0.0, -0.0), (0.0, 0.0, -0.0), (0.0, 1.0, 0.0),
+                 (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 2.0), (2.0, 1.0, -3.0)]
+
+
+@given(
+    st.lists(st.tuples(_WEIGHT, _WEIGHT, st.floats(-50.0, 50.0)), min_size=1, max_size=30),
+    st.floats(-10.0, 10.0),
+    st.sampled_from(["free", "m", "low_end", "zero", "-zero"]),
+    st.integers(0, 29),
+    st.floats(-5.0, 6.0),
+    st.sampled_from([LossKind.HINGE, LossKind.LOGISTIC]),
+)
+@example(_SIGNED_ZEROS, 0.0, "zero", 0, 0.0, LossKind.LOGISTIC)
+@example(_SIGNED_ZEROS, 0.0, "-zero", 0, 0.0, LossKind.LOGISTIC)
+@settings(max_examples=400, deadline=None)
+def test_cpt_piece_skip_bitwise_equals_both_solved(triples, boundary, edge, pick, log_rho, kind):
+    s_low, s_high, m = (np.array(col) for col in zip(*triples))
+    rho = 10.0**log_rho
+    i = pick % m.size
+    # the skip's edges: m == B (high piece) and m - s_low/rho == B (low piece)
+    boundary = {"free": boundary, "m": m[i], "low_end": m[i] - s_low[i] / rho,
+                "zero": 0.0, "-zero": -0.0}[edge]
+    got = singleton_minimize_cpt(s_low, s_high, m, boundary, rho, kind)
+    want = solve_both_pieces(s_low, s_high, m, boundary, rho, kind)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cpt_identical_pieces_degenerate():
-    low = BlockObjective(s=1.3, count=2, m_sum=0.7, rho=2.0)
-    high = BlockObjective(s=1.3, count=2, m_sum=0.7, rho=2.0)
     for kind in (LossKind.HINGE, LossKind.LOGISTIC):
-        assert block_minimize_cpt(low, high, 0.0, kind) == pytest.approx(
-            block_minimize(low, kind)
+        assert block_minimize_cpt(1.3, 1.3, 2, 0.7, 2.0, 0.0, kind) == pytest.approx(
+            block_minimize(1.3, 2, 0.7, 2.0, kind)
         )
 
 
 def test_cpt_two_piece_hinge_example():
-    low = BlockObjective(s=0.0, count=1, m_sum=1.0, rho=1.0)
-    high = BlockObjective(s=10.0, count=1, m_sum=1.0, rho=1.0)
-    v = block_minimize_cpt(low, high, 0.0, LossKind.HINGE)
+    v = block_minimize_cpt(0.0, 10.0, 1, 1.0, 1.0, 0.0, LossKind.HINGE)
 
     def fn(u):
         s = np.where(u <= 0.0, 0.0, 10.0)
@@ -259,9 +333,7 @@ def test_cpt_matches_grid_scan_random(kind, rng):
         s_low = float(rng.uniform(0.0, 2.0))
         s_high = float(rng.uniform(0.0, 2.0))
         boundary = float(rng.uniform(-2.0, 2.0))
-        low = BlockObjective(s_low, count, m_sum, rho)
-        high = BlockObjective(s_high, count, m_sum, rho)
-        v = block_minimize_cpt(low, high, boundary, kind)
+        v = block_minimize_cpt(s_low, s_high, count, m_sum, rho, boundary, kind)
 
         def fn(u):
             if kind == LossKind.HINGE:

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from rankadmm.errors import InvalidParameterError
 from rankadmm.losses import (
-    BlockObjective,
     LossKind,
     block_minimize,
     block_minimize_cpt,
     singleton_minimize,
 )
-from rankadmm import pava
+from rankadmm import losses, pava
 from rankadmm.oracle import (
     chain_objective_reference,
     grid_dp_chain,
@@ -30,6 +29,7 @@ from rankadmm.weights import (
     Explicit,
     Extremile,
     HumanAligned,
+    ResolvedWeights,
     Superquantile,
     resolve,
 )
@@ -155,7 +155,7 @@ def test_in_order_input_single_pass(rng):
     assert np.all(np.diff(values) >= 0.0)
     # merges only happen when singleton minimizers go out of order
     singletons = [
-        block_minimize(BlockObjective(0.125, 1, float(mi), 1.0), LossKind.LOGISTIC)
+        block_minimize(0.125, 1, float(mi), 1.0, LossKind.LOGISTIC)
         for mi in m
     ]
     if np.all(np.diff(singletons) >= 0.0):
@@ -205,7 +205,7 @@ def test_single_sample(kind):
     partition = merge_blocks(np.array([0.3]), resolve(ERM(), 1), 2.0, kind)
     assert partition.lo.tolist() == [0] and partition.hi.tolist() == [0]
     assert partition.value[0] == pytest.approx(
-        block_minimize(BlockObjective(1.0, 1, 0.3, 2.0), kind), abs=1e-12
+        block_minimize(1.0, 1, 0.3, 2.0, kind), abs=1e-12
     )
 
 
@@ -216,7 +216,7 @@ def test_multi_merge_matches_classic_three_singletons():
     resolved = resolve(Explicit(sigma), 3)
     m_sorted = np.array([0.0, 0.1, 0.2])
     singles = [
-        block_minimize(BlockObjective(s, 1, mi, 1.0), LossKind.LOGISTIC)
+        block_minimize(s, 1, mi, 1.0, LossKind.LOGISTIC)
         for s, mi in zip(sigma, m_sorted)
     ]
     assert singles[0] > singles[1] > singles[2]
@@ -251,7 +251,7 @@ def test_partition_values_self_consistent(rng):
     for lo, hi, value in zip(partition.lo, partition.hi, partition.value):
         s = float(np.sum(resolved.sigma[lo : hi + 1]))
         msum = float(np.sum(m[lo : hi + 1]))
-        v = block_minimize(BlockObjective(s, int(hi - lo + 1), msum, 1.0), LossKind.LOGISTIC)
+        v = block_minimize(s, int(hi - lo + 1), msum, 1.0, LossKind.LOGISTIC)
         assert value == pytest.approx(v, abs=1e-12)
     assert stationarity_residual(partition, resolved, m, 1.0, LossKind.LOGISTIC) <= 1e-8
 
@@ -277,9 +277,9 @@ def test_zero_weight_singletons_skip_scalar_solve(scheme, monkeypatch, rng):
     # the engine looks the scalar solver up as a module global at call time
     calls = []
 
-    def counting(obj, kind):
-        calls.append(obj)
-        return block_minimize(obj, kind)
+    def counting(s, count, m_sum, rho, kind, v_lo, v_hi):
+        calls.append(count)
+        return block_minimize(s, count, m_sum, rho, kind, v_lo, v_hi)
 
     monkeypatch.setattr(pava, "block_minimize", counting)
     resolved = resolve(scheme, 10)
@@ -297,9 +297,9 @@ def test_zero_weight_singletons_skip_scalar_solve(scheme, monkeypatch, rng):
 def test_cpt_singletons_skip_scalar_solve(kind, monkeypatch, rng):
     calls = []
 
-    def counting(obj_low, obj_high, boundary, kind):
-        calls.append(obj_low.count)
-        return block_minimize_cpt(obj_low, obj_high, boundary, kind)
+    def counting(s_low, s_high, count, m_sum, rho, boundary, kind):
+        calls.append(count)
+        return block_minimize_cpt(s_low, s_high, count, m_sum, rho, boundary, kind)
 
     monkeypatch.setattr(pava, "block_minimize_cpt", counting)
     resolved = resolve(CPTValueDependent(B=0.0), 200)
@@ -354,12 +354,7 @@ def cpt_block_value(resolved, lo, hi, m_sorted, rho, kind):
     s_high = float(np.sum(resolved.sigma_high[lo : hi + 1]))
     msum = float(np.sum(m_sorted[lo : hi + 1]))
     count = hi - lo + 1
-    return block_minimize_cpt(
-        BlockObjective(s_low, count, msum, rho),
-        BlockObjective(s_high, count, msum, rho),
-        resolved.reference,
-        kind,
-    )
+    return block_minimize_cpt(s_low, s_high, count, msum, rho, resolved.reference, kind)
 
 
 def prefix_kkt_feasible(resolved, lo, hi, v, m_sorted, rho, kind):
@@ -458,6 +453,49 @@ def test_solve_rejects_bad_inputs(rng):
         solve_z_subproblem(np.zeros(2), resolved, 0.0, LossKind.HINGE)
     with pytest.raises(InvalidParameterError):
         solve_z_subproblem(np.zeros(3), resolved, 1.0, LossKind.HINGE)
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+@pytest.mark.parametrize("value_dependent", [False, True], ids=["explicit", "cpt"])
+def test_overflowing_merge_sums_raise(kind, value_dependent):
+    # s/rho = 1e307 per unit weight: the singletons 5e307, 4e307, ..., 1e307
+    # fall, and the merged target sum 2.5e308 overflows
+    m = np.full(5, 5e307)
+    sigma = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    if value_dependent:
+        resolved = ResolvedWeights(5, None, sigma, sigma, 0.0, is_value_dependent=True)
+    else:
+        resolved = resolve(Explicit(sigma), 5)
+    # the CPT singletons' piece values overflow on the way (v*v); harmless
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            merge_blocks(m, resolved, 1e-307, kind)
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            solve_z_subproblem(m, resolved, 1e-307, kind)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_merge_rejects_bad_weight_columns(bad):
+    sigma = np.array([0.5, bad])
+    with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
+        merge_blocks(np.zeros(2), ResolvedWeights(2, sigma), 1.0, LossKind.LOGISTIC)
+    cpt = ResolvedWeights(2, None, np.ones(2), sigma, 0.0, is_value_dependent=True)
+    with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
+        merge_blocks(np.zeros(2), cpt, 1.0, LossKind.LOGISTIC)
+
+
+@pytest.mark.parametrize("value_dependent", [False, True], ids=["explicit", "cpt"])
+def test_merge_pass_builds_no_block_objective(value_dependent, monkeypatch, rng):
+    def refuse(self):
+        raise AssertionError("BlockObjective built on the merge path")
+
+    monkeypatch.setattr(losses.BlockObjective, "__post_init__", refuse)
+    n = 200
+    scheme = CPTValueDependent(B=0.0) if value_dependent else Superquantile(0.5)
+    log = []
+    merge_blocks(np.sort(rng.standard_normal(n)), resolve(scheme, n), 0.01,
+                 LossKind.LOGISTIC, merge_log=log)
+    assert log
 
 
 def test_inverse_permutation(rng):
