@@ -7,8 +7,9 @@ a benchmark harness.
 """
 
 from .admm import (
+    TRACE_COLUMNS,
+    TRACE_DTYPE,
     GammaSchedule,
-    IterationTrace,
     ScheduleSpec,
     SolverConfig,
     SolverResult,

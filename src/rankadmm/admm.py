@@ -15,7 +15,7 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,34 +123,30 @@ class SolverConfig:
             raise InvalidParameterError(f"r must be positive, got {self.r}")
 
 
-@dataclass(frozen=True)
-class IterationTrace:
-    """One row per outer iteration; the fields, in order, are the CSV
-    schema v1 columns."""
-
-    k: int
-    objective: float
-    aug_lagrangian: float
-    lyapunov: float | None
-    kkt_z: float
-    kkt_w: float
-    kkt_feas: float
-    dual_step: float
-    z_decrease: float
-    w_decrease: float
-    rho: float
-    gamma: float | None
-    wall_ns: int
+#: One row per outer iteration; the fields, in order, are the CSV schema
+#: v1 columns.  A lyapunov or gamma that was not computed is NaN.
+TRACE_DTYPE = np.dtype(
+    [("k", np.int64)]
+    + [(name, np.float64) for name in (
+        "objective", "aug_lagrangian", "lyapunov", "kkt_z", "kkt_w", "kkt_feas",
+        "dual_step", "z_decrease", "w_decrease", "rho", "gamma")]
+    + [("wall_ns", np.int64)]
+)
+TRACE_COLUMNS = TRACE_DTYPE.names
+#: Columns that are NaN in memory and empty on disk when not computed.
+_OPTIONAL_COLUMNS = ("lyapunov", "gamma")
 
 
-_TRACE_FIELDS = fields(IterationTrace)
-TRACE_COLUMNS = tuple(f.name for f in _TRACE_FIELDS)
+def trace_array(rows) -> np.recarray:
+    """The trace of ``rows``, tuples in TRACE_COLUMNS order."""
+    return np.array(rows, TRACE_DTYPE).view(np.recarray)
 
 
 @dataclass
 class SolverResult:
     w: np.ndarray
-    trace: list[IterationTrace]
+    #: TRACE_DTYPE records, one per iteration (attribute access by column).
+    trace: np.recarray
     #: Why the loop stopped: "eps" (the KKT surrogates fell to stop_eps),
     #: "max_iter" or "wall_budget".
     stop_reason: str = "max_iter"
@@ -236,7 +232,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     # The z-step's sorting order, kept as its next warm start.
     order = np.arange(n)
 
-    trace: list[IterationTrace] = []
+    rows = []
 
     rho = None
     premise_warned = False
@@ -249,7 +245,8 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     pen = reg_value(reg, w)
 
     for k in range(config.max_iter):
-        feas_now = float(np.linalg.norm(z - Dw))
+        r_old = z - Dw
+        feas_now = float(np.linalg.norm(r_old))
         rho = config.rho_schedule.rho_at(k, rho, feas_now)
 
         gamma = None
@@ -304,7 +301,6 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         # Descent margins in difference form: the terms are built from the
         # step vectors themselves, so they vanish exactly when a step is
         # zero instead of drowning in rounding noise at large rho.
-        r_old = z - Dw
         r_mid = z_new - Dw
         dz = z_new - z
         z_decrease = (
@@ -312,7 +308,8 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             - float(lam @ dz)
             - 0.5 * rho * float(dz @ (r_old + r_mid))
         )
-        Ddw = problem.apply_D(w_new - w)
+        dw = w_new - w
+        Ddw = problem.apply_D(dw)
         w_decrease = (
             float(lam @ Ddw)
             + 0.5 * rho * float(Ddw @ (r_mid + r_new))
@@ -320,7 +317,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             - pen_new
         )
 
-        dw_norm = float(np.linalg.norm(w_new - w))
+        dw_norm = float(np.linalg.norm(dw))
         dual_step = float(np.linalg.norm(lam_new - lam))
         kkt_z = rho * d_norm * dw_norm
         kkt_w = r * dw_norm
@@ -329,33 +326,22 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             w_report = prox(reg, gamma, w_new)
             Dw_report = problem.apply_D(w_report)
             pen_report = reg_value(reg, w_report)
+            kkt_feas = float(np.linalg.norm(z_new - Dw_report))
         else:
-            w_report, Dw_report, pen_report = w_new, Dw_new, pen_new
-        kkt_feas = float(np.linalg.norm(z_new - Dw_report))
+            Dw_report, pen_report = Dw_new, pen_new
+            kkt_feas = float(np.linalg.norm(r_new))
         # Problem.objective(w_report), reusing the product D w_report.
         objective = rank_loss_value(Dw_report, resolved, problem.loss) + pen_report
 
-        lyapunov = None
+        lyapunov = math.nan
         if config.sigma_min is not None and config.sigma_min > 0:
             lyapunov = aug + (2.0 * r**2 / (config.sigma_min * rho)) * dw_norm**2
 
-        trace.append(
-            IterationTrace(
-                k=k,
-                objective=objective,
-                aug_lagrangian=aug,
-                lyapunov=lyapunov,
-                kkt_z=kkt_z,
-                kkt_w=kkt_w,
-                kkt_feas=kkt_feas,
-                dual_step=dual_step,
-                z_decrease=z_decrease,
-                w_decrease=w_decrease,
-                rho=rho,
-                gamma=gamma,
-                wall_ns=time.perf_counter_ns() - start,
-            )
-        )
+        rows.append((
+            k, objective, aug, lyapunov, kkt_z, kkt_w, kkt_feas, dual_step,
+            z_decrease, w_decrease, rho, math.nan if gamma is None else gamma,
+            time.perf_counter_ns() - start,
+        ))
         w, z, lam, Dw, omega, pen = w_new, z_new, lam_new, Dw_new, omega_new, pen_new
 
         if max(kkt_z, kkt_w, kkt_feas) <= config.stop_eps:
@@ -368,12 +354,10 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             stop_reason = "wall_budget"
             break
 
-    if smooth_active and trace:
-        final_gamma = trace[-1].gamma
-        w_final = prox(reg, final_gamma, w)
-    else:
-        w_final = w
-    return SolverResult(w=w_final, trace=trace, stop_reason=stop_reason, r_effective=r)
+    # gamma is the last iteration's: max_iter >= 1, so the loop ran
+    w_final = prox(reg, gamma, w) if smooth_active else w
+    return SolverResult(w=w_final, trace=trace_array(rows), stop_reason=stop_reason,
+                        r_effective=r)
 
 
 # -- monitors ----------------------------------------------------------------
@@ -387,7 +371,7 @@ class LyapunovReport:
 
 
 def lyapunov_check(
-    trace: list[IterationTrace],
+    trace: np.recarray,
     r: float,
     rho: float,
     sigma_min: float,
@@ -405,13 +389,15 @@ def lyapunov_check(
     """
     if len(trace) < 2:
         return LyapunovReport(coefficient=float("nan"), violations=[])
-    if any(abs(row.rho - rho) > 1e-12 * max(1.0, rho) for row in trace):
+    if np.any(np.abs(trace.rho - rho) > 1e-12 * max(1.0, rho)):
         return LyapunovReport(
             coefficient=float("nan"),
             violations=[],
             skipped_reason="trace was not produced with a constant rho",
         )
-    violations: list[int] = []
+    # ||dw_k||^2 and (1/rho) ||dlam_k||^2 of every row
+    dw_sq = (trace.kkt_w / r) ** 2
+    dlam_sq = trace.dual_step**2 / rho
     if gamma is not None:
         coeff = (2.0 * r - 1.0 / gamma) / 2.0 - 4.0 * r**2 / (sigma_min * rho) - 2.0 / (
             sigma_min * rho * gamma**2
@@ -422,22 +408,14 @@ def lyapunov_check(
                 violations=[],
                 skipped_reason=f"descent coefficient {coeff:g} is nonpositive",
             )
-        scale = 2.0 * r**2 / (sigma_min * rho)
-        phi = [row.aug_lagrangian + scale * (row.kkt_w / r) ** 2 for row in trace]
-        for k in range(len(trace) - 1):
-            dw_next = trace[k + 1].kkt_w / r
-            required = coeff * dw_next**2 + trace[k + 1].dual_step**2 / rho
-            if phi[k] - phi[k + 1] < required - tol * max(1.0, abs(phi[k])):
-                violations.append(k)
-        return LyapunovReport(coefficient=coeff, violations=violations)
-    coeff = (2.0 * r - c) / 2.0
-    for k in range(len(trace) - 1):
-        dw_next = trace[k + 1].kkt_w / r
-        drop = trace[k].aug_lagrangian - trace[k + 1].aug_lagrangian
-        required = coeff * dw_next**2 - trace[k + 1].dual_step**2 / rho
-        if drop < required - tol * max(1.0, abs(trace[k].aug_lagrangian)):
-            violations.append(k)
-    return LyapunovReport(coefficient=coeff, violations=violations)
+        phi = trace.aug_lagrangian + 2.0 * r**2 / (sigma_min * rho) * dw_sq
+        required = coeff * dw_sq[1:] + dlam_sq[1:]
+    else:
+        coeff = (2.0 * r - c) / 2.0
+        phi = trace.aug_lagrangian
+        required = coeff * dw_sq[1:] - dlam_sq[1:]
+    short = phi[:-1] - phi[1:] < required - tol * np.maximum(1.0, np.abs(phi[:-1]))
+    return LyapunovReport(coefficient=coeff, violations=np.flatnonzero(short).tolist())
 
 
 def sigma_min_positive(problem: Problem, limit: int = 10**6) -> float | None:
@@ -493,52 +471,44 @@ def theory_mode_config(problem: Problem, eps: float, **settings) -> SolverConfig
 # -- trace serialization ------------------------------------------------------
 
 
-def trace_rows(trace: list[IterationTrace], include_wall: bool = True) -> list[dict]:
-    """CSV records: int fields as is, floats in repr precision, "" for None."""
-    rows = []
-    for row in trace:
-        rec = {}
-        for f in _TRACE_FIELDS:
-            value = getattr(row, f.name)
-            if f.type == "int":
-                rec[f.name] = value
-            else:
-                rec[f.name] = "" if value is None else repr(value)
-        if not include_wall:
-            rec["wall_ns"] = 0
-        rows.append(rec)
-    return rows
-
-
-def write_trace_csv(trace: list[IterationTrace], path, include_wall: bool = True) -> None:
-    """Schema v1: one row per iteration, repr-precision floats.
+def write_trace_csv(trace: np.recarray, path, include_wall: bool = True) -> None:
+    """Schema v1: one row per iteration, repr-precision floats, an empty
+    cell for a lyapunov or gamma that was not computed.
 
     ``include_wall=False`` zeroes the timing column so files from runs
     with identical seeds compare bit-for-bit.
     """
+    optional = [TRACE_COLUMNS.index(name) for name in _OPTIONAL_COLUMNS]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
-        writer.writeheader()
-        for row in trace_rows(trace, include_wall):
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        # tolist() gives Python ints and floats, whose repr is plain
+        for row in trace.tolist():
+            cells = [repr(value) for value in row]
+            for i in optional:
+                if math.isnan(row[i]):
+                    cells[i] = ""
+            if not include_wall:
+                cells[-1] = "0"
+            writer.writerow(cells)
 
 
-def read_trace_csv(path) -> list[IterationTrace]:
-    out: list[IterationTrace] = []
+def read_trace_csv(path) -> np.recarray:
+    """A trace file with the schema v1 header, as written or produced
+    elsewhere; an empty lyapunov or gamma reads as NaN."""
+    parsers = [
+        (name, int if TRACE_DTYPE[name].kind == "i"
+         else _float_or_nan if name in _OPTIONAL_COLUMNS else float)
+        for name in TRACE_COLUMNS
+    ]
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(TRACE_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise InvalidParameterError(f"trace file missing columns: {sorted(missing)}")
-        for rec in reader:
-            values = {}
-            for f in _TRACE_FIELDS:
-                text = rec[f.name]
-                if f.type == "int":
-                    values[f.name] = int(text)
-                elif not text and f.type.endswith("| None"):
-                    values[f.name] = None
-                else:
-                    values[f.name] = float(text)
-            out.append(IterationTrace(**values))
-    return out
+        rows = [tuple(parse(rec[name]) for name, parse in parsers) for rec in reader]
+    return trace_array(rows)
+
+
+def _float_or_nan(text: str) -> float:
+    return float(text) if text else math.nan

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wgt
-from .admm import IterationTrace
+from .admm import TRACE_DTYPE
 from .errors import InvalidParameterError
 from .losses import loss_derivative_vec
 from .problem import Problem
@@ -72,11 +72,12 @@ def rank_subgradient(
     return np.asarray(grad).ravel() + reg_subgradient(problem.regularizer, w)
 
 
-def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, list[IterationTrace]]:
+def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, np.recarray]:
     """Fixed-step subgradient descent over shuffled batches.
 
     One trace row per epoch with the full objective; the stationarity
-    columns stay at zero since the method does not estimate them.
+    columns stay at zero since the method does not estimate them, and the
+    augmented Lagrangian, lyapunov and gamma are NaN.
     """
     rng = np.random.default_rng(config.seed)
     n = problem.n
@@ -85,7 +86,7 @@ def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, list[Ite
     # Every epoch has the same batch sizes: full ones and the remainder.
     sizes = {batch, n - (n - 1) // batch * batch}
     resolved = {nb: wgt.resolve(problem.weights, nb) for nb in sizes}
-    trace: list[IterationTrace] = []
+    objectives, walls = [], []
     start = time.perf_counter_ns()
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -93,26 +94,15 @@ def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, list[Ite
             idx = perm[lo : lo + batch]
             g = rank_subgradient(problem, w, idx, resolved[idx.size])
             w = w - config.learning_rate * g
-        trace.append(
-            IterationTrace(
-                k=epoch,
-                objective=problem.objective(w),
-                aug_lagrangian=float("nan"),
-                lyapunov=None,
-                kkt_z=0.0,
-                kkt_w=0.0,
-                kkt_feas=0.0,
-                dual_step=0.0,
-                z_decrease=0.0,
-                w_decrease=0.0,
-                rho=0.0,
-                gamma=None,
-                wall_ns=time.perf_counter_ns() - start,
-            )
-        )
+        objectives.append(problem.objective(w))
+        walls.append(time.perf_counter_ns() - start)
         if (
             config.wall_budget_s is not None
             and (time.perf_counter_ns() - start) / 1e9 >= config.wall_budget_s
         ):
             break
+    trace = np.zeros(len(walls), TRACE_DTYPE).view(np.recarray)
+    trace.k = np.arange(len(walls))
+    trace.objective, trace.wall_ns = objectives, walls
+    trace.aug_lagrangian = trace.lyapunov = trace.gamma = np.nan
     return w, trace

@@ -353,7 +353,7 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
             seed=seed,
             objective=problem.objective(result.w),
             accuracy=accuracy(predict(held_out.X, result.w), held_out.y),
-            time_s=result.trace[-1].wall_ns / 1e9 if result.trace else 0.0,
+            time_s=int(result.trace.wall_ns[-1]) / 1e9 if len(result.trace) else 0.0,
             trace_path=str(trace_path),
         )
     except (RankAdmmError, OSError) as exc:
@@ -471,5 +471,6 @@ def _write_suboptimality(plan: BenchmarkPlan, records: list[RunRecord], out: Pat
         sub_path = Path(rec.trace_path).with_name(Path(rec.trace_path).stem + "_subopt.csv")
         with open(sub_path, "w") as fh:
             fh.write("k,wall_ns,suboptimality\n")
-            for row in trace:
-                fh.write(f"{row.k},{row.wall_ns},{max(row.objective - fstar, 0.0)!r}\n")
+            # tolist() gives Python ints and floats, whose repr is plain
+            for k, wall_ns, objective in trace[["k", "wall_ns", "objective"]].tolist():
+                fh.write(f"{k},{wall_ns},{max(objective - fstar, 0.0)!r}\n")

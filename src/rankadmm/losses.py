@@ -177,7 +177,8 @@ def block_minimize(
         lo, hi = a, b
 
     rm = rho * m_sum
-    v = 0.5 * (lo + hi)
+    # halves first: 0.5 * (lo + hi) overflows when both ends pass ~9e307
+    v = 0.5 * lo + 0.5 * hi
     dx_old = dx = hi - lo
     for _ in range(_NEWTON_MAX_ITER):
         sg = _sigmoid_scalar(v)
@@ -193,23 +194,24 @@ def block_minimize(
         # _bisects, written out: one call per iteration is a tenth of a merge
         if v_new <= lo or v_new >= hi or abs(step) > 0.5 * abs(dx_old):
             dx_old, dx = dx, 0.5 * (hi - lo)
-            v_new = 0.5 * (lo + hi)
+            v_new = 0.5 * lo + 0.5 * hi
         else:
             dx_old, dx = dx, step
         if v_new == v:
             return v
         v = v_new
     # Rarely reached: the rtsafe rule at least halves the step every
-    # second iteration.  Finish with plain bisection.
-    for _ in range(200):
-        v = 0.5 * (lo + hi)
-        if v == lo or v == hi:
-            break
+    # second iteration.  Finish with plain bisection until the midpoint is
+    # a bracket end (or NaN), about 2,100 halvings at most from a bracket
+    # as wide as the float range.
+    while True:
+        v = 0.5 * lo + 0.5 * hi
+        if not lo < v < hi:
+            return v
         if s * _sigmoid_scalar(v) + rc * v - rm > 0:
             hi = v
         else:
             lo = v
-    return v
 
 
 def singleton_minimize(
@@ -235,7 +237,7 @@ def singleton_minimize(
     # lo == hi (s == 0, or s/rho below m's ulp) leaves the target itself
     act = np.flatnonzero(lo_all != m)
     s, m, lo, hi = s[act], m[act], lo_all[act], m[act]
-    v = 0.5 * (lo + hi)
+    v = 0.5 * lo + 0.5 * hi
     dx_old = dx = hi - lo
     for _ in range(_NEWTON_MAX_ITER):
         if act.size == 0:
@@ -248,16 +250,16 @@ def singleton_minimize(
         step = d / (s * sg * (1.0 - sg) + rho)
         bis = _bisects(v - step, lo, hi, step, dx_old)
         dx_old, dx = dx, np.where(bis, 0.5 * (hi - lo), step)
-        v_new = np.where(bis, 0.5 * (lo + hi), v - step)
+        v_new = np.where(bis, 0.5 * lo + 0.5 * hi, v - step)
         done = (np.abs(d) <= _DERIV_TOL) | (v_new == v)
         out[act[done]] = v[done]
         keep = ~done
         act, s, m, lo, hi, dx_old, dx, v = (
             a[keep] for a in (act, s, m, lo, hi, dx_old, dx, v_new)
         )
-    for _ in range(200):
-        v = 0.5 * (lo + hi)
-        done = (v == lo) | (v == hi)
+    while True:
+        v = 0.5 * lo + 0.5 * hi
+        done = ~((lo < v) & (v < hi))
         out[act[done]] = v[done]
         keep = ~done
         act, s, m, lo, hi, v = (a[keep] for a in (act, s, m, lo, hi, v))
@@ -266,8 +268,6 @@ def singleton_minimize(
         right = s * _sigmoid(v) + rho * v - rho * m > 0
         hi = np.where(right, v, hi)
         lo = np.where(right, lo, v)
-    out[act] = v
-    return out
 
 
 def block_minimize_cpt(

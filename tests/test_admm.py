@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from rankadmm.admm import (
     GammaSchedule,
     ScheduleSpec,
     SolverConfig,
-    IterationTrace,
     admm_solve,
     lyapunov_check,
     materialize_D,
@@ -16,8 +16,10 @@ from rankadmm.admm import (
     sadmm_solve,
     sigma_min_positive,
     theory_mode_config,
+    trace_array,
     write_trace_csv,
 )
+from rankadmm.baselines import SgdConfig, sgd_solve
 from rankadmm.errors import InvalidParameterError, SolverError
 from rankadmm.losses import LossKind
 from rankadmm.regularizers import ZERO, l1, l2, mcp, reg_value
@@ -263,7 +265,7 @@ def test_lyapunov_zero_violations_on_premise_instance():
                             c=problem.regularizer.weak_convexity_c)
     assert report.skipped_reason is None
     assert report.violations == []
-    assert all(t.lyapunov is not None for t in res.trace)
+    assert not np.isnan(res.trace.lyapunov).any()
 
 
 def test_lyapunov_skips_nonpositive_coefficient():
@@ -275,6 +277,38 @@ def test_lyapunov_skips_nonpositive_coefficient():
     report = lyapunov_check(res.trace, r=2.0, rho=0.01, sigma_min=sigma, gamma=1.0)
     assert report.skipped_reason is not None
     assert report.violations == []
+
+
+@pytest.mark.parametrize("gamma", [None, 1.0])
+def test_lyapunov_violations_match_a_row_loop(gamma, rng):
+    # a made-up constant-rho trace whose L_k moves at random, so some
+    # steps fall short of the required decrease and others meet it
+    r, rho, sigma, c, tol = 2.0, 10.0, 50.0, 0.5, 1e-8
+    trace = trace_array([(k, 0.0, float(rng.normal()), math.nan, 0.0, float(rng.uniform(0, 1)),
+                          0.0, float(rng.uniform(0, 1)), 0.0, 0.0, rho, math.nan, 0)
+                         for k in range(40)])
+    report = lyapunov_check(trace, r=r, rho=rho, sigma_min=sigma, gamma=gamma, c=c, tol=tol)
+    assert report.skipped_reason is None
+    expected = []
+    for k in range(len(trace) - 1):
+        row, nxt = trace[k], trace[k + 1]
+        dw, dw_next = row.kkt_w / r, nxt.kkt_w / r
+        if gamma is None:
+            coeff = (2.0 * r - c) / 2.0
+            phi, phi_next = row.aug_lagrangian, nxt.aug_lagrangian
+            required = coeff * dw_next**2 - nxt.dual_step**2 / rho
+        else:
+            coeff = ((2.0 * r - 1.0 / gamma) / 2.0 - 4.0 * r**2 / (sigma * rho)
+                     - 2.0 / (sigma * rho * gamma**2))
+            scale = 2.0 * r**2 / (sigma * rho)
+            phi = row.aug_lagrangian + scale * dw**2
+            phi_next = nxt.aug_lagrangian + scale * dw_next**2
+            required = coeff * dw_next**2 + nxt.dual_step**2 / rho
+        if phi - phi_next < required - tol * max(1.0, abs(phi)):
+            expected.append(k)
+    assert report.coefficient == coeff
+    assert 0 < len(expected) < len(trace) - 1
+    assert report.violations == expected
 
 
 def test_lyapunov_single_row_empty():
@@ -329,28 +363,50 @@ def test_trace_csv_roundtrip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(res.trace, path)
     back = read_trace_csv(path)
-    assert back == res.trace
+    # bitwise, so the NaN of an uncomputed lyapunov or gamma compares equal
+    assert back.tobytes() == res.trace.tobytes()
 
 
 def test_trace_csv_bytes_pinned(tmp_path):
-    row = IterationTrace(k=3, objective=0.1, aug_lagrangian=-2.5, lyapunov=None,
-                         kkt_z=1e-300, kkt_w=0.0, kkt_feas=1.0 / 3.0, dual_step=2.0,
-                         z_decrease=-0.0, w_decrease=7e22, rho=1.2, gamma=None,
-                         wall_ns=123456789)
+    row = trace_array([(3, 0.1, -2.5, math.nan, 1e-300, 0.0, 1.0 / 3.0, 2.0, -0.0, 7e22,
+                        1.2, math.nan, 123456789)])
     header = ("k,objective,aug_lagrangian,lyapunov,kkt_z,kkt_w,kkt_feas,dual_step,"
               "z_decrease,w_decrease,rho,gamma,wall_ns\r\n")
     body = "3,0.1,-2.5,,1e-300,0.0,0.3333333333333333,2.0,-0.0,7e+22,1.2,,{}\r\n"
     path = tmp_path / "trace.csv"
-    write_trace_csv([row], path)
+    write_trace_csv(row, path)
     assert path.read_bytes() == (header + body.format(123456789)).encode()
-    write_trace_csv([row], path, include_wall=False)
+    write_trace_csv(row, path, include_wall=False)
     assert path.read_bytes() == (header + body.format(0)).encode()
-    smoothed = IterationTrace(**{**row.__dict__, "lyapunov": 4.0, "gamma": 1e-05})
-    write_trace_csv([smoothed], path)
+    smoothed = row.copy()
+    smoothed.lyapunov, smoothed.gamma = 4.0, 1e-05
+    write_trace_csv(smoothed, path)
     assert path.read_bytes().splitlines()[1] == (
         b"3,0.1,-2.5,4.0,1e-300,0.0,0.3333333333333333,2.0,-0.0,7e+22,1.2,1e-05,123456789"
     )
-    assert read_trace_csv(path) == [smoothed]
+    assert read_trace_csv(path).tolist() == smoothed.tolist()
+
+
+@pytest.mark.parametrize("solver", ["admm", "sadmm", "sgd"])
+def test_trace_csv_write_read_write_bytes(solver, tmp_path):
+    problem = make_synthetic_problem(n=20, d=4, regularizer=l1(1e-2), seed=13)
+    if solver == "sgd":
+        trace = sgd_solve(problem, SgdConfig(epochs=6, seed=2))[1]
+    else:
+        cfg = SolverConfig(max_iter=10, rho_schedule=ScheduleSpec.srm(), stop_eps=0.0)
+        trace = (sadmm_solve if solver == "sadmm" else admm_solve)(problem, cfg).trace
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_trace_csv(trace, first)
+    write_trace_csv(read_trace_csv(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    with first.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(trace)
+    # an uncomputed lyapunov or gamma is an empty cell; sgd's missing
+    # augmented Lagrangian is a number, NaN
+    assert all(row["lyapunov"] == "" for row in rows)
+    assert all((row["gamma"] != "") == (solver == "sadmm") for row in rows)
+    assert all((row["aug_lagrangian"] == "nan") == (solver == "sgd") for row in rows)
 
 
 def test_trace_reproducibility_without_wall(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rankadmm.admm import TRACE_COLUMNS, IterationTrace, SolverConfig, read_trace_csv
+from rankadmm.admm import TRACE_COLUMNS, SolverConfig, read_trace_csv, trace_array
 from rankadmm.baselines import SgdConfig
 from rankadmm.cli import cli_main
 from rankadmm.harness import (
@@ -21,9 +21,8 @@ from rankadmm.regularizers import ZERO, RegularizerSpec
 from rankadmm.weights import ERM, CPTValueDependent, resolve
 
 
-_ONE_ROW = IterationTrace(k=0, objective=0.0, aug_lagrangian=0.0, lyapunov=None, kkt_z=0.0,
-                          kkt_w=0.0, kkt_feas=0.0, dual_step=0.0, z_decrease=0.0,
-                          w_decrease=0.0, rho=1.0, gamma=None, wall_ns=0)
+_ONE_ROW = trace_array([(0, 0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+                         math.nan, 0)])
 
 
 def make_plan(tmp_path, solver="admm", reps=2):
@@ -344,11 +343,11 @@ def _captured_configs(monkeypatch):
 
     def fake_admm(problem, config):
         configs.append(config)
-        return SolverResult(w=np.zeros(problem.d), trace=[_ONE_ROW])
+        return SolverResult(w=np.zeros(problem.d), trace=_ONE_ROW)
 
     def fake_sgd(problem, config):
         configs.append(config)
-        return np.zeros(problem.d), [_ONE_ROW]
+        return np.zeros(problem.d), _ONE_ROW
 
     monkeypatch.setattr(harness, "admm_solve", fake_admm)
     monkeypatch.setattr(harness, "sgd_solve", fake_sgd)

@@ -107,6 +107,29 @@ def test_block_minimize_against_grid_scan(kind, rng):
         assert block_stationarity_residual(obj, kind, v) <= 1e-8
 
 
+def test_newton_start_does_not_overflow_near_the_float_max():
+    # both bracket ends lie above ~9e307, where 0.5 * (lo + hi) overflows
+    s, m, rho = [0.0, 1.0, 2.0], [1e308] * 3, 1e-307
+    v = singleton_minimize(s, m, rho, LossKind.LOGISTIC)
+    scalar = [block_minimize(si, 1, mi, rho, LossKind.LOGISTIC) for si, mi in zip(s, m)]
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(scalar))
+    # sigmoid(v) = 1 there, so the root is m - s/rho
+    assert v == pytest.approx([1e308, 9e307, 8e307], rel=1e-12)
+    assert scalar == pytest.approx([1e308, 9e307, 8e307], rel=1e-12)
+
+
+def test_bisection_tail_reaches_the_root():
+    # s/rho = 1e308: the Newton steps all bisect toward the target and leave
+    # a bracket ~1e218 wide; the tail must narrow it to the root near -702
+    s, rho = 1e308, 1.0
+    for v in (block_minimize(s, 1, 0.0, rho, LossKind.LOGISTIC),
+              float(singleton_minimize([s], [0.0], rho, LossKind.LOGISTIC)[0])):
+        sg = math.exp(v) / (1.0 + math.exp(v))
+        residual = s * sg + rho * v
+        slope = s * sg * (1.0 - sg) + rho
+        assert abs(residual) <= 4.0 * slope * math.ulp(v)
+
+
 def test_block_minimize_rejects_nonfinite():
     with pytest.raises(InvalidParameterError):
         block_minimize(float("nan"), 1, 0.0, 1.0, LossKind.HINGE)

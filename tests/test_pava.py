@@ -474,6 +474,21 @@ def test_overflowing_merge_sums_raise(kind, value_dependent):
             solve_z_subproblem(m, resolved, 1e-307, kind)
 
 
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+@pytest.mark.parametrize("scheme", [ERM(), Superquantile(0.5), CPTValueDependent(B=1e308)],
+                         ids=["erm", "superquantile", "cpt"])
+def test_targets_near_the_float_max_give_finite_z_or_raise(kind, scheme):
+    # s/rho ~ 1e306 or more: both Newton bracket ends lie above ~9e307
+    m = np.array([1e308, 9e307, 1e308, 1.1e308, 1.5e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            z = solve_z_subproblem(m, resolve(scheme, 5), 1e-307, kind)
+        except InvalidParameterError as exc:
+            assert "non-finite" in str(exc)
+            return
+    assert np.all(np.isfinite(z))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 def test_merge_rejects_bad_weight_columns(bad):
     sigma = np.array([0.5, bad])
