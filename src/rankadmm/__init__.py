@@ -9,7 +9,6 @@ a benchmark harness.
 from .admm import (
     TRACE_COLUMNS,
     TRACE_DTYPE,
-    GammaSchedule,
     ScheduleSpec,
     SolverConfig,
     SolverResult,
@@ -49,5 +48,3 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -82,35 +82,13 @@ class ScheduleSpec:
 
 
 @dataclass(frozen=True)
-class GammaSchedule:
-    """Smoothing parameter sequence: decaying max(1e-5 * 0.9^k, 1e-9)
-    or constant."""
-
-    kind: str = "decay"
-    value: float = 0.0
-
-    @staticmethod
-    def default() -> "GammaSchedule":
-        return GammaSchedule("decay")
-
-    @staticmethod
-    def constant(gamma: float) -> "GammaSchedule":
-        if not (gamma > 0):
-            raise InvalidParameterError(f"gamma must be positive, got {gamma}")
-        return GammaSchedule("constant", value=gamma)
-
-    def gamma_at(self, k: int) -> float:
-        if self.kind == "constant":
-            return self.value
-        return max(1e-5 * 0.9**k, 1e-9)
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     max_iter: int = 300
     rho_schedule: ScheduleSpec = field(default_factory=ScheduleSpec.srm)
     r: float = 1.0
-    gamma_schedule: GammaSchedule = field(default_factory=GammaSchedule.default)
+    #: Smoothing parameter of the smoothed solver; None decays it from 1e-5
+    #: by a factor 0.9 per iteration, down to 1e-9.
+    gamma: float | None = None
     stop_eps: float = 1e-6
     seed: int = 0
     sigma_min: float | None = None
@@ -121,6 +99,10 @@ class SolverConfig:
             raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (self.r > 0):
             raise InvalidParameterError(f"r must be positive, got {self.r}")
+        if self.gamma is not None and not (0 < self.gamma < math.inf):
+            raise InvalidParameterError(
+                f"smoothing parameter 'gamma' must be positive and finite, got {self.gamma}"
+            )
 
 
 #: One row per outer iteration; the fields, in order, are the CSV schema
@@ -200,7 +182,7 @@ def sadmm_solve(
     lambda0: np.ndarray | None = None,
 ) -> SolverResult:
     """Smoothed variant: the penalty is replaced by its envelope with the
-    configured smoothing schedule and the returned point is the proximal
+    configured smoothing parameter and the returned point is the proximal
     map of the final iterate.  With a zero penalty the envelope vanishes
     and the run reduces to the plain loop, trajectory included.
     """
@@ -251,7 +233,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
 
         gamma = None
         if smooth_active:
-            gamma = config.gamma_schedule.gamma_at(k)
+            gamma = max(1e-5 * 0.9**k, 1e-9) if config.gamma is None else config.gamma
             if c > 0 and c * gamma > MOREAU_CURVATURE_LIMIT:
                 gamma_clamped = MOREAU_CURVATURE_LIMIT / c
                 if not clamp_warned:
@@ -463,7 +445,7 @@ def theory_mode_config(problem: Problem, eps: float, **settings) -> SolverConfig
     return SolverConfig(
         rho_schedule=ScheduleSpec.constant(C1 / eps),
         r=C2 / eps,
-        gamma_schedule=GammaSchedule.constant(gamma),
+        gamma=gamma,
         **settings,
     )
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import data_io, weights as wgt
 from .admm import (
-    GammaSchedule,
     ScheduleSpec,
     SolverConfig,
     SolverResult,
@@ -98,7 +97,6 @@ _CONVERT = {
     "float": float,
     "tuple[float, ...]": lambda value: tuple(float(s) for s in value),
     "ScheduleSpec": schedule_from_string,
-    "GammaSchedule": lambda value: GammaSchedule.constant(float(value)),
 }
 
 
@@ -153,7 +151,7 @@ def scheme_from_dict(d: dict) -> wgt.WeightScheme:
 
 #: The field each ``config`` key of admm and sadmm sets.
 _ADMM_KEYS = {"schedule": "rho_schedule", "max_iter": "max_iter", "r": "r",
-              "gamma": "gamma_schedule", "eps": "stop_eps", "wall_budget_s": "wall_budget_s"}
+              "gamma": "gamma", "eps": "stop_eps", "wall_budget_s": "wall_budget_s"}
 #: Per solver: the config class and the fields its ``config`` keys set
 #: (None: every field but the seed, under its own name).  A key left out
 #: keeps the field's default, so the dataclasses hold the only defaults.

@@ -23,15 +23,15 @@ point, bitwise what solving would give.
 The block solvers take plain floats and trust the caller's validation
 (the merge pass checks its inputs once per z-step); they reject only a
 non-finite weight or target sum.  A merge passes the interval its value
-must lie in, which narrows the Newton bracket.  :class:`BlockObjective`
-is the validated form of the same data, for the oracle and the tests.
+must lie in, which narrows the Newton bracket.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class LossKind(str, Enum):
 
 _NEWTON_MAX_ITER = 100
 _DERIV_TOL = 1e-12
+#: Low end of a logistic bracket whose ``m - s/rho`` overflows: the root
+#: lies above it, since ``s*sigmoid(v)`` vanishes long before.
+_LOWEST = -sys.float_info.max
 
 
 def loss_value(kind: LossKind, u: float) -> float:
@@ -95,27 +98,16 @@ def _block_value(
     return s * loss_value(kind, v) + 0.5 * rho * (count * v * v - 2.0 * m_sum * v)
 
 
-@dataclass(frozen=True)
-class BlockObjective:
-    """Aggregated data of one block, validated: s = sum of rank weights,
-    count = block size, m_sum = sum of targets, rho = quadratic penalty
-    weight.  The merge pass passes these as plain floats instead."""
-
-    s: float
-    count: int
-    m_sum: float
-    rho: float
-
-    def __post_init__(self):
-        if not (self.rho > 0):
-            raise InvalidParameterError(f"rho must be positive, got {self.rho}")
-        if self.count < 1:
-            raise InvalidParameterError(f"count must be >= 1, got {self.count}")
-        if self.s < 0:
-            raise InvalidParameterError(f"weight sum must be >= 0, got {self.s}")
-
-    def value(self, kind: LossKind, v: float) -> float:
-        return _block_value(self.s, self.count, self.m_sum, self.rho, kind, v)
+def _exact_block_value(
+    s: float, loss: float, count: int, m_sum: float, rho: float, v: float
+) -> Fraction:
+    """:func:`_block_value` with the loss value ``loss`` at v, in exact
+    arithmetic on its float terms: it cannot overflow, so it decides the
+    piece choice where the float value does."""
+    v = Fraction(v)
+    return Fraction(s) * Fraction(loss) + Fraction(rho) / 2 * (
+        count * v * v - 2 * Fraction(m_sum) * v
+    )
 
 
 def _bisects(v_new, lo, hi, step, dx_old):
@@ -146,7 +138,8 @@ def block_minimize(
     ``s*sigmoid(v) + rho*(count*v - m_sum)``, bracketed by
     ``[m_sum/count - s/(rho*count), m_sum/count]`` and safeguarded by the
     rtsafe rule of :func:`_bisects`; the bracket assumes 0 <= l' <= 1,
-    which both losses satisfy (sigmoid, unit hinge slope).  An interval
+    which both losses satisfy (sigmoid, unit hinge slope).  A low end that
+    overflows to -inf is replaced by the most negative float.  An interval
     ``[v_lo, v_hi]`` known to hold the minimizer narrows that bracket; if
     the two do not overlap in more than a point, rounding has put the
     minimizer outside the interval, and the full bracket is used.
@@ -169,6 +162,8 @@ def block_minimize(
 
     rc = rho * count
     lo = mean_m - s / rc
+    if lo < _LOWEST:
+        lo = _LOWEST
     hi = mean_m
     if lo == hi:
         return lo
@@ -233,7 +228,8 @@ def singleton_minimize(
         return np.where(s == 0.0, m, out)
 
     out = m.copy()
-    lo_all = m - s / rho
+    with np.errstate(over="ignore"):
+        lo_all = np.maximum(m - s / rho, _LOWEST)
     # lo == hi (s == 0, or s/rho below m's ulp) leaves the target itself
     act = np.flatnonzero(lo_all != m)
     s, m, lo, hi = s[act], m[act], lo_all[act], m[act]
@@ -287,11 +283,15 @@ def block_minimize_cpt(
     to their half-lines (clamping to the boundary when the unconstrained
     minimizer falls on the wrong side) and keep the better one.  Ties go
     to the low piece, consistent with classifying v == boundary as low.
+    Where a piece value overflows, :func:`_exact_block_value` compares.
     """
     v_low = min(block_minimize(s_low, count, m_sum, rho, kind), boundary)
     v_high = max(block_minimize(s_high, count, m_sum, rho, kind), boundary)
     f_low = _block_value(s_low, count, m_sum, rho, kind, v_low)
     f_high = _block_value(s_high, count, m_sum, rho, kind, v_high)
+    if not (math.isfinite(f_low) and math.isfinite(f_high)):
+        f_low = _exact_block_value(s_low, loss_value(kind, v_low), count, m_sum, rho, v_low)
+        f_high = _exact_block_value(s_high, loss_value(kind, v_high), count, m_sum, rho, v_high)
     return v_low if f_low <= f_high else v_high
 
 
@@ -308,9 +308,11 @@ def singleton_minimize_cpt(
     Entry i has the weights ``s_low[i]`` on ``v <= boundary``,
     ``s_high[i]`` above it and the target ``m[i]``.  Each piece takes its
     :func:`singleton_minimize` value clamped to its half-line; the better
-    piece wins, ties going low.  An entry with both weights zero returns
-    its target exactly.  The piece values use :func:`loss_value_vec`, so
-    they agree with the scalar solve to rounding, not bitwise.
+    piece wins, ties going low; where a piece value overflows,
+    :func:`_exact_block_value` compares.  An entry with both weights zero
+    returns its target exactly.  The piece values use
+    :func:`loss_value_vec`, so they agree with the scalar solve to
+    rounding, not bitwise.
 
     For logistic loss a piece is solved only where it can cross the
     boundary.  The Newton iterates of :func:`singleton_minimize` never
@@ -325,10 +327,6 @@ def singleton_minimize_cpt(
     s_high = np.asarray(s_high, dtype=float)
     m = np.asarray(m, dtype=float)
 
-    def piece_value(s, v):
-        # _block_value with count 1
-        return s * loss_value_vec(kind, v) + 0.5 * rho * (v * v - 2.0 * m * v)
-
     low = high = slice(None)
     if kind == LossKind.LOGISTIC:
         low = np.flatnonzero(m - s_low / rho <= boundary)
@@ -337,5 +335,15 @@ def singleton_minimize_cpt(
     v_low[low] = np.minimum(singleton_minimize(s_low[low], m[low], rho, kind), boundary)
     v_high = np.full_like(m, boundary)
     v_high[high] = np.maximum(singleton_minimize(s_high[high], m[high], rho, kind), boundary)
-    out = np.where(piece_value(s_low, v_low) <= piece_value(s_high, v_high), v_low, v_high)
+    loss_low, loss_high = loss_value_vec(kind, v_low), loss_value_vec(kind, v_high)
+    # _block_value with count 1; near the float max v * v overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_low = s_low * loss_low + 0.5 * rho * (v_low * v_low - 2.0 * m * v_low)
+        f_high = s_high * loss_high + 0.5 * rho * (v_high * v_high - 2.0 * m * v_high)
+    take_low = f_low <= f_high
+    for i in np.flatnonzero(~(np.isfinite(f_low) & np.isfinite(f_high))).tolist():
+        take_low[i] = _exact_block_value(
+            s_low[i], loss_low[i], 1, m[i], rho, v_low[i]
+        ) <= _exact_block_value(s_high[i], loss_high[i], 1, m[i], rho, v_high[i])
+    out = np.where(take_low, v_low, v_high)
     return np.where((s_low == 0.0) & (s_high == 0.0), m, out)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import BlockObjective, LossKind, block_minimize, loss_derivative_vec, loss_value_vec
+from .losses import LossKind, block_minimize, loss_derivative_vec, loss_value_vec
 from .pava import BlockPartition
 from .weights import ResolvedWeights
 
@@ -170,38 +170,47 @@ def loss_subgradient_interval(kind: LossKind, u: float) -> tuple[float, float]:
     return (1.0, 1.0)
 
 
-def block_stationarity_residual(obj: BlockObjective, kind: LossKind, v: float) -> float:
-    """Distance from 0 to the block subdifferential at v (0 when stationary)."""
+def block_stationarity_residual(
+    s: float, count: int, m_sum: float, rho: float, kind: LossKind, v: float
+) -> float:
+    """Distance from 0 to the block subdifferential at v (0 when stationary).
+
+    The block is that of :func:`~rankadmm.losses.block_minimize`: weight
+    sum ``s``, ``count`` targets summing to ``m_sum``, penalty ``rho``.
+    """
     lo, hi = loss_subgradient_interval(kind, v)
-    lin = obj.rho * (obj.count * v - obj.m_sum)
-    a, b = obj.s * lo + lin, obj.s * hi + lin
+    lin = rho * (count * v - m_sum)
+    a, b = s * lo + lin, s * hi + lin
     if a <= 0.0 <= b:
         return 0.0
     return min(abs(a), abs(b))
 
 
 def block_stationarity_residual_cpt(
-    obj_low: BlockObjective,
-    obj_high: BlockObjective,
+    s_low: float,
+    s_high: float,
+    count: int,
+    m_sum: float,
+    rho: float,
     boundary: float,
     kind: LossKind,
     v: float,
 ) -> float:
-    """First-order residual of the two-piece block objective at v.
+    """First-order residual at v of the two-piece block objective of
+    :func:`~rankadmm.losses.block_minimize_cpt`.
 
     At v == boundary the condition is one-sided: either the low piece is
     nonincreasing into the boundary or the high piece is nondecreasing
     away from it.
     """
     if v < boundary:
-        return block_stationarity_residual(obj_low, kind, v)
+        return block_stationarity_residual(s_low, count, m_sum, rho, kind, v)
     if v > boundary:
-        return block_stationarity_residual(obj_high, kind, v)
-    lo_l, hi_l = loss_subgradient_interval(kind, v)
-    lin_l = obj_low.rho * (obj_low.count * v - obj_low.m_sum)
-    low_ok = obj_low.s * lo_l + lin_l  # smallest low-piece subgradient
-    lin_h = obj_high.rho * (obj_high.count * v - obj_high.m_sum)
-    high_ok = obj_high.s * hi_l + lin_h  # largest high-piece subgradient
+        return block_stationarity_residual(s_high, count, m_sum, rho, kind, v)
+    lo, hi = loss_subgradient_interval(kind, v)
+    lin = rho * (count * v - m_sum)
+    low_ok = s_low * lo + lin  # smallest low-piece subgradient
+    high_ok = s_high * hi + lin  # largest high-piece subgradient
     return min(max(0.0, low_ok), max(0.0, -high_ok))
 
 
@@ -221,14 +230,10 @@ def stationarity_residual(
             s_low = float(np.sum(resolved.sigma_low[lo : hi + 1]))
             s_high = float(np.sum(resolved.sigma_high[lo : hi + 1]))
             r = block_stationarity_residual_cpt(
-                BlockObjective(s_low, count, m_sum, rho),
-                BlockObjective(s_high, count, m_sum, rho),
-                resolved.reference,
-                kind,
-                v,
+                s_low, s_high, count, m_sum, rho, resolved.reference, kind, v
             )
         else:
             s = float(np.sum(resolved.sigma[lo : hi + 1]))
-            r = block_stationarity_residual(BlockObjective(s, count, m_sum, rho), kind, v)
+            r = block_stationarity_residual(s, count, m_sum, rho, kind, v)
         worst = max(worst, r)
     return worst

@@ -93,10 +93,6 @@ class BlockPartition:
     def value(self) -> np.ndarray:
         return self.z[self.lo]
 
-    def values(self) -> np.ndarray:
-        """Block values as a length-n vector in sorted order."""
-        return self.z
-
 
 def merge_blocks(
     m_sorted: np.ndarray,
@@ -240,5 +236,5 @@ def solve_z_subproblem(
             m_sorted = m[perm]
         order[:] = perm
     z = np.empty_like(m)
-    z[perm] = merge_blocks(m_sorted, resolved, rho, kind, merge_log).values()
+    z[perm] = merge_blocks(m_sorted, resolved, rho, kind, merge_log).z
     return z

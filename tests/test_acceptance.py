@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from rankadmm.admm import (
-    GammaSchedule,
     ScheduleSpec,
     SolverConfig,
     admm_solve,
@@ -213,7 +212,7 @@ def test_criterion_7_descent_inequalities():
     coeff = (2 * r - 1 / gamma) / 2 - 4 * r**2 / (sigma * rho) - 2 / (sigma * rho * gamma**2)
     assert coeff > 0, "test instance must satisfy the descent premise"
     cfg = SolverConfig(max_iter=100, rho_schedule=ScheduleSpec.constant(rho), r=r,
-                       gamma_schedule=GammaSchedule.constant(gamma), stop_eps=0.0,
+                       gamma=gamma, stop_eps=0.0,
                        sigma_min=sigma, seed=1)
     rng = np.random.default_rng(0)
     res = sadmm_solve(problem, cfg, w0=rng.standard_normal(problem.d) * 0.5)

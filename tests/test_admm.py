@@ -6,7 +6,6 @@ import pytest
 
 import rankadmm.admm as admm_module
 from rankadmm.admm import (
-    GammaSchedule,
     ScheduleSpec,
     SolverConfig,
     admm_solve,
@@ -58,11 +57,22 @@ def test_schedule_validation():
         ScheduleSpec("warp")
 
 
-def test_gamma_schedule_default_decay():
-    g = GammaSchedule.default()
-    assert g.gamma_at(0) == pytest.approx(1e-5)
-    assert g.gamma_at(3) == pytest.approx(1e-5 * 0.9**3)
-    assert g.gamma_at(10**4) == pytest.approx(1e-9)
+def test_default_gamma_decays_to_its_floor():
+    problem = make_synthetic_problem(n=20, d=4, regularizer=l1(0.1), seed=8)
+    res = sadmm_solve(problem, SolverConfig(max_iter=100, stop_eps=0.0))
+    assert len(res.trace) == 100
+    # 1e-5 * 0.9**k falls below the floor 1e-9 from k = 88 on
+    expected = [max(1e-5 * 0.9**k, 1e-9) for k in range(100)]
+    assert res.trace.gamma.tolist() == expected
+    assert expected[-1] == 1e-9
+    res = sadmm_solve(problem, SolverConfig(max_iter=100, gamma=0.1, stop_eps=0.0))
+    assert res.trace.gamma.tolist() == [0.1] * 100
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_config_rejects_bad_gamma(gamma):
+    with pytest.raises(InvalidParameterError, match="gamma"):
+        SolverConfig(gamma=gamma)
 
 
 def test_dual_update_example():
@@ -240,7 +250,7 @@ def test_nonfinite_dual_stops_at_its_iteration(monkeypatch):
 def test_gamma_clamp_warns():
     problem = make_synthetic_problem(n=20, d=4, regularizer=mcp(0.5, 1.5), seed=8)
     cfg = SolverConfig(max_iter=2, rho_schedule=ScheduleSpec.constant(1.0), r=2.0,
-                       gamma_schedule=GammaSchedule.constant(1.0), stop_eps=0.0)
+                       gamma=1.0, stop_eps=0.0)
     c = problem.regularizer.weak_convexity_c
     assert c * 1.0 > 1.0 / 3.0
     with pytest.warns(RuntimeWarning, match="clamping"):
@@ -257,7 +267,7 @@ def test_lyapunov_zero_violations_on_premise_instance():
     coeff = (2 * r - 1 / gamma) / 2 - 4 * r**2 / (sigma * rho) - 2 / (sigma * rho * gamma**2)
     assert coeff > 0
     cfg = SolverConfig(max_iter=80, rho_schedule=ScheduleSpec.constant(rho), r=r,
-                       gamma_schedule=GammaSchedule.constant(gamma), stop_eps=0.0,
+                       gamma=gamma, stop_eps=0.0,
                        sigma_min=sigma, seed=1)
     rng = np.random.default_rng(0)
     res = sadmm_solve(problem, cfg, w0=rng.standard_normal(problem.d) * 0.5)
@@ -272,7 +282,7 @@ def test_lyapunov_skips_nonpositive_coefficient():
     problem = make_synthetic_problem(n=20, d=30, regularizer=mcp(0.01, 4.0), seed=9)
     sigma = sigma_min_positive(problem)
     cfg = SolverConfig(max_iter=5, rho_schedule=ScheduleSpec.constant(0.01), r=2.0,
-                       gamma_schedule=GammaSchedule.constant(1.0), stop_eps=0.0)
+                       gamma=1.0, stop_eps=0.0)
     res = sadmm_solve(problem, cfg)
     report = lyapunov_check(res.trace, r=2.0, rho=0.01, sigma_min=sigma, gamma=1.0)
     assert report.skipped_reason is not None
@@ -432,7 +442,7 @@ def test_theory_mode_config():
     cfg = theory_mode_config(problem, eps=0.01)
     assert cfg.rho_schedule.kind == "constant"
     assert cfg.r == pytest.approx(2.0 / 0.01)
-    assert cfg.gamma_schedule.value == pytest.approx(0.01)
+    assert cfg.gamma == pytest.approx(0.01)
     cfg = theory_mode_config(problem, eps=0.01, max_iter=40, stop_eps=1e-4, seed=3)
     assert (cfg.max_iter, cfg.stop_eps, cfg.seed) == (40, 1e-4, 3)
     with pytest.raises(InvalidParameterError):

@@ -271,6 +271,22 @@ def test_suboptimality_per_cell_and_solver(tmp_path):
         assert float(last.split(",")[2]) == 0.0
 
 
+def test_plan_gamma_sets_the_smoothing_parameter(tmp_path):
+    # null keeps the decaying default; a number holds gamma there
+    cells = [{"name": name, "dataset": {"synthetic": {"n": 40, "d": 5}},
+              "regularizer": {"variant": "l1", "mu": 0.01}, "solver": "sadmm",
+              "config": {"gamma": gamma, "max_iter": 10}}
+             for name, gamma in [("decay", None), ("held", 0.1)]]
+    path = tmp_path / "gamma_plan.json"
+    path.write_text(json.dumps({"cells": cells, "out": str(tmp_path / "out")}))
+    assert cli_main(["benchmark", str(path)]) == 0
+    decay = read_trace_csv(tmp_path / "out" / "decay_sadmm_seed0.csv").gamma
+    held = read_trace_csv(tmp_path / "out" / "held_sadmm_seed0.csv").gamma
+    assert decay.tolist() == [max(1e-5 * 0.9**k, 1e-9) for k in range(len(decay))]
+    assert held.tolist() == [0.1] * len(held)
+    assert len(decay) == len(held) == 10
+
+
 def test_plan_float_aorr_k_builds(tmp_path):
     good = json.loads(make_plan(tmp_path, reps=1).read_text())
     cell = dict(good["cells"][0], scheme={"kind": "aorr", "k": 5.0, "m": 2})

@@ -1,5 +1,7 @@
 import math
-from dataclasses import astuple
+import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from rankadmm.errors import InvalidParameterError
 from rankadmm.losses import (
-    BlockObjective,
     LossKind,
     block_minimize,
     block_minimize_cpt,
@@ -18,6 +19,8 @@ from rankadmm.losses import (
 )
 from rankadmm import losses
 from rankadmm.oracle import block_stationarity_residual, loss_subgradient_interval
+from rankadmm.pava import solve_z_subproblem
+from rankadmm.weights import CPTValueDependent, ResolvedWeights, resolve
 
 
 def grid_scan_minimizer(fn, lo=-10.0, hi=10.0, step=1e-6, chunk=2_000_000):
@@ -36,13 +39,13 @@ def grid_scan_minimizer(fn, lo=-10.0, hi=10.0, step=1e-6, chunk=2_000_000):
     return best_v, best_f
 
 
-def block_fn(obj: BlockObjective, kind: LossKind):
+def block_fn(s: float, count: int, m_sum: float, rho: float, kind: LossKind):
     def fn(v):
         if kind == LossKind.HINGE:
             lv = np.maximum(0.0, 1.0 + v)
         else:
             lv = np.logaddexp(0.0, v)
-        return obj.s * lv + 0.5 * obj.rho * (obj.count * v * v - 2.0 * obj.m_sum * v)
+        return s * lv + 0.5 * rho * (count * v * v - 2.0 * m_sum * v)
 
     return fn
 
@@ -72,10 +75,10 @@ def test_block_minimize_pure_quadratic():
 
 
 def test_block_minimize_hinge_kink_absorbs():
-    obj = BlockObjective(s=5.0, count=2, m_sum=0.05, rho=1.0)
-    v = block_minimize(*astuple(obj), LossKind.HINGE)
+    block = (5.0, 2, 0.05, 1.0)  # s, count, m_sum, rho
+    v = block_minimize(*block, LossKind.HINGE)
     assert v == -1.0
-    grid_v, _ = grid_scan_minimizer(block_fn(obj, LossKind.HINGE))
+    grid_v, _ = grid_scan_minimizer(block_fn(*block, LossKind.HINGE))
     assert abs(v - grid_v) <= 2e-6
 
 
@@ -94,17 +97,17 @@ def test_block_minimize_logistic_reference_root():
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
 def test_block_minimize_against_grid_scan(kind, rng):
     for _ in range(12):
-        obj = BlockObjective(
-            s=float(rng.uniform(0.0, 3.0)),
-            count=int(rng.integers(1, 5)),
-            m_sum=float(rng.uniform(-4.0, 4.0)),
-            rho=float(rng.choice([0.1, 1.0, 10.0])),
+        block = (
+            float(rng.uniform(0.0, 3.0)),
+            int(rng.integers(1, 5)),
+            float(rng.uniform(-4.0, 4.0)),
+            float(rng.choice([0.1, 1.0, 10.0])),
         )
-        v = block_minimize(*astuple(obj), kind)
-        fn = block_fn(obj, kind)
+        v = block_minimize(*block, kind)
+        fn = block_fn(*block, kind)
         grid_v, grid_f = grid_scan_minimizer(fn, lo=-8.0, hi=8.0, step=1e-4)
         assert fn(np.array([v]))[0] <= grid_f + 1e-7
-        assert block_stationarity_residual(obj, kind, v) <= 1e-8
+        assert block_stationarity_residual(*block, kind, v) <= 1e-8
 
 
 def test_newton_start_does_not_overflow_near_the_float_max():
@@ -130,11 +133,29 @@ def test_bisection_tail_reaches_the_root():
         assert abs(residual) <= 4.0 * slope * math.ulp(v)
 
 
+def test_overflowing_bracket_end_gives_the_root():
+    # s/(rho*count) = 1e310 overflows, so the bracket's low end
+    # m_sum/count - s/(rho*count) is -inf; the root lies near -707
+    s, m_sum, rho = 1e300, 0.0, 1e-10
+    for v in (block_minimize(s, 1, m_sum, rho, LossKind.LOGISTIC),
+              float(singleton_minimize([s], [m_sum], rho, LossKind.LOGISTIC)[0])):
+        assert math.isfinite(v)
+        sg = losses._sigmoid_scalar(v)
+        terms = (s * sg, rho * (v - m_sum))
+        slope = s * sg * (1.0 - sg) + rho
+        # zero up to one step of v and the rounding of the two terms
+        rounding = slope * math.ulp(v) + 4.0 * sys.float_info.epsilon * sum(map(abs, terms))
+        assert abs(sum(terms)) <= rounding
+    # a falling chain whose merged block overflows the same way
+    sigma = np.array([1e298, 1e299, 1e300])
+    z = solve_z_subproblem(np.array([0.0, 1.0, 2.0]), ResolvedWeights(3, sigma), rho,
+                           LossKind.LOGISTIC)
+    assert np.all(np.isfinite(z))
+
+
 def test_block_minimize_rejects_nonfinite():
     with pytest.raises(InvalidParameterError):
         block_minimize(float("nan"), 1, 0.0, 1.0, LossKind.HINGE)
-    with pytest.raises(InvalidParameterError):
-        BlockObjective(s=1.0, count=1, m_sum=0.0, rho=0.0)
 
 
 @given(
@@ -146,9 +167,8 @@ def test_block_minimize_rejects_nonfinite():
 )
 @settings(max_examples=120, deadline=None)
 def test_block_minimize_stationarity_property(s, count, m_sum, rho, kind):
-    obj = BlockObjective(s=s, count=count, m_sum=m_sum, rho=rho)
     v = block_minimize(s, count, m_sum, rho, kind)
-    assert block_stationarity_residual(obj, kind, v) <= 1e-8
+    assert block_stationarity_residual(s, count, m_sum, rho, kind, v) <= 1e-8
 
 
 @given(
@@ -190,10 +210,10 @@ def test_block_minimize_no_bracket_ping_pong(monkeypatch):
         return sigmoid(u)
 
     monkeypatch.setattr(losses, "_sigmoid_scalar", counting)
-    obj = BlockObjective(s=1.0, count=1101, m_sum=3010.85, rho=1.728e-05)
-    v = block_minimize(*astuple(obj), LossKind.LOGISTIC)
+    block = (1.0, 1101, 3010.85, 1.728e-05)  # s, count, m_sum, rho
+    v = block_minimize(*block, LossKind.LOGISTIC)
     assert len(calls) <= 20
-    assert block_stationarity_residual(obj, LossKind.LOGISTIC, v) <= 1e-12
+    assert block_stationarity_residual(*block, LossKind.LOGISTIC, v) <= 1e-12
 
 
 @given(
@@ -369,3 +389,29 @@ def test_cpt_matches_grid_scan_random(kind, rng):
         got = float(fn(np.array([v]))[0])
         _, grid_f = grid_scan_minimizer(fn, lo=-8.0, hi=8.0, step=1e-5)
         assert got <= grid_f + 1e-5
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+def test_cpt_piece_choice_near_the_float_max_is_exact(kind):
+    # the piece values overflow here (v * v), so the float comparison is NaN
+    m = np.array([1e308, 9e307, 1e308, 1.1e308, 1.5e308])
+    resolved = resolve(CPTValueDependent(B=1e308), 5)
+    s_low, s_high, boundary, rho = resolved.sigma_low, resolved.sigma_high, 1e308, 1e-307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = singleton_minimize_cpt(s_low, s_high, m, boundary, rho, kind)
+        z = solve_z_subproblem(m, resolved, rho, kind)
+        scalar = [block_minimize_cpt(a, b, 1, mi, rho, boundary, kind)
+                  for a, b, mi in zip(s_low.tolist(), s_high.tolist(), m.tolist())]
+    assert np.all(np.isfinite(z))
+    v_low = np.minimum(singleton_minimize(s_low, m, rho, kind), boundary)
+    v_high = np.maximum(singleton_minimize(s_high, m, rho, kind), boundary)
+
+    def exact(s, v, mi):
+        v, loss = Fraction(v), Fraction(losses.loss_value_vec(kind, np.array([v]))[0])
+        return Fraction(s) * loss + Fraction(rho) / 2 * (v * v - 2 * Fraction(mi) * v)
+
+    want = [lo if exact(a, lo, mi) <= exact(b, hi, mi) else hi
+            for a, b, lo, hi, mi in zip(s_low, s_high, v_low, v_high, m)]
+    assert got.tolist() == want
+    assert scalar == want

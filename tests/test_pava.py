@@ -12,7 +12,7 @@ from rankadmm.losses import (
     block_minimize_cpt,
     singleton_minimize,
 )
-from rankadmm import losses, pava
+from rankadmm import pava
 from rankadmm.oracle import (
     chain_objective_reference,
     grid_dp_chain,
@@ -151,7 +151,7 @@ def test_in_order_input_single_pass(rng):
     resolved = resolve(Explicit(np.full(8, 0.125)), 8)
     log = []
     partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC, merge_log=log)
-    values = partition.values()
+    values = partition.z
     assert np.all(np.diff(values) >= 0.0)
     # merges only happen when singleton minimizers go out of order
     singletons = [
@@ -197,7 +197,7 @@ def test_all_zero_weights_take_targets(kind, rng):
     partition = merge_blocks(m, resolve(Explicit(np.zeros(n)), n), 1.0, kind, merge_log=log)
     assert log == []
     assert len(partition.lo) == n
-    assert np.array_equal(partition.values(), m)
+    assert np.array_equal(partition.z, m)
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
@@ -438,7 +438,7 @@ def test_cpt_first_order_and_competitive(kind, rng):
         assert nondecreasing(partition)
         res = stationarity_residual(partition, resolved, m, 1.0, kind)
         assert res <= 1e-6
-        z = partition.values()
+        z = partition.z
         obj = chain_objective_reference(z, m, resolved, 1.0, kind)
         for cand in enumerate_first_order_points(resolved, m, 1.0, kind):
             cand_obj = chain_objective_reference(cand, m, resolved, 1.0, kind)
@@ -499,25 +499,11 @@ def test_merge_rejects_bad_weight_columns(bad):
         merge_blocks(np.zeros(2), cpt, 1.0, LossKind.LOGISTIC)
 
 
-@pytest.mark.parametrize("value_dependent", [False, True], ids=["explicit", "cpt"])
-def test_merge_pass_builds_no_block_objective(value_dependent, monkeypatch, rng):
-    def refuse(self):
-        raise AssertionError("BlockObjective built on the merge path")
-
-    monkeypatch.setattr(losses.BlockObjective, "__post_init__", refuse)
-    n = 200
-    scheme = CPTValueDependent(B=0.0) if value_dependent else Superquantile(0.5)
-    log = []
-    merge_blocks(np.sort(rng.standard_normal(n)), resolve(scheme, n), 0.01,
-                 LossKind.LOGISTIC, merge_log=log)
-    assert log
-
-
 def test_inverse_permutation(rng):
     n = 9
     m = rng.standard_normal(n)
     resolved = resolve(Superquantile(0.4), n)
     z = solve_z_subproblem(m, resolved, 2.0, LossKind.LOGISTIC)
     order = np.argsort(m, kind="stable")
-    z_byhand = merge_blocks(m[order], resolved, 2.0, LossKind.LOGISTIC).values()
+    z_byhand = merge_blocks(m[order], resolved, 2.0, LossKind.LOGISTIC).z
     assert z[order] == pytest.approx(z_byhand)
