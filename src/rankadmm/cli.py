@@ -244,7 +244,8 @@ def _cmd_oracle(args, parser) -> int:
     m = rng.standard_normal(args.n)
     kind = LossKind(args.loss)
     z = solve_z_subproblem(m, resolved, args.rho, kind)
-    z_ref, obj_ref = grid_dp_chain(m, resolved, args.rho, kind, step=args.step)
+    _, obj_ref = _or_usage_error(parser, grid_dp_chain, m, resolved, args.rho, kind,
+                                 step=args.step)
     obj = chain_objective_reference(z, m, resolved, args.rho, kind)
     print(f"block_solver_objective: {obj:.10f}")
     print(f"grid_reference_objective: {obj_ref:.10f}")

@@ -56,18 +56,6 @@ from .losses import (
 from .weights import ResolvedWeights
 
 
-@dataclass(frozen=True)
-class MergeEvent:
-    """One merge: value of the run's first (largest) and last (smallest)
-    blocks and the recomputed merged value."""
-
-    lo: int
-    hi: int
-    v_first: float
-    v_last: float
-    v_merged: float
-
-
 @dataclass
 class BlockPartition:
     """Ordered blocks covering 0..n-1 with no gaps or overlaps: block j
@@ -77,29 +65,12 @@ class BlockPartition:
     lo: np.ndarray
     z: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def count(self) -> np.ndarray:
-        return np.diff(np.append(self.lo, self.n))
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self.lo + self.count - 1
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.z[self.lo]
-
 
 def merge_blocks(
     m_sorted: np.ndarray,
     resolved: ResolvedWeights,
     rho: float,
     kind: LossKind,
-    merge_log: list[MergeEvent] | None = None,
 ) -> BlockPartition:
     """Isotonic block partition of the sorted chain problem.
 
@@ -186,8 +157,6 @@ def merge_blocks(
             else:
                 # the merged value lies between the run's last and first values
                 v = block_minimize(sums[0], k - t_lo, r_msum, rho, kind, v_last, v_first)
-            if merge_log is not None:
-                merge_log.append(MergeEvent(t_lo, k - 1, v_first, v_last, v))
             c_lo, c_value, c_sums, c_msum = t_lo, v, sums, r_msum
         stack.append([c_lo, k, c_value, c_sums, c_msum])
     # The sorted result: the singletons, each merged block written over its range.
@@ -205,7 +174,6 @@ def solve_z_subproblem(
     resolved: ResolvedWeights,
     rho: float,
     kind: LossKind,
-    merge_log: list[MergeEvent] | None = None,
     order: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minimize the rank-weighted loss plus (rho/2)||z - m||^2 over z.
@@ -236,5 +204,5 @@ def solve_z_subproblem(
             m_sorted = m[perm]
         order[:] = perm
     z = np.empty_like(m)
-    z[perm] = merge_blocks(m_sorted, resolved, rho, kind, merge_log).z
+    z[perm] = merge_blocks(m_sorted, resolved, rho, kind).z
     return z

@@ -23,6 +23,7 @@ latest solve.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,13 @@ _SPLIT_MAX_ITER = 20000
 _FP_FLOOR_SCALE = 64.0 * np.finfo(float).eps
 
 
-def _fp_floor(curvature: float, w: np.ndarray) -> float:
-    """Smallest gradient/mapping norm still distinguishable from rounding
-    noise for a smooth term with the given curvature scale."""
-    return _FP_FLOOR_SCALE * curvature * (1.0 + float(np.linalg.norm(w)))
+def _stop_at(curvature: float, w: np.ndarray) -> float:
+    """The inner stop threshold: _TOL, or the smallest gradient/mapping norm
+    still distinguishable from rounding noise for a smooth term with the
+    given curvature scale, if larger.  NaN once that floor overflows, so
+    that no residual passes."""
+    floor = _FP_FLOOR_SCALE * curvature * (1.0 + float(np.linalg.norm(w)))
+    return max(_TOL, floor) if floor < math.inf else math.nan
 
 
 @dataclass
@@ -181,7 +185,7 @@ class WSolver:
         res = np.linalg.norm(rhs - (rho * self._gram_matvec(w) + (mu + r) * w))
         rel = res / max(np.linalg.norm(rhs), 1e-300)
         self.last_info = SolveInfo(method="closed_form", iterations=1, residual=rel)
-        if rel > 1e-10:
+        if not rel <= 1e-10:
             self.last_info.warning = f"linear solve residual {rel:.2e} above 1e-10"
             logger.warning(self.last_info.warning)
         return w
@@ -240,7 +244,7 @@ class WSolver:
             w = self._pattern_solve(Dt, anchor, rho, r, reg)
             if w is not None:
                 mapping = mapping_at(w, self._gram_matvec(w))
-                if mapping <= max(_TOL, _fp_floor(L, w)):
+                if mapping <= _stop_at(L, w):
                     self.last_info = SolveInfo(
                         method="prox_gradient", iterations=0, residual=mapping
                     )
@@ -261,10 +265,13 @@ class WSolver:
         mapping = float("inf")
         iterations = restarts = 0
         for iterations in range(1, _FISTA_MAX_ITER + 1):
-            stop_at = max(_TOL, _fp_floor(L, w))
+            stop_at = _stop_at(L, w)
             w_new = prox(reg, eta, y - eta * q_grad(y, Gy))
             step = y - w_new
             step_norm = float(np.linalg.norm(step)) / eta
+            if not (math.isfinite(step_norm) and math.isfinite(stop_at)):
+                mapping = step_norm  # an overflow: no later iterate can pass
+                break
             Gw_new = self._gram_matvec(w_new)
             if t_momentum == 1.0:
                 mapping = step_norm  # y is w: the exact mapping at w
@@ -288,7 +295,7 @@ class WSolver:
             method="prox_gradient", iterations=iterations, residual=mapping,
             restarts=restarts,
         )
-        if mapping > max(_TOL, _fp_floor(L, w)):
+        if not mapping <= _stop_at(L, w):
             self.last_info.warning = (
                 f"prox-gradient mapping {mapping:.2e} above tol after {iterations} iters"
             )
@@ -395,7 +402,8 @@ class WSolver:
         gnorm = true_grad_norm(w)
         iterations = restarts = 0
         for iterations in range(1, _SPLIT_MAX_ITER + 1):
-            if gnorm <= max(_TOL, _fp_floor(curvature, w)):
+            stop_at = _stop_at(curvature, w)
+            if gnorm <= stop_at or not (math.isfinite(gnorm) and math.isfinite(stop_at)):
                 break
             w_y = w_of_x(y)
             x_new = prox(reg, eta, y - eta * (y - w_y) / gamma)
@@ -416,7 +424,7 @@ class WSolver:
             method="smooth_splitting", iterations=iterations, residual=gnorm,
             restarts=restarts,
         )
-        if gnorm > max(_TOL, _fp_floor(curvature, w)):
+        if not gnorm <= _stop_at(curvature, w):
             self.last_info.warning = (
                 f"smoothed solve gradient {gnorm:.2e} above tol after {iterations} iters"
             )

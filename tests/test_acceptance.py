@@ -20,7 +20,7 @@ from rankadmm.admm import (
 )
 from rankadmm.baselines import SgdConfig, rank_subgradient, sgd_solve
 from rankadmm.losses import LossKind
-from rankadmm.oracle import chain_objective_reference, grid_dp_chain, pairwise_merge_chain
+from rankadmm.oracle import chain_objective_reference, grid_dp_chain
 from rankadmm.pava import merge_blocks, solve_z_subproblem
 from rankadmm.regularizers import (
     ZERO,
@@ -44,6 +44,7 @@ from rankadmm.weights import (
 )
 from rankadmm.admm import materialize_D
 from tests.conftest import make_synthetic_problem
+from tests.reference import block_hi, pairwise_merge_chain, record_merges
 
 
 def passline(num, text):
@@ -82,23 +83,21 @@ def test_criterion_1_pava_oracle_equivalence():
     passline(1, f"200 instances match the grid reference (<=1e-3) in {elapsed:.1f}s")
 
 
-def test_criterion_2_merge_interval():
+def test_criterion_2_merge_interval(monkeypatch):
     rng = np.random.default_rng(202)
-    log = []
+    merges = record_merges(monkeypatch)
     instances = 0
-    while len(log) < 10**4 and instances < 2000:
+    while len(merges) < 10**4 and instances < 2000:
         n = int(rng.integers(20, 120))
         m = np.sort(rng.standard_normal(n) * float(rng.uniform(0.2, 1.0)))
         resolved = random_constant_weights(rng, n)
         kind = LossKind.HINGE if instances % 2 else LossKind.LOGISTIC
-        merge_blocks(m, resolved, float(rng.choice([0.3, 1.0, 5.0])), kind, merge_log=log)
+        merge_blocks(m, resolved, float(rng.choice([0.3, 1.0, 5.0])), kind)
         instances += 1
-    assert len(log) >= 10**4, f"only {len(log)} merges logged"
-    violations = [
-        e for e in log if not (e.v_last - 1e-9 <= e.v_merged <= e.v_first + 1e-9)
-    ]
+    assert len(merges) >= 10**4, f"only {len(merges)} merges recorded"
+    violations = [e for e in merges if not (e.v_lo - 1e-9 <= e.v <= e.v_hi + 1e-9)]
     assert violations == []
-    passline(2, f"{len(log)} merges, merged value always inside [right, left] interval")
+    passline(2, f"{len(merges)} merges, merged value always inside [right, left] interval")
 
 
 def test_criterion_3_fast_path_identical():
@@ -113,10 +112,10 @@ def test_criterion_3_fast_path_identical():
         rho = float(rng.choice([0.1, 1.0, 10.0]))
         engine = merge_blocks(m, resolved, rho, kind)
         reference = pairwise_merge_chain(m, resolved.sigma, rho, kind)
-        assert list(zip(engine.lo.tolist(), engine.hi.tolist())) == [
+        assert list(zip(engine.lo.tolist(), block_hi(engine).tolist())) == [
             (lo, hi) for lo, hi, _ in reference
         ]
-        gaps = abs(engine.value - [v for *_, v in reference])
+        gaps = abs(engine.z[engine.lo] - [v for *_, v in reference])
         assert max(gaps) <= 1e-12
     passline(3, "ranked-range partitions identical to pairwise merging on 100 instances (n<=500)")
 
@@ -131,7 +130,7 @@ def test_criterion_4_refined_vs_classic():
         rho = float(rng.choice([0.1, 1.0, 10.0]))
         refined = merge_blocks(m, resolved, rho, kind)
         classic = pairwise_merge_chain(m, resolved.sigma, rho, kind)
-        assert list(zip(refined.lo.tolist(), refined.hi.tolist())) == [
+        assert list(zip(refined.lo.tolist(), block_hi(refined).tolist())) == [
             (lo, hi) for lo, hi, _ in classic
         ]
     passline(4, "refined multi-merge partitions identical to pairwise merging")

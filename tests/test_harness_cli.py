@@ -349,6 +349,19 @@ def test_cli_oracle_bad_step_or_rho_exits_2(capsys, flags):
     assert f"{flags[0]} must be finite and > 0" in err
 
 
+def test_cli_oracle_oversize_grid_exits_2(capsys, monkeypatch):
+    # the (n, grid points) table would take 8.9 GiB: refused before it is made
+    empty = np.empty
+
+    def small_empty(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=float) < 2**28, f"allocated an array of shape {shape}"
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", small_empty)
+    assert cli_main(["oracle", "--n", "20000"]) == 2
+    assert "grid table" in capsys.readouterr().err
+
+
 def _captured_configs(monkeypatch):
     """Swap the harness's solver entry points, which ``train`` runs too, for
     stubs that record the config they get and return a one-row solve."""

@@ -18,9 +18,9 @@ from rankadmm.losses import (
     singleton_minimize_cpt,
 )
 from rankadmm import losses
-from rankadmm.oracle import block_stationarity_residual, loss_subgradient_interval
 from rankadmm.pava import solve_z_subproblem
 from rankadmm.weights import CPTValueDependent, ResolvedWeights, resolve
+from tests.reference import block_stationarity_residual, loss_subgradient_interval
 
 
 def grid_scan_minimizer(fn, lo=-10.0, hi=10.0, step=1e-6, chunk=2_000_000):

@@ -12,14 +12,7 @@ from rankadmm.losses import (
     block_minimize_cpt,
     singleton_minimize,
 )
-from rankadmm import pava
-from rankadmm.oracle import (
-    chain_objective_reference,
-    grid_dp_chain,
-    loss_subgradient_interval,
-    pairwise_merge_chain,
-    stationarity_residual,
-)
+from rankadmm.oracle import chain_objective_reference, grid_dp_chain
 from rankadmm.pava import merge_blocks, solve_z_subproblem
 from rankadmm.weights import (
     AoRR,
@@ -33,18 +26,26 @@ from rankadmm.weights import (
     Superquantile,
     resolve,
 )
+from tests.reference import (
+    block_hi,
+    loss_subgradient_interval,
+    pairwise_merge_chain,
+    record_merges,
+    stationarity_residual,
+)
 
 
 def nondecreasing(partition):
-    return bool(np.all(partition.value[:-1] <= partition.value[1:]))
+    values = partition.z[partition.lo]
+    return bool(np.all(values[:-1] <= values[1:]))
 
 
 def assert_matches_pairwise(partition, reference, tol):
     """Same index ranges as the (lo, hi, value) reference, values within tol."""
-    assert list(zip(partition.lo.tolist(), partition.hi.tolist())) == [
+    assert list(zip(partition.lo.tolist(), block_hi(partition).tolist())) == [
         (lo, hi) for lo, hi, _ in reference
     ]
-    assert max(abs(partition.value - [v for *_, v in reference])) <= tol
+    assert max(abs(partition.z[partition.lo] - [v for *_, v in reference])) <= tol
 
 
 def random_resolved(rng, n):
@@ -79,6 +80,12 @@ def test_against_grid_dp(kind, rho, rng):
         assert abs(got - ref_obj) <= 1e-3
         order = np.argsort(m, kind="stable")
         assert np.all(np.diff(z[order]) >= 0.0)
+
+
+def test_grid_dp_rejects_a_table_too_large():
+    # a step near the smallest subnormal: the grid point count overflows
+    with pytest.raises(InvalidParameterError, match="grid table"):
+        grid_dp_chain(np.zeros(3), resolve(ERM(), 3), 1.0, LossKind.LOGISTIC, step=5e-324)
 
 
 CONSTANT_SCHEMES = {
@@ -138,19 +145,21 @@ def test_warm_order_matches_cold_stable_sort(kind, value_dependent, data):
         resolved = resolve(Explicit(sigma), n)
     rho = data.draw(st.sampled_from([0.05, 1.0, 10.0]))
     order = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
-    cold_log, warm_log = [], []
-    cold = solve_z_subproblem(m, resolved, rho, kind, merge_log=cold_log)
-    warm = solve_z_subproblem(m, resolved, rho, kind, merge_log=warm_log, order=order)
+    with pytest.MonkeyPatch.context() as mp:
+        merges = record_merges(mp)
+        cold = solve_z_subproblem(m, resolved, rho, kind)
+        cold_count = len(merges)
+        warm = solve_z_subproblem(m, resolved, rho, kind, order=order)
     assert warm.tobytes() == cold.tobytes()
-    assert warm_log == cold_log
+    assert merges[cold_count:] == merges[:cold_count]
     assert np.array_equal(order, np.argsort(m, kind="stable"))
 
 
-def test_in_order_input_single_pass(rng):
+def test_in_order_input_single_pass(rng, monkeypatch):
     m = np.sort(rng.standard_normal(8))
     resolved = resolve(Explicit(np.full(8, 0.125)), 8)
-    log = []
-    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC, merge_log=log)
+    merges = record_merges(monkeypatch)
+    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC)
     values = partition.z
     assert np.all(np.diff(values) >= 0.0)
     # merges only happen when singleton minimizers go out of order
@@ -159,43 +168,46 @@ def test_in_order_input_single_pass(rng):
         for mi in m
     ]
     if np.all(np.diff(singletons) >= 0.0):
-        assert log == []
+        assert merges == []
         assert len(partition.lo) == 8
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
-def test_long_in_order_stretch_pushed_without_merges(kind):
+def test_long_in_order_stretch_pushed_without_merges(kind, monkeypatch):
     # equal weights keep the singleton values in the targets' order
     n = 500
     resolved = resolve(ERM(), n)
     m = np.linspace(-3.0, 3.0, n)
-    log = []
-    partition = merge_blocks(m, resolved, 1.0, kind, merge_log=log)
-    assert log == []
+    merges = record_merges(monkeypatch)
+    partition = merge_blocks(m, resolved, 1.0, kind)
+    assert merges == []
     assert np.array_equal(partition.lo, np.arange(n))
-    assert np.array_equal(partition.hi, np.arange(n))
-    assert np.array_equal(partition.value, singleton_minimize(resolved.sigma, m, 1.0, kind))
+    assert np.array_equal(block_hi(partition), np.arange(n))
+    assert np.array_equal(partition.z[partition.lo],
+                          singleton_minimize(resolved.sigma, m, 1.0, kind))
 
 
-def test_violation_directly_after_merged_block():
+def test_violation_directly_after_merged_block(monkeypatch):
     # hinge singletons m - s: 0.0, -0.4, -0.3, 1.0.  Index 2 is in order
     # with its left singleton but below the merged block {0, 1} at -0.2.
     sigma = np.array([0.0, 0.5, 0.5, 0.0])
     m = np.array([0.0, 0.1, 0.2, 1.0])
-    log = []
-    partition = merge_blocks(m, resolve(Explicit(sigma), 4), 1.0, LossKind.HINGE, merge_log=log)
-    assert [(e.lo, e.hi) for e in log] == [(0, 1), (0, 2)]
-    assert [e.v_merged for e in log] == pytest.approx([-0.2, -0.7 / 3.0])
+    merges = record_merges(monkeypatch)
+    partition = merge_blocks(m, resolve(Explicit(sigma), 4), 1.0, LossKind.HINGE)
+    # {0, 1} merges first, then {0, 1, 2}
+    assert [c.count for c in merges] == [2, 3]
+    assert partition.lo.tolist() == [0, 3]
+    assert [c.v for c in merges] == pytest.approx([-0.2, -0.7 / 3.0])
     assert_matches_pairwise(partition, pairwise_merge_chain(m, sigma, 1.0, LossKind.HINGE), 0.0)
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
-def test_all_zero_weights_take_targets(kind, rng):
+def test_all_zero_weights_take_targets(kind, rng, monkeypatch):
     n = 50
     m = np.sort(np.round(rng.standard_normal(n), 1))  # with ties
-    log = []
-    partition = merge_blocks(m, resolve(Explicit(np.zeros(n)), n), 1.0, kind, merge_log=log)
-    assert log == []
+    merges = record_merges(monkeypatch)
+    partition = merge_blocks(m, resolve(Explicit(np.zeros(n)), n), 1.0, kind)
+    assert merges == []
     assert len(partition.lo) == n
     assert np.array_equal(partition.z, m)
 
@@ -203,13 +215,13 @@ def test_all_zero_weights_take_targets(kind, rng):
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
 def test_single_sample(kind):
     partition = merge_blocks(np.array([0.3]), resolve(ERM(), 1), 2.0, kind)
-    assert partition.lo.tolist() == [0] and partition.hi.tolist() == [0]
-    assert partition.value[0] == pytest.approx(
+    assert partition.lo.tolist() == [0] and block_hi(partition).tolist() == [0]
+    assert partition.z[0] == pytest.approx(
         block_minimize(1.0, 1, 0.3, 2.0, kind), abs=1e-12
     )
 
 
-def test_multi_merge_matches_classic_three_singletons():
+def test_multi_merge_matches_classic_three_singletons(monkeypatch):
     # increasing weights on nearly equal targets force strictly decreasing
     # singleton values, so the whole run merges in one aggregated solve
     sigma = np.array([0.0, 2.0, 6.0])
@@ -220,14 +232,13 @@ def test_multi_merge_matches_classic_three_singletons():
         for s, mi in zip(sigma, m_sorted)
     ]
     assert singles[0] > singles[1] > singles[2]
-    refined_log = []
-    refined = merge_blocks(m_sorted, resolved, 1.0, LossKind.LOGISTIC, merge_log=refined_log)
+    merges = record_merges(monkeypatch)
+    refined = merge_blocks(m_sorted, resolved, 1.0, LossKind.LOGISTIC)
     classic = pairwise_merge_chain(m_sorted, sigma, 1.0, LossKind.LOGISTIC)
     assert_matches_pairwise(refined, classic, 1e-9)
     assert len(refined.lo) == 1
-    assert len(refined_log) == 1  # multi-merge path: one solve for the run
-    event = refined_log[0]
-    assert singles[2] - 1e-9 <= event.v_merged <= singles[0] + 1e-9
+    assert len(merges) == 1  # multi-merge path: one solve for the run
+    assert singles[2] - 1e-9 <= merges[0].v <= singles[0] + 1e-9
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
@@ -248,7 +259,7 @@ def test_partition_values_self_consistent(rng):
     resolved = random_resolved(rng, n)
     partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC)
     assert nondecreasing(partition)
-    for lo, hi, value in zip(partition.lo, partition.hi, partition.value):
+    for lo, hi, value in zip(partition.lo, block_hi(partition), partition.z[partition.lo]):
         s = float(np.sum(resolved.sigma[lo : hi + 1]))
         msum = float(np.sum(m[lo : hi + 1]))
         v = block_minimize(s, int(hi - lo + 1), msum, 1.0, LossKind.LOGISTIC)
@@ -256,60 +267,44 @@ def test_partition_values_self_consistent(rng):
     assert stationarity_residual(partition, resolved, m, 1.0, LossKind.LOGISTIC) <= 1e-8
 
 
-def test_merge_interval_property(rng):
-    log = []
+def test_merge_interval_property(rng, monkeypatch):
+    merges = record_merges(monkeypatch)
     for _ in range(50):
         n = int(rng.integers(3, 60))
         m = np.sort(rng.standard_normal(n) * rng.uniform(0.3, 2.0))
         resolved = random_resolved(rng, n)
         merge_blocks(m, resolved, float(rng.choice([0.5, 1.0, 5.0])),
-                     LossKind.HINGE if rng.random() < 0.5 else LossKind.LOGISTIC,
-                     merge_log=log)
-    assert log, "expected merges in randomized runs"
-    for event in log:
-        assert event.v_last - 1e-9 <= event.v_merged <= event.v_first + 1e-9
+                     LossKind.HINGE if rng.random() < 0.5 else LossKind.LOGISTIC)
+    assert merges, "expected merges in randomized runs"
+    for merge in merges:
+        assert merge.v_lo - 1e-9 <= merge.v <= merge.v_hi + 1e-9
 
 
 @pytest.mark.parametrize(
     "scheme", [Superquantile(0.9), AoRR(k=5, m=2), Explicit([0, 1, 0, 2, 0, 0, 3, 0, 0, 4])]
 )
 def test_zero_weight_singletons_skip_scalar_solve(scheme, monkeypatch, rng):
-    # the engine looks the scalar solver up as a module global at call time
-    calls = []
-
-    def counting(s, count, m_sum, rho, kind, v_lo, v_hi):
-        calls.append(count)
-        return block_minimize(s, count, m_sum, rho, kind, v_lo, v_hi)
-
-    monkeypatch.setattr(pava, "block_minimize", counting)
+    merges = record_merges(monkeypatch)
     resolved = resolve(scheme, 10)
     m = np.sort(rng.standard_normal(10))
-    log = []
-    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC, merge_log=log)
+    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC)
     # singletons are solved in bulk: merge solves are the only scalar calls
-    assert len(calls) == len(log)
-    for lo, count, value in zip(partition.lo, partition.count, partition.value):
+    assert all(merge.count >= 2 for merge in merges)
+    counts = np.diff(np.append(partition.lo, 10))
+    for lo, count, value in zip(partition.lo, counts, partition.z[partition.lo]):
         if count == 1 and resolved.sigma[lo] == 0.0:
             assert value == m[lo]
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
 def test_cpt_singletons_skip_scalar_solve(kind, monkeypatch, rng):
-    calls = []
-
-    def counting(s_low, s_high, count, m_sum, rho, boundary, kind):
-        calls.append(count)
-        return block_minimize_cpt(s_low, s_high, count, m_sum, rho, boundary, kind)
-
-    monkeypatch.setattr(pava, "block_minimize_cpt", counting)
+    merges = record_merges(monkeypatch)
     resolved = resolve(CPTValueDependent(B=0.0), 200)
     m = np.sort(rng.standard_normal(200) * 2.0)
-    log = []
-    merge_blocks(m, resolved, 0.01, kind, merge_log=log)
+    merge_blocks(m, resolved, 0.01, kind)
     # the singletons are solved in one array pass: merge solves only
-    assert log
-    assert len(calls) == len(log)
-    assert min(calls) >= 2
+    assert merges
+    assert min(merge.count for merge in merges) >= 2
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
@@ -337,13 +332,13 @@ def test_topk_tiny_against_grid_dp(rng):
     assert chain_objective_reference(z, m, resolved, 1.0, LossKind.HINGE) <= ref_obj + 1e-3
 
 
-def test_fast_path_in_order_no_merges(rng):
+def test_fast_path_in_order_no_merges(rng, monkeypatch):
     resolved = resolve(AoRR(k=3, m=1, ), 6)
     m = np.linspace(-1.0, 4.0, 6)
-    log = []
-    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC, merge_log=log)
+    merges = record_merges(monkeypatch)
+    partition = merge_blocks(m, resolved, 1.0, LossKind.LOGISTIC)
     if nondecreasing(partition) and len(partition.lo) == 6:
-        assert log == []
+        assert merges == []
 
 
 # -- two-piece (value-dependent) cases ----------------------------------------

@@ -362,6 +362,26 @@ def test_smooth_tiny_gamma_approaches_nonsmooth(rng):
     assert np.linalg.norm(w_smooth - w_sharp) <= 1e-4
 
 
+@pytest.mark.parametrize("reg, gamma, method", [
+    (l2(1e-2), None, "closed_form"),
+    (l1(0.1), None, "prox_gradient"),
+    (mcp(0.5, 1.5), None, "prox_gradient"),
+    (mcp(0.5, 1.5), 0.1, "smooth_splitting"),
+])
+def test_overflowing_residual_warns_at_once(reg, gamma, method, rng):
+    # targets of 1e200 overflow every norm: the residual and the rounding
+    # floor are non-finite, and no stop test can pass
+    D, _, anchor = make_instance(rng)
+    solver = WSolver(D)
+    with np.errstate(all="ignore"):
+        solver.solve(np.full(20, 1e200), anchor, 1.0, 2.0, reg, gamma)
+    info = solver.last_info
+    assert info.method == method
+    assert info.warning is not None
+    assert not np.isfinite(info.residual)
+    assert info.iterations == 1
+
+
 def test_descent_versus_anchor(rng):
     # exactness implies the w-step never loses to its anchor
     for reg in (ZERO, l2(0.4), l1(0.7), mcp(0.5, 4.0)):
