@@ -35,6 +35,10 @@ from .wsolver import WSolver
 logger = logging.getLogger(__name__)
 
 
+#: Each kind's rho0 when none is given; a constant schedule needs one.
+_DEFAULT_RHO0 = {"constant": None, "srm": 1e-5, "aorr": 2e-7, "ehrm": 1e-4}
+
+
 @dataclass(frozen=True)
 class ScheduleSpec:
     """Penalty weight sequence.
@@ -45,29 +49,31 @@ class ScheduleSpec:
     """
 
     kind: str
-    rho0: float = 1.0
+    rho0: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "srm", "aorr", "ehrm"):
+        if self.kind not in _DEFAULT_RHO0:
             raise InvalidParameterError(f"unknown schedule {self.kind!r}")
-        if not (self.rho0 > 0):
+        rho0 = _DEFAULT_RHO0[self.kind] if self.rho0 is None else self.rho0
+        if not (rho0 is not None and rho0 > 0):
             raise InvalidParameterError(f"rho0 must be positive, got {self.rho0}")
+        object.__setattr__(self, "rho0", rho0)
 
     @staticmethod
     def constant(rho: float) -> "ScheduleSpec":
-        return ScheduleSpec("constant", rho0=rho)
+        return ScheduleSpec("constant", rho)
 
     @staticmethod
-    def srm(rho0: float = 1e-5) -> "ScheduleSpec":
-        return ScheduleSpec("srm", rho0=rho0)
+    def srm(rho0: float | None = None) -> "ScheduleSpec":
+        return ScheduleSpec("srm", rho0)
 
     @staticmethod
-    def aorr(rho0: float = 2e-7) -> "ScheduleSpec":
-        return ScheduleSpec("aorr", rho0=rho0)
+    def aorr(rho0: float | None = None) -> "ScheduleSpec":
+        return ScheduleSpec("aorr", rho0)
 
     @staticmethod
-    def ehrm(rho0: float = 1e-4) -> "ScheduleSpec":
-        return ScheduleSpec("ehrm", rho0=rho0)
+    def ehrm(rho0: float | None = None) -> "ScheduleSpec":
+        return ScheduleSpec("ehrm", rho0)
 
     def rho_at(self, k: int, prev_rho: float | None, feas_norm: float) -> float:
         if self.kind == "constant":
@@ -90,7 +96,6 @@ class SolverConfig:
     #: by a factor 0.9 per iteration, down to 1e-9.
     gamma: float | None = None
     stop_eps: float = 1e-6
-    seed: int = 0
     sigma_min: float | None = None
     wall_budget_s: float | None = None
 
@@ -203,7 +208,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         )
 
     D = materialize_D(problem)
-    solver = WSolver(D, seed=config.seed)
+    solver = WSolver(D)
     d_norm = solver.d_norm
     r = _resolve_r(config, reg)
 
@@ -428,8 +433,7 @@ def theory_mode_config(problem: Problem, eps: float, **settings) -> SolverConfig
     Needs a strictly weakly convex penalty (the constant bound involves
     1/c) and a computable smallest positive Gram eigenvalue.  ``settings``
     sets the SolverConfig fields the preset leaves free, such as
-    ``max_iter``, ``stop_eps`` and ``seed``; the others keep their
-    defaults.
+    ``max_iter`` and ``stop_eps``; the others keep their defaults.
     """
     c = problem.regularizer.weak_convexity_c
     if c <= 0:
@@ -457,8 +461,8 @@ def write_trace_csv(trace: np.recarray, path, include_wall: bool = True) -> None
     """Schema v1: one row per iteration, repr-precision floats, an empty
     cell for a lyapunov or gamma that was not computed.
 
-    ``include_wall=False`` zeroes the timing column so files from runs
-    with identical seeds compare bit-for-bit.
+    ``include_wall=False`` zeroes the timing column so files from repeated
+    runs compare bit-for-bit.
     """
     optional = [TRACE_COLUMNS.index(name) for name in _OPTIONAL_COLUMNS]
     with open(path, "w", newline="") as fh:

@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     train.add_argument("--eps", type=float, default=None)
     train.add_argument("--r", type=float, default=None)
-    train.add_argument("--seed", type=int, default=None)
     train.add_argument("--smooth", action="store_true", help="use the smoothed variant")
     train.add_argument("--theory-mode", action="store_true", dest="theory_mode")
     train.add_argument("--theory-eps", type=float, default=1e-2, dest="theory_eps")
@@ -160,8 +159,7 @@ def _train_cell(args, bundled: Path) -> dict:
     flags = {"reg": "zero", "mu": 1e-2, **_FRAMEWORK_DEFAULTS.get(args.framework, {}),
              **{flag: value for flag, value in vars(args).items() if value is not None}}
     if args.synthetic:
-        # --seed seeds the solver only; the data seed is 0 unless given.
-        dataset = {"synthetic": {"seed": "0", **_parse_synthetic(args.synthetic)}}
+        dataset = {"synthetic": _parse_synthetic(args.synthetic)}
     else:
         dataset = {"path": str(args.data or bundled)}
     return {
@@ -172,7 +170,6 @@ def _train_cell(args, bundled: Path) -> dict:
         "regularizer": {"variant": flags["reg"], "mu": flags["mu"], "theta": args.theta},
         "solver": "sadmm" if args.smooth or args.theory_mode else "admm",
         "config": {key: flags[key] for key in ("max_iter", "eps", "r", "schedule") if key in flags},
-        "seeds": None if args.seed is None else [args.seed],
     }
 
 
@@ -180,14 +177,12 @@ def _cmd_train(args, parser) -> int:
     bundled = importlib.resources.files("rankadmm").joinpath("assets/tiny.csv")
     with importlib.resources.as_file(bundled) as tiny:
         cell = _or_usage_error(parser, BenchmarkCell, **_train_cell(args, tiny))
-        seed, = cell.run_seeds()
-        problem, _ = _or_usage_error(parser, build_problem, cell, seed)
-    config = run_config(cell, seed)
+        problem, _ = _or_usage_error(parser, build_problem, cell, 0)
+    config = run_config(cell, 0)
     if args.theory_mode:
         # The preset sets the schedule, r and gamma; the flags set the rest.
         config = _or_usage_error(parser, theory_mode_config, problem, eps=args.theory_eps,
-                                 max_iter=config.max_iter, stop_eps=config.stop_eps,
-                                 seed=config.seed)
+                                 max_iter=config.max_iter, stop_eps=config.stop_eps)
     result = solve(cell.solver, problem, config)
     obj = problem.objective(result.w)
     acc = accuracy(predict(problem.X, result.w), problem.y)
@@ -235,9 +230,8 @@ def _cmd_weights(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
-    for flag, value in (("--rho", args.rho), ("--step", args.step)):
-        if not (math.isfinite(value) and value > 0):
-            parser.error(f"{flag} must be finite and > 0, got {value}")
+    if not (math.isfinite(args.rho) and args.rho > 0):
+        parser.error(f"--rho must be finite and > 0, got {args.rho}")
     scheme = _or_usage_error(parser, scheme_from_dict, _scheme_params(args))
     resolved = _or_usage_error(parser, resolve, scheme, args.n)
     rng = np.random.default_rng(args.seed)

@@ -153,8 +153,8 @@ def scheme_from_dict(d: dict) -> wgt.WeightScheme:
 _ADMM_KEYS = {"schedule": "rho_schedule", "max_iter": "max_iter", "r": "r",
               "gamma": "gamma", "eps": "stop_eps", "wall_budget_s": "wall_budget_s"}
 #: Per solver: the config class and the fields its ``config`` keys set
-#: (None: every field but the seed, under its own name).  A key left out
-#: keeps the field's default, so the dataclasses hold the only defaults.
+#: (None: every field but sgd's seed, the run's, under its own name).  A key
+#: left out keeps the field's default, so the dataclasses hold the only defaults.
 _SOLVER_CONFIGS = {
     "admm": (SolverConfig, _ADMM_KEYS),
     "sadmm": (SolverConfig, _ADMM_KEYS),
@@ -320,9 +320,11 @@ def build_problem(cell: BenchmarkCell, seed: int) -> tuple[Problem, data_io.RawD
 
 def run_config(cell: BenchmarkCell, seed: int) -> SolverConfig | SgdConfig:
     """The config of one run: the keys the cell's ``config`` sets, the
-    run's seed and the field defaults for everything else."""
+    run's seed for the SGD shuffles and the field defaults for everything
+    else."""
     cls, keys = _SOLVER_CONFIGS[cell.solver]
-    return build(cls, cell.config, f"{cell.solver} config", keys, seed=seed)
+    fixed = {"seed": seed} if cls is SgdConfig else {}
+    return build(cls, cell.config, f"{cell.solver} config", keys, **fixed)
 
 
 def solve(solver: str, problem: Problem, config: SolverConfig | SgdConfig) -> SolverResult:

@@ -57,6 +57,16 @@ def test_schedule_validation():
         ScheduleSpec("warp")
 
 
+@pytest.mark.parametrize("kind", ["srm", "aorr", "ehrm"])
+def test_schedule_kind_alone_takes_its_own_start(kind):
+    assert ScheduleSpec(kind) == getattr(ScheduleSpec, kind)()
+
+
+def test_constant_schedule_needs_a_start():
+    with pytest.raises(InvalidParameterError, match="rho0"):
+        ScheduleSpec("constant")
+
+
 def test_default_gamma_decays_to_its_floor():
     problem = make_synthetic_problem(n=20, d=4, regularizer=l1(0.1), seed=8)
     res = sadmm_solve(problem, SolverConfig(max_iter=100, stop_eps=0.0))
@@ -268,7 +278,7 @@ def test_lyapunov_zero_violations_on_premise_instance():
     assert coeff > 0
     cfg = SolverConfig(max_iter=80, rho_schedule=ScheduleSpec.constant(rho), r=r,
                        gamma=gamma, stop_eps=0.0,
-                       sigma_min=sigma, seed=1)
+                       sigma_min=sigma)
     rng = np.random.default_rng(0)
     res = sadmm_solve(problem, cfg, w0=rng.standard_normal(problem.d) * 0.5)
     report = lyapunov_check(res.trace, r=r, rho=rho, sigma_min=sigma, gamma=gamma,
@@ -421,7 +431,7 @@ def test_trace_csv_write_read_write_bytes(solver, tmp_path):
 
 def test_trace_reproducibility_without_wall(tmp_path):
     problem = make_synthetic_problem(n=25, d=4, regularizer=l2(1e-2), seed=14)
-    cfg = SolverConfig(max_iter=15, rho_schedule=ScheduleSpec.srm(), stop_eps=0.0, seed=5)
+    cfg = SolverConfig(max_iter=15, rho_schedule=ScheduleSpec.srm(), stop_eps=0.0)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(admm_solve(problem, cfg).trace, p1, include_wall=False)
     write_trace_csv(admm_solve(problem, cfg).trace, p2, include_wall=False)
@@ -443,8 +453,8 @@ def test_theory_mode_config():
     assert cfg.rho_schedule.kind == "constant"
     assert cfg.r == pytest.approx(2.0 / 0.01)
     assert cfg.gamma == pytest.approx(0.01)
-    cfg = theory_mode_config(problem, eps=0.01, max_iter=40, stop_eps=1e-4, seed=3)
-    assert (cfg.max_iter, cfg.stop_eps, cfg.seed) == (40, 1e-4, 3)
+    cfg = theory_mode_config(problem, eps=0.01, max_iter=40, stop_eps=1e-4)
+    assert (cfg.max_iter, cfg.stop_eps) == (40, 1e-4)
     with pytest.raises(InvalidParameterError):
         theory_mode_config(make_synthetic_problem(n=10, d=4, regularizer=l2(0.1), seed=1), eps=0.01)
 

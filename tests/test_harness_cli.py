@@ -346,7 +346,9 @@ def test_cli_oracle(capsys):
 def test_cli_oracle_bad_step_or_rho_exits_2(capsys, flags):
     assert cli_main(["oracle", "--n", "5", *flags]) == 2
     err = capsys.readouterr().err
-    assert f"{flags[0]} must be finite and > 0" in err
+    # the grid solver checks its step; the CLI checks --rho
+    named = {"--step": "error: step", "--rho": "error: --rho"}[flags[0]]
+    assert f"{named} must be finite and > 0" in err
 
 
 def test_cli_oracle_oversize_grid_exits_2(capsys, monkeypatch):
@@ -392,11 +394,37 @@ def test_field_defaults_reach_every_entry_point(tmp_path, monkeypatch):
     assert cli_main(["benchmark", str(path)]) == 0
     assert cli_main(["train", "--synthetic", "n=12,d=3", "--out", str(tmp_path)]) == 0
     assert sorted(configs, key=lambda c: type(c).__name__) == [
-        SgdConfig(seed=5), SolverConfig(seed=5), SolverConfig(seed=0)
+        SgdConfig(seed=5), SolverConfig(), SolverConfig()
     ]
-    assert cli_main(["train", "--synthetic", "n=12,d=3", "--seed", "5",
-                     "--out", str(tmp_path)]) == 0
-    assert configs[-1] == SolverConfig(seed=5)
+
+
+def test_run_seed_moves_no_admm_trace_on_fixed_data(tmp_path):
+    # The sweep benchmark's shape at data seed 1: data and split are fixed,
+    # so the run seed reaches nothing an ADMM solve reads.
+    common = {"dataset": {"synthetic": {"n": 600, "d": 30, "class_sep": 2.0,
+                                        "flip_fraction": 0.05, "seed": 1}},
+              "split": {"fractions": [0.7, 0.3], "seed": 1}, "seeds": [0, 1]}
+    cells = [
+        {"name": "sq", "scheme": {"kind": "superquantile", "q": 0.9},
+         "regularizer": {"variant": "l2", "mu": 1e-2},
+         "solver": "admm", "config": {"schedule": "srm", "max_iter": 60}},
+        {"name": "cpt", "scheme": {"kind": "cpt"}, "regularizer": {"variant": "l2", "mu": 1e-2},
+         "solver": "sadmm", "config": {"schedule": "ehrm", "max_iter": 20}},
+    ]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"cells": [dict(common, **cell) for cell in cells],
+                                "out": str(tmp_path / "out")}))
+    assert cli_main(["benchmark", str(path)]) == 0
+    for cell in cells:
+        stem = tmp_path / "out" / f"{cell['name']}_{cell['solver']}"
+        assert (_rows_without_wall(f"{stem}_seed0.csv")
+                == _rows_without_wall(f"{stem}_seed1.csv")), cell["name"]
+
+
+def test_cli_train_has_no_seed_flag(tmp_path):
+    assert cli_main(["train", "--synthetic", "n=12,d=3", "--seed", "1",
+                     "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_cli_missing_data_file_exits_1(tmp_path):
@@ -442,10 +470,10 @@ def _rows_without_wall(path):
 
 @pytest.mark.parametrize("flags, cell", [
     (["--synthetic", "n=40,d=5,seed=2", "--reg", "l1", "--mu", "0.01", "--max-iter", "20",
-      "--schedule", "constant:1.0", "--seed", "3"],
+      "--schedule", "constant:1.0"],
      {"dataset": {"synthetic": {"n": 40, "d": 5, "seed": 2}},
       "regularizer": {"variant": "l1", "mu": 0.01}, "solver": "admm",
-      "config": {"max_iter": 20, "schedule": "constant:1.0"}, "seeds": [3]}),
+      "config": {"max_iter": 20, "schedule": "constant:1.0"}}),
     (["--synthetic", "n=40,d=5,seed=2", "--scheme", "superquantile", "--q", "0.5",
       "--reg", "l2", "--mu", "0.01", "--max-iter", "20", "--smooth"],
      {"dataset": {"synthetic": {"n": 40, "d": 5, "seed": 2}},
@@ -464,8 +492,7 @@ def test_cli_train_matches_its_plan_cell(tmp_path, capsys, flags, cell):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps({"cells": [dict(cell, name="c")], "out": str(tmp_path / "plan")}))
     assert cli_main(["benchmark", str(path)]) == 0
-    seed = cell.get("seeds", [0])[0]
-    plan_rows = _rows_without_wall(tmp_path / "plan" / f"c_{cell['solver']}_seed{seed}.csv")
+    plan_rows = _rows_without_wall(tmp_path / "plan" / f"c_{cell['solver']}_seed0.csv")
     train_rows = _rows_without_wall(tmp_path / "train" / "trace.csv")
     assert len(train_rows) > 1
     assert train_rows == plan_rows

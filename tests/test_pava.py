@@ -88,6 +88,12 @@ def test_grid_dp_rejects_a_table_too_large():
         grid_dp_chain(np.zeros(3), resolve(ERM(), 3), 1.0, LossKind.LOGISTIC, step=5e-324)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+def test_grid_dp_rejects_a_step_not_finite_and_positive(step):
+    with pytest.raises(InvalidParameterError, match="step must be finite and > 0"):
+        grid_dp_chain(np.zeros(3), resolve(ERM(), 3), 1.0, LossKind.LOGISTIC, step=step)
+
+
 CONSTANT_SCHEMES = {
     "erm": lambda n, draw: ERM(),
     "superquantile": lambda n, draw: Superquantile(draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))),
