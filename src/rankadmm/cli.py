@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.resources
-import math
 import sys
 from pathlib import Path
 
@@ -230,16 +229,15 @@ def _cmd_weights(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
-    if not (math.isfinite(args.rho) and args.rho > 0):
-        parser.error(f"--rho must be finite and > 0, got {args.rho}")
     scheme = _or_usage_error(parser, scheme_from_dict, _scheme_params(args))
     resolved = _or_usage_error(parser, resolve, scheme, args.n)
     rng = np.random.default_rng(args.seed)
     m = rng.standard_normal(args.n)
     kind = LossKind(args.loss)
-    z = solve_z_subproblem(m, resolved, args.rho, kind)
+    # Before the z-step: the grid's checks make a bad --step or --rho a usage error.
     _, obj_ref = _or_usage_error(parser, grid_dp_chain, m, resolved, args.rho, kind,
                                  step=args.step)
+    z = solve_z_subproblem(m, resolved, args.rho, kind)
     obj = chain_objective_reference(z, m, resolved, args.rho, kind)
     print(f"block_solver_objective: {obj:.10f}")
     print(f"grid_reference_objective: {obj_ref:.10f}")

@@ -51,11 +51,14 @@ def grid_dp_chain(
     spans [min(m) - pad_lo, max(m) + pad_hi]; the chain constraint is
     enforced by taking running minima of the accumulated cost.  The
     backtracking table holds one int32 per sample and grid point; a table
-    above ``_MAX_TABLE_CELLS`` cells, or a ``step`` that is not finite and
-    positive, raises InvalidParameterError before anything is allocated.
+    above ``_MAX_TABLE_CELLS`` cells, or a ``step`` or ``rho`` that is not
+    finite and positive, raises InvalidParameterError before anything is
+    allocated.
     """
     if not (0.0 < step < np.inf):
         raise InvalidParameterError(f"step must be finite and > 0, got {step}")
+    if not (0.0 < rho < np.inf):
+        raise InvalidParameterError(f"rho must be finite and > 0, got {rho}")
     m = np.asarray(m, dtype=float).ravel()
     order = np.argsort(m, kind="stable")
     m_sorted = m[order]

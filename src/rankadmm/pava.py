@@ -187,22 +187,21 @@ def solve_z_subproblem(
     ``m``: m is sorted along it (stably, so near-sorted input sorts in
     near-linear time).  If the sorted targets hold a tie, the cold stable
     argsort is used instead, since tied targets must stay in original
-    index order.  Either way the result, and the order written back,
-    equal those of the call without ``order``.
+    index order.  Without ``order`` the warm start is ``0..n-1``, along
+    which the stable sort is the cold one, so the result, and the order
+    written back, do not depend on the warm start.
     """
     m = np.asarray(m, dtype=float).ravel()
     if m.shape[0] != resolved.n:
         raise InvalidParameterError(f"m has length {m.shape[0]}, expected {resolved.n}")
     if order is None:
+        order = np.arange(m.shape[0])
+    perm = order[np.argsort(m[order], kind="stable")]
+    m_sorted = m[perm]
+    if np.any(m_sorted[1:] == m_sorted[:-1]):
         perm = np.argsort(m, kind="stable")
         m_sorted = m[perm]
-    else:
-        perm = order[np.argsort(m[order], kind="stable")]
-        m_sorted = m[perm]
-        if np.any(m_sorted[1:] == m_sorted[:-1]):
-            perm = np.argsort(m, kind="stable")
-            m_sorted = m[perm]
-        order[:] = perm
+    order[:] = perm
     z = np.empty_like(m)
     z[perm] = merge_blocks(m_sorted, resolved, rho, kind).z
     return z

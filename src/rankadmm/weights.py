@@ -27,14 +27,10 @@ from .errors import InvalidParameterError
 _SUM_TOL = 1e-12
 
 
-def _check_exponent(exponent: float) -> None:
-    if exponent <= 0:
-        raise InvalidParameterError(f"exponent must be > 0, got {exponent}")
-
-
 def cpt_omega(p: float, exponent: float) -> float:
     """Probability weighting p^g / (p^g + (1-p)^g)^(1/g)."""
-    _check_exponent(exponent)
+    if exponent <= 0:
+        raise InvalidParameterError(f"exponent must be > 0, got {exponent}")
     if not (0.0 <= p <= 1.0):
         raise InvalidParameterError(f"p must be in [0, 1], got {p}")
     if p == 0.0:
@@ -44,23 +40,6 @@ def cpt_omega(p: float, exponent: float) -> float:
     pg = p**exponent
     qg = (1.0 - p) ** exponent
     return pg / (pg + qg) ** (1.0 / exponent)
-
-
-def _cpt_omega_grid(n: int, exponent: float) -> np.ndarray:
-    """``cpt_omega`` at p = 0, 1/n, ..., 1, bit for bit.
-
-    The exponent is checked once and the formula runs in the same scalar
-    arithmetic over the grid; ``np.power`` over the array would differ
-    from the scalar ``**`` in the last place on some platforms.
-    """
-    _check_exponent(exponent)
-    inv = 1.0 / exponent
-    out = [0.0]
-    for p in (np.arange(0, n + 1, dtype=float) / n)[1:n].tolist():
-        pg = p**exponent
-        out.append(pg / (pg + (1.0 - p) ** exponent) ** inv)
-    out.append(1.0)
-    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -173,8 +152,9 @@ class CPTValueDependent:
         pessimistic weighting (exponent delta); values above take the
         optimistic differences (exponent gamma) counted from the top.
         """
-        low = np.diff(_cpt_omega_grid(n, self.delta))
-        high = np.diff(_cpt_omega_grid(n, self.gamma))[::-1].copy()
+        grid = (np.arange(0, n + 1, dtype=float) / n).tolist()
+        low = np.diff([cpt_omega(p, self.delta) for p in grid])
+        high = np.diff([cpt_omega(p, self.gamma) for p in grid])[::-1].copy()
         return low, high
 
 
@@ -209,8 +189,8 @@ class Explicit:
 
     def __init__(self, sigma: Sequence[float]):
         object.__setattr__(self, "sigma", tuple(float(s) for s in sigma))
-        if any(s < 0 for s in self.sigma):
-            raise InvalidParameterError("explicit weights must be nonnegative")
+        if not all(0.0 <= s < math.inf for s in self.sigma):
+            raise InvalidParameterError("explicit weights must be finite and nonnegative")
 
     def resolve(self, n: int) -> np.ndarray:
         if n != len(self.sigma):

@@ -218,6 +218,8 @@ _INVALID_CELLS = [
     ({"dataset": {}}, "'synthetic'"),
     ({"scheme": {"kind": "explicit", "sigma": ["a"]}}, "'sigma'"),
     ({"scheme": {"kind": "explicit", "sigma": 5}}, "'sigma'"),
+    # json reads NaN: the plan is refused before any run
+    ({"scheme": {"kind": "explicit", "sigma": [0.25, 0.25, 0.25, np.nan]}}, "finite"),
 ]
 
 
@@ -346,9 +348,8 @@ def test_cli_oracle(capsys):
 def test_cli_oracle_bad_step_or_rho_exits_2(capsys, flags):
     assert cli_main(["oracle", "--n", "5", *flags]) == 2
     err = capsys.readouterr().err
-    # the grid solver checks its step; the CLI checks --rho
-    named = {"--step": "error: step", "--rho": "error: --rho"}[flags[0]]
-    assert f"{named} must be finite and > 0" in err
+    # the grid solver checks its step and rho
+    assert f"error: {flags[0][2:]} must be finite and > 0" in err
 
 
 def test_cli_oracle_oversize_grid_exits_2(capsys, monkeypatch):

@@ -94,6 +94,12 @@ def test_grid_dp_rejects_a_step_not_finite_and_positive(step):
         grid_dp_chain(np.zeros(3), resolve(ERM(), 3), 1.0, LossKind.LOGISTIC, step=step)
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+def test_grid_dp_rejects_a_rho_not_finite_and_positive(rho):
+    with pytest.raises(InvalidParameterError, match="rho must be finite and > 0"):
+        grid_dp_chain(np.zeros(3), resolve(ERM(), 3), rho, LossKind.LOGISTIC)
+
+
 CONSTANT_SCHEMES = {
     "erm": lambda n, draw: ERM(),
     "superquantile": lambda n, draw: Superquantile(draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))),

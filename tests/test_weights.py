@@ -206,6 +206,12 @@ def test_explicit_length_check():
         Explicit([-0.1, 1.1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_explicit_rejects_nonfinite_weights(bad):
+    with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
+        Explicit([0.25, 0.25, 0.25, bad])
+
+
 TABLE_EXAMPLES = {
     "erm": ERM(),
     "superquantile": Superquantile(0.8),
