@@ -189,7 +189,8 @@ def solve_z_subproblem(
     argsort is used instead, since tied targets must stay in original
     index order.  Without ``order`` the warm start is ``0..n-1``, along
     which the stable sort is the cold one, so the result, and the order
-    written back, do not depend on the warm start.
+    written back, do not depend on the warm start (and the tie fallback
+    repeats that same sort).
     """
     m = np.asarray(m, dtype=float).ravel()
     if m.shape[0] != resolved.n:

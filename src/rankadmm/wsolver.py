@@ -5,19 +5,19 @@
 ``WSolver.solve`` is the single entry point.  Without ``gamma`` the
 penalty is the regularizer g itself: zero and l2 penalties admit an exact
 linear solve, l1 and the concave penalties use an accelerated proximal
-gradient method started from the exact penalty-free solution, with one
-Gram product per iteration and a momentum restart on a gradient test, so
-that it evaluates no objective value.  With the dense Gram matrix
-(d <= _EIG_THRESHOLD), once the anchor (the previous w-step's answer)
-keeps the pattern of the anchor before it -- support, signs and penalty
-pieces -- that method first tries one exact linear solve on the pattern,
-and keeps its point if it passes the method's own stopping test (finite
-identification: Hare & Lewis, J. Convex Anal. 2004).  With ``gamma`` the
-penalty is the Moreau envelope of g with smoothing parameter gamma (the
-smoothed outer loop), minimized by an exact splitting whose rate depends
-only on the data spectrum, so it does not degrade as gamma shrinks.
-``WSolver.last_info`` reports the method, the inner iteration and
-restart counts and the final residual of the latest solve.
+gradient method with one Gram product per iteration, whose momentum
+restarts on a gradient test that needs no objective value.  With the
+dense Gram matrix (d <= _EIG_THRESHOLD), once the anchor (the previous
+w-step's answer) keeps the pattern of the anchor before it -- support,
+signs and penalty pieces -- that method first tries one exact linear
+solve on the pattern, and keeps its point if it passes the method's own
+stopping test (finite identification: Hare & Lewis, J. Convex Anal.
+2004).  With ``gamma`` the penalty is the Moreau envelope of g with
+smoothing parameter gamma (the smoothed outer loop), minimized by an
+exact splitting whose rate depends only on the data spectrum, so it does
+not degrade as gamma shrinks.  ``WSolver.last_info`` reports the method,
+the inner iteration and restart counts and the final residual of the
+latest solve.
 """
 
 from __future__ import annotations
@@ -212,18 +212,21 @@ class WSolver:
         in a strongly convex w-step makes it the minimizer the loop would
         reach; otherwise the loop runs as if it had not been tried.
 
-        The loop starts from the exact penalty-free solution, which keeps
-        the iteration count bounded by the data conditioning even for very
-        large rho.  Stops when the prox-gradient mapping norm falls below
-        _TOL.
+        The loop starts from the better of the anchor and the exact
+        penalty-free solution, by objective value: the anchor, late in the
+        outer loop, is close to this step's answer, and the penalty-free
+        solution keeps the iteration count bounded by the data
+        conditioning even for very large rho.  Stops when the
+        prox-gradient mapping norm falls below _TOL.
 
-        Each iteration makes one Gram product, G w_new with G = D^T D, and
-        no product with D: the product at the extrapolated point y follows
-        by linearity from the two latest fresh ones.  The momentum restarts
-        when the prox step from y turns against the last move,
-        (y - w_new)^T (w_new - w) > 0 (O'Donoghue & Candes 2015), so the
-        method, set-up included, evaluates no objective or penalty value
-        and makes no product with D.
+        Each iteration makes one Gram product, G w_new with G = D^T D (with
+        the dense Gram matrix, d <= _EIG_THRESHOLD, no product with D): the
+        product at the extrapolated point y follows by linearity from the
+        two latest fresh ones.  The momentum restarts when the prox step
+        from y turns against the last move, (y - w_new)^T (w_new - w) > 0
+        (O'Donoghue & Candes 2015), so the loop needs no objective or
+        penalty value; the objective is evaluated only in the set-up, to
+        choose the start.
         """
         Dt = self._rmatvec(target)
 
@@ -246,7 +249,15 @@ class WSolver:
                     )
                     return w
 
-        w = self.ridge_solve(rho, r, rho * Dt + r * anchor)
+        def full(v):
+            rz = self._matvec(v) - target
+            dv = v - anchor
+            return (
+                0.5 * rho * float(rz @ rz) + 0.5 * r * float(dv @ dv) + reg_value(reg, v)
+            )
+
+        ridge = self.ridge_solve(rho, r, rho * Dt + r * anchor)
+        w = anchor.copy() if full(anchor) <= full(ridge) else ridge
         Gw = self._gram_matvec(w)
         y, Gy = w.copy(), Gw
         t_momentum = 1.0
