@@ -92,11 +92,12 @@ class SolverConfig:
     max_iter: int = 300
     rho_schedule: ScheduleSpec = field(default_factory=ScheduleSpec.srm)
     r: float = 1.0
-    #: Smoothing parameter of the smoothed solver; None decays it from 1e-5
-    #: by a factor 0.9 per iteration, down to 1e-9.
+    #: Smoothing parameter of the smoothed solver, held for the run (clamped
+    #: to 1/(3c) with a warning; r <= 1/gamma is logged).  None decays it from
+    #: 1e-5 by 0.9 per iteration down to 1e-9: never clamped, since c < 1, and
+    #: not logged, since its 1/gamma >= 1e5 breaks r > 1/gamma at any usual r.
     gamma: float | None = None
     stop_eps: float = 1e-6
-    sigma_min: float | None = None
     wall_budget_s: float | None = None
 
     def __post_init__(self):
@@ -108,20 +109,26 @@ class SolverConfig:
             raise InvalidParameterError(
                 f"smoothing parameter 'gamma' must be positive and finite, got {self.gamma}"
             )
+        if not (self.stop_eps >= 0):
+            raise InvalidParameterError(f"stop_eps must be >= 0, got {self.stop_eps}")
+        if self.wall_budget_s is not None and not (self.wall_budget_s > 0):
+            raise InvalidParameterError(
+                f"wall_budget_s must be None or > 0, got {self.wall_budget_s}"
+            )
 
 
 #: One row per outer iteration; the fields, in order, are the CSV schema
-#: v1 columns.  A lyapunov or gamma that was not computed is NaN.
+#: v1 columns.  The gamma of an unsmoothed run is NaN.
 TRACE_DTYPE = np.dtype(
     [("k", np.int64)]
     + [(name, np.float64) for name in (
-        "objective", "aug_lagrangian", "lyapunov", "kkt_z", "kkt_w", "kkt_feas",
+        "objective", "aug_lagrangian", "kkt_z", "kkt_w", "kkt_feas",
         "dual_step", "z_decrease", "w_decrease", "rho", "gamma")]
     + [("wall_ns", np.int64)]
 )
 TRACE_COLUMNS = TRACE_DTYPE.names
 #: Columns that are NaN in memory and empty on disk when not computed.
-_OPTIONAL_COLUMNS = ("lyapunov", "gamma")
+_OPTIONAL_COLUMNS = ("gamma",)
 
 
 def trace_array(rows) -> np.recarray:
@@ -219,45 +226,34 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     # The z-step's sorting order, kept as its next warm start.
     order = np.arange(n)
 
+    # A held smoothing parameter is settled once, before the loop.
+    gamma = config.gamma if smooth_active else None
+    if gamma is not None and c * gamma > MOREAU_CURVATURE_LIMIT:
+        warnings.warn(f"smoothing parameter {gamma:g} violates c*gamma <= 1/3; "
+                      f"clamping to {MOREAU_CURVATURE_LIMIT / c:g}", RuntimeWarning, stacklevel=2)
+        gamma = MOREAU_CURVATURE_LIMIT / c
+    if gamma is not None and r <= 1.0 / gamma:
+        logger.warning("r=%g does not exceed 1/gamma=%g; run is outside the "
+                       "smoothed-descent premise", r, 1.0 / gamma)
+    decay = smooth_active and gamma is None
+
     rows = []
 
     rho = None
-    premise_warned = False
-    clamp_warned = False
     stop_reason = "max_iter"
     start = time.perf_counter_ns()
     omega = rank_loss_value(z, resolved, problem.loss)
-    # g(w) of the current w; only the unsmoothed runs reuse it, since
-    # gamma, and with it the envelope, moves every smoothed iteration
-    pen = reg_value(reg, w)
+    # The penalty (or envelope) of the current w; a decaying gamma moves
+    # the envelope every iteration, so only those runs recompute it
+    pen = _penalty(reg, gamma, w)
 
     for k in range(config.max_iter):
         r_old = z - Dw
         feas_now = float(np.linalg.norm(r_old))
         rho = config.rho_schedule.rho_at(k, rho, feas_now)
 
-        gamma = None
-        if smooth_active:
-            gamma = max(1e-5 * 0.9**k, 1e-9) if config.gamma is None else config.gamma
-            if c > 0 and c * gamma > MOREAU_CURVATURE_LIMIT:
-                gamma_clamped = MOREAU_CURVATURE_LIMIT / c
-                if not clamp_warned:
-                    warnings.warn(
-                        f"smoothing parameter {gamma:g} violates c*gamma <= 1/3; "
-                        f"clamping to {gamma_clamped:g}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    clamp_warned = True
-                gamma = gamma_clamped
-            if r <= 1.0 / gamma and not premise_warned:
-                logger.warning(
-                    "r=%g does not exceed 1/gamma=%g; run is outside the "
-                    "smoothed-descent premise",
-                    r,
-                    1.0 / gamma,
-                )
-                premise_warned = True
+        if decay:
+            gamma = max(1e-5 * 0.9**k, 1e-9)
 
         try:
             m = Dw - lam / rho
@@ -274,7 +270,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         lam_new = lam + rho * r_new
         # z_new ascends along the z-step's order: no second sort
         omega_new = sorted_rank_loss(z_new[order], resolved, problem.loss)
-        pen_old = pen if gamma is None else _penalty(reg, gamma, w)
+        pen_old = _penalty(reg, gamma, w) if decay else pen
         pen_new = _penalty(reg, gamma, w_new)
         # L_rho(w, z; lambda) in the cancellation-safe form
         # Omega(z) + lambda.(z - Dw) + (rho/2)||z - Dw||^2 + penalty(w).
@@ -320,12 +316,8 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         # Problem.objective(w_report), reusing the product D w_report.
         objective = rank_loss_value(Dw_report, resolved, problem.loss) + pen_report
 
-        lyapunov = math.nan
-        if config.sigma_min is not None and config.sigma_min > 0:
-            lyapunov = aug + (2.0 * r**2 / (config.sigma_min * rho)) * dw_norm**2
-
         rows.append((
-            k, objective, aug, lyapunov, kkt_z, kkt_w, kkt_feas, dual_step,
+            k, objective, aug, kkt_z, kkt_w, kkt_feas, dual_step,
             z_decrease, w_decrease, rho, math.nan if gamma is None else gamma,
             time.perf_counter_ns() - start,
         ))
@@ -360,32 +352,30 @@ class LyapunovReport:
 def lyapunov_check(
     trace: np.recarray,
     r: float,
-    rho: float,
     sigma_min: float,
-    gamma: float | None = None,
     c: float = 0.0,
     tol: float = 1e-8,
 ) -> LyapunovReport:
     """Check the per-iteration decrease of the descent certificate.
 
-    Smoothed form (gamma given): Phi_k = L_k + (2 r^2 / (sigma rho)) ||dw_k||^2
+    rho and gamma are the trace's own; both must be constant over the run.
+    Smoothed form (gamma set): Phi_k = L_k + (2 r^2 / (sigma rho)) ||dw_k||^2
     must drop by at least coeff * ||dw_{k+1}||^2 + (1/rho) ||dlam_{k+1}||^2
     with coeff = (2r - 1/gamma)/2 - 4 r^2/(sigma rho) - 2/(sigma rho gamma^2).
-    Plain form (gamma None): L_k - L_{k+1} >= ((2r - c)/2) ||dw||^2
-    - (1/rho) ||dlam||^2.  Requires a constant-rho run.
+    Plain form (gamma NaN): L_k - L_{k+1} >= ((2r - c)/2) ||dw||^2
+    - (1/rho) ||dlam||^2.  Any other trace is skipped with a reason.
     """
     if len(trace) < 2:
-        return LyapunovReport(coefficient=float("nan"), violations=[])
-    if np.any(np.abs(trace.rho - rho) > 1e-12 * max(1.0, rho)):
-        return LyapunovReport(
-            coefficient=float("nan"),
-            violations=[],
-            skipped_reason="trace was not produced with a constant rho",
-        )
+        return LyapunovReport(coefficient=math.nan, violations=[])
+    rho, gamma = float(trace.rho[0]), float(trace.gamma[0])
+    if not (rho > 0) or np.any(np.abs(trace.rho - rho) > 1e-12 * max(1.0, rho)):
+        return LyapunovReport(math.nan, [], "trace has no constant positive rho")
+    if not (np.isnan(trace.gamma).all() or (trace.gamma == gamma).all()):
+        return LyapunovReport(math.nan, [], "trace has no constant gamma")
     # ||dw_k||^2 and (1/rho) ||dlam_k||^2 of every row
     dw_sq = (trace.kkt_w / r) ** 2
     dlam_sq = trace.dual_step**2 / rho
-    if gamma is not None:
+    if not math.isnan(gamma):
         coeff = (2.0 * r - 1.0 / gamma) / 2.0 - 4.0 * r**2 / (sigma_min * rho) - 2.0 / (
             sigma_min * rho * gamma**2
         )
@@ -459,7 +449,7 @@ def theory_mode_config(problem: Problem, eps: float, **settings) -> SolverConfig
 
 def write_trace_csv(trace: np.recarray, path, include_wall: bool = True) -> None:
     """Schema v1: one row per iteration, repr-precision floats, an empty
-    cell for a lyapunov or gamma that was not computed.
+    cell for a gamma that was not computed.
 
     ``include_wall=False`` zeroes the timing column so files from repeated
     runs compare bit-for-bit.
@@ -481,7 +471,7 @@ def write_trace_csv(trace: np.recarray, path, include_wall: bool = True) -> None
 
 def read_trace_csv(path) -> np.recarray:
     """A trace file with the schema v1 header, as written or produced
-    elsewhere; an empty lyapunov or gamma reads as NaN."""
+    elsewhere; an empty gamma reads as NaN."""
     parsers = [
         (name, int if TRACE_DTYPE[name].kind == "i"
          else _float_or_nan if name in _OPTIONAL_COLUMNS else float)

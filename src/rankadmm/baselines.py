@@ -8,6 +8,7 @@ comparators but introduces bias for non-uniform schemes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import weights as wgt
 from .admm import TRACE_DTYPE
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SolverError
 from .losses import loss_derivative_vec
 from .problem import Problem
 from .regularizers import reg_subgradient
@@ -30,12 +31,18 @@ class SgdConfig:
     wall_budget_s: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise InvalidParameterError("learning rate must be >= 0")
+        if not (0 <= self.learning_rate < math.inf):
+            raise InvalidParameterError(
+                f"learning rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise InvalidParameterError("epochs must be >= 1")
         if self.batch is not None and (self.batch < 1 or self.batch != int(self.batch)):
             raise InvalidParameterError("batch must be an integer >= 1 or None for full batch")
+        if self.wall_budget_s is not None and not (self.wall_budget_s > 0):
+            raise InvalidParameterError(
+                f"wall_budget_s must be None or > 0, got {self.wall_budget_s}"
+            )
 
 
 def rank_subgradient(
@@ -77,7 +84,8 @@ def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, np.recar
 
     One trace row per epoch with the full objective; the stationarity
     columns stay at zero since the method does not estimate them, and the
-    augmented Lagrangian, lyapunov and gamma are NaN.
+    augmented Lagrangian and gamma are NaN.  A non-finite w or objective
+    raises SolverError at its epoch.
     """
     rng = np.random.default_rng(config.seed)
     n = problem.n
@@ -94,7 +102,10 @@ def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, np.recar
             idx = perm[lo : lo + batch]
             g = rank_subgradient(problem, w, idx, resolved[idx.size])
             w = w - config.learning_rate * g
-        objectives.append(problem.objective(w))
+        objective = problem.objective(w)
+        if not (math.isfinite(objective) and np.all(np.isfinite(w))):
+            raise SolverError("w or its objective is non-finite", iteration=epoch)
+        objectives.append(objective)
         walls.append(time.perf_counter_ns() - start)
         if (
             config.wall_budget_s is not None
@@ -104,5 +115,5 @@ def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, np.recar
     trace = np.zeros(len(walls), TRACE_DTYPE).view(np.recarray)
     trace.k = np.arange(len(walls))
     trace.objective, trace.wall_ns = objectives, walls
-    trace.aug_lagrangian = trace.lyapunov = trace.gamma = np.nan
+    trace.aug_lagrangian = trace.gamma = np.nan
     return w, trace

@@ -149,15 +149,16 @@ def scheme_from_dict(d: dict) -> wgt.WeightScheme:
     return build(cls, params, f"{kind} scheme")
 
 
-#: The field each ``config`` key of admm and sadmm sets.
+#: The field each ``config`` key of admm sets; sadmm also takes ``gamma``,
+#: the smoothing parameter, which the plain loop has no use for.
 _ADMM_KEYS = {"schedule": "rho_schedule", "max_iter": "max_iter", "r": "r",
-              "gamma": "gamma", "eps": "stop_eps", "wall_budget_s": "wall_budget_s"}
+              "eps": "stop_eps", "wall_budget_s": "wall_budget_s"}
 #: Per solver: the config class and the fields its ``config`` keys set
 #: (None: every field but sgd's seed, the run's, under its own name).  A key
 #: left out keeps the field's default, so the dataclasses hold the only defaults.
 _SOLVER_CONFIGS = {
     "admm": (SolverConfig, _ADMM_KEYS),
-    "sadmm": (SolverConfig, _ADMM_KEYS),
+    "sadmm": (SolverConfig, {**_ADMM_KEYS, "gamma": "gamma"}),
     "sgd": (SgdConfig, None),
 }
 

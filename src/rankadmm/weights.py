@@ -221,7 +221,10 @@ class ResolvedWeights:
     sigma_low: np.ndarray | None = None
     sigma_high: np.ndarray | None = None
     reference: float | None = None
-    is_value_dependent: bool = False
+
+    @property
+    def is_value_dependent(self) -> bool:
+        return self.sigma is None
 
     def sigma_for(self, z_sorted: np.ndarray) -> np.ndarray:
         """Weight vector for ascending-sorted margin values."""
@@ -242,7 +245,6 @@ def resolve(scheme: WeightScheme, n: int) -> ResolvedWeights:
             sigma_low=low,
             sigma_high=high,
             reference=scheme.B,
-            is_value_dependent=True,
         )
     sigma = scheme.resolve(n)
     if np.any(sigma < 0):

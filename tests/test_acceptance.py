@@ -211,11 +211,10 @@ def test_criterion_7_descent_inequalities():
     coeff = (2 * r - 1 / gamma) / 2 - 4 * r**2 / (sigma * rho) - 2 / (sigma * rho * gamma**2)
     assert coeff > 0, "test instance must satisfy the descent premise"
     cfg = SolverConfig(max_iter=100, rho_schedule=ScheduleSpec.constant(rho), r=r,
-                       gamma=gamma, stop_eps=0.0,
-                       sigma_min=sigma)
+                       gamma=gamma, stop_eps=0.0)
     rng = np.random.default_rng(0)
     res = sadmm_solve(problem, cfg, w0=rng.standard_normal(problem.d) * 0.5)
-    report = lyapunov_check(res.trace, r=r, rho=rho, sigma_min=sigma, gamma=gamma,
+    report = lyapunov_check(res.trace, r=r, sigma_min=sigma,
                             c=problem.regularizer.weak_convexity_c)
     assert report.skipped_reason is None
     assert report.violations == []

@@ -277,15 +277,13 @@ def test_lyapunov_zero_violations_on_premise_instance():
     coeff = (2 * r - 1 / gamma) / 2 - 4 * r**2 / (sigma * rho) - 2 / (sigma * rho * gamma**2)
     assert coeff > 0
     cfg = SolverConfig(max_iter=80, rho_schedule=ScheduleSpec.constant(rho), r=r,
-                       gamma=gamma, stop_eps=0.0,
-                       sigma_min=sigma)
+                       gamma=gamma, stop_eps=0.0)
     rng = np.random.default_rng(0)
     res = sadmm_solve(problem, cfg, w0=rng.standard_normal(problem.d) * 0.5)
-    report = lyapunov_check(res.trace, r=r, rho=rho, sigma_min=sigma, gamma=gamma,
+    report = lyapunov_check(res.trace, r=r, sigma_min=sigma,
                             c=problem.regularizer.weak_convexity_c)
     assert report.skipped_reason is None
     assert report.violations == []
-    assert not np.isnan(res.trace.lyapunov).any()
 
 
 def test_lyapunov_skips_nonpositive_coefficient():
@@ -294,7 +292,7 @@ def test_lyapunov_skips_nonpositive_coefficient():
     cfg = SolverConfig(max_iter=5, rho_schedule=ScheduleSpec.constant(0.01), r=2.0,
                        gamma=1.0, stop_eps=0.0)
     res = sadmm_solve(problem, cfg)
-    report = lyapunov_check(res.trace, r=2.0, rho=0.01, sigma_min=sigma, gamma=1.0)
+    report = lyapunov_check(res.trace, r=2.0, sigma_min=sigma)
     assert report.skipped_reason is not None
     assert report.violations == []
 
@@ -304,10 +302,11 @@ def test_lyapunov_violations_match_a_row_loop(gamma, rng):
     # a made-up constant-rho trace whose L_k moves at random, so some
     # steps fall short of the required decrease and others meet it
     r, rho, sigma, c, tol = 2.0, 10.0, 50.0, 0.5, 1e-8
-    trace = trace_array([(k, 0.0, float(rng.normal()), math.nan, 0.0, float(rng.uniform(0, 1)),
-                          0.0, float(rng.uniform(0, 1)), 0.0, 0.0, rho, math.nan, 0)
+    trace = trace_array([(k, 0.0, float(rng.normal()), 0.0, float(rng.uniform(0, 1)),
+                          0.0, float(rng.uniform(0, 1)), 0.0, 0.0, rho,
+                          math.nan if gamma is None else gamma, 0)
                          for k in range(40)])
-    report = lyapunov_check(trace, r=r, rho=rho, sigma_min=sigma, gamma=gamma, c=c, tol=tol)
+    report = lyapunov_check(trace, r=r, sigma_min=sigma, c=c, tol=tol)
     assert report.skipped_reason is None
     expected = []
     for k in range(len(trace) - 1):
@@ -335,7 +334,7 @@ def test_lyapunov_single_row_empty():
     problem = make_synthetic_problem(n=10, d=3, seed=10)
     cfg = SolverConfig(max_iter=1, rho_schedule=ScheduleSpec.constant(1.0), stop_eps=0.0)
     res = admm_solve(problem, cfg)
-    report = lyapunov_check(res.trace, r=1.0, rho=1.0, sigma_min=1.0, gamma=1.0)
+    report = lyapunov_check(res.trace, r=1.0, sigma_min=1.0)
     assert report.violations == []
 
 
@@ -344,8 +343,50 @@ def test_plain_descent_check_unsmoothed():
     cfg = SolverConfig(max_iter=40, rho_schedule=ScheduleSpec.constant(1.0), r=1.0,
                        stop_eps=0.0)
     res = admm_solve(problem, cfg)
-    report = lyapunov_check(res.trace, r=1.0, rho=1.0, sigma_min=1.0, gamma=None, c=0.0)
+    report = lyapunov_check(res.trace, r=1.0, sigma_min=1.0, c=0.0)
     assert report.violations == []
+
+
+def test_lyapunov_skips_a_trace_without_constant_rho_and_gamma():
+    problem = make_synthetic_problem(n=20, d=4, regularizer=mcp(0.01, 4.0), seed=9)
+    cfg = SolverConfig(max_iter=5, rho_schedule=ScheduleSpec.constant(1.0), stop_eps=0.0)
+    # the default smoothing parameter decays from one iteration to the next
+    report = lyapunov_check(sadmm_solve(problem, cfg).trace, r=1.0, sigma_min=1.0)
+    assert report.skipped_reason == "trace has no constant gamma"
+    assert report.violations == []
+    # the subgradient baseline has no penalty weight: its rho column is 0
+    trace = sgd_solve(problem, SgdConfig(epochs=5))[1]
+    report = lyapunov_check(trace, r=1.0, sigma_min=1.0)
+    assert report.skipped_reason == "trace has no constant positive rho"
+    assert report.violations == []
+
+
+def test_default_smoothing_logs_no_premise_warning(caplog):
+    problem = make_synthetic_problem(n=20, d=4, regularizer=mcp(0.01, 4.0), seed=9)
+    with caplog.at_level("WARNING", logger="rankadmm.admm"):
+        sadmm_solve(problem, SolverConfig(max_iter=5))
+    assert not [rec for rec in caplog.records if "premise" in rec.getMessage()]
+
+
+def test_held_gamma_outside_the_premise_logs_once(caplog):
+    problem = make_synthetic_problem(n=20, d=4, regularizer=mcp(0.01, 4.0), seed=9)
+    cfg = SolverConfig(max_iter=5, r=1.0, gamma=0.1, stop_eps=0.0)  # r <= 1/gamma = 10
+    with caplog.at_level("WARNING", logger="rankadmm.admm"):
+        sadmm_solve(problem, cfg)
+    premise = [rec.getMessage() for rec in caplog.records if "premise" in rec.getMessage()]
+    assert premise == ["r=1 does not exceed 1/gamma=10; run is outside the "
+                       "smoothed-descent premise"]
+
+
+@pytest.mark.parametrize("config_class, name, value", [
+    (SolverConfig, "stop_eps", math.nan),
+    (SolverConfig, "stop_eps", -1e-6),
+    *[(cls, "wall_budget_s", budget)
+      for cls in (SolverConfig, SgdConfig) for budget in (0.0, -1.0, math.nan)],
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_config_rejects_bad_stop_settings(config_class, name, value):
+    with pytest.raises(InvalidParameterError, match=name):
+        config_class(**{name: value})
 
 
 def test_augmented_lagrangian_value(iterates):
@@ -383,26 +424,26 @@ def test_trace_csv_roundtrip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(res.trace, path)
     back = read_trace_csv(path)
-    # bitwise, so the NaN of an uncomputed lyapunov or gamma compares equal
+    # bitwise, so the NaN of an uncomputed gamma compares equal
     assert back.tobytes() == res.trace.tobytes()
 
 
 def test_trace_csv_bytes_pinned(tmp_path):
-    row = trace_array([(3, 0.1, -2.5, math.nan, 1e-300, 0.0, 1.0 / 3.0, 2.0, -0.0, 7e22,
+    row = trace_array([(3, 0.1, -2.5, 1e-300, 0.0, 1.0 / 3.0, 2.0, -0.0, 7e22,
                         1.2, math.nan, 123456789)])
-    header = ("k,objective,aug_lagrangian,lyapunov,kkt_z,kkt_w,kkt_feas,dual_step,"
+    header = ("k,objective,aug_lagrangian,kkt_z,kkt_w,kkt_feas,dual_step,"
               "z_decrease,w_decrease,rho,gamma,wall_ns\r\n")
-    body = "3,0.1,-2.5,,1e-300,0.0,0.3333333333333333,2.0,-0.0,7e+22,1.2,,{}\r\n"
+    body = "3,0.1,-2.5,1e-300,0.0,0.3333333333333333,2.0,-0.0,7e+22,1.2,,{}\r\n"
     path = tmp_path / "trace.csv"
     write_trace_csv(row, path)
     assert path.read_bytes() == (header + body.format(123456789)).encode()
     write_trace_csv(row, path, include_wall=False)
     assert path.read_bytes() == (header + body.format(0)).encode()
     smoothed = row.copy()
-    smoothed.lyapunov, smoothed.gamma = 4.0, 1e-05
+    smoothed.gamma = 1e-05
     write_trace_csv(smoothed, path)
     assert path.read_bytes().splitlines()[1] == (
-        b"3,0.1,-2.5,4.0,1e-300,0.0,0.3333333333333333,2.0,-0.0,7e+22,1.2,1e-05,123456789"
+        b"3,0.1,-2.5,1e-300,0.0,0.3333333333333333,2.0,-0.0,7e+22,1.2,1e-05,123456789"
     )
     assert read_trace_csv(path).tolist() == smoothed.tolist()
 
@@ -422,9 +463,9 @@ def test_trace_csv_write_read_write_bytes(solver, tmp_path):
     with first.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(trace)
-    # an uncomputed lyapunov or gamma is an empty cell; sgd's missing
-    # augmented Lagrangian is a number, NaN
-    assert all(row["lyapunov"] == "" for row in rows)
+    # an uncomputed gamma is an empty cell; sgd's missing augmented
+    # Lagrangian is a number, NaN
+    assert "lyapunov" not in rows[0]
     assert all((row["gamma"] != "") == (solver == "sadmm") for row in rows)
     assert all((row["aug_lagrangian"] == "nan") == (solver == "sgd") for row in rows)
 

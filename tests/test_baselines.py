@@ -3,7 +3,7 @@ import pytest
 
 from rankadmm.admm import SolverConfig, ScheduleSpec, admm_solve
 from rankadmm.baselines import SgdConfig, rank_subgradient, sgd_solve
-from rankadmm.errors import InvalidParameterError
+from rankadmm.errors import InvalidParameterError, SolverError
 from rankadmm.losses import LossKind, loss_value
 from rankadmm.regularizers import l2
 from rankadmm.weights import ERM, Explicit, Superquantile, resolve
@@ -87,14 +87,29 @@ def test_sgd_approaches_admm_on_strongly_convex(rng):
 
 
 def test_config_validation():
-    with pytest.raises(InvalidParameterError):
-        SgdConfig(learning_rate=-1.0)
+    for rate in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="learning rate"):
+            SgdConfig(learning_rate=rate)
     with pytest.raises(InvalidParameterError):
         SgdConfig(epochs=0)
     with pytest.raises(InvalidParameterError):
         SgdConfig(batch=0)
     with pytest.raises(InvalidParameterError):
         SgdConfig(batch=5.5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("rate, batch", [
+    (1e200, 8),  # w itself overflows
+    (1e155, None),  # w stays finite, its l2 penalty overflows
+])
+def test_diverging_step_stops_at_its_epoch(rate, batch):
+    problem = make_synthetic_problem(n=30, d=4, weights=Superquantile(0.9),
+                                     regularizer=l2(1e-2), seed=6)
+    with pytest.raises(SolverError, match="non-finite") as info:
+        sgd_solve(problem, SgdConfig(learning_rate=rate, batch=batch, epochs=5))
+    assert info.value.iteration == 0
 
 
 def test_cached_batch_weights_match_per_batch_resolve():

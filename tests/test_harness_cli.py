@@ -21,8 +21,7 @@ from rankadmm.regularizers import ZERO, RegularizerSpec
 from rankadmm.weights import ERM, CPTValueDependent, resolve
 
 
-_ONE_ROW = trace_array([(0, 0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
-                         math.nan, 0)])
+_ONE_ROW = trace_array([(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, math.nan, 0)])
 
 
 def make_plan(tmp_path, solver="admm", reps=2):
@@ -192,7 +191,7 @@ _INVALID_CELLS = [
     ({"config": {"max_iters": 5}}, "'max_iters'"),
     ({"regularizer": {"variant": "l2", "mu": 0.01, "thetta": 3.0}}, "'thetta'"),
     ({"solver": "sgd", "config": {"epochs": 5, "batch": 5.5}}, "'batch'"),
-    ({"config": {"max_iter": 20, "gamma": 0}}, "'gamma'"),
+    ({"solver": "sadmm", "config": {"max_iter": 20, "gamma": 0}}, "'gamma'"),
     ({"seeds": ["x"]}, "'seeds'"),
     ({"seeds": [0, 1.5]}, "'seeds'"),
     ({"repetitions": 1.5}, "'repetitions'"),
@@ -220,6 +219,11 @@ _INVALID_CELLS = [
     ({"scheme": {"kind": "explicit", "sigma": 5}}, "'sigma'"),
     # json reads NaN: the plan is refused before any run
     ({"scheme": {"kind": "explicit", "sigma": [0.25, 0.25, 0.25, np.nan]}}, "finite"),
+    # the plain loop has no smoothing parameter to set
+    ({"config": {"max_iter": 20, "gamma": 0.1}}, "'gamma'"),
+    ({"solver": "sgd", "config": {"learning_rate": np.nan}}, "learning rate"),
+    ({"config": {"eps": np.nan}}, "stop_eps"),
+    ({"solver": "sgd", "config": {"wall_budget_s": -1}}, "wall_budget_s"),
 ]
 
 
@@ -529,6 +533,17 @@ def test_cli_train_undecodable_data_exits_1(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error: line ") and "UTF-8" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_benchmark_diverging_sgd_run_is_a_failed_run(tmp_path, caplog):
+    path = _mixed_plan(tmp_path, {"name": "diverging", "solver": "sgd",
+                                  "scheme": {"kind": "superquantile", "q": 0.9},
+                                  "config": {"epochs": 5, "learning_rate": 1e200}})
+    assert cli_main(["benchmark", str(path)]) == 1
+    assert _failures(tmp_path / "out") == {"erm-l2": "0", "diverging": "1"}
+    assert "non-finite" in caplog.text
 
 
 def test_benchmark_undecodable_data_file_is_a_failed_run(tmp_path, capsys):

@@ -470,7 +470,7 @@ def test_overflowing_merge_sums_raise(kind, value_dependent):
     m = np.full(5, 5e307)
     sigma = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     if value_dependent:
-        resolved = ResolvedWeights(5, None, sigma, sigma, 0.0, is_value_dependent=True)
+        resolved = ResolvedWeights(5, None, sigma, sigma, 0.0)
     else:
         resolved = resolve(Explicit(sigma), 5)
     # the CPT singletons' piece values overflow on the way (v*v); harmless
@@ -501,7 +501,7 @@ def test_merge_rejects_bad_weight_columns(bad):
     sigma = np.array([0.5, bad])
     with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
         merge_blocks(np.zeros(2), ResolvedWeights(2, sigma), 1.0, LossKind.LOGISTIC)
-    cpt = ResolvedWeights(2, None, np.ones(2), sigma, 0.0, is_value_dependent=True)
+    cpt = ResolvedWeights(2, None, np.ones(2), sigma, 0.0)
     with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
         merge_blocks(np.zeros(2), cpt, 1.0, LossKind.LOGISTIC)
 
