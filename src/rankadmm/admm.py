@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameterError, RankAdmmError, SolverError
+from .errors import InvalidParameterError, RankAdmmError, SolverError, check_positive_int
 from .pava import solve_z_subproblem
 from .problem import Problem, rank_loss_value, sorted_rank_loss
 from .regularizers import (
@@ -55,8 +55,8 @@ class ScheduleSpec:
         if self.kind not in _DEFAULT_RHO0:
             raise InvalidParameterError(f"unknown schedule {self.kind!r}")
         rho0 = _DEFAULT_RHO0[self.kind] if self.rho0 is None else self.rho0
-        if not (rho0 is not None and rho0 > 0):
-            raise InvalidParameterError(f"rho0 must be positive, got {self.rho0}")
+        if not (rho0 is not None and 0 < rho0 < math.inf):
+            raise InvalidParameterError(f"rho0 must be positive and finite, got {self.rho0}")
         object.__setattr__(self, "rho0", rho0)
 
     @staticmethod
@@ -101,10 +101,9 @@ class SolverConfig:
     wall_budget_s: float | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (self.r > 0):
-            raise InvalidParameterError(f"r must be positive, got {self.r}")
+        check_positive_int("max_iter", self.max_iter)
+        if not (0 < self.r < math.inf):
+            raise InvalidParameterError(f"r must be positive and finite, got {self.r}")
         if self.gamma is not None and not (0 < self.gamma < math.inf):
             raise InvalidParameterError(
                 f"smoothing parameter 'gamma' must be positive and finite, got {self.gamma}"

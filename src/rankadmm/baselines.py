@@ -16,7 +16,7 @@ import numpy as np
 
 from . import weights as wgt
 from .admm import TRACE_DTYPE
-from .errors import InvalidParameterError, SolverError
+from .errors import InvalidParameterError, SolverError, check_positive_int
 from .losses import loss_derivative_vec
 from .problem import Problem
 from .regularizers import reg_subgradient
@@ -35,10 +35,9 @@ class SgdConfig:
             raise InvalidParameterError(
                 f"learning rate must be finite and >= 0, got {self.learning_rate}"
             )
-        if self.epochs < 1:
-            raise InvalidParameterError("epochs must be >= 1")
-        if self.batch is not None and (self.batch < 1 or self.batch != int(self.batch)):
-            raise InvalidParameterError("batch must be an integer >= 1 or None for full batch")
+        check_positive_int("epochs", self.epochs)
+        if self.batch is not None:
+            check_positive_int("batch", self.batch)
         if self.wall_budget_s is not None and not (self.wall_budget_s > 0):
             raise InvalidParameterError(
                 f"wall_budget_s must be None or > 0, got {self.wall_budget_s}"

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check
+that raises one."""
+
+import operator
 
 
 class RankAdmmError(Exception):
@@ -34,3 +37,15 @@ class SolverError(RankAdmmError):
             message = f"iteration {iteration}: {message}"
         super().__init__(message)
         self.iteration = iteration
+
+
+def check_positive_int(name: str, value) -> None:
+    """Raise InvalidParameterError unless ``value`` is an integer >= 1.
+    Python and numpy integers pass (through ``operator.index``); a float
+    such as 2.0 or 2.5 does not."""
+    try:
+        as_int = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if as_int < 1:
+        raise InvalidParameterError(f"{name} must be >= 1, got {as_int}")

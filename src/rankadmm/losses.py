@@ -20,6 +20,10 @@ and :func:`singleton_minimize_cpt`; the latter solves a piece only where
 its bracket can cross the weight switch, and sets the rest to the switch
 point, bitwise what solving would give.
 
+:func:`block_side` tells on which side of a value the block minimizer
+lies without solving for it: the sign of the slope there, since the
+block objective is convex.  The merge pass decides its folds with it.
+
 The block solvers take plain floats and trust the caller's validation
 (the merge pass checks its inputs once per z-step); they reject only a
 non-finite weight or target sum.  A merge passes the interval its value
@@ -119,6 +123,41 @@ def _bisects(v_new, lo, hi, step, dx_old):
     return (v_new <= lo) | (v_new >= hi) | (abs(step) > 0.5 * abs(dx_old))
 
 
+def _closed_form(s: float, count: int, m_sum: float, rho: float) -> float:
+    """:func:`block_minimize` where it has a closed form: the target mean
+    for a zero weight sum (either loss), else the hinge's three cases."""
+    mean_m = m_sum / count
+    # Zero weight, or the hinge's left branch (slope 0) strictly left of the kink.
+    if s == 0.0 or mean_m < -1.0:
+        return mean_m
+    # Right branch (slope s).
+    v_right = (rho * m_sum - s) / (rho * count)
+    if v_right > -1.0:
+        return v_right
+    # 0 lies in the subdifferential at the kink.
+    return -1.0
+
+
+def block_side(
+    s: float, count: int, m_sum: float, rho: float, kind: LossKind, u: float
+) -> int:
+    """Where the minimizer of :func:`block_minimize` lies relative to u,
+    without solving for it: -1 below u, 1 above it, 0 at u.
+
+    Takes the block arguments of :func:`block_minimize`, unchecked.  For
+    logistic loss with ``s > 0`` it is the sign at u of the strictly
+    increasing slope ``s*sigmoid(v) + rho*(count*v - m_sum)``, negated: a
+    positive slope puts the minimizer below u.  Hinge loss and ``s == 0``
+    compare u with the closed form, bitwise the value the solve returns.
+    Near a tie the two can disagree by the solve's own tolerance.
+    """
+    if s == 0.0 or kind == LossKind.HINGE:
+        v = _closed_form(s, count, m_sum, rho)
+        return (v > u) - (v < u)
+    d = s * _sigmoid_scalar(u) + rho * count * u - rho * m_sum
+    return (d < 0.0) - (d > 0.0)
+
+
 def block_minimize(
     s: float,
     count: int,
@@ -146,21 +185,11 @@ def block_minimize(
     """
     if not (math.isfinite(s) and math.isfinite(m_sum)):
         raise InvalidParameterError("non-finite block objective inputs")
-    mean_m = m_sum / count
-    if s == 0.0:
-        return mean_m
-    if kind == LossKind.HINGE:
-        # Left branch (slope 0): valid strictly left of the kink.
-        if mean_m < -1.0:
-            return mean_m
-        # Right branch (slope s).
-        v_right = (rho * m_sum - s) / (rho * count)
-        if v_right > -1.0:
-            return v_right
-        # 0 lies in the subdifferential at the kink.
-        return -1.0
+    if s == 0.0 or kind == LossKind.HINGE:
+        return _closed_form(s, count, m_sum, rho)
 
     rc = rho * count
+    mean_m = m_sum / count
     lo = mean_m - s / rc
     if lo < _LOWEST:
         lo = _LOWEST

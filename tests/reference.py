@@ -146,9 +146,10 @@ def stationarity_residual(
 
 
 class Merge(NamedTuple):
-    """One recorded merge solve.  ``v_lo`` and ``v_hi`` are the run's last
-    and first values, the bracket handed to the constant-weight solve; the
-    two-piece solve takes none, and records None."""
+    """One recorded merge solve.  ``v_lo`` and ``v_hi`` are the smallest
+    and largest values of the parts a constant-weight block pooled, the
+    bracket handed to its solve; the two-piece solve takes none, and
+    records None."""
 
     count: int
     v_lo: float | None

@@ -133,7 +133,7 @@ def test_criterion_4_refined_vs_classic():
         assert list(zip(refined.lo.tolist(), block_hi(refined).tolist())) == [
             (lo, hi) for lo, hi, _ in classic
         ]
-    passline(4, "refined multi-merge partitions identical to pairwise merging")
+    passline(4, "merge-pass partitions identical to pairwise merging")
 
 
 def test_criterion_5_admm_reaches_global_optimum():

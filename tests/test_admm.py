@@ -546,3 +546,26 @@ def test_invalid_config():
         SolverConfig(max_iter=0)
     with pytest.raises(InvalidParameterError):
         SolverConfig(r=0.0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 2.0, "3", None])
+def test_config_rejects_a_max_iter_not_integral(max_iter):
+    with pytest.raises(InvalidParameterError, match="max_iter must be an integer"):
+        SolverConfig(max_iter=max_iter)
+
+
+def test_config_takes_a_numpy_integer_max_iter():
+    res = admm_solve(make_synthetic_problem(), SolverConfig(max_iter=np.int64(3), stop_eps=0.0))
+    assert len(res.trace) == 3
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
+def test_config_rejects_an_r_not_finite(r):
+    with pytest.raises(InvalidParameterError, match="r must be positive and finite"):
+        SolverConfig(r=r)
+
+
+@pytest.mark.parametrize("kind", ["constant", "srm", "aorr", "ehrm"])
+def test_schedule_rejects_a_rho0_not_finite(kind):
+    with pytest.raises(InvalidParameterError, match="rho0 must be positive and finite"):
+        ScheduleSpec(kind, math.inf)

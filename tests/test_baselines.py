@@ -98,6 +98,19 @@ def test_config_validation():
         SgdConfig(batch=5.5)
 
 
+@pytest.mark.parametrize("name", ["epochs", "batch"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+def test_config_rejects_counts_not_integral(name, value):
+    with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+        SgdConfig(**{name: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    problem = make_synthetic_problem(n=20, d=3, weights=ERM(), seed=0)
+    _, trace = sgd_solve(problem, SgdConfig(epochs=np.int64(3), batch=np.int32(8)))
+    assert len(trace) == 3
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("rate, batch", [

@@ -224,6 +224,9 @@ _INVALID_CELLS = [
     ({"solver": "sgd", "config": {"learning_rate": np.nan}}, "learning rate"),
     ({"config": {"eps": np.nan}}, "stop_eps"),
     ({"solver": "sgd", "config": {"wall_budget_s": -1}}, "wall_budget_s"),
+    # json reads Infinity: the run would fail at iteration 0
+    ({"config": {"r": np.inf}}, "r must be positive and finite"),
+    ({"config": {"schedule": "constant:inf"}}, "'schedule'"),
 ]
 
 

@@ -302,6 +302,33 @@ def test_bracketed_merge_solve_stays_in_run(blocks, log_rho, kind):
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
+@given(
+    st.just(0.0) | st.floats(0.0, 50.0),
+    st.integers(1, 50),
+    st.floats(-50.0, 50.0),
+    st.floats(-2.0, 3.0),
+    st.booleans(),
+    st.floats(-60.0, 60.0),
+    st.sampled_from([LossKind.HINGE, LossKind.LOGISTIC]),
+)
+@example(0.0, 3, 0.5, 0.0, True, 0.0, LossKind.LOGISTIC)  # s = 0, u at the mean
+@example(1.0, 1, 0.0, 0.0, False, -1.0, LossKind.HINGE)  # minimizer at the kink
+@settings(max_examples=400, deadline=None)
+def test_block_side_agrees_with_the_solve(s, count, mean, log_rho, near, u, kind):
+    # the sign test tells where the solve's value lies without solving
+    rho = 10.0**log_rho
+    m_sum = count * mean
+    v = block_minimize(s, count, m_sum, rho, kind)
+    if near:
+        u = v + u * 1e-7
+    side = losses.block_side(s, count, m_sum, rho, kind, u)
+    if s == 0.0 or kind == LossKind.HINGE:
+        # closed form: exact, ties included
+        assert side == (v > u) - (v < u)
+    elif abs(v - u) > 1e-9 * (1.0 + abs(v)):
+        assert side == (1 if v > u else -1)
+
+
 def test_merge_bracket_outside_the_block_bracket_is_ignored():
     # [5, 6] misses [-0.5, 0]: the full bracket is used, bit for bit
     for v_lo, v_hi in ((5.0, 6.0), (-3.0, -0.5), (-0.25, -0.25)):

@@ -201,16 +201,33 @@ def test_long_in_order_stretch_pushed_without_merges(kind, monkeypatch):
 
 def test_violation_directly_after_merged_block(monkeypatch):
     # hinge singletons m - s: 0.0, -0.4, -0.3, 1.0.  Index 2 is in order
-    # with its left singleton but below the merged block {0, 1} at -0.2.
+    # with its left singleton but below the block {0, 1} at -0.2.
     sigma = np.array([0.0, 0.5, 0.5, 0.0])
     m = np.array([0.0, 0.1, 0.2, 1.0])
     merges = record_merges(monkeypatch)
     partition = merge_blocks(m, resolve(Explicit(sigma), 4), 1.0, LossKind.HINGE)
-    # {0, 1} merges first, then {0, 1, 2}
-    assert [c.count for c in merges] == [2, 3]
+    # {0, 1} is never valued: it absorbs 2, and {0, 1, 2} takes the one solve
+    assert [c.count for c in merges] == [3]
     assert partition.lo.tolist() == [0, 3]
-    assert [c.v for c in merges] == pytest.approx([-0.2, -0.7 / 3.0])
+    assert [c.v for c in merges] == pytest.approx([-0.7 / 3.0])
     assert_matches_pairwise(partition, pairwise_merge_chain(m, sigma, 1.0, LossKind.HINGE), 0.0)
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+def test_long_in_order_stretch_folds_into_one_violator(kind, monkeypatch):
+    # zero weights hold 199 singletons at their in-order targets; the last
+    # one's weight puts it below most of them.  Each fold into it is a
+    # slope-sign test, and the block is solved once, when it is pushed.
+    n = 200
+    m = np.linspace(0.0, 1.0, n)
+    resolved = resolve(Explicit(np.append(np.zeros(n - 1), 50.0)), n)
+    merges = record_merges(monkeypatch)
+    partition = merge_blocks(m, resolved, 1.0, kind)
+    assert len(merges) == 1
+    assert merges[0].count >= 100
+    assert partition.lo.tolist() == [*range(n - merges[0].count), n - merges[0].count]
+    reference = pairwise_merge_chain(m, resolved.sigma, 1.0, kind)
+    assert_matches_pairwise(partition, reference, 1e-12)
 
 
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
@@ -235,7 +252,7 @@ def test_single_sample(kind):
 
 def test_multi_merge_matches_classic_three_singletons(monkeypatch):
     # increasing weights on nearly equal targets force strictly decreasing
-    # singleton values, so the whole run merges in one aggregated solve
+    # singleton values, so the whole run pools into one block and one solve
     sigma = np.array([0.0, 2.0, 6.0])
     resolved = resolve(Explicit(sigma), 3)
     m_sorted = np.array([0.0, 0.1, 0.2])
@@ -249,7 +266,7 @@ def test_multi_merge_matches_classic_three_singletons(monkeypatch):
     classic = pairwise_merge_chain(m_sorted, sigma, 1.0, LossKind.LOGISTIC)
     assert_matches_pairwise(refined, classic, 1e-9)
     assert len(refined.lo) == 1
-    assert len(merges) == 1  # multi-merge path: one solve for the run
+    assert len(merges) == 1  # solved once, when pushed
     assert singles[2] - 1e-9 <= merges[0].v <= singles[0] + 1e-9
 
 
