@@ -14,11 +14,14 @@ Every run writes a trace CSV; the harness then writes a summary table
 (mean and sample deviation of objective, accuracy, and time) plus
 sub-optimality traces measured against the best final objective seen for
 the same underlying problem.
+Runs execute in forked worker processes, ``RANK_ADMM_THREADS`` of them at
+most; a worker writes its run's trace and hands back its record, and the
+parent process keeps plan order, logs every failure and writes the
+summaries.  A worker that dies fails every run that had not finished.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import logging
 import os
@@ -339,10 +342,22 @@ def solve(solver: str, problem: Problem, config: SolverConfig | SgdConfig) -> So
     return (sadmm_solve if solver == "sadmm" else admm_solve)(problem, config)
 
 
+def _trace_path(cell: BenchmarkCell, seed: int, out_dir: Path) -> Path:
+    return out_dir / f"{cell.name}_{cell.solver}_seed{seed}.csv"
+
+
+def _failed_record(cell: BenchmarkCell, seed: int, out_dir: Path, error: str) -> RunRecord:
+    nan = float("nan")
+    return RunRecord(cell=cell.name, solver=cell.solver, seed=seed, objective=nan,
+                     accuracy=nan, time_s=nan, trace_path=str(_trace_path(cell, seed, out_dir)),
+                     error=error)
+
+
 def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
-    """One seeded run of a cell.  A run that raises becomes a failed record
-    whose ``error`` names the failure, so one bad run cannot stop a plan."""
-    trace_path = out_dir / f"{cell.name}_{cell.solver}_seed{seed}.csv"
+    """One seeded run of a cell.  A failure that the run's inputs explain (a
+    RankAdmmError or OSError) becomes a failed record whose ``error`` names
+    it; any other exception propagates to the caller."""
+    trace_path = _trace_path(cell, seed, out_dir)
     try:
         problem, test = build_problem(cell, seed)
         result = solve(cell.solver, problem, run_config(cell, seed))
@@ -358,49 +373,63 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
             trace_path=str(trace_path),
         )
     except (RankAdmmError, OSError) as exc:
-        logger.error("cell %s seed %d failed: %s", cell.name, seed, exc)
-        error = str(exc)
-    except Exception as exc:
-        # not a failure the run's inputs explain: log the traceback too
-        logger.exception("cell %s seed %d failed", cell.name, seed)
-        error = f"{type(exc).__name__}: {exc}"
-    return RunRecord(
-        cell=cell.name,
-        solver=cell.solver,
-        seed=seed,
-        objective=float("nan"),
-        accuracy=float("nan"),
-        time_s=float("nan"),
-        trace_path=str(trace_path),
-        error=error,
-    )
+        return _failed_record(cell, seed, out_dir, str(exc))
 
 
 def worker_count() -> int:
-    """Worker threads for ``run_benchmark``: RANK_ADMM_THREADS, a positive
-    integer, or the CPU count when it is unset."""
+    """Worker processes for ``run_benchmark``: RANK_ADMM_THREADS, a positive
+    integer, or, when it is unset, the number of CPUs this process may run
+    on (its affinity mask where the platform has one, not the host's CPU
+    count)."""
     value = os.environ.get(THREADS_ENV)
     if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not (value.strip().isdecimal() and int(value) >= 1):
         raise InvalidParameterError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
     return int(value)
 
 
-def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
-    """Execute every (cell, seed) pair in a bounded worker pool.
+def _collect(future, cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
+    """The record of one submitted run; a run that raised, in the worker or
+    by the worker's death, becomes a failed record.  Every failure is
+    logged here, in the parent."""
+    try:
+        record = future.result()
+    except Exception as exc:
+        # not a failure the run's inputs explain: log the traceback too
+        logger.exception("cell %s seed %d failed", cell.name, seed)
+        return _failed_record(cell, seed, out_dir, f"{type(exc).__name__}: {exc}")
+    if record.error is not None:
+        logger.error("cell %s seed %d failed: %s", cell.name, seed, record.error)
+    return record
 
-    Returns {"records": [...], "summary": [...]} and writes summary.csv
-    plus per-run sub-optimality CSVs under the output directory.
+
+def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
+    """Execute every (cell, seed) pair in a pool of forked worker processes,
+    ``min(worker_count(), runs)`` wide.
+
+    Returns {"records": [...], "summary": [...]}, the records in plan order,
+    and writes summary.csv plus per-run sub-optimality CSVs under the output
+    directory.  If a worker dies, the pool breaks: runs that had finished
+    keep their records, and every other run fails with BrokenProcessPool.
     """
+    # Here, not at module import, which the CLI pays for on every command.
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
     workers = worker_count()
     out = Path(out_dir if out_dir is not None else plan.out)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cell, seed) for cell in plan.cells for seed in cell.run_seeds()]
-    records: list[RunRecord] = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    # fork, not spawn: a worker inherits the imported package, and with it
+    # any entry point swapped in this module, instead of importing numpy
+    # and scipy again, which takes longer than a small plan's runs.
+    with ProcessPoolExecutor(max_workers=max(1, min(workers, len(tasks))),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
         futures = [pool.submit(run_cell, cell, seed, out) for cell, seed in tasks]
-        records = [f.result() for f in futures]
+        records = [_collect(f, cell, seed, out) for f, (cell, seed) in zip(futures, tasks)]
 
     summary = summarize(plan, records)
     _write_summary_csv(out / "summary.csv", summary)

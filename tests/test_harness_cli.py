@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -372,35 +375,50 @@ def test_cli_oracle_oversize_grid_exits_2(capsys, monkeypatch):
     assert "grid table" in capsys.readouterr().err
 
 
-def _captured_configs(monkeypatch):
+def _captured_configs(monkeypatch, log):
     """Swap the harness's solver entry points, which ``train`` runs too, for
-    stubs that record the config they get and return a one-row solve."""
+    stubs that record the config they get and return a one-row solve.  A
+    benchmark calls them in its worker processes, so they append each config
+    to the file ``log``, which ``_recorded_configs`` reads back."""
     from rankadmm import harness
     from rankadmm.admm import SolverResult
 
-    configs = []
+    def record(config):
+        with open(log, "ab") as fh:
+            pickle.dump(config, fh)
 
     def fake_admm(problem, config):
-        configs.append(config)
+        record(config)
         return SolverResult(w=np.zeros(problem.d), trace=_ONE_ROW)
 
     def fake_sgd(problem, config):
-        configs.append(config)
+        record(config)
         return np.zeros(problem.d), _ONE_ROW
 
     monkeypatch.setattr(harness, "admm_solve", fake_admm)
     monkeypatch.setattr(harness, "sgd_solve", fake_sgd)
-    return configs
+
+
+def _recorded_configs(log):
+    configs = []
+    with open(log, "rb") as fh:
+        while True:
+            try:
+                configs.append(pickle.load(fh))
+            except EOFError:
+                return configs
 
 
 def test_field_defaults_reach_every_entry_point(tmp_path, monkeypatch):
-    configs = _captured_configs(monkeypatch)
+    log = tmp_path / "configs.pickle"
+    _captured_configs(monkeypatch, log)
     cells = [{"name": f"{solver}-defaults", "dataset": {"synthetic": {"n": 12, "d": 3}},
               "solver": solver, "config": {}, "seeds": [5]} for solver in ("admm", "sgd")]
     path = tmp_path / "defaults_plan.json"
     path.write_text(json.dumps({"cells": cells, "out": str(tmp_path / "out")}))
     assert cli_main(["benchmark", str(path)]) == 0
     assert cli_main(["train", "--synthetic", "n=12,d=3", "--out", str(tmp_path)]) == 0
+    configs = _recorded_configs(log)
     assert sorted(configs, key=lambda c: type(c).__name__) == [
         SgdConfig(seed=5), SolverConfig(), SolverConfig()
     ]
@@ -597,3 +615,73 @@ def test_cli_benchmark_bad_threads_exits_2(tmp_path, capsys, monkeypatch, value)
 def test_cli_benchmark_threads_positive_integer(tmp_path, monkeypatch):
     monkeypatch.setenv("RANK_ADMM_THREADS", "2")
     assert cli_main(["benchmark", str(make_plan(tmp_path, reps=2))]) == 0
+
+
+def test_worker_count_defaults_to_usable_cpus(monkeypatch):
+    from rankadmm import harness
+
+    monkeypatch.delenv("RANK_ADMM_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert harness.worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness.worker_count() == 64
+
+
+def test_dead_worker_fails_the_unfinished_runs(tmp_path, monkeypatch, caplog):
+    from rankadmm import harness
+
+    real = harness.admm_solve
+
+    def dying(problem, config):
+        if problem.n == 41:
+            os._exit(3)
+        return real(problem, config)
+
+    monkeypatch.setattr(harness, "admm_solve", dying)
+    # one worker: the good run finishes before the other kills the pool
+    monkeypatch.setenv("RANK_ADMM_THREADS", "1")
+    path = _mixed_plan(tmp_path, {"name": "dying",
+                                  "dataset": {"synthetic": {"n": 41, "d": 5, "seed": 1}}})
+    with caplog.at_level("ERROR", logger="rankadmm.harness"):
+        out = run_benchmark(BenchmarkPlan.from_json(path))
+    assert multiprocessing.active_children() == []
+    errors = {r.cell: r.error for r in out["records"]}
+    assert errors["erm-l2"] is None
+    assert errors["dying"].startswith("BrokenProcessPool: ")
+    assert _failures(tmp_path / "out") == {"erm-l2": "0", "dying": "1"}
+    assert (tmp_path / "out" / "erm-l2_admm_seed0.csv").exists()
+    assert "cell dying seed 0 failed" in caplog.text
+    assert cli_main(["benchmark", str(path)]) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_results_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    cells = [
+        {"name": "sq", "dataset": {"synthetic": {"n": 60, "d": 5, "seed": 1}},
+         "scheme": {"kind": "superquantile", "q": 0.8}, "regularizer": {"variant": "l1", "mu": 0.01},
+         "solver": "admm", "config": {"max_iter": 15}, "seeds": [0, 1]},
+        {"name": "sgd", "dataset": {"synthetic": {"n": 60, "d": 5}},
+         "split": {"fractions": [0.7, 0.3]}, "solver": "sgd", "config": {"epochs": 5},
+         "seeds": [0, 1]},
+        {"name": "cpt", "dataset": {"synthetic": {"n": 60, "d": 5, "seed": 2}},
+         "scheme": {"kind": "cpt"}, "solver": "sadmm", "config": {"max_iter": 10}},
+    ]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"cells": cells}))
+    outs = {}
+    for width in ("1", "2"):
+        monkeypatch.setenv("RANK_ADMM_THREADS", width)
+        outs[width] = tmp_path / f"out{width}"
+        assert cli_main(["benchmark", str(path), "--out", str(outs[width])]) == 0
+    traces = sorted(p.name for p in outs["1"].glob("*_seed*.csv"))
+    assert len(traces) == 10
+    assert traces == sorted(p.name for p in outs["2"].glob("*_seed*.csv"))
+    for name in traces:  # run traces and sub-optimality traces
+        assert _rows_without_wall(outs["1"] / name) == _rows_without_wall(outs["2"] / name)
+
+    def means(out_dir):
+        with open(out_dir / "summary.csv") as fh:
+            return [(row["objective_mean"], row["accuracy_mean"]) for row in csv.DictReader(fh)]
+
+    assert means(outs["1"]) == means(outs["2"])
