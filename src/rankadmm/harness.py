@@ -14,18 +14,22 @@ Every run writes a trace CSV; the harness then writes a summary table
 (mean and sample deviation of objective, accuracy, and time) plus
 sub-optimality traces measured against the best final objective seen for
 the same underlying problem.
-Runs execute in forked worker processes, ``RANK_ADMM_THREADS`` of them at
-most; a worker writes its run's trace and hands back its record, and the
-parent process keeps plan order, logs every failure and writes the
-summaries.  A worker that dies fails every run that had not finished.
+``RANK_ADMM_THREADS`` runs go at once: the calling process takes runs
+itself, beside one forked worker process fewer, so a width of 1 forks
+nothing.  A worker writes its run's trace and hands back its record; the
+calling process keeps plan order, logs every failure and writes the
+summaries.  A worker that dies fails the runs it had taken, and the
+calling process runs the rest.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import logging
 import os
 import statistics
+import threading
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -377,26 +381,30 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
 
 
 def worker_count() -> int:
-    """Worker processes for ``run_benchmark``: RANK_ADMM_THREADS, a positive
-    integer, or, when it is unset, the number of CPUs this process may run
-    on (its affinity mask where the platform has one, not the host's CPU
-    count)."""
+    """Width of ``run_benchmark``, the parent process included:
+    RANK_ADMM_THREADS, a positive integer, or, when it is unset, the number
+    of CPUs this process may run on (its affinity mask where the platform
+    has one, not the host's CPU count).  It is 1 where the platform cannot
+    fork, as the other runs would need forked workers."""
     value = os.environ.get(THREADS_ENV)
     if value is None:
         if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not (value.strip().isdecimal() and int(value) >= 1):
+            count = len(os.sched_getaffinity(0))
+        else:
+            count = os.cpu_count() or 1
+    elif value.strip().isdecimal() and int(value) >= 1:
+        count = int(value)
+    else:
         raise InvalidParameterError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
-    return int(value)
+    return count if hasattr(os, "fork") else 1
 
 
-def _collect(future, cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
-    """The record of one submitted run; a run that raised, in the worker or
-    by the worker's death, becomes a failed record.  Every failure is
-    logged here, in the parent."""
+def _settle(run, cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
+    """The record that ``run()`` returns for one (cell, seed), or a failed
+    record if it raises, in the run or by the death of the worker it ran
+    on.  Every failure is logged here, in the parent process."""
     try:
-        record = future.result()
+        record = run()
     except Exception as exc:
         # not a failure the run's inputs explain: log the traceback too
         logger.exception("cell %s seed %d failed", cell.name, seed)
@@ -406,30 +414,86 @@ def _collect(future, cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord
     return record
 
 
+def _run_queued(queue, tasks, records, out_dir: Path) -> None:
+    """Run in this process the tasks whose indices ``queue`` holds, taking
+    them one at a time until it is empty."""
+    while True:
+        try:
+            i = queue.popleft()
+        except IndexError:
+            return
+        cell, seed = tasks[i]
+        records[i] = _settle(lambda: run_cell(cell, seed, out_dir), cell, seed, out_dir)
+
+
+def _run_with_workers(forks: int, queue, tasks, records, out_dir: Path) -> None:
+    """Run the queued tasks in this process and in ``forks`` forked workers,
+    which a thread of their own feeds from the same queue.  Once the pool is
+    broken, this process runs what is left."""
+    # Here, not at module import, which the CLI pays for on every command.
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, wait
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    def submit(pool, running) -> None:
+        try:
+            i = queue.popleft()
+        except IndexError:
+            return
+        try:
+            running[pool.submit(run_cell, *tasks[i], out_dir)] = i
+        except BrokenProcessPool:
+            queue.appendleft(i)  # left for this process
+
+    def feed(pool, running) -> None:
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                records[i] = _settle(future.result, *tasks[i], out_dir)
+                submit(pool, running)
+
+    # fork, not spawn: a worker inherits the imported package, and with it
+    # any entry point swapped in this module, instead of importing numpy
+    # and scipy again, which takes longer than a small plan's runs.
+    with ProcessPoolExecutor(forks, mp_context=multiprocessing.get_context("fork")) as pool:
+        running: dict = {}
+        for _ in range(forks):
+            submit(pool, running)  # the first submit forks every worker
+        # started after the forks, so that no worker inherits a busy thread
+        feeder = threading.Thread(target=feed, args=(pool, running), name="rankadmm-feeder")
+        feeder.start()
+        try:
+            _run_queued(queue, tasks, records, out_dir)
+        except BaseException:
+            queue.clear()  # on an interrupt, hand out nothing more
+            raise
+        finally:
+            feeder.join()
+    _run_queued(queue, tasks, records, out_dir)  # what a broken pool handed back
+
+
 def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
-    """Execute every (cell, seed) pair in a pool of forked worker processes,
-    ``min(worker_count(), runs)`` wide.
+    """Execute every (cell, seed) pair, ``min(worker_count(), runs)`` at a
+    time: this process takes runs in turn with one forked worker fewer than
+    that.
 
     Returns {"records": [...], "summary": [...]}, the records in plan order,
     and writes summary.csv plus per-run sub-optimality CSVs under the output
-    directory.  If a worker dies, the pool breaks: runs that had finished
-    keep their records, and every other run fails with BrokenProcessPool.
+    directory.  If a worker dies, the pool breaks: the runs it had taken
+    fail with BrokenProcessPool, and this process runs the rest.
     """
-    # Here, not at module import, which the CLI pays for on every command.
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
     workers = worker_count()
     out = Path(out_dir if out_dir is not None else plan.out)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cell, seed) for cell in plan.cells for seed in cell.run_seeds()]
-    # fork, not spawn: a worker inherits the imported package, and with it
-    # any entry point swapped in this module, instead of importing numpy
-    # and scipy again, which takes longer than a small plan's runs.
-    with ProcessPoolExecutor(max_workers=max(1, min(workers, len(tasks))),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(run_cell, cell, seed, out) for cell, seed in tasks]
-        records = [_collect(f, cell, seed, out) for f, (cell, seed) in zip(futures, tasks)]
+    records: list[RunRecord | None] = [None] * len(tasks)
+    queue = collections.deque(range(len(tasks)))  # indices of the runs not yet taken
+    forks = min(workers, len(tasks)) - 1
+    if forks < 1:
+        _run_queued(queue, tasks, records, out)
+    else:
+        _run_with_workers(forks, queue, tasks, records, out)
 
     summary = summarize(plan, records)
     _write_summary_csv(out / "summary.csv", summary)

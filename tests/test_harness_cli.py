@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -626,34 +627,79 @@ def test_worker_count_defaults_to_usable_cpus(monkeypatch):
     assert harness.worker_count() == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert harness.worker_count() == 64
+    monkeypatch.setenv("RANK_ADMM_THREADS", "4")
+    assert harness.worker_count() == 4
+    monkeypatch.delattr(os, "fork")  # the parent runs every cell
+    assert harness.worker_count() == 1
 
 
-def test_dead_worker_fails_the_unfinished_runs(tmp_path, monkeypatch, caplog):
+def test_dead_worker_fails_its_run_and_the_parent_runs_the_rest(tmp_path, monkeypatch,
+                                                                   caplog):
     from rankadmm import harness
 
     real = harness.admm_solve
+    parent = os.getpid()
 
     def dying(problem, config):
-        if problem.n == 41:
+        if problem.n == 41 and os.getpid() != parent:
             os._exit(3)
         return real(problem, config)
 
     monkeypatch.setattr(harness, "admm_solve", dying)
-    # one worker: the good run finishes before the other kills the pool
-    monkeypatch.setenv("RANK_ADMM_THREADS", "1")
+    # width 2 forks one worker, which takes the first run; the parent takes
+    # the second, then the third that the broken pool leaves behind
+    monkeypatch.setenv("RANK_ADMM_THREADS", "2")
     path = _mixed_plan(tmp_path, {"name": "dying",
                                   "dataset": {"synthetic": {"n": 41, "d": 5, "seed": 1}}})
+    plan = json.loads(path.read_text())
+    good = plan["cells"][0]
+    plan["cells"] = [plan["cells"][1], good, dict(good, name="after")]
+    path.write_text(json.dumps(plan))
     with caplog.at_level("ERROR", logger="rankadmm.harness"):
         out = run_benchmark(BenchmarkPlan.from_json(path))
     assert multiprocessing.active_children() == []
     errors = {r.cell: r.error for r in out["records"]}
-    assert errors["erm-l2"] is None
+    assert list(errors) == ["dying", "erm-l2", "after"]
+    assert errors["erm-l2"] is None and errors["after"] is None
     assert errors["dying"].startswith("BrokenProcessPool: ")
-    assert _failures(tmp_path / "out") == {"erm-l2": "0", "dying": "1"}
+    assert _failures(tmp_path / "out") == {"dying": "1", "erm-l2": "0", "after": "0"}
     assert (tmp_path / "out" / "erm-l2_admm_seed0.csv").exists()
+    assert (tmp_path / "out" / "after_admm_seed0.csv").exists()
     assert "cell dying seed 0 failed" in caplog.text
     assert cli_main(["benchmark", str(path)]) == 1
     assert multiprocessing.active_children() == []
+
+
+def test_every_run_is_taken_once_under_contention(tmp_path, monkeypatch):
+    from rankadmm import harness
+
+    real = harness.sgd_solve
+    log = tmp_path / "runs.log"
+
+    def logged(problem, config):
+        with open(log, "a") as fh:  # one short append per run, from any process
+            fh.write(f"{problem.n} {config.seed}\n")
+        return real(problem, config)
+
+    monkeypatch.setattr(harness, "sgd_solve", logged)
+    # more runs at once than CPUs, and thread switches as often as possible
+    monkeypatch.setenv("RANK_ADMM_THREADS", "4")
+    cells = [{"name": f"c{n}", "dataset": {"synthetic": {"n": n, "d": 3}}, "solver": "sgd",
+              "config": {"epochs": 1}, "seeds": [0, 1, 2]} for n in range(12, 20)]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"cells": cells, "out": str(tmp_path / "out")}))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = run_benchmark(BenchmarkPlan.from_json(path))
+    finally:
+        sys.setswitchinterval(switch)
+    assert multiprocessing.active_children() == []
+    expected = [(f"c{n}", seed) for n in range(12, 20) for seed in (0, 1, 2)]
+    assert [(r.cell, r.seed) for r in out["records"]] == expected
+    assert all(r.error is None for r in out["records"])
+    assert sorted(log.read_text().splitlines()) == sorted(f"{n} {seed}" for n in range(12, 20)
+                                                           for seed in (0, 1, 2))
 
 
 def test_results_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
@@ -670,18 +716,20 @@ def test_results_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps({"cells": cells}))
     outs = {}
-    for width in ("1", "2"):
+    widths = ("1", "2", "3")  # no worker, one, two
+    for width in widths:
         monkeypatch.setenv("RANK_ADMM_THREADS", width)
         outs[width] = tmp_path / f"out{width}"
         assert cli_main(["benchmark", str(path), "--out", str(outs[width])]) == 0
     traces = sorted(p.name for p in outs["1"].glob("*_seed*.csv"))
     assert len(traces) == 10
-    assert traces == sorted(p.name for p in outs["2"].glob("*_seed*.csv"))
-    for name in traces:  # run traces and sub-optimality traces
-        assert _rows_without_wall(outs["1"] / name) == _rows_without_wall(outs["2"] / name)
+    for width in widths[1:]:
+        assert traces == sorted(p.name for p in outs[width].glob("*_seed*.csv"))
+        for name in traces:  # run traces and sub-optimality traces
+            assert _rows_without_wall(outs["1"] / name) == _rows_without_wall(outs[width] / name)
 
     def means(out_dir):
         with open(out_dir / "summary.csv") as fh:
             return [(row["objective_mean"], row["accuracy_mean"]) for row in csv.DictReader(fh)]
 
-    assert means(outs["1"]) == means(outs["2"])
+    assert means(outs["1"]) == means(outs["2"]) == means(outs["3"])
