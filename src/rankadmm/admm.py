@@ -150,13 +150,6 @@ class SolverResult:
         return self.stop_reason == "eps"
 
 
-def materialize_D(problem: Problem):
-    """Signed data matrix -diag(y) X, sparse in, sparse out."""
-    if sp.issparse(problem.X):
-        return sp.diags(-problem.y) @ problem.X.tocsr()
-    return -problem.y[:, None] * problem.X
-
-
 def _penalty(reg: RegularizerSpec, gamma: float | None, w: np.ndarray) -> float:
     """g(w), or its smoothed envelope with parameter gamma when given."""
     if gamma is None:
@@ -213,8 +206,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             reg.variant,
         )
 
-    D = materialize_D(problem)
-    solver = WSolver(D)
+    solver = WSolver(problem.X)
     d_norm = solver.d_norm
     r = _resolve_r(config, reg)
 
@@ -257,8 +249,9 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         try:
             m = Dw - lam / rho
             z_new = solve_z_subproblem(m, resolved, rho, problem.loss, order=order)
-            target = z_new + lam / rho
-            w_new = solver.solve(target, w, rho, r, reg, gamma)
+            # ||t - D w|| = ||-y*t - X w|| as y = +-1, and D^T D = X^T X:
+            # the w-step runs on X itself, with no signed copy of the data
+            w_new = solver.solve(-problem.y * (z_new + lam / rho), w, rho, r, reg, gamma)
         except RankAdmmError as exc:
             raise SolverError(str(exc), iteration=k) from exc
         if not np.all(np.isfinite(w_new)):
@@ -397,15 +390,15 @@ def lyapunov_check(
 def sigma_min_positive(problem: Problem, limit: int = 10**6) -> float | None:
     """Smallest positive eigenvalue of D D^T (equals that of D^T D).
 
-    Dense eigensolve, restricted to n*d <= limit; None when too large.
+    D D^T and X X^T have the same eigenvalues, as D = -diag(y) X with
+    y = +-1.  Dense eigensolve, restricted to n*d <= limit; None when too
+    large.
     """
     n, d = problem.n, problem.d
     if n * d > limit:
         return None
-    D = materialize_D(problem)
-    if sp.issparse(D):
-        D = D.toarray()
-    G = D @ D.T if n <= d else D.T @ D
+    X = problem.X.toarray() if sp.issparse(problem.X) else problem.X
+    G = X @ X.T if n <= d else X.T @ X
     eig = np.linalg.eigvalsh(G)
     cutoff = max(eig[-1], 0.0) * 1e-12
     positive = eig[eig > cutoff]

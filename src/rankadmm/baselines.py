@@ -61,8 +61,7 @@ def rank_subgradient(
         raise InvalidParameterError("batch must be nonempty")
     Xb = problem.X[idx]
     yb = problem.y[idx]
-    zb = Xb @ w
-    zb = -yb * (np.asarray(zb).ravel())
+    zb = -yb * (Xb @ w)
     nb = idx.size
 
     if resolved is None:
@@ -75,7 +74,7 @@ def rank_subgradient(
     deriv = loss_derivative_vec(problem.loss, zb)
     pull = -yb * (weight * deriv)
     grad = Xb.T @ pull
-    return np.asarray(grad).ravel() + reg_subgradient(problem.regularizer, w)
+    return grad + reg_subgradient(problem.regularizer, w)
 
 
 def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, np.recarray]:

@@ -72,7 +72,8 @@ def _open_text(path) -> io.StringIO:
 
 def load_libsvm(path) -> RawDataset:
     """Parse ``label index:value ...`` lines with 1-based indices into a
-    CSR matrix.  Malformed content raises with the offending line number.
+    CSR matrix.  Malformed content, a feature index given twice on one line
+    included, raises with the offending line number.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -92,6 +93,7 @@ def load_libsvm(path) -> RawDataset:
                 raise DataFormatError(f"bad label {parts[0]!r}", line=lineno) from None
             row = len(labels)
             labels.append(label)
+            seen: set[int] = set()
             for tok in parts[1:]:
                 idx_str, _, val_str = tok.partition(":")
                 if not _:
@@ -105,6 +107,10 @@ def load_libsvm(path) -> RawDataset:
                     raise DataFormatError(f"feature index {col} must be >= 1", line=lineno)
                 if not np.isfinite(val):
                     raise DataFormatError(f"non-finite value in {tok!r}", line=lineno)
+                # the CSR conversion would sum the values of a repeated index
+                if col in seen:
+                    raise DataFormatError(f"feature index {col} repeated", line=lineno)
+                seen.add(col)
                 rows.append(row)
                 cols.append(col - 1)
                 vals.append(val)

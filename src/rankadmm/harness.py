@@ -266,9 +266,13 @@ class BenchmarkPlan:
                 raise InvalidParameterError(f"plan is not valid JSON: {exc}") from exc
         try:
             cells = [BenchmarkCell(**c) for c in raw["cells"]]
+            _reject_unknown_keys("plan", raw, ("cells", "out"))
         except (KeyError, TypeError) as exc:
             raise InvalidParameterError(f"invalid plan: {exc}") from exc
-        return BenchmarkPlan(cells=cells, out=raw.get("out", "benchmark_out"))
+        out = raw.get("out", "benchmark_out")
+        if not isinstance(out, str):
+            raise InvalidParameterError(f"plan key 'out' must be a string, got {out!r}")
+        return BenchmarkPlan(cells=cells, out=out)
 
 
 @dataclass

@@ -71,10 +71,7 @@ class Problem:
         w = np.asarray(w, dtype=float).ravel()
         if w.shape[0] != self.d:
             raise DimensionError(f"w has length {w.shape[0]}, expected {self.d}")
-        Xw = self.X @ w
-        if sp.issparse(self.X):
-            Xw = np.asarray(Xw).ravel()
-        return -self.y * Xw
+        return -self.y * (self.X @ w)
 
     def rank_loss(self, z: np.ndarray) -> float:
         """Weighted sum of sorted losses at margin vector z."""

@@ -1,6 +1,8 @@
 """The w-step of the outer loop: a regularized least-squares problem
 
-    min_w  (rho/2) ||t - D w||^2 + penalty(w) + (r/2) ||w - anchor||^2.
+    min_w  (rho/2) ||t - A w||^2 + penalty(w) + (r/2) ||w - anchor||^2
+
+for a fixed data matrix A, dense or sparse.
 
 ``WSolver.solve`` is the single entry point.  Without ``gamma`` the
 penalty is the regularizer g itself: zero and l2 penalties admit an exact
@@ -71,11 +73,12 @@ class SolveInfo:
 
 
 class WSolver:
-    """Caches the Gram matrix spectral data of a fixed D across solves.
+    """Caches the Gram matrix spectral data of a fixed data matrix A (the
+    argument ``D``) across solves.
 
-    One instance per thread: the caches are mutable but write-once, and
+    One instance per solve: the caches are mutable but write-once, and
     the anchor pattern of the latest prox-gradient solve is kept for the
-    next one, so a sequence of w-steps shares one instance.
+    next one, so the w-steps of one outer-loop solve share one instance.
     """
 
     def __init__(self, D: np.ndarray | sp.spmatrix):
@@ -129,7 +132,7 @@ class WSolver:
         return self._eig
 
     def ridge_solve(self, rho: float, shift: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (rho * D^T D + shift * I) x = rhs.
+        """Solve (rho * A^T A + shift * I) x = rhs.
 
         Eigendecomposition path for moderate d (one-time O(d^3), then
         O(d^2) per call, any diagonal shift); conjugate gradient beyond.
@@ -175,7 +178,7 @@ class WSolver:
     def _solve_closed_form(
         self, target: np.ndarray, anchor: np.ndarray, rho: float, r: float, mu: float
     ) -> np.ndarray:
-        """Exact solve of (rho D^T D + (mu + r) I) w = rho D^T t + r anchor."""
+        """Exact solve of (rho A^T A + (mu + r) I) w = rho A^T t + r anchor."""
         rhs = rho * self._rmatvec(target) + r * anchor
         w = self.ridge_solve(rho, mu + r, rhs)
         res = np.linalg.norm(rhs - (rho * self._gram_matvec(w) + (mu + r) * w))
@@ -187,16 +190,10 @@ class WSolver:
         return w
 
     def _rmatvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.D.T @ v
-        if sp.issparse(self.D):
-            out = np.asarray(out).ravel()
-        return out
+        return self.D.T @ v
 
     def _matvec(self, w: np.ndarray) -> np.ndarray:
-        out = self.D @ w
-        if sp.issparse(self.D):
-            out = np.asarray(out).ravel()
-        return out
+        return self.D @ w
 
     # -- accelerated proximal gradient ------------------------------------
 
@@ -205,8 +202,8 @@ class WSolver:
     ) -> np.ndarray:
         """Accelerated proximal gradient with gradient restarts.
 
-        Smooth part q(w) = (rho/2)||t - Dw||^2 + (r/2)||w - anchor||^2,
-        step 1/(rho ||D||^2 + r).  With the dense Gram matrix, first tries
+        Smooth part q(w) = (rho/2)||t - Aw||^2 + (r/2)||w - anchor||^2,
+        step 1/(rho ||A||^2 + r).  With the dense Gram matrix, first tries
         ``_pattern_solve``: its point is returned with 0 iterations if its
         prox-gradient mapping norm passes the loop's stopping test, which
         in a strongly convex w-step makes it the minimizer the loop would
@@ -219,8 +216,8 @@ class WSolver:
         conditioning even for very large rho.  Stops when the
         prox-gradient mapping norm falls below _TOL.
 
-        Each iteration makes one Gram product, G w_new with G = D^T D (with
-        the dense Gram matrix, d <= _EIG_THRESHOLD, no product with D): the
+        Each iteration makes one Gram product, G w_new with G = A^T A (with
+        the dense Gram matrix, d <= _EIG_THRESHOLD, no product with A): the
         product at the extrapolated point y follows by linearity from the
         two latest fresh ones.  The momentum restarts when the prox step
         from y turns against the last move, (y - w_new)^T (w_new - w) > 0
@@ -228,10 +225,10 @@ class WSolver:
         penalty value; the objective is evaluated only in the set-up, to
         choose the start.
         """
-        Dt = self._rmatvec(target)
+        At = self._rmatvec(target)
 
         def q_grad(v, Gv):
-            return rho * (Gv - Dt) + r * (v - anchor)
+            return rho * (Gv - At) + r * (v - anchor)
 
         L = rho * self.d_norm**2 + r
         eta = 1.0 / L
@@ -240,7 +237,7 @@ class WSolver:
             return float(np.linalg.norm(v - prox(reg, eta, v - eta * q_grad(v, Gv)))) / eta
 
         if self.d <= _EIG_THRESHOLD:
-            w = self._pattern_solve(Dt, anchor, rho, r, reg)
+            w = self._pattern_solve(At, anchor, rho, r, reg)
             if w is not None:
                 mapping = mapping_at(w, self._gram_matvec(w))
                 if mapping <= _stop_at(L, w):
@@ -256,7 +253,7 @@ class WSolver:
                 0.5 * rho * float(rz @ rz) + 0.5 * r * float(dv @ dv) + reg_value(reg, v)
             )
 
-        ridge = self.ridge_solve(rho, r, rho * Dt + r * anchor)
+        ridge = self.ridge_solve(rho, r, rho * At + r * anchor)
         w = anchor.copy() if full(anchor) <= full(ridge) else ridge
         Gw = self._gram_matvec(w)
         y, Gy = w.copy(), Gw
@@ -302,7 +299,7 @@ class WSolver:
         return w
 
     def _pattern_solve(
-        self, Dt: np.ndarray, anchor: np.ndarray, rho: float, r: float, reg: RegularizerSpec
+        self, At: np.ndarray, anchor: np.ndarray, rho: float, r: float, reg: RegularizerSpec
     ) -> np.ndarray | None:
         """The w-step's stationary point on the anchor's pattern, or None.
 
@@ -313,7 +310,7 @@ class WSolver:
         is then the linear system
 
             (rho G_SS + diag(r - beta_S)) w_S
-                = rho (D^T t)_S + r anchor_S - alpha_S sign(anchor_S),
+                = rho (A^T t)_S + r anchor_S - alpha_S sign(anchor_S),
 
         positive definite because r > c >= beta.  Whether w stays on the
         pattern is left to the caller's mapping test.
@@ -332,12 +329,12 @@ class WSolver:
         if not held:
             return None
         S = np.flatnonzero(sign)
-        A = self._gram_matrix()[S][:, S]
-        A *= rho
-        A[np.diag_indices_from(A)] += r - beta[S]
-        b = rho * Dt[S] + r * anchor[S] - alpha[S] * sign[S]
+        M = self._gram_matrix()[S][:, S]
+        M *= rho
+        M[np.diag_indices_from(M)] += r - beta[S]
+        b = rho * At[S] + r * anchor[S] - alpha[S] * sign[S]
         try:
-            w_S = np.linalg.solve(A, b)
+            w_S = np.linalg.solve(M, b)
         except np.linalg.LinAlgError:
             return None
         w = np.zeros(self.d)

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from rankadmm.admm import (
     SolverConfig,
     admm_solve,
     lyapunov_check,
-    materialize_D,
     read_trace_csv,
     sadmm_solve,
     sigma_min_positive,
@@ -97,7 +97,7 @@ def test_fixed_point_stationarity():
     # and check one iteration leaves it in place
     problem = make_synthetic_problem(n=40, d=6, loss=LossKind.LOGISTIC,
                                      regularizer=l2(1e-2), seed=2)
-    D = materialize_D(problem)
+    D = -problem.y[:, None] * problem.X
     n = problem.n
     L = np.linalg.norm(D, 2) ** 2 / (4 * n) + 1e-2
     w = np.zeros(problem.d)
@@ -160,7 +160,7 @@ def test_erm_matches_gradient_descent_oracle():
     cfg = SolverConfig(max_iter=300, rho_schedule=ScheduleSpec.srm(), r=0.1,
                        stop_eps=0.0)
     res = admm_solve(problem, cfg)
-    D = materialize_D(problem)
+    D = -problem.y[:, None] * problem.X
     n = problem.n
     L = np.linalg.norm(D, 2) ** 2 / (4 * n) + 1e-2
     w = np.zeros(problem.d)
@@ -479,10 +479,25 @@ def test_trace_reproducibility_without_wall(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("solve, reg", [(admm_solve, l2(1e-2)), (sadmm_solve, mcp(1e-2, 3.0))])
+def test_dense_solve_allocates_no_n_by_d_array(solve, reg):
+    # The w-step runs on X itself: a signed n x d copy of the data alone
+    # would take twice the bound.
+    n, d = 4000, 200
+    problem = make_synthetic_problem(n=n, d=d, regularizer=reg)
+    tracemalloc.start()
+    try:
+        solve(problem, SolverConfig(max_iter=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8 / 2
+
+
 def test_sigma_min_positive_small():
     problem = make_synthetic_problem(n=10, d=20, seed=15)
     sig = sigma_min_positive(problem)
-    D = materialize_D(problem)
+    D = -problem.y[:, None] * problem.X
     eig = np.linalg.eigvalsh(D @ D.T)
     assert sig == pytest.approx(eig[eig > 1e-9][0], rel=1e-9)
     assert sigma_min_positive(problem, limit=10) is None

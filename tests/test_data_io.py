@@ -46,6 +46,10 @@ def test_libsvm_malformed_reports_line(tmp_path):
     path.write_text("+1 0:2\n")
     with pytest.raises(DataFormatError, match="line 1"):
         load_libsvm(path)
+    # a repeated index would load as the sum of its values
+    path.write_text("+1 1:2\n1 3:1 3:2\n")
+    with pytest.raises(DataFormatError, match="line 2: feature index 3 repeated"):
+        load_libsvm(path)
 
 
 def test_libsvm_roundtrip(tmp_path):

@@ -234,14 +234,25 @@ _INVALID_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("change, named", [
-    pytest.param(change, named, id=f"change{i}") for i, (change, named) in enumerate(_INVALID_CELLS)
+#: (top-level plan keys set beside a valid "cells", text the error names)
+_INVALID_PLAN_KEYS = [
+    ({"outt": "x"}, "'outt'"),
+    ({"out": 5}, "'out'"),
+]
+
+
+@pytest.mark.parametrize("change, top, named", [
+    pytest.param(change, {}, named, id=f"change{i}")
+    for i, (change, named) in enumerate(_INVALID_CELLS)
+] + [
+    pytest.param({}, top, named, id=f"plan{i}")
+    for i, (top, named) in enumerate(_INVALID_PLAN_KEYS)
 ])
-def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change, named):
+def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change, top, named):
     good = json.loads(make_plan(tmp_path, reps=1).read_text())
     bad = dict(good["cells"][0], name="bad", **change)
     path = tmp_path / "bad_plan.json"
-    path.write_text(json.dumps({"cells": [good["cells"][0], bad], "out": good["out"]}))
+    path.write_text(json.dumps({"cells": [good["cells"][0], bad], "out": good["out"], **top}))
     with pytest.raises(InvalidParameterError):
         BenchmarkPlan.from_json(path)
     assert cli_main(["benchmark", str(path)]) == 2

@@ -163,6 +163,26 @@ def test_prox_gradient_huge_rho_restarts_stay_sound(rho, parent_iterations, rng)
 
 
 @pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("reg, gamma", [(l2(0.5), None), (mcp(0.5, 4.0), None),
+                                        (mcp(0.5, 4.0), 0.05)])
+def test_solve_on_X_matches_solve_on_D(reg, gamma, sparse, rng):
+    # The outer loop solves on X with target -y*t, not on D = -diag(y) X
+    # with target t: the same w-step, bit for bit.
+    X, t, anchor = make_instance(rng, n=30, d=8)
+    if sparse:
+        X[rng.random(X.shape) < 0.6] = 0.0
+    y = rng.choice([-1.0, 1.0], size=30)
+    D = -y[:, None] * X
+    if sparse:
+        X, D = sp.csr_matrix(X), sp.csr_matrix(D)
+    on_X, on_D = WSolver(X), WSolver(D)
+    for _ in range(2):  # the second mcp solve tries the pattern solve
+        w = on_X.solve(-y * t, anchor, 2.0, 1.0, reg, gamma)
+        assert np.array_equal(w, on_D.solve(t, anchor, 2.0, 1.0, reg, gamma))
+        anchor = w
+
+
+@pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("reg", [l1(0.6), mcp(0.5, 4.0)])
 def test_prox_gradient_matrix_free_matches_gram(reg, sparse, rng, monkeypatch):
     D, target, anchor = make_instance(rng, n=30, d=8)
