@@ -248,6 +248,8 @@ class BenchmarkPlan:
     out: str = "benchmark_out"
 
     def __post_init__(self):
+        if not self.cells:
+            raise InvalidParameterError("a plan needs at least one cell")
         # A run's trace file is named by its cell, solver and seed.
         runs = [(cell.name, cell.solver) for cell in self.cells]
         twice = sorted({run for run in runs if runs.count(run) > 1})

@@ -233,12 +233,21 @@ class ResolvedWeights:
         return np.where(z_sorted <= self.reference, self.sigma_low, self.sigma_high)
 
 
+def _reject_negative(scheme: WeightScheme, weights: np.ndarray, n: int) -> None:
+    if np.any(weights < 0):
+        raise InvalidParameterError(
+            f"{type(scheme).__name__} weights must be nonnegative, "
+            f"min weight {float(weights.min()):g} at n={n}"
+        )
+
+
 def resolve(scheme: WeightScheme, n: int) -> ResolvedWeights:
     """Fix a weight scheme to sample size n, validating scheme invariants."""
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if isinstance(scheme, CPTValueDependent):
         low, high = scheme.branch_vectors(n)
+        _reject_negative(scheme, np.concatenate((low, high)), n)
         return ResolvedWeights(
             n=n,
             sigma=None,
@@ -247,11 +256,7 @@ def resolve(scheme: WeightScheme, n: int) -> ResolvedWeights:
             reference=scheme.B,
         )
     sigma = scheme.resolve(n)
-    if np.any(sigma < 0):
-        raise InvalidParameterError(
-            f"{type(scheme).__name__} weights must be nonnegative, "
-            f"min weight {float(sigma.min()):g} at n={n}"
-        )
+    _reject_negative(scheme, sigma, n)
     if isinstance(scheme, _SPECTRAL):
         total = float(sigma.sum())
         if abs(total - 1.0) > _SUM_TOL:

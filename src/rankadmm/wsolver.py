@@ -73,76 +73,73 @@ class SolveInfo:
 
 
 class WSolver:
-    """Caches the Gram matrix spectral data of a fixed data matrix A (the
-    argument ``D``) across solves.
+    """Holds the Gram matrix spectral data of a fixed data matrix A, built
+    once with the solver and shared by its solves.
 
-    One instance per solve: the caches are mutable but write-once, and
-    the anchor pattern of the latest prox-gradient solve is kept for the
-    next one, so the w-steps of one outer-loop solve share one instance.
+    One instance per solve: the anchor pattern of the latest prox-gradient
+    solve is kept for the next one, so the w-steps of one outer-loop solve
+    share one instance.
     """
 
-    def __init__(self, D: np.ndarray | sp.spmatrix):
-        self.D = D
-        self.n, self.d = D.shape
+    def __init__(self, A: np.ndarray | sp.spmatrix):
+        self.A = A
+        self.n, self.d = A.shape
+        # The dense Gram matrix A^T A and its clipped eigendecomposition,
+        # for d <= _EIG_THRESHOLD; above it, products are A^T (A v).
         self._gram: np.ndarray | None = None
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
-        self._d_norm: float | None = None
-        # (sign, alpha, beta) of the latest prox-gradient anchor's pattern
-        self._pattern: np.ndarray | None = None
-        self.last_info = SolveInfo()
-
-    # -- spectral helpers -------------------------------------------------
-
-    @property
-    def d_norm(self) -> float:
-        """Spectral norm estimate by power iteration from a fixed start."""
-        if self._d_norm is None:
-            v = np.random.default_rng(0).standard_normal(self.d)
-            v /= np.linalg.norm(v)
-            for _ in range(_POWER_ITERATIONS):
-                u = self._gram_matvec(v)
-                nu = np.linalg.norm(u)
-                if nu == 0.0:
-                    self._d_norm = 0.0
-                    return 0.0
-                v = u / nu
-            self._d_norm = float(np.sqrt(v @ self._gram_matvec(v)))
-        return self._d_norm
-
-    def _gram_matrix(self) -> np.ndarray:
-        if self._gram is None:
-            G = self.D.T @ self.D
-            if sp.issparse(G):
-                G = G.toarray()
-            self._gram = np.asarray(G, dtype=float)
-        return self._gram
-
-    def _gram_matvec(self, v: np.ndarray) -> np.ndarray:
         if self.d <= _EIG_THRESHOLD:
-            return self._gram_matrix() @ v
-        return self._rmatvec(self._matvec(v))
-
-    def _eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
+            G = A.T @ A
+            self._gram = np.asarray(G.toarray() if sp.issparse(G) else G, dtype=float)
             try:
-                lam, Q = np.linalg.eigh(self._gram_matrix())
+                lam, Q = np.linalg.eigh(self._gram)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"gram factorization failed: {exc}") from exc
             self._eig = (np.maximum(lam, 0.0), Q)
-        return self._eig
+        # (sign, alpha, beta) of the latest prox-gradient anchor's pattern
+        self._pattern: np.ndarray | None = None
+        self.last_info = SolveInfo()
+        self.d_norm = self._power_iteration()
 
-    def ridge_solve(self, rho: float, shift: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (rho * A^T A + shift * I) x = rhs.
+    # -- spectral helpers -------------------------------------------------
 
-        Eigendecomposition path for moderate d (one-time O(d^3), then
-        O(d^2) per call, any diagonal shift); conjugate gradient beyond.
-        A residual-driven refinement loop keeps the relative residual
-        near machine precision.
+    def _power_iteration(self) -> float:
+        """Spectral norm estimate of A by power iteration from a fixed start."""
+        v = np.random.default_rng(0).standard_normal(self.d)
+        v /= np.linalg.norm(v)
+        for _ in range(_POWER_ITERATIONS):
+            u = self._gram_matvec(v)
+            nu = np.linalg.norm(u)
+            if nu == 0.0:
+                return 0.0
+            v = u / nu
+        return float(np.sqrt(v @ self._gram_matvec(v)))
+
+    def _gram_matvec(self, v: np.ndarray) -> np.ndarray:
+        if self._gram is not None:
+            return self._gram @ v
+        return self._rmatvec(self._matvec(v))
+
+    def _rmatvec(self, v: np.ndarray) -> np.ndarray:
+        return self.A.T @ v
+
+    def _matvec(self, w: np.ndarray) -> np.ndarray:
+        return self.A @ w
+
+    def ridge_solve(
+        self, rho: float, shift: float, rhs: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """Solve (rho * A^T A + shift * I) x = rhs; returns x and its
+        relative residual.
+
+        Eigendecomposition path for moderate d (O(d^2) per call, any
+        diagonal shift); conjugate gradient beyond.  Up to three
+        residual-driven corrections keep the relative residual near
+        machine precision.
         """
         if not (shift > 0):
             raise SolverError(f"ridge shift must be positive, got {shift}")
-        if self.d <= _EIG_THRESHOLD:
-            lam, Q = self._eigendecomposition()
+        if self._gram is not None:
+            lam, Q = self._eig
             denom = rho * lam + shift
 
             def solve_once(b):
@@ -165,40 +162,33 @@ class WSolver:
                 return x
 
         x = solve_once(rhs)
-        norm_rhs = np.linalg.norm(rhs)
-        for _ in range(3):
+        norm_rhs = max(np.linalg.norm(rhs), 1e-300)
+        for corrections in range(4):
             residual = rhs - (rho * self._gram_matvec(x) + shift * x)
-            if np.linalg.norm(residual) <= 1e-12 * max(norm_rhs, 1e-300):
-                break
+            norm_res = np.linalg.norm(residual)
+            if norm_res <= 1e-12 * norm_rhs or corrections == 3:
+                return x, norm_res / norm_rhs
             x = x + solve_once(residual)
-        return x
 
-    # -- exact path for zero / l2 ----------------------------------------
-
-    def _solve_closed_form(
-        self, target: np.ndarray, anchor: np.ndarray, rho: float, r: float, mu: float
+    def _finish(
+        self, w: np.ndarray, method: str, what: str, residual: float, tol: float,
+        iterations: int = 1, restarts: int = 0,
     ) -> np.ndarray:
-        """Exact solve of (rho A^T A + (mu + r) I) w = rho A^T t + r anchor."""
-        rhs = rho * self._rmatvec(target) + r * anchor
-        w = self.ridge_solve(rho, mu + r, rhs)
-        res = np.linalg.norm(rhs - (rho * self._gram_matvec(w) + (mu + r) * w))
-        rel = res / max(np.linalg.norm(rhs), 1e-300)
-        self.last_info = SolveInfo(method="closed_form", iterations=1, residual=rel)
-        if not rel <= 1e-10:
-            self.last_info.warning = f"linear solve residual {rel:.2e} above 1e-10"
+        """Record the solve in ``last_info``, with a logged warning when the
+        residual misses its tolerance; returns w."""
+        self.last_info = SolveInfo(method, iterations, residual, restarts)
+        if not residual <= tol:
+            self.last_info.warning = (
+                f"{what} {residual:.2e} above tol {tol:.2e} after {iterations} iters"
+            )
             logger.warning(self.last_info.warning)
         return w
-
-    def _rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self.D.T @ v
-
-    def _matvec(self, w: np.ndarray) -> np.ndarray:
-        return self.D @ w
 
     # -- accelerated proximal gradient ------------------------------------
 
     def _solve_prox_gradient(
-        self, target: np.ndarray, anchor: np.ndarray, rho: float, r: float, reg: RegularizerSpec
+        self, target: np.ndarray, anchor: np.ndarray, At: np.ndarray, c: np.ndarray,
+        rho: float, r: float, reg: RegularizerSpec,
     ) -> np.ndarray:
         """Accelerated proximal gradient with gradient restarts.
 
@@ -225,7 +215,6 @@ class WSolver:
         penalty value; the objective is evaluated only in the set-up, to
         choose the start.
         """
-        At = self._rmatvec(target)
 
         def q_grad(v, Gv):
             return rho * (Gv - At) + r * (v - anchor)
@@ -236,15 +225,14 @@ class WSolver:
         def mapping_at(v, Gv):
             return float(np.linalg.norm(v - prox(reg, eta, v - eta * q_grad(v, Gv)))) / eta
 
-        if self.d <= _EIG_THRESHOLD:
-            w = self._pattern_solve(At, anchor, rho, r, reg)
+        if self._gram is not None:
+            w = self._pattern_solve(c, anchor, rho, r, reg)
             if w is not None:
                 mapping = mapping_at(w, self._gram_matvec(w))
-                if mapping <= _stop_at(L, w):
-                    self.last_info = SolveInfo(
-                        method="prox_gradient", iterations=0, residual=mapping
-                    )
-                    return w
+                stop_at = _stop_at(L, w)
+                if mapping <= stop_at:
+                    return self._finish(w, "prox_gradient", "prox-gradient mapping",
+                                        mapping, stop_at, iterations=0)
 
         def full(v):
             rz = self._matvec(v) - target
@@ -253,7 +241,7 @@ class WSolver:
                 0.5 * rho * float(rz @ rz) + 0.5 * r * float(dv @ dv) + reg_value(reg, v)
             )
 
-        ridge = self.ridge_solve(rho, r, rho * At + r * anchor)
+        ridge, _ = self.ridge_solve(rho, r, c)
         w = anchor.copy() if full(anchor) <= full(ridge) else ridge
         Gw = self._gram_matvec(w)
         y, Gy = w.copy(), Gw
@@ -287,19 +275,11 @@ class WSolver:
             y = w_new + beta * (w_new - w)
             Gy = Gw_new + beta * (Gw_new - Gw)
             w, Gw, t_momentum = w_new, Gw_new, t_next
-        self.last_info = SolveInfo(
-            method="prox_gradient", iterations=iterations, residual=mapping,
-            restarts=restarts,
-        )
-        if not mapping <= _stop_at(L, w):
-            self.last_info.warning = (
-                f"prox-gradient mapping {mapping:.2e} above tol after {iterations} iters"
-            )
-            logger.warning(self.last_info.warning)
-        return w
+        return self._finish(w, "prox_gradient", "prox-gradient mapping", mapping,
+                            _stop_at(L, w), iterations, restarts)
 
     def _pattern_solve(
-        self, At: np.ndarray, anchor: np.ndarray, rho: float, r: float, reg: RegularizerSpec
+        self, c: np.ndarray, anchor: np.ndarray, rho: float, r: float, reg: RegularizerSpec
     ) -> np.ndarray | None:
         """The w-step's stationary point on the anchor's pattern, or None.
 
@@ -309,10 +289,10 @@ class WSolver:
         (``affine_pieces``).  Stationarity of the smooth part plus g on S
         is then the linear system
 
-            (rho G_SS + diag(r - beta_S)) w_S
-                = rho (A^T t)_S + r anchor_S - alpha_S sign(anchor_S),
+            (rho G_SS + diag(r - beta_S)) w_S = c_S - alpha_S sign(anchor_S),
 
-        positive definite because r > c >= beta.  Whether w stays on the
+        positive definite because r exceeds the penalty's weak-convexity
+        modulus, which bounds beta.  Whether w stays on the
         pattern is left to the caller's mapping test.
 
         A rejected solve at |S| = 2000 takes about 0.2 s, up to three times
@@ -329,10 +309,10 @@ class WSolver:
         if not held:
             return None
         S = np.flatnonzero(sign)
-        M = self._gram_matrix()[S][:, S]
+        M = self._gram[S][:, S]
         M *= rho
         M[np.diag_indices_from(M)] += r - beta[S]
-        b = rho * At[S] + r * anchor[S] - alpha[S] * sign[S]
+        b = c[S] - alpha[S] * sign[S]
         try:
             w_S = np.linalg.solve(M, b)
         except np.linalg.LinAlgError:
@@ -344,13 +324,8 @@ class WSolver:
     # -- smoothed penalty --------------------------------------------------
 
     def _solve_smooth(
-        self,
-        target: np.ndarray,
-        anchor: np.ndarray,
-        rho: float,
-        r: float,
-        reg: RegularizerSpec,
-        gamma: float,
+        self, target: np.ndarray, anchor: np.ndarray, c: np.ndarray,
+        rho: float, r: float, reg: RegularizerSpec, gamma: float,
     ) -> np.ndarray:
         """Minimize q(w) + smoothed penalty to gradient norm <= _TOL by the
         exact reformulation min_{w,x} q(w) + g(x) + ||x-w||^2/(2 gamma).
@@ -361,11 +336,10 @@ class WSolver:
         on x with restarts; convergence is measured on the true smoothed
         gradient at w(x).
         """
-        base_rhs = rho * self._rmatvec(target) + r * anchor
         shift = r + 1.0 / gamma
 
         def w_of_x(x):
-            return self.ridge_solve(rho, shift, base_rhs + x / gamma)
+            return self.ridge_solve(rho, shift, c + x / gamma)[0]
 
         a = rho * self.d_norm**2 + r
         L_x = a / (1.0 + gamma * a)
@@ -416,16 +390,8 @@ class WSolver:
             y = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
             x, w, f_x, t_momentum = x_new, w_new, f_new, t_next
             gnorm = true_grad_norm(w)
-        self.last_info = SolveInfo(
-            method="smooth_splitting", iterations=iterations, residual=gnorm,
-            restarts=restarts,
-        )
-        if not gnorm <= _stop_at(curvature, w):
-            self.last_info.warning = (
-                f"smoothed solve gradient {gnorm:.2e} above tol after {iterations} iters"
-            )
-            logger.warning(self.last_info.warning)
-        return w
+        return self._finish(w, "smooth_splitting", "smoothed solve gradient", gnorm,
+                            _stop_at(curvature, w), iterations, restarts)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -440,9 +406,15 @@ class WSolver:
     ) -> np.ndarray:
         """One w-step.  ``gamma`` selects the smoothed penalty (the Moreau
         envelope of ``reg``); None minimizes with ``reg`` itself.  Requires
-        r above the penalty's weak-convexity modulus either way."""
+        r above the penalty's weak-convexity modulus either way.
+
+        Every method solves with the right-hand side c = rho A^T t + r anchor;
+        zero and l2 penalties solve (rho A^T A + (mu + r) I) w = c exactly."""
+        At = self._rmatvec(target)
+        c = rho * At + r * anchor
         if gamma is not None:
-            return self._solve_smooth(target, anchor, rho, r, reg, gamma)
+            return self._solve_smooth(target, anchor, c, rho, r, reg, gamma)
         if reg.variant in ("zero", "l2"):
-            return self._solve_closed_form(target, anchor, rho, r, reg.mu)
-        return self._solve_prox_gradient(target, anchor, rho, r, reg)
+            w, rel = self.ridge_solve(rho, reg.mu + r, c)
+            return self._finish(w, "closed_form", "linear solve residual", rel, 1e-10)
+        return self._solve_prox_gradient(target, anchor, At, c, rho, r, reg)

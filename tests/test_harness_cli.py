@@ -132,6 +132,14 @@ def test_cli_train_bad_scheme_value_exits_2(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_cli_train_negative_cpt_weights_exits_2(tmp_path, capsys):
+    # At gamma = 0.1 the optimistic branch has negative weights at n = 12.
+    assert cli_main(["train", "--scheme", "cpt", "--cpt-gamma", "0.1",
+                     "--out", str(tmp_path)]) == 2
+    assert "CPTValueDependent weights must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_cli_unknown_flag_exits_2():
     assert cli_main(["train", "--nonsense"]) == 2
     assert cli_main(["definitely-not-a-command"]) == 2
@@ -234,10 +242,12 @@ _INVALID_CELLS = [
 ]
 
 
-#: (top-level plan keys set beside a valid "cells", text the error names)
+#: (top-level plan keys set beside, or over, a valid "cells"; text the
+#: error names)
 _INVALID_PLAN_KEYS = [
     ({"outt": "x"}, "'outt'"),
     ({"out": 5}, "'out'"),
+    ({"cells": []}, "at least one cell"),
 ]
 
 

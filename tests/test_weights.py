@@ -113,6 +113,21 @@ def test_human_aligned_negative_weights_rejected():
     assert resolve(HumanAligned(0.4, 0.6), 10).sigma.min() > 0
 
 
+def test_cpt_negative_branch_weights_rejected():
+    # Below an exponent of about 0.28 cpt_omega is not monotone, so a
+    # branch column takes negative weights; both branches are checked.
+    low, high = CPTValueDependent(gamma=0.1, delta=0.1).branch_vectors(50)
+    assert min(low.min(), high.min()) == pytest.approx(-7.2e-4, rel=0.01)
+    for scheme in (CPTValueDependent(gamma=0.1), CPTValueDependent(delta=0.1)):
+        with pytest.raises(InvalidParameterError, match="CPTValueDependent.*min weight -.*n=50"):
+            resolve(scheme, 50)
+    X, y = np.ones((50, 2)), np.ones(50)
+    with pytest.raises(InvalidParameterError, match="CPTValueDependent"):
+        Problem(X=X, y=y, weights=CPTValueDependent(gamma=0.1, delta=0.1))
+    resolved = resolve(CPTValueDependent(), 50)
+    assert min(resolved.sigma_low.min(), resolved.sigma_high.min()) >= 0
+
+
 def test_cpt_omega_endpoints():
     for exponent in (0.3, 0.61, 1.0):
         assert cpt_omega(0.0, exponent) == 0.0

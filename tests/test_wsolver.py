@@ -94,6 +94,40 @@ def test_closed_form_extreme_rho(rng):
     assert np.linalg.norm(w - ls) <= 1e-6 * max(1.0, np.linalg.norm(ls))
 
 
+def ill_conditioned(rng, n=30, d=6, decades=6):
+    """A dense D with singular values 1 .. 10^-decades and rotated singular
+    vectors, so that its Gram eigendecomposition is not exact."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return U @ np.diag(np.logspace(0, -decades, d)) @ V.T
+
+
+@pytest.mark.parametrize("rho, r, corrections", [(2.0, 1.0, 0), (1e16, 1e-12, 3)])
+def test_closed_form_residual_is_that_of_the_returned_w(rho, r, corrections, monkeypatch):
+    rng = np.random.default_rng(3)
+    D = ill_conditioned(rng) if corrections else rng.standard_normal((30, 6))
+    target, anchor = rng.standard_normal(30), rng.standard_normal(6)
+    reg = ZERO if corrections else l2(0.3)
+    solver = WSolver(D)
+    products = []
+    gram_matvec = WSolver._gram_matvec
+
+    def counted(self, v):
+        products.append(1)
+        return gram_matvec(self, v)
+
+    monkeypatch.setattr(WSolver, "_gram_matvec", counted)
+    w = solver.solve(target, anchor, rho, r, reg)
+    # one residual per iterate: the first solve's and one per correction
+    assert len(products) == 1 + corrections
+    rhs = rho * (D.T @ target) + r * anchor
+    res = rhs - (rho * ((D.T @ D) @ w) + (reg.mu + r) * w)
+    rel = np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300)
+    info = solver.last_info
+    assert info.method == "closed_form" and info.warning is None
+    assert np.float64(info.residual).tobytes() == np.float64(rel).tobytes()
+
+
 def test_prox_gradient_pure_prox_when_data_vanishes(rng):
     d = 4
     D = np.zeros((6, d))
