@@ -21,14 +21,13 @@ class RawDataset:
 
     X: np.ndarray | sp.spmatrix
     y: np.ndarray
-    source: str = ""
 
     @property
     def sample_count(self) -> int:
         return self.X.shape[0]
 
     def subset(self, idx: np.ndarray) -> "RawDataset":
-        return RawDataset(self.X[idx], self.y[idx], source=self.source)
+        return RawDataset(self.X[idx], self.y[idx])
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def load_libsvm(path) -> RawDataset:
         (vals, (rows, cols)), shape=(n, max(max_col, 1)), dtype=float
     )
     y = _normalize_labels(np.asarray(labels), str(path))
-    return RawDataset(X, y, source=str(path))
+    return RawDataset(X, y)
 
 
 def load_csv(path) -> RawDataset:
@@ -150,7 +149,7 @@ def load_csv(path) -> RawDataset:
     if not np.all(np.isfinite(arr)):
         raise DataFormatError("non-finite entries in csv")
     y = _normalize_labels(arr[:, 0], str(path))
-    return RawDataset(arr[:, 1:].copy(), y, source=str(path))
+    return RawDataset(arr[:, 1:].copy(), y)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> RawDataset:
@@ -168,7 +167,7 @@ def generate_synthetic(spec: SyntheticSpec) -> RawDataset:
     if spec.flip_fraction > 0:
         flips = rng.random(spec.n) < spec.flip_fraction
         y = np.where(flips, -y, y)
-    return RawDataset(X, y, source=f"synthetic(seed={spec.seed})")
+    return RawDataset(X, y)
 
 
 def split_fractions(fractions) -> tuple[float, ...]:
@@ -220,8 +219,8 @@ def standardize(train: RawDataset, *others: RawDataset) -> tuple[RawDataset, ...
     mean = Xt.mean(axis=0)
     std = Xt.std(axis=0, ddof=0)
     scale = np.where(std > 0, std, 1.0)
-    result = [RawDataset((Xt - mean) / scale, train.y.copy(), source=train.source)]
+    result = [RawDataset((Xt - mean) / scale, train.y.copy())]
     for ds in others:
         Xo = dense(ds)
-        result.append(RawDataset((Xo - mean) / scale, ds.y.copy(), source=ds.source))
+        result.append(RawDataset((Xo - mean) / scale, ds.y.copy()))
     return tuple(result)

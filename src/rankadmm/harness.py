@@ -25,6 +25,7 @@ calling process runs the rest.
 from __future__ import annotations
 
 import collections
+import csv
 import json
 import logging
 import os
@@ -183,7 +184,9 @@ class BenchmarkCell:
     solver: str = "admm"
     config: dict = field(default_factory=dict)
     split: dict | None = None
-    repetitions: int = 1
+    #: Runs seeds 0..repetitions-1 (one run when neither this nor
+    #: ``seeds`` is set); ``seeds`` lists them instead.
+    repetitions: int | None = None
     seeds: list[int] | None = None
 
     def __post_init__(self):
@@ -192,11 +195,17 @@ class BenchmarkCell:
         # Build every part a run needs, so a bad cell fails before any run.
         # A data file is not opened: one that cannot be read is a failed run.
         try:
-            if _parse(to_int, self.repetitions, "key 'repetitions'") < 1:
+            # The name starts every file name a run writes in the output directory.
+            if any(sep in str(self.name) for sep in "/\\"):
+                raise InvalidParameterError("key 'name' holds a path separator")
+            reps = self.repetitions
+            if reps is not None and _parse(to_int, reps, "key 'repetitions'") < 1:
                 raise InvalidParameterError("repetitions must be >= 1")
             if isinstance(self.seeds, str):
                 raise InvalidParameterError(f"seeds must be a list, got {self.seeds!r}")
             self.run_seeds()
+            if reps is not None and self.seeds is not None:
+                raise InvalidParameterError("set key 'repetitions' or key 'seeds', not both")
             self._check_dataset()
             if self.split:
                 _split_args(self.split, 0)
@@ -223,6 +232,8 @@ class BenchmarkCell:
     def run_seeds(self) -> list[int]:
         if self.seeds is not None:
             return [_parse(to_int, s, "key 'seeds'") for s in self.seeds]
+        if self.repetitions is None:
+            return [0]
         return list(range(_parse(to_int, self.repetitions, "key 'repetitions'")))
 
     def problem_key(self) -> str:
@@ -542,10 +553,14 @@ def summarize(plan: BenchmarkPlan, records: list[RunRecord]) -> list[dict]:
 
 
 def _write_summary_csv(path: Path, summary: list[dict]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
+    """One row per (cell, solver), floats by repr; a field holding a comma,
+    quote or line break is quoted, as the csv module reads it back."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_COLUMNS)
         for row in summary:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in SUMMARY_COLUMNS) + "\n")
+            writer.writerow(repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                            for c in SUMMARY_COLUMNS)
 
 
 def _write_suboptimality(plan: BenchmarkPlan, records: list[RunRecord], out: Path) -> None:

@@ -15,24 +15,29 @@ above the stack top is pushed as one (start, end) entry, and a merge that
 reaches into it pops its last singleton by shortening it.  Python work
 therefore scales with merges, not with n.
 
-For constant weights the blocks are valued lazily.  A singleton below the
-stack top starts a block that carries only its weight sum, size and
-target sum.  Each fold is decided by the sign of the block objective's
-slope at a neighbour's value (:func:`~rankadmm.losses.block_side`): the
-block folds in the stack top while its minimizer lies below the top's
-value, and absorbs the next singleton while its minimizer lies above that
-singleton's value.  The block objective is convex, so the sign is exactly
-the comparison with the minimizer, and pooling order does not change the
-result (Best et al.), so only a pushed block needs its value: one scalar
-solve per pushed block, bracketed by the smallest and largest values of
-the parts it pooled.  The sorted solution is a copy of the singleton
-values with each merged block written over its range.
+The pass is shared by every weight scheme; only its fold rule, run when a
+singleton lies below the stack top, depends on the scheme.
 
-The value-dependent prospect-theory weights use the same stack with two
-weight-sum columns, an array two-piece singleton solve and the two-piece
-scalar solver.  That block objective is not convex, so no slope sign
-decides a fold: when the stack top exceeds the next block, the run of
-strictly decreasing values starting at the top is extended over the
+For constant weights (:func:`_fold_lazy`) the blocks are valued lazily.
+A singleton below the stack top starts a block that carries only its
+weight sum, size and target sum.  Each fold is decided by the sign of the
+block objective's slope at a neighbour's value
+(:func:`~rankadmm.losses.block_side`): the block folds in the stack top
+while its minimizer lies below the top's value, and absorbs the next
+singleton while its minimizer lies above that singleton's value.  The
+block objective is convex, so the sign is exactly the comparison with the
+minimizer, and pooling order does not change the result (Best et al.), so
+only a pushed block needs its value: one scalar solve per pushed block,
+bracketed by the smallest and largest values of the parts it pooled.  The
+sorted solution is a copy of the singleton values with each merged block
+written over its range.
+
+For the value-dependent prospect-theory weights (:func:`_fold_cpt`) a
+block carries two weight sums, one per piece, as two floats; the
+singletons come from an array two-piece solve and every fold from the
+two-piece scalar solver.  That block objective is not convex, so no slope
+sign decides a fold: when the stack top exceeds the next block, the run
+of strictly decreasing values starting at the top is extended over the
 following singletons and folded with one solve, and the result is
 compared with the new stack top.
 
@@ -88,43 +93,48 @@ def merge_blocks(
     Computes every singleton value first, in one array solve; a singleton
     whose weights are all zero is an exact quadratic and takes its target
     directly.  Then one stack pass pushes each in-order stretch of
-    singletons as one entry and pools every violation.  For constant
-    weights a block under construction carries only its sums: each fold
-    into it is decided by :func:`~rankadmm.losses.block_side`, and its one
-    scalar solve runs when it is pushed.  The value-dependent weights
-    solve after every fold; their result is a first-order point, not
-    necessarily a global minimum, and it depends on this merge order.
+    singletons as one entry and hands every violation to the scheme's fold
+    rule.  For constant weights (:func:`_fold_lazy`) a block under
+    construction carries only its sums: each fold into it is decided by
+    :func:`~rankadmm.losses.block_side`, and its one scalar solve runs when
+    it is pushed.  The value-dependent weights (:func:`_fold_cpt`) solve
+    after every fold; their result is a first-order point, not necessarily
+    a global minimum, and it depends on this merge order.
     """
     cpt = resolved.is_value_dependent
-    if cpt:
-        col_arrs = [resolved.sigma_low, resolved.sigma_high]
-    else:
-        col_arrs = [resolved.sigma]
+    cols = [resolved.sigma_low, resolved.sigma_high] if cpt else [resolved.sigma]
     # Validated once here: the scalar solves take plain floats unchecked.
     if not (rho > 0):
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not np.all(np.isfinite(m_sorted)):
         raise InvalidParameterError("targets contain non-finite entries")
-    for col in col_arrs:
+    for col in cols:
         if not (col.min() >= 0.0 and col.max() < math.inf):
             raise InvalidParameterError("rank weights must be finite and nonnegative")
     if cpt:
-        singles_arr = singleton_minimize_cpt(
-            resolved.sigma_low, resolved.sigma_high, m_sorted, resolved.reference, rho, kind
-        )
+        singles_arr = singleton_minimize_cpt(*cols, m_sorted, resolved.reference, rho, kind)
+        fold, weights = _fold_cpt, tuple(memoryview(col) for col in cols)
     else:
         singles_arr = singleton_minimize(resolved.sigma, m_sorted, rho, kind)
+        fold, weights = _fold_lazy, memoryview(resolved.sigma)
 
     n = singles_arr.shape[0]
     # Starts of the in-order stretches: singletons below their left neighbour.
     breaks = (np.flatnonzero(singles_arr[1:] < singles_arr[:-1]) + 1).tolist() + [n]
     # Per-merge reads go through memoryviews, which index to Python floats.
     singles, targets = memoryview(singles_arr), memoryview(m_sorted)
-    cols = [memoryview(col) for col in col_arrs]
-    if cpt:
-        stack = _eager_pass_cpt(singles, cols, targets, breaks, rho, resolved.reference, kind)
-    else:
-        stack = _lazy_pass(singles, cols[0], targets, breaks, rho, kind)
+    stack: list[list] = [[0, 0, -math.inf, None, 0.0]]
+    k = b = 0
+    while k < n:
+        if stack[-1][2] > singles[k]:
+            k = fold(stack, k, singles, weights, targets, rho, resolved.reference, kind)
+            continue
+        # Nothing to merge up to the next break: push the stretch.
+        while breaks[b] <= k:
+            b += 1
+        end = breaks[b]
+        stack.append([k, end, singles[end - 1], None, 0.0])
+        k = end
     # The sorted result: the singletons, each merged block written over its range.
     z = singles_arr.copy()
     starts = np.ones(n, dtype=bool)
@@ -135,17 +145,30 @@ def merge_blocks(
     return BlockPartition(np.flatnonzero(starts), z)
 
 
-# Both passes build the same stack, one entry [lo, end, value, sums, msum]
-# per block or stretch covering lo..end-1.  A stretch of singletons has
-# sums None, and its value is that of its last singleton; a merged block
-# carries its value, weight sums and target sum.  The empty bottom entry at
-# -inf is never popped.  A stretch is pushed whole when its first singleton
-# is not below the stack top; a merge that reaches into it pops its last
-# singleton by shortening it.
+# The stack holds one entry [lo, end, value, sums, msum] per block or
+# stretch covering lo..end-1.  A stretch of singletons has sums None, and
+# its value is that of its last singleton; a merged block carries its
+# value, weight sums (one float, or a (low, high) pair for the
+# value-dependent weights) and target sum.  The empty bottom entry at -inf
+# is never popped.  A fold rule is called when singleton k lies below the
+# stack top; it pushes one merged block ending at the returned index.
 
 
-def _lazy_pass(singles, sigma, targets, breaks, rho, kind) -> list[list]:
-    """The stack pass for constant weights, valuing each block lazily.
+def _pop_singleton(stack: list[list], singles) -> int:
+    """Pop the last singleton of the stretch on top of the stack, by
+    shortening the stretch; return its index."""
+    top = stack[-1]
+    lo = top[1] - 1
+    if lo == top[0]:
+        stack.pop()
+    else:
+        top[1], top[2] = lo, singles[lo - 1]
+    return lo
+
+
+def _fold_lazy(stack, k, singles, sigma, targets, rho, reference, kind) -> int:
+    """The fold rule for constant weights, valuing the block lazily
+    (``reference`` is unused; both rules take the same arguments).
 
     A block under construction is its first index and its weight and
     target sums; :func:`block_side` decides each fold, and
@@ -156,106 +179,67 @@ def _lazy_pass(singles, sigma, targets, breaks, rho, kind) -> list[list]:
     bracket.  Sums run left to right.
     """
     n = len(singles)
-    stack: list[list] = [[0, 0, -math.inf, None, 0.0]]
-    k = 0
-    b = 0
-    while k < n:
-        if not stack[-1][2] > singles[k]:
-            # Nothing to merge up to the next break: push the stretch.
-            while breaks[b] <= k:
-                b += 1
-            end = breaks[b]
-            stack.append([k, end, singles[end - 1], None, 0.0])
-            k = end
-            continue
-        # Singleton k lies below the stack top, so the first step is a fold.
-        c_lo, c_s, c_msum = k, sigma[k], targets[k]
-        v_lo = v_hi = singles[k]
-        k += 1
-        fold = True
-        while True:
-            if fold:
-                top = stack[-1]
-                t_lo, t_end, t_value, t_s, t_msum = top
-                if t_s is None:
-                    # Pop the stretch's last singleton.
-                    c_lo = t_end - 1
-                    if c_lo == t_lo:
-                        stack.pop()
-                    else:
-                        top[1], top[2] = c_lo, singles[c_lo - 1]
-                    c_s, c_msum = sigma[c_lo] + c_s, targets[c_lo] + c_msum
-                else:
-                    stack.pop()
-                    c_lo, c_s, c_msum = t_lo, t_s + c_s, t_msum + c_msum
-                if t_value > v_hi:
-                    v_hi = t_value
-            elif k < n and block_side(c_s, k - c_lo, c_msum, rho, kind, singles[k]) > 0:
-                if singles[k] < v_lo:
-                    v_lo = singles[k]
-                c_s, c_msum = c_s + sigma[k], c_msum + targets[k]
-                k += 1
-            else:
-                break
-            fold = block_side(c_s, k - c_lo, c_msum, rho, kind, stack[-1][2]) < 0
-        v = block_minimize(c_s, k - c_lo, c_msum, rho, kind, v_lo, v_hi)
-        stack.append([c_lo, k, v, c_s, c_msum])
-    return stack
-
-
-def _eager_pass_cpt(singles, cols, targets, breaks, rho, reference, kind) -> list[list]:
-    """The stack pass for the value-dependent weights, solving every fold.
-
-    Its two-piece block objective is not convex, so no slope sign decides
-    a fold.  When the stack top exceeds the next singleton, the run of
-    strictly decreasing values starting at the top is extended over the
-    following singletons and folded into one block with a single two-piece
-    solve; the merged block is then compared with the new stack top.
-    ``cols`` holds the low- and high-piece weight columns.
-    """
-    n = len(singles)
-    stack: list[list] = [[0, 0, -math.inf, None, 0.0]]
-    k = 0
-    b = 0
-    while k < n:
-        if not stack[-1][2] > singles[k]:
-            # Nothing to merge up to the next break: push the stretch.
-            while breaks[b] <= k:
-                b += 1
-            end = breaks[b]
-            stack.append([k, end, singles[end - 1], None, 0.0])
-            k = end
-            continue
-        c_lo, c_value, c_sums, c_msum = k, singles[k], [col[k] for col in cols], targets[k]
-        k += 1
-        while stack[-1][2] > c_value:
-            # Fold the top, the current block and every following singleton
-            # below the run's last value, summing left to right.
-            top = stack[-1]
-            t_lo, t_end, _, t_sums, t_msum = top
-            if t_sums is None:
-                # Pop the stretch's last singleton.
-                if t_end - 1 == t_lo:
-                    stack.pop()
-                else:
-                    top[1], top[2] = t_end - 1, singles[t_end - 2]
-                t_lo = t_end - 1
-                sums = [col[t_lo] + c for col, c in zip(cols, c_sums)]
-                r_msum = targets[t_lo] + c_msum
+    c_lo, c_s, c_msum = k, sigma[k], targets[k]
+    v_lo = v_hi = singles[k]
+    k += 1
+    fold = True
+    while True:
+        if fold:
+            t_lo, _, t_value, t_s, t_msum = stack[-1]
+            if t_s is None:
+                c_lo = _pop_singleton(stack, singles)
+                c_s, c_msum = sigma[c_lo] + c_s, targets[c_lo] + c_msum
             else:
                 stack.pop()
-                sums = [a + c for a, c in zip(t_sums, c_sums)]
-                r_msum = t_msum + c_msum
-            v_last = c_value
-            while k < n and v_last > singles[k]:
-                v_last = singles[k]
-                sums = [a + col[k] for a, col in zip(sums, cols)]
-                r_msum += targets[k]
-                k += 1
-            v = block_minimize_cpt(sums[0], sums[1], k - t_lo, r_msum, rho, reference, kind)
-            c_lo, c_value, c_sums, c_msum = t_lo, v, sums, r_msum
-        stack.append([c_lo, k, c_value, c_sums, c_msum])
-    return stack
+                c_lo, c_s, c_msum = t_lo, t_s + c_s, t_msum + c_msum
+            if t_value > v_hi:
+                v_hi = t_value
+        elif k < n and block_side(c_s, k - c_lo, c_msum, rho, kind, singles[k]) > 0:
+            if singles[k] < v_lo:
+                v_lo = singles[k]
+            c_s, c_msum = c_s + sigma[k], c_msum + targets[k]
+            k += 1
+        else:
+            break
+        fold = block_side(c_s, k - c_lo, c_msum, rho, kind, stack[-1][2]) < 0
+    v = block_minimize(c_s, k - c_lo, c_msum, rho, kind, v_lo, v_hi)
+    stack.append([c_lo, k, v, c_s, c_msum])
+    return k
+
+
+def _fold_cpt(stack, k, singles, weights, targets, rho, reference, kind) -> int:
+    """The fold rule for the value-dependent weights, solving every fold.
+
+    Its two-piece block objective is not convex, so no slope sign decides
+    a fold.  While the stack top exceeds the current block, the run of
+    strictly decreasing values starting at the top is extended over the
+    following singletons and folded into one block with a single two-piece
+    solve.  ``weights`` holds the low- and high-piece weight columns; the
+    block carries their sums as two floats, summed left to right.
+    """
+    low, high = weights
+    n = len(singles)
+    c_lo, c_value, c_low, c_high, c_msum = k, singles[k], low[k], high[k], targets[k]
+    k += 1
+    while stack[-1][2] > c_value:
+        t_lo, _, _, t_sums, t_msum = stack[-1]
+        if t_sums is None:
+            c_lo = _pop_singleton(stack, singles)
+            c_low, c_high = low[c_lo] + c_low, high[c_lo] + c_high
+            c_msum = targets[c_lo] + c_msum
+        else:
+            stack.pop()
+            c_lo, c_msum = t_lo, t_msum + c_msum
+            c_low, c_high = t_sums[0] + c_low, t_sums[1] + c_high
+        # Fold every following singleton below the run's last value.
+        v_last = c_value
+        while k < n and v_last > singles[k]:
+            v_last = singles[k]
+            c_low, c_high, c_msum = c_low + low[k], c_high + high[k], c_msum + targets[k]
+            k += 1
+        c_value = block_minimize_cpt(c_low, c_high, k - c_lo, c_msum, rho, reference, kind)
+    stack.append([c_lo, k, c_value, (c_low, c_high), c_msum])
+    return k
 
 
 def solve_z_subproblem(

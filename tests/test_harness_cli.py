@@ -239,6 +239,8 @@ _INVALID_CELLS = [
     # json reads Infinity: the run would fail at iteration 0
     ({"config": {"r": np.inf}}, "r must be positive and finite"),
     ({"config": {"schedule": "constant:inf"}}, "'schedule'"),
+    # make_plan's cell sets repetitions: a cell runs one list of seeds
+    ({"seeds": [0]}, "'repetitions'"),
 ]
 
 
@@ -274,8 +276,7 @@ def test_cli_benchmark_invalid_plan_exits_2(tmp_path, capsys, change, top, named
 
 def test_cli_benchmark_duplicate_cell_exits_2(tmp_path, capsys):
     # Both cells' runs would write c_admm_seed0.csv.
-    cell = dict(json.loads(make_plan(tmp_path, reps=1).read_text())["cells"][0],
-                name="c", seeds=[0])
+    cell = dict(json.loads(make_plan(tmp_path, reps=1).read_text())["cells"][0], name="c")
     path = tmp_path / "dup_plan.json"
     path.write_text(json.dumps({"cells": [cell, cell], "out": str(tmp_path / "out")}))
     with pytest.raises(InvalidParameterError, match="'c'"):
@@ -544,6 +545,38 @@ def test_cli_train_matches_its_plan_cell(tmp_path, capsys, flags, cell):
     train_rows = _rows_without_wall(tmp_path / "train" / "trace.csv")
     assert len(train_rows) > 1
     assert train_rows == plan_rows
+
+
+@pytest.mark.parametrize("name", ["../escape", "..\\escape"])
+def test_cli_benchmark_cell_name_with_path_separator_exits_2(tmp_path, capsys, name):
+    # The name starts every file a run writes: "../escape" would write
+    # escape_admm_seed0.csv beside the output directory.
+    cell = dict(json.loads(make_plan(tmp_path, reps=1).read_text())["cells"][0], name=name)
+    path = tmp_path / "escape_plan.json"
+    path.write_text(json.dumps({"cells": [cell], "out": str(tmp_path / "out")}))
+    with pytest.raises(InvalidParameterError, match="'name'"):
+        BenchmarkPlan.from_json(path)
+    assert cli_main(["benchmark", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "'name'" in err
+    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.glob("*escape*")) == ["escape_plan.json"]
+
+
+def test_summary_csv_quotes_a_cell_name_with_a_comma(tmp_path, capsys):
+    good = json.loads(make_plan(tmp_path, reps=1).read_text())["cells"][0]
+    path = tmp_path / "comma_plan.json"
+    path.write_text(json.dumps({"cells": [dict(good, name="a,b"), good],
+                                "out": str(tmp_path / "out")}))
+    assert cli_main(["benchmark", str(path)]) == 0
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["cell"], r["solver"], r["runs"]) for r in rows] == [
+        ("a,b", "admm", "1"), ("erm-l2", "admm", "1")]
+    # a plainly named cell is written unquoted, one line ending in "\n"
+    lines = (tmp_path / "out" / "summary.csv").read_bytes().split(b"\n")
+    assert lines[1].startswith(b'"a,b",admm,1,0,') and lines[2].startswith(b"erm-l2,admm,1,0,")
+    assert lines[3] == b"" and b"\r" not in lines[1] + lines[2]
 
 
 def _mixed_plan(tmp_path, bad_cell: dict):
