@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataFormatError, InvalidParameterError
+from .errors import DataFormatError, InvalidParameterError, to_float
 
 _DENSIFY_LIMIT = 64
 
@@ -125,7 +125,9 @@ def load_libsvm(path) -> RawDataset:
 
 
 def load_csv(path) -> RawDataset:
-    """Dense CSV with header ``y,f1,...,fd``."""
+    """Dense CSV with header ``y,f1,...,fd``.  Every row holds as many
+    fields as the first; the first row that does not raises with its line
+    number."""
     path = Path(path)
     with _open_text(path) as fh:
         header = fh.readline().strip()
@@ -137,14 +139,18 @@ def load_csv(path) -> RawDataset:
             if not line:
                 continue
             try:
-                data.append([float(tok) for tok in line.split(",")])
+                row = [float(tok) for tok in line.split(",")]
             except ValueError:
                 raise DataFormatError(f"bad row {line!r}", line=lineno) from None
+            if data and len(row) != len(data[0]):
+                raise DataFormatError(
+                    f"row has {len(row)} fields, the first row {len(data[0])}", line=lineno
+                )
+            data.append(row)
     if not data:
         raise DataFormatError(f"no samples in {path}")
     arr = np.asarray(data)
-    widths = {len(row) for row in data}
-    if len(widths) != 1 or arr.shape[1] < 2:
+    if arr.shape[1] < 2:
         raise DataFormatError("rows must all have a label plus >= 1 feature")
     if not np.all(np.isfinite(arr)):
         raise DataFormatError("non-finite entries in csv")
@@ -172,7 +178,7 @@ def generate_synthetic(spec: SyntheticSpec) -> RawDataset:
 
 def split_fractions(fractions) -> tuple[float, ...]:
     """The fractions of a split as floats: nonnegative, summing to 1."""
-    fractions = tuple(float(f) for f in fractions)
+    fractions = tuple(to_float(f) for f in fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise InvalidParameterError(f"fractions sum to {sum(fractions)}, expected 1")
     if any(f < 0 for f in fractions):

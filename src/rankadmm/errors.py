@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check
-that raises one."""
+"""Exception types shared across the package, and the number checks
+that raise one."""
 
 import operator
 
@@ -49,3 +49,11 @@ def check_positive_int(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
     if as_int < 1:
         raise InvalidParameterError(f"{name} must be >= 1, got {as_int}")
+
+
+def to_float(value) -> float:
+    """``float(value)``; InvalidParameterError for a bool, which JSON's true
+    and false load as and ``float`` would take as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise InvalidParameterError(f"{value!r} is not a number")
+    return float(value)

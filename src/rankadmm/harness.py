@@ -46,7 +46,7 @@ from .admm import (
     write_trace_csv,
 )
 from .baselines import SgdConfig, sgd_solve
-from .errors import InvalidParameterError, RankAdmmError
+from .errors import InvalidParameterError, RankAdmmError, to_float
 from .losses import LossKind
 from .metrics import accuracy, predict
 from .problem import Problem
@@ -91,9 +91,10 @@ def schedule_from_string(s: str) -> ScheduleSpec:
 
 
 def to_int(value) -> int:
-    """``int(value)`` for an integral value; ValueError for 5.5."""
+    """``int(value)`` for an integral value; InvalidParameterError for a
+    bool, ValueError for 5.5."""
     as_int = int(value)
-    if as_int != float(value):
+    if as_int != to_float(value):
         raise ValueError(f"{value!r} is not integral")
     return as_int
 
@@ -102,8 +103,8 @@ def to_int(value) -> int:
 #: annotation takes the value as it is.
 _CONVERT = {
     "int": to_int,
-    "float": float,
-    "tuple[float, ...]": lambda value: tuple(float(s) for s in value),
+    "float": to_float,
+    "tuple[float, ...]": lambda value: tuple(map(to_float, value)),
     "ScheduleSpec": schedule_from_string,
 }
 
@@ -563,22 +564,31 @@ def _write_summary_csv(path: Path, summary: list[dict]) -> None:
                             for c in SUMMARY_COLUMNS)
 
 
+def _run_problem_key(cell: BenchmarkCell, seed: int) -> tuple[str, int | None, int | None]:
+    """The problem one run of ``cell`` solves: the cell's problem key, plus
+    the run seed where it draws the synthetic data or the split (a cell
+    that sets no seed of its own there)."""
+    synthetic = cell.dataset.get("synthetic")
+    data_seed = seed if synthetic is not None and "seed" not in synthetic else None
+    split_seed = seed if cell.split and "seed" not in cell.split else None
+    return cell.problem_key(), data_seed, split_seed
+
+
 def _write_suboptimality(plan: BenchmarkPlan, records: list[RunRecord], out: Path) -> None:
     """F^k - F* per run, F* being the best final objective over all runs
-    that share the cell's problem key."""
+    of the same problem (``_run_problem_key``)."""
     from .admm import read_trace_csv
 
-    best: dict[str, float] = {}
-    key_of = {(cell.name, cell.solver): cell.problem_key() for cell in plan.cells}
-    for rec in records:
+    best: dict[tuple, float] = {}
+    cell_of = {(cell.name, cell.solver): cell for cell in plan.cells}
+    keys = [_run_problem_key(cell_of[rec.cell, rec.solver], rec.seed) for rec in records]
+    for rec, key in zip(records, keys):
         if rec.error is not None or not np.isfinite(rec.objective):
             continue
-        key = key_of[rec.cell, rec.solver]
         best[key] = min(best.get(key, np.inf), rec.objective)
-    for rec in records:
+    for rec, key in zip(records, keys):
         if rec.error is not None:
             continue
-        key = key_of[rec.cell, rec.solver]
         if key not in best:
             continue
         fstar = best[key]

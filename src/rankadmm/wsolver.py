@@ -170,6 +170,15 @@ class WSolver:
                 return x, norm_res / norm_rhs
             x = x + solve_once(residual)
 
+    def _smooth_part(
+        self, w: np.ndarray, target: np.ndarray, anchor: np.ndarray, rho: float, r: float,
+    ) -> tuple[float, np.ndarray]:
+        """q(w) = (rho/2)||A w - t||^2 + (r/2)||w - anchor||^2, the w-step's
+        smooth part, and the residual A w - t."""
+        rz = self._matvec(w) - target
+        dw = w - anchor
+        return 0.5 * rho * float(rz @ rz) + 0.5 * r * float(dw @ dw), rz
+
     def _finish(
         self, w: np.ndarray, method: str, what: str, residual: float, tol: float,
         iterations: int = 1, restarts: int = 0,
@@ -235,11 +244,7 @@ class WSolver:
                                         mapping, stop_at, iterations=0)
 
         def full(v):
-            rz = self._matvec(v) - target
-            dv = v - anchor
-            return (
-                0.5 * rho * float(rz @ rz) + 0.5 * r * float(dv @ dv) + reg_value(reg, v)
-            )
+            return self._smooth_part(v, target, anchor, rho, r)[0] + reg_value(reg, v)
 
         ridge, _ = self.ridge_solve(rho, r, c)
         w = anchor.copy() if full(anchor) <= full(ridge) else ridge
@@ -334,7 +339,11 @@ class WSolver:
         composite problem in x whose smooth part has curvature bounded by
         the data spectrum uniformly in gamma.  Accelerated proximal steps
         on x with restarts; convergence is measured on the true smoothed
-        gradient at w(x).
+        gradient at w(x).  Each point x is evaluated once (w(x), its
+        residual A w - t, its objective) and the gradient at an accepted
+        point reuses that residual: an iteration makes one product with A
+        and one with A^T beside its two ridge solves; a restart adds one
+        ridge solve and one product with A.
         """
         shift = r + 1.0 / gamma
 
@@ -345,51 +354,40 @@ class WSolver:
         L_x = a / (1.0 + gamma * a)
         eta = 1.0 / L_x
 
-        def phi(x, w):
-            rz = self._matvec(w) - target
-            dw = w - anchor
+        def at(x):
+            """w(x), its residual A w - t, and the objective at (w(x), x)."""
+            w = w_of_x(x)
+            q, rz = self._smooth_part(w, target, anchor, rho, r)
             xd = x - w
-            return (
-                0.5 * rho * float(rz @ rz)
-                + 0.5 * r * float(dw @ dw)
-                + reg_value(reg, x)
-                + float(xd @ xd) / (2.0 * gamma)
-            )
+            return w, rz, (q + reg_value(reg, x)) + float(xd @ xd) / (2.0 * gamma)
 
-        def true_grad_norm(w):
+        def grad_norm(w, rz):
             _, g = moreau_value_and_grad(reg, gamma, w)
-            rz = self._matvec(w) - target
-            return float(
-                np.linalg.norm(rho * self._rmatvec(rz) + r * (w - anchor) + g)
-            )
+            return float(np.linalg.norm(rho * self._rmatvec(rz) + r * (w - anchor) + g))
 
         curvature = a + 1.0 / gamma
         x = prox(reg, gamma, anchor)
-        w = w_of_x(x)
+        w, rz, f_x = at(x)
         y = x.copy()
         t_momentum = 1.0
-        f_x = phi(x, w)
-        gnorm = true_grad_norm(w)
+        gnorm = grad_norm(w, rz)
         iterations = restarts = 0
         for iterations in range(1, _SPLIT_MAX_ITER + 1):
             stop_at = _stop_at(curvature, w)
             if gnorm <= stop_at or not (math.isfinite(gnorm) and math.isfinite(stop_at)):
                 break
-            w_y = w_of_x(y)
-            x_new = prox(reg, eta, y - eta * (y - w_y) / gamma)
-            w_new = w_of_x(x_new)
-            f_new = phi(x_new, w_new)
+            x_new = prox(reg, eta, y - eta * (y - w_of_x(y)) / gamma)
+            w_new, rz_new, f_new = at(x_new)
             if f_new > f_x and not np.array_equal(y, x):
                 # overshoot: drop the momentum and retake a plain step
                 restarts += 1
                 t_momentum = 1.0
                 x_new = prox(reg, eta, x - eta * (x - w) / gamma)
-                w_new = w_of_x(x_new)
-                f_new = phi(x_new, w_new)
+                w_new, rz_new, f_new = at(x_new)
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
             y = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
-            x, w, f_x, t_momentum = x_new, w_new, f_new, t_next
-            gnorm = true_grad_norm(w)
+            x, w, rz, f_x, t_momentum = x_new, w_new, rz_new, f_new, t_next
+            gnorm = grad_norm(w, rz)
         return self._finish(w, "smooth_splitting", "smoothed solve gradient", gnorm,
                             _stop_at(curvature, w), iterations, restarts)
 

@@ -131,6 +131,20 @@ def test_csv_loader(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("content, line", [
+    (b"y,a,b\n1,0.5,0.2\n0,0.1\n", 3),
+    (b"y,a\n1,0.5\n\n0,0.1,0.2\n", 4),
+    # the shortest case of the arbitrary-bytes property above
+    (b"y\n1,2\n1\n", 3),
+], ids=["short", "long", "one-field"])
+def test_csv_row_of_another_width_is_a_data_error(tmp_path, content, line):
+    path = tmp_path / "ragged.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError, match=f"line {line}: row has") as info:
+        load_csv(path)
+    assert info.value.line == line
+
+
 def test_synthetic_separable_when_clean():
     ds = generate_synthetic(SyntheticSpec(n=100, d=20, class_sep=10.0,
                                           flip_fraction=0.0, seed=0))

@@ -241,6 +241,13 @@ _INVALID_CELLS = [
     ({"config": {"schedule": "constant:inf"}}, "'schedule'"),
     # make_plan's cell sets repetitions: a cell runs one list of seeds
     ({"seeds": [0]}, "'repetitions'"),
+    # json's true and false are no numbers of a plan
+    ({"config": {"max_iter": True}}, "'max_iter'"),
+    ({"repetitions": None, "seeds": [True, False]}, "'seeds'"),
+    ({"repetitions": True}, "'repetitions'"),
+    ({"dataset": {"synthetic": {"n": True, "d": 5}}}, "'n'"),
+    ({"config": {"r": True}}, "'r'"),
+    ({"split": {"fractions": [True, False]}}, "'fractions'"),
 ]
 
 
@@ -304,6 +311,35 @@ def test_suboptimality_per_cell_and_solver(tmp_path):
     for solver in ("admm", "sgd"):
         last = (tmp_path / "out" / f"c_{solver}_seed0_subopt.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[2]) == 0.0
+
+
+def test_suboptimality_per_data_seed(tmp_path):
+    # The cell leaves its synthetic data to the run seed: each seed solves
+    # its own problem, so each run is measured against its own F*.
+    cell = {"name": "c", "dataset": {"synthetic": {"n": 60, "d": 5}},
+            "regularizer": {"variant": "l2", "mu": 0.01},
+            "config": {"schedule": "constant:0.05", "max_iter": 300}, "seeds": [0, 1]}
+    path = tmp_path / "seeded_plan.json"
+    path.write_text(json.dumps({"cells": [cell], "out": str(tmp_path / "out")}))
+    records = run_benchmark(BenchmarkPlan.from_json(path))["records"]
+    assert records[0].objective != records[1].objective
+    for seed in (0, 1):
+        last = (tmp_path / "out" / f"c_admm_seed{seed}_subopt.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[2]) == 0.0
+
+
+def test_csv_with_a_short_row_is_one_data_error(tmp_path, capsys):
+    data = tmp_path / "ragged.csv"
+    data.write_text("y,a,b\n1,0.5,0.2\n0,0.1\n")
+    assert cli_main(["train", "--data", str(data), "--out", str(tmp_path / "train")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 3")
+    # in a plan it fails its run alone, as a data error without a traceback
+    cell = {"name": "ragged", "dataset": {"path": str(data)}}
+    path = tmp_path / "ragged_plan.json"
+    path.write_text(json.dumps({"cells": [cell], "out": str(tmp_path / "out")}))
+    records = run_benchmark(BenchmarkPlan.from_json(path))["records"]
+    assert records[0].error.startswith("line 3: ")
 
 
 def test_plan_gamma_sets_the_smoothing_parameter(tmp_path):

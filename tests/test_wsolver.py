@@ -424,6 +424,31 @@ def test_smooth_gradient_residual(reg, gamma, rng):
     assert np.linalg.norm(grad) <= 1e-8 * max(1.0, 1e9 * gamma)
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1e-3, 1e-6])
+@pytest.mark.parametrize("reg", [l1(0.6), mcp(0.5, 4.0)])
+def test_smooth_solve_forms_each_residual_once(reg, gamma, rng, monkeypatch):
+    # Each point of the splitting loop is evaluated once: its objective and,
+    # once accepted, its gradient share one residual A w - t.
+    D, target, anchor = make_instance(rng)
+    solver = WSolver(D)
+    calls = {"A": 0, "A^T": 0}
+
+    def counted(name, product):
+        def wrapped(self, v):
+            calls[name] += 1
+            return product(self, v)
+        return wrapped
+
+    monkeypatch.setattr(WSolver, "_matvec", counted("A", WSolver._matvec))
+    monkeypatch.setattr(WSolver, "_rmatvec", counted("A^T", WSolver._rmatvec))
+    solver.solve(target, anchor, 1.0, 1.0, reg, gamma=gamma)
+    info = solver.last_info
+    assert info.method == "smooth_splitting"
+    assert info.iterations >= 3
+    assert calls["A"] <= info.iterations + info.restarts + 1
+    assert calls["A^T"] <= info.iterations + 1  # A^T t of ``solve`` included
+
+
 def test_smooth_tiny_gamma_approaches_nonsmooth(rng):
     D, target, anchor = make_instance(rng)
     reg = l1(0.6)
