@@ -57,7 +57,7 @@ class ScheduleSpec:
         rho0 = _DEFAULT_RHO0[self.kind] if self.rho0 is None else self.rho0
         if not (rho0 is not None and 0 < rho0 < math.inf):
             raise InvalidParameterError(f"rho0 must be positive and finite, got {self.rho0}")
-        object.__setattr__(self, "rho0", rho0)
+        object.__setattr__(self, "rho0", float(rho0))  # a numpy scalar would leak into the z-step
 
     @staticmethod
     def constant(rho: float) -> "ScheduleSpec":

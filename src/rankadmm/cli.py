@@ -31,7 +31,6 @@ from .harness import (
     BenchmarkPlan,
     build_problem,
     run_benchmark,
-    run_config,
     scheme_from_dict,
     solve,
     worker_count,
@@ -177,7 +176,7 @@ def _cmd_train(args, parser) -> int:
     with importlib.resources.as_file(bundled) as tiny:
         cell = _or_usage_error(parser, BenchmarkCell, **_train_cell(args, tiny))
         problem, _ = _or_usage_error(parser, build_problem, cell, 0)
-    config = run_config(cell, 0)
+    config = cell.config_at(0)
     if args.theory_mode:
         # The preset sets the schedule, r and gamma; the flags set the rest.
         config = _or_usage_error(parser, theory_mode_config, problem, eps=args.theory_eps,

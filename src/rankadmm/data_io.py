@@ -127,7 +127,7 @@ def load_libsvm(path) -> RawDataset:
 def load_csv(path) -> RawDataset:
     """Dense CSV with header ``y,f1,...,fd``.  Every row holds as many
     fields as the first; the first row that does not raises with its line
-    number."""
+    number, and a header naming another number of fields raises at line 1."""
     path = Path(path)
     with _open_text(path) as fh:
         header = fh.readline().strip()
@@ -149,6 +149,9 @@ def load_csv(path) -> RawDataset:
             data.append(row)
     if not data:
         raise DataFormatError(f"no samples in {path}")
+    named = len(header.split(","))
+    if named != len(data[0]):
+        raise DataFormatError(f"header names {named} fields, the rows {len(data[0])}", line=1)
     arr = np.asarray(data)
     if arr.shape[1] < 2:
         raise DataFormatError("rows must all have a label plus >= 1 feature")

@@ -7,13 +7,16 @@ This module owns the plan format.  ``build`` turns each entry of a cell
 regularizer; the synthetic data; the solver config) into its dataclass,
 converting each value by its field's type, so the dataclasses hold the
 only defaults and the error of a bad value names its key.
-A cell is the one description of a solve: ``build_problem``,
-``run_config`` and ``solve`` turn it into one run, here and for
+A cell is the one description of a solve.  It builds each entry once,
+when it is made; a run derives its parts from what the cell built, with
+the run's seed only where the cell sets none (the synthetic data's, the
+split's, and sgd's shuffles): ``BenchmarkCell.problem_key`` and
+``config_at``, then ``build_problem`` and ``solve``, here and for
 ``rankadmm train``, which maps its flags onto a cell.
 Every run writes a trace CSV; the harness then writes a summary table
 (mean and sample deviation of objective, accuracy, and time) plus
-sub-optimality traces measured against the best final objective seen for
-the same underlying problem.
+sub-optimality traces measured against the best final objective among
+the runs whose problem key is the same.
 ``RANK_ADMM_THREADS`` runs go at once: the calling process takes runs
 itself, beside one forked worker process fewer, so a width of 1 forks
 nothing.  A worker writes its run's trace and hands back its record; the
@@ -31,7 +34,7 @@ import logging
 import os
 import statistics
 import threading
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,9 @@ _FORMATS = ("csv", "libsvm")
 
 @dataclass
 class BenchmarkCell:
+    """A plan cell as written; ``__post_init__`` builds each entry once and
+    keeps what it built, from which every run of the cell is derived."""
+
     name: str
     dataset: dict
     scheme: dict = field(default_factory=lambda: {"kind": "erm"})
@@ -193,65 +199,86 @@ class BenchmarkCell:
     def __post_init__(self):
         if self.solver not in _SOLVER_CONFIGS:
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
-        # Build every part a run needs, so a bad cell fails before any run.
-        # A data file is not opened: one that cannot be read is a failed run.
+        # A bad cell fails here, before any run.  A data file is not opened:
+        # one that cannot be read is a failed run.
         try:
             # The name starts every file name a run writes in the output directory.
             if any(sep in str(self.name) for sep in "/\\"):
                 raise InvalidParameterError("key 'name' holds a path separator")
-            reps = self.repetitions
-            if reps is not None and _parse(to_int, reps, "key 'repetitions'") < 1:
-                raise InvalidParameterError("repetitions must be >= 1")
-            if isinstance(self.seeds, str):
-                raise InvalidParameterError(f"seeds must be a list, got {self.seeds!r}")
-            self.run_seeds()
-            if reps is not None and self.seeds is not None:
-                raise InvalidParameterError("set key 'repetitions' or key 'seeds', not both")
-            self._check_dataset()
-            if self.split:
-                _split_args(self.split, 0)
-            scheme_from_dict(self.scheme)
-            build(RegularizerSpec, self.regularizer, "regularizer")
-            _parse(LossKind, self.loss, "key 'loss'")
-            run_config(self, 0)
+            self.run_seeds = self._build_seeds()
+            #: (data, scheme, loss, regularizer, split): the data a SyntheticSpec
+            #: or a (path, format) pair, the split None or (fractions, seed);
+            #: a seed the cell leaves to the run is None here.
+            self.problem_parts = (self._build_dataset(), scheme_from_dict(self.scheme),
+                                  _parse(LossKind, self.loss, "key 'loss'"),
+                                  build(RegularizerSpec, self.regularizer, "regularizer"),
+                                  self._build_split())
+            cls, keys = _SOLVER_CONFIGS[self.solver]
+            fixed = {"seed": 0} if cls is SgdConfig else {}
+            self.solver_config = build(cls, self.config, f"{self.solver} config", keys, **fixed)
         except (InvalidParameterError, AttributeError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"cell {self.name!r}: {exc}") from exc
 
-    def _check_dataset(self) -> None:
+    def _build_seeds(self) -> list[int]:
+        if self.repetitions is not None and self.seeds is not None:
+            raise InvalidParameterError("set key 'repetitions' or key 'seeds', not both")
+        if self.seeds is None:
+            reps = self.repetitions
+            reps = 1 if reps is None else _parse(to_int, reps, "key 'repetitions'")
+            if reps < 1:
+                raise InvalidParameterError("repetitions must be >= 1")
+            return list(range(reps))
+        if isinstance(self.seeds, str):
+            raise InvalidParameterError(f"seeds must be a list, got {self.seeds!r}")
+        seeds = [_parse(to_int, s, "key 'seeds'") for s in self.seeds]
+        if not seeds or len(set(seeds)) < len(seeds):  # two runs would write one trace
+            raise InvalidParameterError(f"key 'seeds' must list seeds, none twice, got {seeds}")
+        return seeds
+
+    def _build_dataset(self) -> data_io.SyntheticSpec | tuple[str, str]:
         every_key = tuple(k for keys in _DATASET_KEYS.values() for k in keys)
         _reject_unknown_keys("dataset", self.dataset, every_key)
         kinds = [k for k in _DATASET_KEYS if k in self.dataset]
         if len(kinds) != 1:
             raise InvalidParameterError("dataset needs exactly one of 'path' or 'synthetic'")
         _reject_unknown_keys("dataset", self.dataset, _DATASET_KEYS[kinds[0]])
-        fmt = self.dataset.get("format")
         if kinds[0] == "synthetic":
-            _synthetic_spec(self.dataset["synthetic"], 0)
-        elif fmt is not None and fmt not in _FORMATS:
+            params = self.dataset["synthetic"]
+            spec = build(data_io.SyntheticSpec, params, "synthetic")
+            return spec if "seed" in params else replace(spec, seed=None)
+        path, fmt = self.dataset["path"], self.dataset.get("format")
+        if fmt is not None and fmt not in _FORMATS:
             raise InvalidParameterError(f"unknown dataset format {fmt!r} ({'|'.join(_FORMATS)})")
+        return path, fmt or ("csv" if str(path).endswith(".csv") else "libsvm")
 
-    def run_seeds(self) -> list[int]:
-        if self.seeds is not None:
-            return [_parse(to_int, s, "key 'seeds'") for s in self.seeds]
-        if self.repetitions is None:
-            return [0]
-        return list(range(_parse(to_int, self.repetitions, "key 'repetitions'")))
+    def _build_split(self) -> tuple[tuple[float, ...], int | None] | None:
+        if not self.split:
+            return None
+        _reject_unknown_keys("split", self.split, ("fractions", "seed"))
+        fractions = _parse(data_io.split_fractions, self.split.get("fractions", (0.6, 0.4)),
+                           "split key 'fractions'")
+        if "seed" not in self.split:
+            return fractions, None
+        return fractions, _parse(to_int, self.split["seed"], "split key 'seed'")
 
-    def problem_key(self) -> str:
-        """Cells with the same key share an F* for sub-optimality.  The
-        scheme and regularizer enter as built, so spellings of the same
-        problem (a default written out, an unused strength) share a key."""
-        scheme = scheme_from_dict(self.scheme)
-        return json.dumps(
-            {
-                "dataset": self.dataset,
-                "scheme": [type(scheme).__name__, asdict(scheme)],
-                "loss": self.loss,
-                "regularizer": asdict(build(RegularizerSpec, self.regularizer, "regularizer")),
-                "split": self.split,
-            },
-            sort_keys=True,
-        )
+    def problem_key(self, seed: int) -> tuple:
+        """The problem that the run at ``seed`` solves, as built: ``problem_parts``
+        with the run's seed where the cell sets none.  Runs with one key
+        share an F* for sub-optimality, so spellings of one problem (a
+        default written out, an unused strength, a seed written equal to
+        the run's) share it."""
+        data, scheme, loss, regularizer, split = self.problem_parts
+        if isinstance(data, data_io.SyntheticSpec) and data.seed is None:
+            data = replace(data, seed=seed)
+        if split is not None and split[1] is None:
+            split = (split[0], seed)
+        return data, scheme, loss, regularizer, split
+
+    def config_at(self, seed: int) -> SolverConfig | SgdConfig:
+        """The solver config of the run at ``seed``, whose seed shuffles sgd."""
+        if isinstance(self.solver_config, SgdConfig):
+            return replace(self.solver_config, seed=seed)
+        return self.solver_config
 
 
 @dataclass
@@ -301,56 +328,25 @@ class RunRecord:
     error: str | None = None
 
 
-def _synthetic_spec(params: dict, seed: int) -> data_io.SyntheticSpec:
-    """A cell's synthetic data; ``seed`` unless the cell sets one."""
-    return build(data_io.SyntheticSpec, {"seed": seed, **params}, "synthetic")
-
-
-def _split_args(split: dict, seed: int) -> tuple[tuple[float, ...], int]:
-    """(fractions, seed) of a cell's split; the seed defaults to the run's."""
-    _reject_unknown_keys("split", split, ("fractions", "seed"))
-    fractions = _parse(data_io.split_fractions, split.get("fractions", (0.6, 0.4)),
-                         "split key 'fractions'")
-    return fractions, _parse(to_int, split.get("seed", seed), "split key 'seed'")
-
-
-def _load_dataset(spec: dict, seed: int) -> data_io.RawDataset:
-    if "synthetic" in spec:
-        return data_io.generate_synthetic(_synthetic_spec(spec["synthetic"], seed))
-    path = spec["path"]
-    fmt = spec.get("format") or ("csv" if str(path).endswith(".csv") else "libsvm")
-    return data_io.load_csv(path) if fmt == "csv" else data_io.load_libsvm(path)
-
-
 def build_problem(cell: BenchmarkCell, seed: int) -> tuple[Problem, data_io.RawDataset | None]:
-    """The problem of one run of ``cell`` and its held-out split, if any."""
-    ds = _load_dataset(cell.dataset, seed)
+    """The problem of the run of ``cell`` at ``seed`` and its held-out
+    split, if any."""
+    data, scheme, loss, regularizer, split = cell.problem_key(seed)
+    if isinstance(data, data_io.SyntheticSpec):
+        ds = data_io.generate_synthetic(data)
+    else:
+        path, fmt = data
+        ds = data_io.load_csv(path) if fmt == "csv" else data_io.load_libsvm(path)
     test = None
-    if cell.split:
-        fractions, split_seed = _split_args(cell.split, seed)
-        parts = data_io.split(ds, fractions, seed=split_seed)
+    if split is not None:
+        parts = data_io.split(ds, *split)
         if len(parts) >= 2:
             parts = data_io.standardize(parts[0], *parts[1:])
             ds, test = parts[0], parts[1]
         else:
             ds = data_io.standardize(parts[0])[0]
-    problem = Problem(
-        X=ds.X,
-        y=ds.y,
-        loss=LossKind(cell.loss),
-        weights=scheme_from_dict(cell.scheme),
-        regularizer=build(RegularizerSpec, cell.regularizer, "regularizer"),
-    )
+    problem = Problem(X=ds.X, y=ds.y, loss=loss, weights=scheme, regularizer=regularizer)
     return problem, test
-
-
-def run_config(cell: BenchmarkCell, seed: int) -> SolverConfig | SgdConfig:
-    """The config of one run: the keys the cell's ``config`` sets, the
-    run's seed for the SGD shuffles and the field defaults for everything
-    else."""
-    cls, keys = _SOLVER_CONFIGS[cell.solver]
-    fixed = {"seed": seed} if cls is SgdConfig else {}
-    return build(cls, cell.config, f"{cell.solver} config", keys, **fixed)
 
 
 def solve(solver: str, problem: Problem, config: SolverConfig | SgdConfig) -> SolverResult:
@@ -382,7 +378,7 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
     trace_path = _trace_path(cell, seed, out_dir)
     try:
         problem, test = build_problem(cell, seed)
-        result = solve(cell.solver, problem, run_config(cell, seed))
+        result = solve(cell.solver, problem, cell.config_at(seed))
         write_trace_csv(result.trace, trace_path)
         held_out = test if test is not None else problem
         return RunRecord(
@@ -504,7 +500,7 @@ def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
     workers = worker_count()
     out = Path(out_dir if out_dir is not None else plan.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(cell, seed) for cell in plan.cells for seed in cell.run_seeds()]
+    tasks = [(cell, seed) for cell in plan.cells for seed in cell.run_seeds]
     records: list[RunRecord | None] = [None] * len(tasks)
     queue = collections.deque(range(len(tasks)))  # indices of the runs not yet taken
     forks = min(workers, len(tasks)) - 1
@@ -515,7 +511,7 @@ def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
 
     summary = summarize(plan, records)
     _write_summary_csv(out / "summary.csv", summary)
-    _write_suboptimality(plan, records, out)
+    _write_suboptimality(tasks, records, out)
     return {"records": records, "summary": summary}
 
 
@@ -564,32 +560,19 @@ def _write_summary_csv(path: Path, summary: list[dict]) -> None:
                             for c in SUMMARY_COLUMNS)
 
 
-def _run_problem_key(cell: BenchmarkCell, seed: int) -> tuple[str, int | None, int | None]:
-    """The problem one run of ``cell`` solves: the cell's problem key, plus
-    the run seed where it draws the synthetic data or the split (a cell
-    that sets no seed of its own there)."""
-    synthetic = cell.dataset.get("synthetic")
-    data_seed = seed if synthetic is not None and "seed" not in synthetic else None
-    split_seed = seed if cell.split and "seed" not in cell.split else None
-    return cell.problem_key(), data_seed, split_seed
-
-
-def _write_suboptimality(plan: BenchmarkPlan, records: list[RunRecord], out: Path) -> None:
-    """F^k - F* per run, F* being the best final objective over all runs
-    of the same problem (``_run_problem_key``)."""
+def _write_suboptimality(tasks: list[tuple], records: list[RunRecord], out: Path) -> None:
+    """F^k - F* per (cell, seed) task and its record, F* being the best
+    final objective over all runs of the same problem (``problem_key``)."""
     from .admm import read_trace_csv
 
     best: dict[tuple, float] = {}
-    cell_of = {(cell.name, cell.solver): cell for cell in plan.cells}
-    keys = [_run_problem_key(cell_of[rec.cell, rec.solver], rec.seed) for rec in records]
+    keys = [cell.problem_key(seed) for cell, seed in tasks]
     for rec, key in zip(records, keys):
         if rec.error is not None or not np.isfinite(rec.objective):
             continue
         best[key] = min(best.get(key, np.inf), rec.objective)
     for rec, key in zip(records, keys):
-        if rec.error is not None:
-            continue
-        if key not in best:
+        if rec.error is not None or key not in best:
             continue
         fstar = best[key]
         trace = read_trace_csv(rec.trace_path)

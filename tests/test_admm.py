@@ -470,6 +470,19 @@ def test_trace_csv_write_read_write_bytes(solver, tmp_path):
     assert all((row["aug_lagrangian"] == "nan") == (solver == "sgd") for row in rows)
 
 
+@pytest.mark.parametrize("schedule", [ScheduleSpec.constant, ScheduleSpec.srm])
+def test_numpy_scalar_rho_gives_the_same_trace(schedule, tmp_path):
+    # the merge-heavy z-step of a logistic superquantile run
+    problem = make_synthetic_problem(n=40, d=4, weights=Superquantile(0.9),
+                                     regularizer=l2(1e-2), seed=13)
+    paths = []
+    for rho in (1e-3, np.float64(1e-3)):
+        cfg = SolverConfig(max_iter=20, rho_schedule=schedule(rho), stop_eps=0.0)
+        paths.append(tmp_path / f"{type(rho).__name__}.csv")
+        write_trace_csv(admm_solve(problem, cfg).trace, paths[-1], include_wall=False)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_trace_reproducibility_without_wall(tmp_path):
     problem = make_synthetic_problem(n=25, d=4, regularizer=l2(1e-2), seed=14)
     cfg = SolverConfig(max_iter=15, rho_schedule=ScheduleSpec.srm(), stop_eps=0.0)

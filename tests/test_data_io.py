@@ -145,6 +145,14 @@ def test_csv_row_of_another_width_is_a_data_error(tmp_path, content, line):
     assert info.value.line == line
 
 
+def test_csv_header_of_another_width_is_a_data_error(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("y,a,b\n1,0.5\n0,0.1\n")
+    with pytest.raises(DataFormatError, match="line 1: header names 3 fields") as info:
+        load_csv(path)
+    assert info.value.line == 1
+
+
 def test_synthetic_separable_when_clean():
     ds = generate_synthetic(SyntheticSpec(n=100, d=20, class_sep=10.0,
                                           flip_fraction=0.0, seed=0))

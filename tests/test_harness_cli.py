@@ -248,6 +248,9 @@ _INVALID_CELLS = [
     ({"dataset": {"synthetic": {"n": True, "d": 5}}}, "'n'"),
     ({"config": {"r": True}}, "'r'"),
     ({"split": {"fractions": [True, False]}}, "'fractions'"),
+    # no run, or two runs writing one trace file
+    ({"repetitions": None, "seeds": []}, "'seeds'"),
+    ({"repetitions": None, "seeds": [1, 1]}, "'seeds'"),
 ]
 
 
@@ -328,6 +331,20 @@ def test_suboptimality_per_data_seed(tmp_path):
         assert float(last.split(",")[2]) == 0.0
 
 
+def test_suboptimality_shares_f_star_across_seed_spellings(tmp_path):
+    # One cell writes the data seed, the other leaves it to the run, whose
+    # seed is the same: one problem, so one F*, the better run's objective.
+    cells = [{"name": "c", "dataset": {"synthetic": {"n": 60, "d": 5, "seed": 0}},
+              "solver": "admm", "config": {"max_iter": 50}},
+             {"name": "c", "dataset": {"synthetic": {"n": 60, "d": 5}},
+              "solver": "sgd", "config": {"epochs": 5}}]
+    path = tmp_path / "spelled_plan.json"
+    path.write_text(json.dumps({"cells": cells, "out": str(tmp_path / "out")}))
+    admm, sgd = run_benchmark(BenchmarkPlan.from_json(path))["records"]
+    last = (tmp_path / "out" / "c_sgd_seed0_subopt.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[2]) == sgd.objective - admm.objective > 0.0
+
+
 def test_csv_with_a_short_row_is_one_data_error(tmp_path, capsys):
     data = tmp_path / "ragged.csv"
     data.write_text("y,a,b\n1,0.5,0.2\n0,0.1\n")
@@ -386,10 +403,10 @@ def test_unused_regularizer_values_share_problem_key():
             ({"kind": "cpt", "gamma": 0.61}, {"variant": "zero", "mu": 1e-2, "theta": 3.0}),
         ])
     ]
-    assert cells[0].problem_key() == cells[1].problem_key()
+    assert cells[0].problem_key(0) == cells[1].problem_key(0)
     other = BenchmarkCell(name="l2", dataset={"synthetic": {"n": 4, "d": 2}},
                           scheme={"kind": "cpt"}, regularizer={"variant": "l2", "mu": 1e-2})
-    assert other.problem_key() != cells[0].problem_key()
+    assert other.problem_key(0) != cells[0].problem_key(0)
 
 
 def test_cli_weights_cpt_defaults(capsys):
