@@ -18,9 +18,15 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import InvalidParameterError, RankAdmmError, SolverError, check_positive_int
+from .data_io import issparse
+from .errors import (
+    InvalidParameterError,
+    RankAdmmError,
+    SolverError,
+    check_positive_int,
+    store_floats,
+)
 from .pava import solve_z_subproblem
 from .problem import Problem, rank_loss_value, sorted_rank_loss
 from .regularizers import (
@@ -114,6 +120,7 @@ class SolverConfig:
             raise InvalidParameterError(
                 f"wall_budget_s must be None or > 0, got {self.wall_budget_s}"
             )
+        store_floats(self, "r", "gamma", "stop_eps", "wall_budget_s")
 
 
 #: One row per outer iteration; the fields, in order, are the CSV schema
@@ -397,7 +404,7 @@ def sigma_min_positive(problem: Problem, limit: int = 10**6) -> float | None:
     n, d = problem.n, problem.d
     if n * d > limit:
         return None
-    X = problem.X.toarray() if sp.issparse(problem.X) else problem.X
+    X = problem.X.toarray() if issparse(problem.X) else problem.X
     G = X @ X.T if n <= d else X.T @ X
     eig = np.linalg.eigvalsh(G)
     cutoff = max(eig[-1], 0.0) * 1e-12

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import weights as wgt
 from .admm import TRACE_DTYPE
-from .errors import InvalidParameterError, SolverError, check_positive_int
+from .errors import InvalidParameterError, SolverError, check_positive_int, store_floats
 from .losses import loss_derivative_vec
 from .problem import Problem
 from .regularizers import reg_subgradient
@@ -42,6 +42,7 @@ class SgdConfig:
             raise InvalidParameterError(
                 f"wall_budget_s must be None or > 0, got {self.wall_budget_s}"
             )
+        store_floats(self, "learning_rate", "wall_budget_s")
 
 
 def rank_subgradient(

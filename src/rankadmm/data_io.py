@@ -4,15 +4,31 @@ splits, and train-statistics standardization."""
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataFormatError, InvalidParameterError, to_float
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 _DENSIFY_LIMIT = 64
+
+
+def issparse(x) -> bool:
+    """``scipy.sparse.issparse(x)``, without importing scipy.sparse.
+
+    A scipy sparse matrix cannot exist before scipy.sparse is imported, so
+    while it is not in ``sys.modules`` the answer is False.  The package
+    imports it only in :func:`load_libsvm` and the matrix-free w-step
+    (d > 2000), so dense data never pays its load time.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(x)
 
 
 @dataclass
@@ -117,6 +133,8 @@ def load_libsvm(path) -> RawDataset:
     if not labels:
         raise DataFormatError(f"no samples in {path}")
     n = len(labels)
+    import scipy.sparse as sp
+
     X = sp.csr_matrix(
         (vals, (rows, cols)), shape=(n, max(max_col, 1)), dtype=float
     )
@@ -216,7 +234,7 @@ def standardize(train: RawDataset, *others: RawDataset) -> tuple[RawDataset, ...
         raise InvalidParameterError("training split is empty")
 
     def dense(ds: RawDataset) -> np.ndarray:
-        if sp.issparse(ds.X):
+        if issparse(ds.X):
             if ds.X.shape[0] * ds.X.shape[1] > 5 * 10**7 and ds.X.shape[1] > _DENSIFY_LIMIT:
                 raise InvalidParameterError(
                     "standardizing would densify a very large sparse matrix"

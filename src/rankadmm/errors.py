@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the number checks
-that raise one."""
+"""Exception types shared across the package, the number checks that
+raise one, and the float conversion that the settings share."""
 
 import operator
 
@@ -57,3 +57,14 @@ def to_float(value) -> float:
     if isinstance(value, bool):
         raise InvalidParameterError(f"{value!r} is not a number")
     return float(value)
+
+
+def store_floats(settings, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``settings`` as a
+    Python float, leaving None as it is.  Call it after the checks: a
+    numpy scalar (float32, say) would otherwise carry its own precision
+    into every product it enters under numpy 2's promotion rules."""
+    for name in names:
+        value = getattr(settings, name)
+        if value is not None:
+            object.__setattr__(settings, name, float(value))

@@ -468,8 +468,8 @@ def _run_with_workers(forks: int, queue, tasks, records, out_dir: Path) -> None:
                 submit(pool, running)
 
     # fork, not spawn: a worker inherits the imported package, and with it
-    # any entry point swapped in this module, instead of importing numpy
-    # and scipy again, which takes longer than a small plan's runs.
+    # any entry point swapped in this module, instead of importing the
+    # package and numpy again, which takes longer than a small plan's runs.
     with ProcessPoolExecutor(forks, mp_context=multiprocessing.get_context("fork")) as pool:
         running: dict = {}
         for _ in range(forks):

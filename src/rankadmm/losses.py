@@ -313,9 +313,24 @@ def block_minimize_cpt(
     minimizer falls on the wrong side) and keep the better one.  Ties go
     to the low piece, consistent with classifying v == boundary as low.
     Where a piece value overflows, :func:`_exact_block_value` compares.
+
+    For logistic loss a piece is solved only where it can cross the
+    boundary, as in :func:`singleton_minimize_cpt`: the solve returns a
+    value in ``[mean - s/(rho*count), mean]`` (its low end raised to the
+    most negative float), so the low piece clamps to the boundary when
+    ``mean - s_low/(rho*count) > boundary`` and the high piece when
+    ``mean < boundary``.  Non-finite inputs are rejected first, as the
+    solve would.
     """
-    v_low = min(block_minimize(s_low, count, m_sum, rho, kind), boundary)
-    v_high = max(block_minimize(s_high, count, m_sum, rho, kind), boundary)
+    if not (math.isfinite(s_low) and math.isfinite(s_high) and math.isfinite(m_sum)):
+        raise InvalidParameterError("non-finite block objective inputs")
+    v_low = v_high = boundary
+    mean_m = m_sum / count
+    logistic = kind == LossKind.LOGISTIC
+    if not (logistic and mean_m - s_low / (rho * count) > boundary):
+        v_low = min(block_minimize(s_low, count, m_sum, rho, kind), boundary)
+    if not (logistic and mean_m < boundary):
+        v_high = max(block_minimize(s_high, count, m_sum, rho, kind), boundary)
     f_low = _block_value(s_low, count, m_sum, rho, kind, v_low)
     f_high = _block_value(s_high, count, m_sum, rho, kind, v_high)
     if not (math.isfinite(f_low) and math.isfinite(f_high)):

@@ -9,14 +9,18 @@ and weights them by rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import weights as wgt
+from .data_io import issparse
 from .errors import DimensionError, InvalidParameterError
 from .losses import LossKind, loss_value_vec
 from .regularizers import RegularizerSpec, ZERO, reg_value
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,7 @@ class Problem:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).ravel()
         object.__setattr__(self, "y", y)
-        if sp.issparse(self.X):
+        if issparse(self.X):
             X = self.X.tocsr()
             if not np.all(np.isfinite(X.data)):
                 raise InvalidParameterError("data matrix contains non-finite entries")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, store_floats
 
 MOREAU_CURVATURE_LIMIT = 1.0 / 3.0
 
@@ -43,6 +43,7 @@ class RegularizerSpec:
             object.__setattr__(self, "mu", 0.0)
         if v in ("zero", "l1", "l2"):
             object.__setattr__(self, "theta", 0.0)
+        store_floats(self, "mu", "theta")
 
     @property
     def weak_convexity_c(self) -> float:

@@ -27,10 +27,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
+from .data_io import issparse
 from .errors import SolverError
 from .regularizers import (
     RegularizerSpec,
@@ -39,6 +40,9 @@ from .regularizers import (
     prox,
     reg_value,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +93,7 @@ class WSolver:
         self._gram: np.ndarray | None = None
         if self.d <= _EIG_THRESHOLD:
             G = A.T @ A
-            self._gram = np.asarray(G.toarray() if sp.issparse(G) else G, dtype=float)
+            self._gram = np.asarray(G.toarray() if issparse(G) else G, dtype=float)
             try:
                 lam, Q = np.linalg.eigh(self._gram)
             except np.linalg.LinAlgError as exc:

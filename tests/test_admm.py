@@ -483,6 +483,32 @@ def test_numpy_scalar_rho_gives_the_same_trace(schedule, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+#: Settings made from a float type: each value is one that float32 holds exactly.
+_FLOAT_SETTINGS = {
+    "admm-l1": lambda f: (admm_solve, l1(f(0.25)), SolverConfig(
+        max_iter=15, r=f(4.0), stop_eps=f(2.0**-30), wall_budget_s=f(1024.0))),
+    "admm-l2": lambda f: (admm_solve, l2(f(0.5)), SolverConfig(max_iter=15, r=f(4.0))),
+    "sadmm-mcp": lambda f: (sadmm_solve, mcp(f(0.25), f(4.0)), SolverConfig(
+        max_iter=15, r=f(4.0), gamma=f(0.5))),
+    "sgd": lambda f: (sgd_solve, l2(f(0.5)), SgdConfig(
+        learning_rate=f(0.125), epochs=5, wall_budget_s=f(1024.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FLOAT_SETTINGS))
+def test_float32_settings_give_the_same_trace(case, tmp_path):
+    # Stored as given, a float32 setting would take numpy 2's promotion
+    # rules into the run and compute parts of it in float32.
+    paths = []
+    for cast in (float, np.float32):
+        solve, reg, cfg = _FLOAT_SETTINGS[case](cast)
+        out = solve(make_synthetic_problem(n=80, d=6, regularizer=reg, seed=5), cfg)
+        paths.append(tmp_path / f"{cast.__name__}.csv")
+        write_trace_csv(out[1] if isinstance(out, tuple) else out.trace, paths[-1],
+                        include_wall=False)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_trace_reproducibility_without_wall(tmp_path):
     problem = make_synthetic_problem(n=25, d=4, regularizer=l2(1e-2), seed=14)
     cfg = SolverConfig(max_iter=15, rho_schedule=ScheduleSpec.srm(), stop_eps=0.0)

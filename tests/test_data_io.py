@@ -1,9 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import rankadmm
 from rankadmm.data_io import (
     RawDataset,
     SyntheticSpec,
@@ -234,3 +242,54 @@ def test_standardize_uses_train_statistics():
     # train mean 1, std 1: test row maps to (4 - 1) / 1 = 3
     assert te.X == pytest.approx(np.array([[3.0]]))
     assert abs(tr.X.mean()) <= 1e-12
+
+
+_COLD_START = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    import rankadmm, rankadmm.cli, rankadmm.harness
+    from rankadmm import (Extremile, Problem, SgdConfig, SolverConfig, Superquantile,
+                          admm_solve, load_libsvm, mcp, sadmm_solve, sgd_solve)
+
+    plan, svm, out = sys.argv[1:]
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 4))
+    y = np.where(X[:, 0] + 0.3 * rng.standard_normal(30) > 0, 1.0, -1.0)
+    admm_solve(Problem(X, y, weights=Superquantile(0.5)), SolverConfig(max_iter=3))
+    sadmm_solve(Problem(X, y, weights=Extremile(2.0), regularizer=mcp(0.01, 4.0)),
+                SolverConfig(max_iter=3))
+    sgd_solve(Problem(X, y), SgdConfig(epochs=2))
+    code = rankadmm.cli.cli_main(["benchmark", plan, "--out", out])
+    loaded = lambda: [m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules]
+    dense = loaded()
+    ds = load_libsvm(svm)
+    p = Problem(ds.X, ds.y)
+    result = admm_solve(p, SolverConfig(max_iter=3))
+    print(json.dumps({"code": code, "dense": dense, "sparse": loaded(),
+                      "format": getattr(p.X, "format", None),
+                      "iters": len(result.trace), "finite": bool(np.isfinite(result.w).all())}))
+""")
+
+
+def test_only_sparse_data_loads_scipy_sparse(tmp_path):
+    # A dense solve, plan or CLI command never touches a sparse matrix, so
+    # the package leaves scipy.sparse (and its linalg) unimported until
+    # load_libsvm builds one; the libsvm problem then stays CSR.
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"cells": [
+        {"name": "cold", "dataset": {"synthetic": {"n": 20, "d": 3}}, "config": {"max_iter": 3}},
+    ]}))
+    svm = tmp_path / "data.svm"
+    svm.write_text("+1 1:0.9 2:-0.3\n-1 1:-0.7 3:0.8\n+1 2:0.5 3:-0.2\n-1 1:-1.3 2:0.4\n")
+    src = str(Path(rankadmm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, RANK_ADMM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(plan), str(svm), str(tmp_path / "bench")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert report["dense"] == []
+    assert "scipy.sparse" in report["sparse"]
+    assert report["format"] == "csr"
+    assert report["iters"] == 3 and report["finite"]

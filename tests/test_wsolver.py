@@ -1,15 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-
-import rankadmm
 
 from rankadmm import wsolver
 from rankadmm.admm import SolverConfig, admm_solve
@@ -494,14 +487,3 @@ def test_power_iteration_norm(rng):
     assert est == pytest.approx(exact, rel=1e-6)
     # deterministic: the iteration starts from a fixed vector
     assert WSolver(D).d_norm == est
-
-
-def test_import_does_not_load_sparse_linalg():
-    # Only the conjugate-gradient ridge solve (d > _EIG_THRESHOLD) needs
-    # scipy.sparse.linalg; the package imports it there, not at load time.
-    src = str(Path(rankadmm.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, rankadmm; print('scipy.sparse.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
