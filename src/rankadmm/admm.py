@@ -44,6 +44,18 @@ logger = logging.getLogger(__name__)
 #: Each kind's rho0 when none is given; a constant schedule needs one.
 _DEFAULT_RHO0 = {"constant": None, "srm": 1e-5, "aorr": 2e-7, "ehrm": 1e-4}
 
+#: The growing schedules saturate here.
+RHO_MAX = 1e300
+
+
+def _geometric(rho0: float, base: float, e: int) -> float:
+    """min(rho0 * base**e, RHO_MAX), also where base**e alone overflows."""
+    try:
+        return min(rho0 * base**e, RHO_MAX)
+    except OverflowError:
+        log_rho = math.log(rho0) + e * math.log(base)
+        return RHO_MAX if log_rho >= math.log(RHO_MAX) else math.exp(log_rho)
+
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -51,7 +63,7 @@ class ScheduleSpec:
 
     kinds: constant | srm (rho0 * 1.2^k) | aorr (rho0 * 5^floor((k-7)/3))
     | ehrm (multiply 1.02 while the residual ||z - Dw|| exceeds 1e-2,
-    else 1.07).
+    else 1.07).  The growing kinds saturate at ``RHO_MAX`` (1e300).
     """
 
     kind: str
@@ -85,12 +97,12 @@ class ScheduleSpec:
         if self.kind == "constant":
             return self.rho0
         if self.kind == "srm":
-            return min(self.rho0 * 1.2**k, 1e300)
+            return _geometric(self.rho0, 1.2, k)
         if self.kind == "aorr":
-            return self.rho0 * 5.0 ** math.floor((k - 7) / 3)
+            return _geometric(self.rho0, 5.0, math.floor((k - 7) / 3))
         if k == 0 or prev_rho is None:
             return self.rho0
-        return prev_rho * (1.02 if feas_norm > 1e-2 else 1.07)
+        return min(prev_rho * (1.02 if feas_norm > 1e-2 else 1.07), RHO_MAX)
 
 
 @dataclass(frozen=True)

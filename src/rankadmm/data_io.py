@@ -4,6 +4,7 @@ splits, and train-statistics standardization."""
 from __future__ import annotations
 
 import io
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +63,8 @@ class SyntheticSpec:
             raise InvalidParameterError("flip_fraction must be in [0, 0.5)")
         if not (0.0 < self.informative_fraction <= 1.0):
             raise InvalidParameterError("informative_fraction must be in (0, 1]")
+        if not math.isfinite(self.class_sep):
+            raise InvalidParameterError(f"class_sep must be finite, got {self.class_sep}")
 
 
 def _normalize_labels(raw: np.ndarray, context: str) -> np.ndarray:

@@ -8,22 +8,22 @@ Solves, after sorting the targets m ascending,
 by pool-adjacent-violators block merging in one left-to-right stack pass
 (the O(n) formulation of Best, Chakravarti & Ubhaya, SIAM J. Optim.
 10(3), 2000).  The singleton values come first: one array solve
-computes them all, for every weight scheme.  One numpy
-comparison finds every singleton below its left neighbour; between two
-such breaks the singletons are in order, so a stretch that starts at or
-above the stack top is pushed as one (start, end) entry, and a merge that
-reaches into it pops its last singleton by shortening it.  Python work
-therefore scales with merges, not with n.
+computes them all, for every weight scheme.  One numpy comparison finds
+the breaks, the singletons below their left neighbour; between two breaks
+the singletons are in order.  Singletons are never pushed: the stack
+holds the merged blocks only, every index they leave out is a singleton,
+and the pass jumps from one break to the next.  Python work therefore
+scales with merges, not with n.
 
 The pass is shared by every weight scheme; only its fold rule, run when a
-singleton lies below the stack top, depends on the scheme.
+singleton lies below its left neighbour, depends on the scheme.
 
 For constant weights (:func:`_fold_lazy`) the blocks are valued lazily.
-A singleton below the stack top starts a block that carries only its
-weight sum, size and target sum.  Each fold is decided by the sign of the
-block objective's slope at a neighbour's value
-(:func:`~rankadmm.losses.block_side`): the block folds in the stack top
-while its minimizer lies below the top's value, and absorbs the next
+A singleton below its left neighbour starts a block that carries only
+its weight sum, size and target sum.  Each fold is decided by the sign
+of the block objective's slope at a neighbour's value
+(:func:`~rankadmm.losses.block_side`): the block folds in its left
+neighbour while its minimizer lies below that value, and absorbs the next
 singleton while its minimizer lies above that singleton's value.  The
 block objective is convex, so the sign is exactly the comparison with the
 minimizer, and pooling order does not change the result (Best et al.), so
@@ -36,16 +36,16 @@ For the value-dependent prospect-theory weights (:func:`_fold_cpt`) a
 block carries two weight sums, one per piece, as two floats; the
 singletons come from an array two-piece solve and every fold from the
 two-piece scalar solver.  That block objective is not convex, so no slope
-sign decides a fold: when the stack top exceeds the next block, the run
-of strictly decreasing values starting at the top is extended over the
-following singletons and folded with one solve, and the result is
-compared with the new stack top.
+sign decides a fold: when the left neighbour exceeds the block, the run
+of strictly decreasing values starting at that neighbour is extended over
+the following singletons and folded with one solve, and the result is
+compared with its new left neighbour.
 
-The pass validates its inputs once (rho > 0, finite targets, finite
-nonnegative weight columns) and hands each merge solve plain floats: the
-block's weight sums, size and target sum.  Only a sum that overflows is
-caught per merge, by the scalar solve itself; an overflowed sum stays
-non-finite until its block is pushed and solved.
+The weights are checked once, when they are resolved; the pass checks
+rho and the targets and hands each merge solve plain floats: the block's
+weight sums, size and target sum.  Only a sum that overflows is caught
+per merge, by the scalar solve itself; an overflowed sum stays non-finite
+until its block is pushed and solved.
 
 The z-step sorts its targets with a stable argsort.  Between outer
 iterations the targets barely move, so a caller may pass the previous
@@ -74,12 +74,20 @@ from .weights import ResolvedWeights
 
 @dataclass
 class BlockPartition:
-    """Ordered blocks covering 0..n-1 with no gaps or overlaps: block j
-    starts at ``lo[j]`` (0-based) in the sorted order and ends where the
-    next begins.  ``z`` holds every block's value over its range."""
+    """Ordered blocks covering 0..n-1: ``merged`` lists the (start, end)
+    ranges of the merged blocks, every other index is a block of its own,
+    and ``z`` holds every block's value over its range."""
 
-    lo: np.ndarray
     z: np.ndarray
+    merged: list[tuple[int, int]]
+
+    @property
+    def lo(self) -> np.ndarray:
+        """The 0-based start of each block in the sorted order."""
+        starts = np.ones(len(self.z), dtype=bool)
+        for lo, end in self.merged:
+            starts[lo + 1 : end] = False
+        return np.flatnonzero(starts)
 
 
 def merge_blocks(
@@ -92,78 +100,56 @@ def merge_blocks(
 
     Computes every singleton value first, in one array solve; a singleton
     whose weights are all zero is an exact quadratic and takes its target
-    directly.  Then one stack pass pushes each in-order stretch of
-    singletons as one entry and hands every violation to the scheme's fold
-    rule.  For constant weights (:func:`_fold_lazy`) a block under
+    directly.  Then one stack pass jumps from each break (a singleton
+    below its left neighbour) to the next and hands every violation to
+    the scheme's fold rule; singletons are never pushed, only the merged
+    blocks.  For constant weights (:func:`_fold_lazy`) a block under
     construction carries only its sums: each fold into it is decided by
     :func:`~rankadmm.losses.block_side`, and its one scalar solve runs when
     it is pushed.  The value-dependent weights (:func:`_fold_cpt`) solve
     after every fold; their result is a first-order point, not necessarily
     a global minimum, and it depends on this merge order.
     """
-    cpt = resolved.is_value_dependent
-    cols = [resolved.sigma_low, resolved.sigma_high] if cpt else [resolved.sigma]
-    # Validated once here: the scalar solves take plain floats unchecked.
+    # rho and the targets change on every call; the weights were checked
+    # when they were resolved.  The scalar solves take plain floats unchecked.
     if not (rho > 0):
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not np.all(np.isfinite(m_sorted)):
         raise InvalidParameterError("targets contain non-finite entries")
-    for col in cols:
-        if not (col.min() >= 0.0 and col.max() < math.inf):
-            raise InvalidParameterError("rank weights must be finite and nonnegative")
-    if cpt:
-        singles_arr = singleton_minimize_cpt(*cols, m_sorted, resolved.reference, rho, kind)
-        fold, weights = _fold_cpt, tuple(memoryview(col) for col in cols)
+    if resolved.is_value_dependent:
+        low, high = resolved.sigma_low, resolved.sigma_high
+        singles_arr = singleton_minimize_cpt(low, high, m_sorted, resolved.reference, rho, kind)
+        fold, weights = _fold_cpt, (memoryview(low), memoryview(high))
     else:
         singles_arr = singleton_minimize(resolved.sigma, m_sorted, rho, kind)
         fold, weights = _fold_lazy, memoryview(resolved.sigma)
 
     n = singles_arr.shape[0]
-    # Starts of the in-order stretches: singletons below their left neighbour.
-    breaks = (np.flatnonzero(singles_arr[1:] < singles_arr[:-1]) + 1).tolist() + [n]
+    breaks = (np.flatnonzero(singles_arr[1:] < singles_arr[:-1]) + 1).tolist()
     # Per-merge reads go through memoryviews, which index to Python floats.
     singles, targets = memoryview(singles_arr), memoryview(m_sorted)
+    args = (singles, weights, targets, rho, resolved.reference, kind)
     stack: list[list] = [[0, 0, -math.inf, None, 0.0]]
-    k = b = 0
-    while k < n:
-        if stack[-1][2] > singles[k]:
-            k = fold(stack, k, singles, weights, targets, rho, resolved.reference, kind)
-            continue
-        # Nothing to merge up to the next break: push the stretch.
-        while breaks[b] <= k:
-            b += 1
-        end = breaks[b]
-        stack.append([k, end, singles[end - 1], None, 0.0])
-        k = end
+    k = 0
+    for j in breaks:
+        # A break that a merged block covers, or that ends one, needs no fold.
+        if j > k:
+            k = fold(stack, j, *args)
+            while k < n and stack[-1][2] > singles[k]:
+                k = fold(stack, k, *args)
     # The sorted result: the singletons, each merged block written over its range.
     z = singles_arr.copy()
-    starts = np.ones(n, dtype=bool)
-    for lo, end, value, sums, _ in stack:
-        if sums is not None:
-            z[lo:end] = value
-            starts[lo + 1 : end] = False
-    return BlockPartition(np.flatnonzero(starts), z)
+    for lo, end, value, _, _ in stack:
+        z[lo:end] = value
+    return BlockPartition(z, [(lo, end) for lo, end, *_ in stack[1:]])
 
 
-# The stack holds one entry [lo, end, value, sums, msum] per block or
-# stretch covering lo..end-1.  A stretch of singletons has sums None, and
-# its value is that of its last singleton; a merged block carries its
-# value, weight sums (one float, or a (low, high) pair for the
-# value-dependent weights) and target sum.  The empty bottom entry at -inf
-# is never popped.  A fold rule is called when singleton k lies below the
-# stack top; it pushes one merged block ending at the returned index.
-
-
-def _pop_singleton(stack: list[list], singles) -> int:
-    """Pop the last singleton of the stretch on top of the stack, by
-    shortening the stretch; return its index."""
-    top = stack[-1]
-    lo = top[1] - 1
-    if lo == top[0]:
-        stack.pop()
-    else:
-        top[1], top[2] = lo, singles[lo - 1]
-    return lo
+# The stack holds one entry [lo, end, value, sums, msum] per merged block
+# over lo..end-1, with its weight sums (one float, or a (low, high) pair
+# for the value-dependent weights) and target sum; the empty bottom entry
+# at -inf is never popped.  The left neighbour of index lo is the top block
+# if it ends at lo, else singleton lo - 1.  A fold rule is called when
+# singleton k lies below it, and pushes one block ending at the returned k.
 
 
 def _fold_lazy(stack, k, singles, sigma, targets, rho, reference, kind) -> int:
@@ -185,15 +171,17 @@ def _fold_lazy(stack, k, singles, sigma, targets, rho, reference, kind) -> int:
     fold = True
     while True:
         if fold:
-            t_lo, _, t_value, t_s, t_msum = stack[-1]
-            if t_s is None:
-                c_lo = _pop_singleton(stack, singles)
-                c_s, c_msum = sigma[c_lo] + c_s, targets[c_lo] + c_msum
-            else:
+            t_lo, t_end, t_value, t_s, t_msum = stack[-1]
+            if t_end == c_lo:
                 stack.pop()
-                c_lo, c_s, c_msum = t_lo, t_s + c_s, t_msum + c_msum
+            else:  # the left neighbour is a singleton
+                t_lo = c_lo - 1
+                t_value, t_s, t_msum = singles[t_lo], sigma[t_lo], targets[t_lo]
+            c_lo, c_s, c_msum = t_lo, t_s + c_s, t_msum + c_msum
             if t_value > v_hi:
                 v_hi = t_value
+            top = stack[-1]
+            left = top[2] if top[1] == c_lo else singles[c_lo - 1]
         elif k < n and block_side(c_s, k - c_lo, c_msum, rho, kind, singles[k]) > 0:
             if singles[k] < v_lo:
                 v_lo = singles[k]
@@ -201,7 +189,7 @@ def _fold_lazy(stack, k, singles, sigma, targets, rho, reference, kind) -> int:
             k += 1
         else:
             break
-        fold = block_side(c_s, k - c_lo, c_msum, rho, kind, stack[-1][2]) < 0
+        fold = block_side(c_s, k - c_lo, c_msum, rho, kind, left) < 0
     v = block_minimize(c_s, k - c_lo, c_msum, rho, kind, v_lo, v_hi)
     stack.append([c_lo, k, v, c_s, c_msum])
     return k
@@ -211,26 +199,27 @@ def _fold_cpt(stack, k, singles, weights, targets, rho, reference, kind) -> int:
     """The fold rule for the value-dependent weights, solving every fold.
 
     Its two-piece block objective is not convex, so no slope sign decides
-    a fold.  While the stack top exceeds the current block, the run of
-    strictly decreasing values starting at the top is extended over the
-    following singletons and folded into one block with a single two-piece
-    solve.  ``weights`` holds the low- and high-piece weight columns; the
-    block carries their sums as two floats, summed left to right.
+    a fold.  While the left neighbour exceeds the current block, the run of
+    strictly decreasing values starting at that neighbour is extended over
+    the following singletons and folded into one block with a single
+    two-piece solve.  ``weights`` holds the low- and high-piece weight
+    columns; the block carries their sums as two floats, summed left to right.
     """
     low, high = weights
     n = len(singles)
     c_lo, c_value, c_low, c_high, c_msum = k, singles[k], low[k], high[k], targets[k]
     k += 1
-    while stack[-1][2] > c_value:
-        t_lo, _, _, t_sums, t_msum = stack[-1]
-        if t_sums is None:
-            c_lo = _pop_singleton(stack, singles)
-            c_low, c_high = low[c_lo] + c_low, high[c_lo] + c_high
-            c_msum = targets[c_lo] + c_msum
-        else:
+    while True:
+        t_lo, t_end, t_value, t_sums, t_msum = stack[-1]
+        if t_end != c_lo:  # the left neighbour is a singleton
+            t_lo = c_lo - 1
+            t_value, t_sums, t_msum = singles[t_lo], (low[t_lo], high[t_lo]), targets[t_lo]
+        if not t_value > c_value:
+            break
+        if t_end == c_lo:
             stack.pop()
-            c_lo, c_msum = t_lo, t_msum + c_msum
-            c_low, c_high = t_sums[0] + c_low, t_sums[1] + c_high
+        c_lo, c_msum = t_lo, t_msum + c_msum
+        c_low, c_high = t_sums[0] + c_low, t_sums[1] + c_high
         # Fold every following singleton below the run's last value.
         v_last = c_value
         while k < n and v_last > singles[k]:

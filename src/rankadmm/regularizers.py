@@ -9,6 +9,7 @@ convexity moduli: 1/theta for the minimax concave penalty and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class RegularizerSpec:
         v = self.variant
         if v not in ("zero", "l2", "l1", "mcp", "scad"):
             raise InvalidParameterError(f"unknown regularizer {v!r}")
-        if v != "zero" and not (self.mu > 0):
-            raise InvalidParameterError(f"{v} needs mu > 0, got {self.mu}")
+        if v != "zero" and not (0 < self.mu < math.inf):
+            raise InvalidParameterError(f"{v} needs a finite mu > 0, got {self.mu}")
         if v == "mcp" and not (self.theta > 1):
             raise InvalidParameterError(f"mcp needs theta > 1, got {self.theta}")
         if v == "scad" and not (self.theta > 2):

@@ -73,8 +73,10 @@ class Extremile:
     order: float
 
     def __post_init__(self):
-        if not (self.order >= 1.0):
-            raise InvalidParameterError(f"extremile order must be >= 1, got {self.order}")
+        if not (1.0 <= self.order < math.inf):
+            raise InvalidParameterError(
+                f"extremile order must be finite and >= 1, got {self.order}"
+            )
 
     def resolve(self, n: int) -> np.ndarray:
         """Bin integrals of the density order * t^(order-1).
@@ -92,8 +94,8 @@ class ESRM:
     risk: float
 
     def __post_init__(self):
-        if not (self.risk > 0.0):
-            raise InvalidParameterError(f"esrm risk must be > 0, got {self.risk}")
+        if not (0.0 < self.risk < math.inf):
+            raise InvalidParameterError(f"esrm risk must be finite and > 0, got {self.risk}")
 
     def resolve(self, n: int) -> np.ndarray:
         """Bin integrals of the exponential density risk*e^{risk(t-1)}/(1-e^{-risk})."""
@@ -110,6 +112,8 @@ class HumanAligned:
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
             raise InvalidParameterError(f"a must be in (0, 1), got {self.a}")
+        if not math.isfinite(self.b):
+            raise InvalidParameterError(f"b must be finite, got {self.b}")
 
     def resolve(self, n: int) -> np.ndarray:
         """Weights w_{a,b}(i/n) from the S-shaped reweighting polynomial
@@ -143,6 +147,8 @@ class CPTValueDependent:
             raise InvalidParameterError(f"gamma must be in (0, 1], got {self.gamma}")
         if not (0.0 < self.delta <= 1.0):
             raise InvalidParameterError(f"delta must be in (0, 1], got {self.delta}")
+        if not math.isfinite(self.B):
+            raise InvalidParameterError(f"reference point B must be finite, got {self.B}")
 
     def branch_vectors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(sigma_low, sigma_high): weights per rank for values at/below
@@ -214,6 +220,10 @@ class ResolvedWeights:
     For constant schemes ``sigma`` holds the vector and the branch fields
     are None.  For the value-dependent scheme ``sigma`` is None and the
     branch vectors plus reference point drive per-value evaluation.
+
+    Construction checks, once, that each weight column has length n and
+    holds finite, nonnegative values, and that a reference point is
+    finite; it stores the columns as read-only float copies.
     """
 
     n: int
@@ -221,6 +231,30 @@ class ResolvedWeights:
     sigma_low: np.ndarray | None = None
     sigma_high: np.ndarray | None = None
     reference: float | None = None
+
+    def __post_init__(self):
+        names = ("sigma_low", "sigma_high") if self.sigma is None else ("sigma",)
+        for name in names:
+            col = np.array(getattr(self, name), dtype=float)
+            if col.shape != (self.n,):
+                raise InvalidParameterError(
+                    f"{name} has shape {col.shape}, expected ({self.n},)"
+                )
+            finite = np.isfinite(col)
+            if not finite.all():
+                raise InvalidParameterError(f"weights must be finite, got {col[~finite][0]:g}")
+            if np.any(col < 0.0):
+                raise InvalidParameterError(
+                    f"weights must be nonnegative, min weight {col.min():g}"
+                )
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if self.sigma is None:
+            if self.reference is None or not math.isfinite(self.reference):
+                raise InvalidParameterError(
+                    f"reference point must be finite, got {self.reference}"
+                )
+            object.__setattr__(self, "reference", float(self.reference))
 
     @property
     def is_value_dependent(self) -> bool:
@@ -233,37 +267,25 @@ class ResolvedWeights:
         return np.where(z_sorted <= self.reference, self.sigma_low, self.sigma_high)
 
 
-def _reject_negative(scheme: WeightScheme, weights: np.ndarray, n: int) -> None:
-    if np.any(weights < 0):
-        raise InvalidParameterError(
-            f"{type(scheme).__name__} weights must be nonnegative, "
-            f"min weight {float(weights.min()):g} at n={n}"
-        )
-
-
 def resolve(scheme: WeightScheme, n: int) -> ResolvedWeights:
     """Fix a weight scheme to sample size n, validating scheme invariants."""
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if isinstance(scheme, CPTValueDependent):
-        low, high = scheme.branch_vectors(n)
-        _reject_negative(scheme, np.concatenate((low, high)), n)
-        return ResolvedWeights(
-            n=n,
-            sigma=None,
-            sigma_low=low,
-            sigma_high=high,
-            reference=scheme.B,
-        )
-    sigma = scheme.resolve(n)
-    _reject_negative(scheme, sigma, n)
+        columns = (None, *scheme.branch_vectors(n), scheme.B)
+    else:
+        columns = (scheme.resolve(n),)
+    try:
+        resolved = ResolvedWeights(n, *columns)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{type(scheme).__name__} {exc} at n={n}") from None
     if isinstance(scheme, _SPECTRAL):
-        total = float(sigma.sum())
+        total = float(resolved.sigma.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidParameterError(f"spectral weights sum to {total}, expected 1")
-        if np.any(np.diff(sigma) < -_SUM_TOL):
+        if np.any(np.diff(resolved.sigma) < -_SUM_TOL):
             raise InvalidParameterError("spectral weights must be nondecreasing")
-    return ResolvedWeights(n=n, sigma=sigma)
+    return resolved
 
 
 #: Scheme name -> class; the parameters of a scheme are its fields.

@@ -50,6 +50,33 @@ def test_schedule_ehrm_feasibility_switch():
     assert s.rho_at(1, 1e-4, 1e-3) == pytest.approx(1.07e-4)
 
 
+@pytest.mark.parametrize("kind, rho0", [("srm", None), ("aorr", None), ("ehrm", 1e250)])
+def test_schedule_saturates_at_rho_max(kind, rho0):
+    # 1.2**k alone overflows from k = 3893 and 5.0**e from e = 442 (k = 1333),
+    # and ehrm's product passes 1e300: rho climbs to RHO_MAX and stays there,
+    # without raising, and below the cap it is the uncapped formula bit for bit
+    s, prev, steps = ScheduleSpec(kind, rho0), None, []
+    for k in range(5001):
+        rho = s.rho_at(k, prev, 1e-3)
+        if kind == "srm":
+            uncapped = s.rho0 * 1.2**k if k < 3893 else math.inf
+        elif kind == "aorr":
+            uncapped = s.rho0 * 5.0 ** math.floor((k - 7) / 3) if k < 1333 else math.inf
+        else:
+            uncapped = s.rho0 if prev is None else prev * 1.07
+        assert rho == (uncapped if uncapped < admm_module.RHO_MAX else admm_module.RHO_MAX)
+        steps.append(rho)
+        prev = rho
+    assert steps[-1] == admm_module.RHO_MAX
+
+
+def test_schedule_with_tiny_rho0_grows_past_the_overflow_of_its_power():
+    s = ScheduleSpec.srm(1e-300)
+    rhos = [s.rho_at(k, None, 0.0) for k in range(3880, 3910)]
+    assert all(a < b < admm_module.RHO_MAX for a, b in zip(rhos, rhos[1:]))
+    assert s.rho_at(5000, None, 0.0) == pytest.approx(10 ** (5000 * math.log10(1.2) - 300))
+
+
 def test_schedule_validation():
     with pytest.raises(InvalidParameterError):
         ScheduleSpec.constant(0.0)

@@ -123,12 +123,21 @@ def test_cli_weights_validation():
     # the negative weight only shows once the scheme is resolved at n
     assert cli_main(["weights", "--scheme", "human-aligned", "--ha-b", "-0.5",
                      "--n", "10"]) == 2
+    # a non-finite parameter is refused by its scheme, before any weight is
+    # printed as nan
+    assert cli_main(["weights", "--n", "4", "--scheme", "human-aligned", "--ha-b", "nan"]) == 2
+    assert cli_main(["weights", "--n", "4", "--scheme", "esrm", "--risk", "inf"]) == 2
+    assert cli_main(["oracle", "--n", "5", "--scheme", "cpt", "--cpt-b", "inf"]) == 2
 
 
 def test_cli_train_bad_scheme_value_exits_2(tmp_path, capsys):
     assert cli_main(["train", "--synthetic", "n=20,d=3,seed=1", "--scheme", "human-aligned",
                      "--ha-b", "-0.5", "--out", str(tmp_path)]) == 2
     assert "nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+    assert cli_main(["train", "--synthetic", "n=40,d=5", "--scheme", "cpt", "--cpt-b", "nan",
+                     "--max-iter", "3", "--out", str(tmp_path)]) == 2
+    assert "reference point B must be finite" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
 
 
@@ -251,6 +260,14 @@ _INVALID_CELLS = [
     # no run, or two runs writing one trace file
     ({"repetitions": None, "seeds": []}, "'seeds'"),
     ({"repetitions": None, "seeds": [1, 1]}, "'seeds'"),
+    # non-finite scheme, regularizer and data parameters
+    ({"scheme": {"kind": "cpt", "B": np.nan}}, "B must be finite"),
+    ({"scheme": {"kind": "cpt", "B": np.inf}}, "B must be finite"),
+    ({"scheme": {"kind": "esrm", "risk": np.inf}}, "risk must be finite"),
+    ({"scheme": {"kind": "human_aligned", "b": np.nan}}, "b must be finite"),
+    ({"regularizer": {"variant": "l2", "mu": np.inf}}, "finite mu"),
+    ({"dataset": {"synthetic": {"n": 40, "d": 5, "class_sep": np.nan}}}, "class_sep"),
+    ({"dataset": {"synthetic": {"n": 40, "d": 5, "class_sep": np.inf}}}, "class_sep"),
 ]
 
 

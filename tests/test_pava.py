@@ -513,16 +513,6 @@ def test_targets_near_the_float_max_give_finite_z_or_raise(kind, scheme):
     assert np.all(np.isfinite(z))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-def test_merge_rejects_bad_weight_columns(bad):
-    sigma = np.array([0.5, bad])
-    with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
-        merge_blocks(np.zeros(2), ResolvedWeights(2, sigma), 1.0, LossKind.LOGISTIC)
-    cpt = ResolvedWeights(2, None, np.ones(2), sigma, 0.0)
-    with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
-        merge_blocks(np.zeros(2), cpt, 1.0, LossKind.LOGISTIC)
-
-
 def test_inverse_permutation(rng):
     n = 9
     m = rng.standard_normal(n)

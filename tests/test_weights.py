@@ -17,6 +17,7 @@ from rankadmm.weights import (
     Explicit,
     Extremile,
     HumanAligned,
+    ResolvedWeights,
     Superquantile,
     cpt_omega,
     resolve,
@@ -225,6 +226,47 @@ def test_explicit_length_check():
 def test_explicit_rejects_nonfinite_weights(bad):
     with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
         Explicit([0.25, 0.25, 0.25, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_resolved_weights_reject_bad_columns(bad):
+    sigma = np.array([0.5, bad])
+    with pytest.raises(InvalidParameterError, match="weights must be (finite|nonnegative)"):
+        ResolvedWeights(2, sigma)
+    with pytest.raises(InvalidParameterError, match="weights must be (finite|nonnegative)"):
+        ResolvedWeights(2, None, np.ones(2), sigma, 0.0)
+
+
+def test_resolved_weights_reject_bad_length_or_reference():
+    with pytest.raises(InvalidParameterError, match=r"sigma has shape \(3,\), expected \(2,\)"):
+        ResolvedWeights(2, np.ones(3))
+    with pytest.raises(InvalidParameterError, match="sigma_high has shape"):
+        ResolvedWeights(2, None, np.ones(2), np.ones(1), 0.0)
+    for reference in (np.nan, np.inf, -np.inf, None):
+        with pytest.raises(InvalidParameterError, match="reference point must be finite"):
+            ResolvedWeights(2, None, np.ones(2), np.ones(2), reference)
+
+
+@pytest.mark.parametrize("build", [
+    ESRM, Extremile, lambda v: HumanAligned(b=v), lambda v: CPTValueDependent(B=v),
+], ids=["esrm-risk", "extremile-order", "human_aligned-b", "cpt-B"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_schemes_reject_nonfinite_parameters(build, bad):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        build(bad)
+
+
+def test_resolved_weights_store_read_only_copies():
+    sigma = np.array([0.25, 0.75])
+    resolved = ResolvedWeights(2, sigma)
+    sigma[0] = 5.0
+    assert resolved.sigma.tolist() == [0.25, 0.75]
+    cpt = resolve(CPTValueDependent(B=0), 4)
+    assert isinstance(cpt.reference, float)
+    for col in (resolved.sigma, cpt.sigma_low, cpt.sigma_high):
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 1.0
 
 
 TABLE_EXAMPLES = {
