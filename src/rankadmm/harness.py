@@ -19,10 +19,10 @@ sub-optimality traces measured against the best final objective among
 the runs whose problem key is the same.
 ``RANK_ADMM_THREADS`` runs go at once: the calling process takes runs
 itself, beside one forked worker process fewer, so a width of 1 forks
-nothing.  A worker writes its run's trace and hands back its record; the
-calling process keeps plan order, logs every failure and writes the
-summaries.  A worker that dies fails the runs it had taken, and the
-calling process runs the rest.
+nothing.  A worker writes its run's trace and hands back its record, and
+the pool's manager thread hands it the next run.  The calling process
+keeps plan order, logs every failure and writes the summaries; if a
+worker dies, the runs it had taken fail and the caller runs the rest.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import json
 import logging
 import os
 import statistics
-import threading
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -428,63 +427,59 @@ def _settle(run, cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
     return record
 
 
-def _run_queued(queue, tasks, records, out_dir: Path) -> None:
-    """Run in this process the tasks whose indices ``queue`` holds, taking
-    them one at a time until it is empty."""
-    while True:
-        try:
-            i = queue.popleft()
-        except IndexError:
-            return
-        cell, seed = tasks[i]
-        records[i] = _settle(lambda: run_cell(cell, seed, out_dir), cell, seed, out_dir)
+def _run_with_workers(forks: int, tasks, records, out_dir: Path) -> None:
+    """Run every task in this process and in ``forks`` forked workers, all
+    taking runs from one queue.  A worker's next run is handed out, as its
+    last one ends, by a callback in the pool's manager thread; a run that a
+    broken or shutting-down pool cannot take is handed back and run here."""
+    queue = collections.deque(range(len(tasks)))  # indices of the runs not yet taken
 
+    def run_here() -> None:
+        while True:
+            try:
+                i = queue.popleft()
+            except IndexError:
+                return
+            cell, seed = tasks[i]
+            records[i] = _settle(lambda: run_cell(cell, seed, out_dir), cell, seed, out_dir)
 
-def _run_with_workers(forks: int, queue, tasks, records, out_dir: Path) -> None:
-    """Run the queued tasks in this process and in ``forks`` forked workers,
-    which a thread of their own feeds from the same queue.  Once the pool is
-    broken, this process runs what is left."""
-    # Here, not at module import, which the CLI pays for on every command.
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    if forks >= 1:
+        # Here, not at module import, which the CLI pays for on every command.
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    def submit(pool, running) -> None:
-        try:
-            i = queue.popleft()
-        except IndexError:
-            return
-        try:
-            running[pool.submit(run_cell, *tasks[i], out_dir)] = i
-        except BrokenProcessPool:
-            queue.appendleft(i)  # left for this process
+        def submit(pool) -> None:
+            try:
+                i = queue.popleft()
+            except IndexError:
+                return
+            try:
+                future = pool.submit(run_cell, *tasks[i], out_dir)
+            except RuntimeError:  # BrokenProcessPool, or a pool shutting down
+                queue.appendleft(i)  # left for this process
+                return
 
-    def feed(pool, running) -> None:
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                i = running.pop(future)
+            def done(future) -> None:
                 records[i] = _settle(future.result, *tasks[i], out_dir)
-                submit(pool, running)
+                # A broken pool takes no run, and from Python 3.12 it calls this
+                # holding the lock that submit takes: submitting would deadlock.
+                if not isinstance(future.exception(), BrokenProcessPool):
+                    submit(pool)
 
-    # fork, not spawn: a worker inherits the imported package, and with it
-    # any entry point swapped in this module, instead of importing the
-    # package and numpy again, which takes longer than a small plan's runs.
-    with ProcessPoolExecutor(forks, mp_context=multiprocessing.get_context("fork")) as pool:
-        running: dict = {}
-        for _ in range(forks):
-            submit(pool, running)  # the first submit forks every worker
-        # started after the forks, so that no worker inherits a busy thread
-        feeder = threading.Thread(target=feed, args=(pool, running), name="rankadmm-feeder")
-        feeder.start()
-        try:
-            _run_queued(queue, tasks, records, out_dir)
-        except BaseException:
-            queue.clear()  # on an interrupt, hand out nothing more
-            raise
-        finally:
-            feeder.join()
-    _run_queued(queue, tasks, records, out_dir)  # what a broken pool handed back
+            future.add_done_callback(done)
+
+        # fork, not spawn: a worker inherits the imported package, and with it
+        # any entry point swapped in this module, instead of importing the
+        # package and numpy again, which takes longer than a small plan's runs.
+        with ProcessPoolExecutor(forks, mp_context=multiprocessing.get_context("fork")) as pool:
+            for _ in range(forks):
+                submit(pool)  # the first submit forks every worker
+            try:
+                run_here()
+            except BaseException:
+                queue.clear()  # on an interrupt, hand out nothing more
+                raise
+    run_here()  # every run with no fork, else the runs handed back
 
 
 def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
@@ -502,12 +497,7 @@ def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cell, seed) for cell in plan.cells for seed in cell.run_seeds]
     records: list[RunRecord | None] = [None] * len(tasks)
-    queue = collections.deque(range(len(tasks)))  # indices of the runs not yet taken
-    forks = min(workers, len(tasks)) - 1
-    if forks < 1:
-        _run_queued(queue, tasks, records, out)
-    else:
-        _run_with_workers(forks, queue, tasks, records, out)
+    _run_with_workers(min(workers, len(tasks)) - 1, tasks, records, out)
 
     summary = summarize(plan, records)
     _write_summary_csv(out / "summary.csv", summary)

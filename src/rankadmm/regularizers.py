@@ -34,10 +34,11 @@ class RegularizerSpec:
             raise InvalidParameterError(f"unknown regularizer {v!r}")
         if v != "zero" and not (0 < self.mu < math.inf):
             raise InvalidParameterError(f"{v} needs a finite mu > 0, got {self.mu}")
-        if v == "mcp" and not (self.theta > 1):
-            raise InvalidParameterError(f"mcp needs theta > 1, got {self.theta}")
-        if v == "scad" and not (self.theta > 2):
-            raise InvalidParameterError(f"scad needs theta > 2, got {self.theta}")
+        # an infinite theta would put inf - inf into the prox
+        if v == "mcp" and not (1 < self.theta < math.inf):
+            raise InvalidParameterError(f"mcp needs a finite theta > 1, got {self.theta}")
+        if v == "scad" and not (2 < self.theta < math.inf):
+            raise InvalidParameterError(f"scad needs a finite theta > 2, got {self.theta}")
         # A parameter the variant does not read is stored as 0, so specs
         # that differ only in an unused value compare equal.
         if v == "zero":

@@ -5,7 +5,7 @@ from rankadmm.admm import SolverConfig, ScheduleSpec, admm_solve
 from rankadmm.baselines import SgdConfig, rank_subgradient, sgd_solve
 from rankadmm.errors import InvalidParameterError, SolverError
 from rankadmm.losses import LossKind, loss_value
-from rankadmm.regularizers import l2
+from rankadmm.regularizers import l2, scad
 from rankadmm.weights import ERM, Explicit, Superquantile, resolve
 from tests.conftest import make_synthetic_problem
 
@@ -123,6 +123,15 @@ def test_diverging_step_stops_at_its_epoch(rate, batch):
     with pytest.raises(SolverError, match="non-finite") as info:
         sgd_solve(problem, SgdConfig(learning_rate=rate, batch=batch, epochs=5))
     assert info.value.iteration == 0
+
+
+def test_sgd_hinge_scad_trace_is_finite():
+    problem = make_synthetic_problem(n=60, d=8, loss=LossKind.HINGE, weights=Superquantile(0.5),
+                                     regularizer=scad(0.05, 3.7), seed=3)
+    w, trace = sgd_solve(problem, SgdConfig(learning_rate=1e-2, batch=16, epochs=20, seed=1))
+    assert len(trace) == 20 and np.all(np.isfinite(w))
+    assert np.all(np.isfinite(trace.objective))
+    assert trace.objective[-1] < problem.objective(np.zeros(problem.d))
 
 
 def test_cached_batch_weights_match_per_batch_resolve():

@@ -161,6 +161,31 @@ def test_csv_header_of_another_width_is_a_data_error(tmp_path):
     assert info.value.line == 1
 
 
+#: (loader, file content, the line the error names or None, what it says)
+_DATA_ERRORS = [
+    (load_libsvm, "1 1:1\n2 1:-1\n", None, r"labels must be in \{0,1\} or \{-1,\+1\}"),
+    (load_csv, "y,a\n1,0.5\n-1,0.1\n0,0.2\n", None, r"saw \[-1.0, 0.0, 1.0\]"),
+    (load_libsvm, "+1 1:2\n-1 2:x\n", 2, "bad feature '2:x'"),
+    (load_libsvm, "+1 1:2\n-1 1:1\n+1 3:nan\n", 3, "non-finite value in '3:nan'"),
+    (load_csv, "y,a\n1,0.5\n0,abc\n", 3, "bad row '0,abc'"),
+    (load_csv, "y\n1\n0\n", None, "a label plus >= 1 feature"),
+    (load_csv, "y,a\n1,0.5\n0,inf\n", None, "non-finite entries"),
+]
+
+
+@pytest.mark.parametrize("loader, content, line, says", _DATA_ERRORS,
+                         ids=["labels", "mixed-labels", "token", "libsvm-nan", "csv-row",
+                              "label-only", "csv-inf"])
+def test_bad_content_is_a_data_error(tmp_path, loader, content, line, says):
+    path = tmp_path / "data.txt"
+    path.write_text(content)
+    with pytest.raises(DataFormatError, match=says) as info:
+        loader(path)
+    assert info.value.line == line
+    if line is not None:
+        assert str(info.value).startswith(f"line {line}: ")
+
+
 def test_synthetic_separable_when_clean():
     ds = generate_synthetic(SyntheticSpec(n=100, d=20, class_sep=10.0,
                                           flip_fraction=0.0, seed=0))
@@ -242,6 +267,23 @@ def test_standardize_uses_train_statistics():
     # train mean 1, std 1: test row maps to (4 - 1) / 1 = 3
     assert te.X == pytest.approx(np.array([[3.0]]))
     assert abs(tr.X.mean()) <= 1e-12
+
+
+def test_standardize_sparse_equals_dense_bit_for_bit(tmp_path):
+    # a libsvm file with a split: the plan path that standardizes CSR data
+    rng = np.random.default_rng(5)
+    lines = [f"{rng.choice(['+1', '-1'])} " + " ".join(
+        f"{j + 1}:{rng.standard_normal():.17g}" for j in range(6) if rng.random() < 0.5)
+        for _ in range(30)]
+    path = tmp_path / "data.svm"
+    path.write_text("\n".join(lines) + "\n")
+    train, test = split(load_libsvm(path), (0.6, 0.4), seed=2)
+    assert train.X.format == "csr"
+    sparse = standardize(train, test)
+    dense = standardize(RawDataset(train.X.toarray(), train.y), RawDataset(test.X.toarray(), test.y))
+    for got, want in zip(sparse, dense):
+        assert isinstance(got.X, np.ndarray)
+        assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
 
 
 _COLD_START = textwrap.dedent("""

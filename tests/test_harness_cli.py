@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -268,6 +269,8 @@ _INVALID_CELLS = [
     ({"regularizer": {"variant": "l2", "mu": np.inf}}, "finite mu"),
     ({"dataset": {"synthetic": {"n": 40, "d": 5, "class_sep": np.nan}}}, "class_sep"),
     ({"dataset": {"synthetic": {"n": 40, "d": 5, "class_sep": np.inf}}}, "class_sep"),
+    ({"regularizer": {"variant": "mcp", "mu": 0.01, "theta": np.inf}}, "finite theta"),
+    ({"regularizer": {"variant": "scad", "mu": 0.01, "theta": np.inf}}, "finite theta"),
 ]
 
 
@@ -316,6 +319,20 @@ def test_cli_benchmark_duplicate_cell_exits_2(tmp_path, capsys):
     other = dict(cell, solver="sgd", config={"epochs": 3})
     path.write_text(json.dumps({"cells": [cell, other], "out": str(tmp_path / "out")}))
     assert cli_main(["benchmark", str(path)]) == 0
+
+
+def test_single_fraction_split_standardizes_the_whole_set(tmp_path):
+    from rankadmm.data_io import SyntheticSpec, generate_synthetic, split, standardize
+    from rankadmm.harness import build_problem
+
+    cell = BenchmarkCell(name="whole", dataset={"synthetic": {"n": 40, "d": 5, "seed": 1}},
+                         split={"fractions": [1.0], "seed": 3}, config={"max_iter": 10})
+    problem, test = build_problem(cell, 0)
+    assert test is None
+    (whole,) = standardize(*split(generate_synthetic(SyntheticSpec(n=40, d=5, seed=1)), (1.0,), 3))
+    assert np.array_equal(problem.X, whole.X) and np.array_equal(problem.y, whole.y)
+    (record,) = run_benchmark(BenchmarkPlan(cells=[cell]), tmp_path / "out")["records"]
+    assert record.error is None and 0.5 < record.accuracy <= 1.0
 
 
 def test_suboptimality_per_cell_and_solver(tmp_path):
@@ -824,6 +841,85 @@ def test_every_run_is_taken_once_under_contention(tmp_path, monkeypatch):
     assert all(r.error is None for r in out["records"])
     assert sorted(log.read_text().splitlines()) == sorted(f"{n} {seed}" for n in range(12, 20)
                                                            for seed in (0, 1, 2))
+
+
+@pytest.mark.parametrize("width", ["2", "3"])
+def test_runs_a_pool_refuses_are_handed_back_to_the_parent(tmp_path, monkeypatch, width):
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    from rankadmm import harness
+
+    real_submit, real_sgd = ProcessPoolExecutor.submit, harness.sgd_solve
+    submits = []
+
+    def submit_once(pool, *args):
+        submits.append(None)
+        if len(submits) > 1:  # as a pool does once it is shutting down
+            raise RuntimeError("cannot schedule new futures after shutdown")
+        return real_submit(pool, *args)
+
+    log = tmp_path / "runs.log"
+
+    def logged(problem, config):
+        with open(log, "a") as fh:
+            fh.write(f"{problem.n} {config.seed} {os.getpid()}\n")
+        return real_sgd(problem, config)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_once)
+    monkeypatch.setattr(harness, "sgd_solve", logged)
+    monkeypatch.setenv("RANK_ADMM_THREADS", width)
+    cells = [{"name": f"c{n}", "dataset": {"synthetic": {"n": n, "d": 3}}, "solver": "sgd",
+              "config": {"epochs": 1}, "seeds": [0, 1]} for n in range(12, 16)]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"cells": cells, "out": str(tmp_path / "out")}))
+    out = run_benchmark(BenchmarkPlan.from_json(path))
+    assert multiprocessing.active_children() == []
+    expected = [(f"c{n}", seed) for n in range(12, 16) for seed in (0, 1)]
+    assert [(r.cell, r.seed) for r in out["records"]] == expected
+    assert all(r.error is None for r in out["records"])
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert sorted((int(n), int(seed)) for n, seed, _ in runs) == [(n, seed) for n in range(12, 16)
+                                                                  for seed in (0, 1)]
+    # the one run the pool took ran in its worker, every other one here
+    assert sorted(pid == str(os.getpid()) for *_, pid in runs) == [False] + [True] * 7
+
+
+def test_a_broken_pool_is_offered_no_further_run(tmp_path, monkeypatch):
+    # From Python 3.12 a pool that breaks runs its futures' callbacks holding
+    # the lock that submit takes, so a callback that submitted would deadlock.
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    from rankadmm import harness
+
+    real_solve, real_settle, real_submit = (harness.admm_solve, harness._settle,
+                                            ProcessPoolExecutor.submit)
+    parent, broken, submits = os.getpid(), threading.Event(), []
+
+    def dying(problem, config):
+        if os.getpid() != parent:
+            os._exit(3)
+        broken.wait(10)  # keep runs queued until the pool has broken
+        return real_solve(problem, config)
+
+    def settle(run, *args):
+        record = real_settle(run, *args)
+        if (record.error or "").startswith("BrokenProcessPool"):
+            broken.set()
+        return record
+
+    def counted(pool, *args):
+        submits.append(None)
+        return real_submit(pool, *args)
+
+    monkeypatch.setattr(harness, "admm_solve", dying)
+    monkeypatch.setattr(harness, "_settle", settle)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
+    monkeypatch.setenv("RANK_ADMM_THREADS", "2")
+    out = run_benchmark(BenchmarkPlan.from_json(make_plan(tmp_path, reps=5)))
+    assert multiprocessing.active_children() == []
+    assert len(submits) == 1
+    errors = [r.error for r in out["records"]]
+    assert errors[0].startswith("BrokenProcessPool: ") and errors[1:] == [None] * 4
 
 
 def test_results_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):

@@ -13,7 +13,9 @@ from rankadmm.losses import (
     LossKind,
     block_minimize,
     block_minimize_cpt,
+    loss_derivative_vec,
     loss_value,
+    loss_value_vec,
     singleton_minimize,
     singleton_minimize_cpt,
 )
@@ -54,6 +56,15 @@ def test_loss_values():
     assert loss_value(LossKind.HINGE, -1.0) == 0.0
     assert loss_value(LossKind.LOGISTIC, 0.0) == pytest.approx(math.log(2.0), abs=1e-12)
     assert loss_value(LossKind.HINGE, 2.0) == 3.0
+
+
+@pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
+def test_loss_derivative_matches_central_differences(kind, rng):
+    u = rng.uniform(-6.0, 6.0, 200)
+    u = u[np.abs(u + 1.0) > 1e-3]  # away from the hinge kink
+    h = 1e-6
+    diff = (loss_value_vec(kind, u + h) - loss_value_vec(kind, u - h)) / (2 * h)
+    assert loss_derivative_vec(kind, u) == pytest.approx(diff, rel=0, abs=1e-7)
 
 
 def test_loss_value_overflow_safe():

@@ -10,6 +10,7 @@ from rankadmm.losses import (
     LossKind,
     block_minimize,
     block_minimize_cpt,
+    loss_value_vec,
     singleton_minimize,
 )
 from rankadmm.oracle import chain_objective_reference, grid_dp_chain
@@ -467,6 +468,34 @@ def test_cpt_first_order_and_competitive(kind, rng):
         for cand in enumerate_first_order_points(resolved, m, 1.0, kind):
             cand_obj = chain_objective_reference(cand, m, resolved, 1.0, kind)
             assert obj <= cand_obj + 1e-8
+
+
+def grid_brute_force(m, resolved, rho, kind, step, pad_lo=3.0, pad_hi=1.0):
+    """Least objective over every nondecreasing tuple of grid_dp_chain's grid."""
+    m_sorted = np.sort(m)
+    lo, hi = m_sorted[0] - pad_lo, m_sorted[-1] + pad_hi
+    grid = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
+    tuples = np.array(list(itertools.combinations_with_replacement(range(grid.size), m.size)))
+    z = grid[tuples]
+    sigma = np.where(z <= resolved.reference, resolved.sigma_low, resolved.sigma_high)
+    terms = sigma * loss_value_vec(kind, z) + 0.5 * rho * (z - m_sorted) ** 2
+    return float(terms.sum(axis=1).min())
+
+
+@pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.HINGE])
+@pytest.mark.parametrize("n, step", [(2, 1e-2), (3, 5e-2)])
+def test_cpt_grid_dp_against_brute_force_and_the_merge_pass(kind, n, step, rng):
+    resolved = resolve(CPTValueDependent(B=0.0), n)
+    for _ in range(2):
+        m = rng.uniform(-1.5, 1.5, n)
+        _, coarse = grid_dp_chain(m, resolved, 1.0, kind, step=step)
+        assert coarse == pytest.approx(grid_brute_force(m, resolved, 1.0, kind, step),
+                                       rel=0, abs=1e-12)
+        # at the default step the grid finds the merge pass's point or better,
+        # within the oracle tolerance (1e-3)
+        _, fine = grid_dp_chain(m, resolved, 1.0, kind)
+        z = solve_z_subproblem(m, resolved, 1.0, kind)
+        assert fine <= chain_objective_reference(z, m, resolved, 1.0, kind) + 1e-3
 
 
 def test_solve_rejects_bad_inputs(rng):

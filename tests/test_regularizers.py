@@ -10,6 +10,7 @@ from rankadmm.regularizers import (
     mcp,
     moreau_value_and_grad,
     prox,
+    reg_subgradient,
     reg_value,
     scad,
 )
@@ -56,6 +57,16 @@ def test_reg_terms_are_the_coordinate_penalties(spec, rng):
     assert reg_value(spec, w) == pytest.approx(penalty_on_grid(spec, w).sum(), rel=1e-14)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_subgradient_matches_central_differences(spec, rng):
+    w = rng.uniform(-4.0, 4.0, 200)
+    kinks = np.array([0.0, spec.mu, spec.theta * spec.mu])
+    w = w[np.min(np.abs(np.abs(w)[:, None] - kinks), axis=1) > 1e-3]
+    h = 1e-6
+    diff = [(reg_value(spec, [x + h]) - reg_value(spec, [x - h])) / (2 * h) for x in w]
+    assert reg_subgradient(spec, w) == pytest.approx(diff, rel=0, abs=1e-7)
+
+
 def test_spec_validation():
     with pytest.raises(InvalidParameterError):
         RegularizerSpec("l1", mu=0.0)
@@ -65,6 +76,13 @@ def test_spec_validation():
         RegularizerSpec("scad", mu=1.0, theta=2.0)
     with pytest.raises(InvalidParameterError):
         RegularizerSpec("nuclear")
+
+
+@pytest.mark.parametrize("variant", ["mcp", "scad"])
+@pytest.mark.parametrize("theta", [np.inf, np.nan])
+def test_spec_refuses_a_non_finite_theta(variant, theta):
+    with pytest.raises(InvalidParameterError, match="finite theta"):
+        RegularizerSpec(variant, mu=0.01, theta=theta)
 
 
 def test_weak_convexity_moduli():
