@@ -11,14 +11,23 @@ by a v-independent constant, which is what makes block merges O(1).
 
 Hinge has a closed form.  Logistic uses bracketed Newton with Numerical
 Recipes' ``rtsafe`` rule (bisect when the Newton step leaves the bracket
-or fails to halve relative to the step before last), which bounds the
-iteration count.  :func:`block_minimize` solves one block;
-:func:`singleton_minimize` solves every count-1 block of a chain at once
-with the same bracket, rule and bisection tail.  The two-piece
+or is larger than half the step before last), which bounds the iteration
+count; without the second test the iterates can alternate between the
+bracket's ends and shrink it only slowly.  :func:`block_minimize` solves
+one block; :func:`singleton_minimize` solves every count-1 block of a
+chain at once with the same bracket, rule and bisection tail.  The two-piece
 value-dependent objective has the same pair: :func:`block_minimize_cpt`
 and :func:`singleton_minimize_cpt`; the latter solves a piece only where
 its bracket can cross the weight switch, and sets the rest to the switch
-point, bitwise what solving would give.
+point, bitwise what solving would give.  It solves the low-piece and
+high-piece entries together, in one array pass.
+
+The kernels are bound by interpreter and numpy-call overhead, not by
+arithmetic, so they are written for few calls: the scalar solves
+evaluate the sigmoid and the logistic loss inline, not through helper
+functions, and the array pass forms each shared term once per Newton
+iteration.  Each keeps the floating-point operations of its plain form
+in the same order, so the outputs are bitwise those of the plain form.
 
 :func:`block_side` tells on which side of a value the block minimizer
 lies without solving for it: the sign of the slope there, since the
@@ -81,46 +90,24 @@ def loss_derivative_vec(kind: LossKind, u: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    # exp of -|u| never overflows; both branches equal the masked
+    # exp of -|u| never overflows; the quotient equals the masked
     # 1/(1+exp(-u)) for u >= 0 and exp(u)/(1+exp(u)) below bit for bit
     e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _sigmoid_scalar(u: float) -> float:
-    if u >= 0:
-        return 1.0 / (1.0 + math.exp(-u))
-    eu = math.exp(u)
-    return eu / (1.0 + eu)
-
-
-def _block_value(
-    s: float, count: int, m_sum: float, rho: float, kind: LossKind, v: float
-) -> float:
-    """``s*l(v) + (rho/2)*(count*v^2 - 2*m_sum*v)``: the block objective
-    without its v-independent constant ``(rho/2)*sum(m_i^2)``."""
-    return s * loss_value(kind, v) + 0.5 * rho * (count * v * v - 2.0 * m_sum * v)
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def _exact_block_value(
     s: float, loss: float, count: int, m_sum: float, rho: float, v: float
 ) -> Fraction:
-    """:func:`_block_value` with the loss value ``loss`` at v, in exact
-    arithmetic on its float terms: it cannot overflow, so it decides the
-    piece choice where the float value does."""
+    """``s*loss + (rho/2)*(count*v^2 - 2*m_sum*v)``, the block objective at
+    v with the loss value ``loss`` there and without its v-independent
+    constant ``(rho/2)*sum(m_i^2)``, in exact arithmetic on its float
+    terms: it cannot overflow, so it decides the piece choice where the
+    float value does."""
     v = Fraction(v)
     return Fraction(s) * Fraction(loss) + Fraction(rho) / 2 * (
         count * v * v - 2 * Fraction(m_sum) * v
     )
-
-
-def _bisects(v_new, lo, hi, step, dx_old):
-    """Numerical Recipes' rtsafe rule: bisect instead of taking the Newton
-    point ``v_new`` when it leaves the open bracket (lo, hi) or when the
-    Newton step is larger than half the step before last.  Without the
-    second test the iterates can alternate between the bracket's ends and
-    shrink it only slowly.  Works elementwise on arrays as well."""
-    return (v_new <= lo) | (v_new >= hi) | (abs(step) > 0.5 * abs(dx_old))
 
 
 def _closed_form(s: float, count: int, m_sum: float, rho: float) -> float:
@@ -154,7 +141,13 @@ def block_side(
     if s == 0.0 or kind == LossKind.HINGE:
         v = _closed_form(s, count, m_sum, rho)
         return (v > u) - (v < u)
-    d = s * _sigmoid_scalar(u) + rho * count * u - rho * m_sum
+    # the sigmoid of :func:`block_minimize`, written out likewise
+    if u >= 0:
+        sg = 1.0 / (1.0 + math.exp(-u))
+    else:
+        e = math.exp(u)
+        sg = e / (1.0 + e)
+    d = s * sg + rho * count * u - rho * m_sum
     return (d < 0.0) - (d > 0.0)
 
 
@@ -176,7 +169,7 @@ def block_minimize(
     at v = -1.  Logistic uses Newton on the strictly increasing derivative
     ``s*sigmoid(v) + rho*(count*v - m_sum)``, bracketed by
     ``[m_sum/count - s/(rho*count), m_sum/count]`` and safeguarded by the
-    rtsafe rule of :func:`_bisects`; the bracket assumes 0 <= l' <= 1,
+    rtsafe rule (module docstring); the bracket assumes 0 <= l' <= 1,
     which both losses satisfy (sigmoid, unit hinge slope).  A low end that
     overflows to -inf is replaced by the most negative float.  An interval
     ``[v_lo, v_hi]`` known to hold the minimizer narrows that bracket; if
@@ -196,31 +189,41 @@ def block_minimize(
     hi = mean_m
     if lo == hi:
         return lo
-    a, b = max(lo, v_lo), min(hi, v_hi)
+    # max(lo, v_lo) and min(hi, v_hi), ties and signed zeros included
+    a = v_lo if v_lo > lo else lo
+    b = v_hi if v_hi < hi else hi
     if a < b:
         lo, hi = a, b
 
     rm = rho * m_sum
     # halves first: 0.5 * (lo + hi) overflows when both ends pass ~9e307
     v = 0.5 * lo + 0.5 * hi
-    dx_old = dx = hi - lo
+    # the rule reads only the magnitudes of the last two steps
+    adx_old = adx = hi - lo
+    # The sigmoid and the rtsafe rule are written out: a function call per
+    # iteration costs about a tenth of a merge.
     for _ in range(_NEWTON_MAX_ITER):
-        sg = _sigmoid_scalar(v)
-        d = s * sg + rc * v - rm
+        if v >= 0:
+            sg = 1.0 / (1.0 + math.exp(-v))
+        else:
+            e = math.exp(v)
+            sg = e / (1.0 + e)
+        ssg = s * sg
+        d = ssg + rc * v - rm
         if abs(d) <= _DERIV_TOL:
             return v
         if d > 0:
             hi = v
         else:
             lo = v
-        step = d / (s * sg * (1.0 - sg) + rc)
+        step = d / (ssg * (1.0 - sg) + rc)
         v_new = v - step
-        # _bisects, written out: one call per iteration is a tenth of a merge
-        if v_new <= lo or v_new >= hi or abs(step) > 0.5 * abs(dx_old):
-            dx_old, dx = dx, 0.5 * (hi - lo)
+        astep = abs(step)
+        if v_new <= lo or v_new >= hi or astep > 0.5 * adx_old:
+            adx_old, adx = adx, 0.5 * (hi - lo)
             v_new = 0.5 * lo + 0.5 * hi
         else:
-            dx_old, dx = dx, step
+            adx_old, adx = adx, astep
         if v_new == v:
             return v
         v = v_new
@@ -232,7 +235,12 @@ def block_minimize(
         v = 0.5 * lo + 0.5 * hi
         if not lo < v < hi:
             return v
-        if s * _sigmoid_scalar(v) + rc * v - rm > 0:
+        if v >= 0:
+            sg = 1.0 / (1.0 + math.exp(-v))
+        else:
+            e = math.exp(v)
+            sg = e / (1.0 + e)
+        if s * sg + rc * v - rm > 0:
             hi = v
         else:
             lo = v
@@ -261,36 +269,46 @@ def singleton_minimize(
         lo_all = np.maximum(m - s / rho, _LOWEST)
     # lo == hi (s == 0, or s/rho below m's ulp) leaves the target itself
     act = np.flatnonzero(lo_all != m)
-    s, m, lo, hi = s[act], m[act], lo_all[act], m[act]
+    s, m, lo = s[act], m[act], lo_all[act]
+    hi, rm = m, rho * m
     v = 0.5 * lo + 0.5 * hi
-    dx_old = dx = hi - lo
+    # the rule reads only the magnitudes of the last two steps
+    adx_old = adx = hi - lo
+    # The scalar solve's operations in its order, with as few numpy calls
+    # per iteration as that allows: their dispatch, not the arithmetic on
+    # a few hundred entries, sets the time.
     for _ in range(_NEWTON_MAX_ITER):
         if act.size == 0:
             return out
         sg = _sigmoid(v)
-        d = s * sg + rho * v - rho * m
+        ssg = s * sg
+        d = ssg + rho * v - rm
         right = d > 0
         hi = np.where(right, v, hi)
         lo = np.where(right, lo, v)
-        step = d / (s * sg * (1.0 - sg) + rho)
-        bis = _bisects(v - step, lo, hi, step, dx_old)
-        dx_old, dx = dx, np.where(bis, 0.5 * (hi - lo), step)
-        v_new = np.where(bis, 0.5 * lo + 0.5 * hi, v - step)
+        step = d / (ssg * (1.0 - sg) + rho)
+        v_step = v - step
+        astep = np.abs(step)
+        bis = (v_step <= lo) | (v_step >= hi) | (astep > 0.5 * adx_old)
+        adx_old, adx = adx, np.where(bis, 0.5 * (hi - lo), astep)
+        v_new = np.where(bis, 0.5 * lo + 0.5 * hi, v_step)
         done = (np.abs(d) <= _DERIV_TOL) | (v_new == v)
-        out[act[done]] = v[done]
-        keep = ~done
-        act, s, m, lo, hi, dx_old, dx, v = (
-            a[keep] for a in (act, s, m, lo, hi, dx_old, dx, v_new)
-        )
+        if np.count_nonzero(done):
+            out[act[done]] = v[done]
+            keep = ~done
+            act, s, rm, lo, hi, adx_old, adx, v_new = (
+                a[keep] for a in (act, s, rm, lo, hi, adx_old, adx, v_new)
+            )
+        v = v_new
     while True:
         v = 0.5 * lo + 0.5 * hi
         done = ~((lo < v) & (v < hi))
         out[act[done]] = v[done]
         keep = ~done
-        act, s, m, lo, hi, v = (a[keep] for a in (act, s, m, lo, hi, v))
+        act, s, rm, lo, hi, v = (a[keep] for a in (act, s, rm, lo, hi, v))
         if act.size == 0:
             return out
-        right = s * _sigmoid(v) + rho * v - rho * m > 0
+        right = s * _sigmoid(v) + rho * v - rm > 0
         hi = np.where(right, v, hi)
         lo = np.where(right, lo, v)
 
@@ -331,11 +349,23 @@ def block_minimize_cpt(
         v_low = min(block_minimize(s_low, count, m_sum, rho, kind), boundary)
     if not (logistic and mean_m < boundary):
         v_high = max(block_minimize(s_high, count, m_sum, rho, kind), boundary)
-    f_low = _block_value(s_low, count, m_sum, rho, kind, v_low)
-    f_high = _block_value(s_high, count, m_sum, rho, kind, v_high)
+    if logistic:
+        # loss_value, written out: a call costs about a tenth of a merge
+        if v_low > 0:
+            loss_low = v_low + math.log1p(math.exp(-v_low))
+        else:
+            loss_low = math.log1p(math.exp(v_low))
+        if v_high > 0:
+            loss_high = v_high + math.log1p(math.exp(-v_high))
+        else:
+            loss_high = math.log1p(math.exp(v_high))
+    else:
+        loss_low, loss_high = loss_value(kind, v_low), loss_value(kind, v_high)
+    f_low = s_low * loss_low + 0.5 * rho * (count * v_low * v_low - 2.0 * m_sum * v_low)
+    f_high = s_high * loss_high + 0.5 * rho * (count * v_high * v_high - 2.0 * m_sum * v_high)
     if not (math.isfinite(f_low) and math.isfinite(f_high)):
-        f_low = _exact_block_value(s_low, loss_value(kind, v_low), count, m_sum, rho, v_low)
-        f_high = _exact_block_value(s_high, loss_value(kind, v_high), count, m_sum, rho, v_high)
+        f_low = _exact_block_value(s_low, loss_low, count, m_sum, rho, v_low)
+        f_high = _exact_block_value(s_high, loss_high, count, m_sum, rho, v_high)
     return v_low if f_low <= f_high else v_high
 
 
@@ -375,12 +405,19 @@ def singleton_minimize_cpt(
     if kind == LossKind.LOGISTIC:
         low = np.flatnonzero(m - s_low / rho <= boundary)
         high = np.flatnonzero(m >= boundary)
+    # both pieces in one pass: it runs as many Newton iterations as the
+    # slower piece needs, not the two pieces' sum
+    m_low = m[low]
+    v = singleton_minimize(
+        np.concatenate((s_low[low], s_high[high])), np.concatenate((m_low, m[high])), rho, kind
+    )
     v_low = np.full_like(m, boundary)
-    v_low[low] = np.minimum(singleton_minimize(s_low[low], m[low], rho, kind), boundary)
+    v_low[low] = np.minimum(v[: m_low.size], boundary)
     v_high = np.full_like(m, boundary)
-    v_high[high] = np.maximum(singleton_minimize(s_high[high], m[high], rho, kind), boundary)
+    v_high[high] = np.maximum(v[m_low.size :], boundary)
     loss_low, loss_high = loss_value_vec(kind, v_low), loss_value_vec(kind, v_high)
-    # _block_value with count 1; near the float max v * v overflows
+    # the piece values of block_minimize_cpt with count 1; near the float
+    # max v * v overflows
     with np.errstate(over="ignore", invalid="ignore"):
         f_low = s_low * loss_low + 0.5 * rho * (v_low * v_low - 2.0 * m * v_low)
         f_high = s_high * loss_high + 0.5 * rho * (v_high * v_high - 2.0 * m * v_high)

@@ -216,7 +216,9 @@ class WSolver:
         penalty-free solution, by objective value: the anchor, late in the
         outer loop, is close to this step's answer, and the penalty-free
         solution keeps the iteration count bounded by the data
-        conditioning even for very large rho.  Stops when the
+        conditioning even for very large rho.  Raises SolverError when
+        neither start has a finite objective (overflowing targets): no
+        iterate could be compared or accepted.  Stops when the
         prox-gradient mapping norm falls below _TOL.
 
         Each iteration makes one Gram product, G w_new with G = A^T A (with
@@ -251,7 +253,10 @@ class WSolver:
             return self._smooth_part(v, target, anchor, rho, r)[0] + reg_value(reg, v)
 
         ridge, _ = self.ridge_solve(rho, r, c)
-        w = anchor.copy() if full(anchor) <= full(ridge) else ridge
+        f_anchor, f_ridge = full(anchor), full(ridge)
+        if not (math.isfinite(f_anchor) or math.isfinite(f_ridge)):
+            raise SolverError("w-step objective is non-finite at the anchor and the ridge start")
+        w = anchor.copy() if f_anchor <= f_ridge else ridge
         Gw = self._gram_matvec(w)
         y, Gy = w.copy(), Gw
         t_momentum = 1.0

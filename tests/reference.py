@@ -12,17 +12,39 @@ block (:func:`block_stationarity_residual_cpt`), and of a whole partition
 (:func:`stationarity_residual`, the worst block).  :func:`block_hi` gives
 each block's last index.
 
-:func:`record_merges` records the merge pass's scalar solves.
+:func:`record_merges` records the merge pass's scalar solves, and
+:func:`count_exp_calls` the exponentials the scalar solves evaluate.
+
+The ``plain_*`` functions are the z-step kernels of :mod:`rankadmm.losses`
+in their plain form: one numpy call per operation, a helper call per
+sigmoid, loss value and rtsafe test, and the two pieces of the
+value-dependent singletons solved in two passes.  The package's kernels
+do the same floating-point operations in the same order with fewer
+calls, so the tests require byte-equal results from both.
 """
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from rankadmm import pava
-from rankadmm.losses import LossKind, block_minimize, loss_derivative_vec
+from rankadmm import losses, pava
+from rankadmm.errors import InvalidParameterError
+from rankadmm.losses import (
+    _DERIV_TOL,
+    _LOWEST,
+    _NEWTON_MAX_ITER,
+    LossKind,
+    _closed_form,
+    _exact_block_value,
+    block_minimize,
+    loss_derivative_vec,
+    loss_value,
+    loss_value_vec,
+)
 from rankadmm.pava import BlockPartition
 from rankadmm.weights import ResolvedWeights
 
@@ -182,3 +204,233 @@ def record_merges(monkeypatch) -> list[Merge]:
     monkeypatch.setattr(pava, "block_minimize", recording)
     monkeypatch.setattr(pava, "block_minimize_cpt", recording_cpt)
     return merges
+
+
+def count_exp_calls(monkeypatch) -> list[float]:
+    """Record the argument of every ``math.exp`` call in
+    :mod:`rankadmm.losses` into the returned list.  The scalar solves
+    evaluate the sigmoid inline, one ``math.exp`` each, so its length
+    counts their sigmoid evaluations."""
+    calls: list[float] = []
+
+    def counting(u):
+        calls.append(u)
+        return math.exp(u)
+
+    monkeypatch.setattr(losses, "math", SimpleNamespace(**{**vars(math), "exp": counting}))
+    return calls
+
+
+# -- the z-step kernels in their plain form ------------------------------------
+
+
+def plain_sigmoid(u: np.ndarray) -> np.ndarray:
+    # exp of -|u| never overflows; both branches equal the masked
+    # 1/(1+exp(-u)) for u >= 0 and exp(u)/(1+exp(u)) below bit for bit
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def plain_sigmoid_scalar(u: float) -> float:
+    if u >= 0:
+        return 1.0 / (1.0 + math.exp(-u))
+    eu = math.exp(u)
+    return eu / (1.0 + eu)
+
+
+def plain_block_value(
+    s: float, count: int, m_sum: float, rho: float, kind: LossKind, v: float
+) -> float:
+    return s * loss_value(kind, v) + 0.5 * rho * (count * v * v - 2.0 * m_sum * v)
+
+
+def plain_bisects(v_new, lo, hi, step, dx_old):
+    """Numerical Recipes' rtsafe rule: bisect instead of taking the Newton
+    point ``v_new`` when it leaves the open bracket (lo, hi) or when the
+    Newton step is larger than half the step before last.  Without the
+    second test the iterates can alternate between the bracket's ends and
+    shrink it only slowly.  Works elementwise on arrays as well."""
+    return (v_new <= lo) | (v_new >= hi) | (abs(step) > 0.5 * abs(dx_old))
+
+
+def plain_block_side(
+    s: float, count: int, m_sum: float, rho: float, kind: LossKind, u: float
+) -> int:
+    if s == 0.0 or kind == LossKind.HINGE:
+        v = _closed_form(s, count, m_sum, rho)
+        return (v > u) - (v < u)
+    d = s * plain_sigmoid_scalar(u) + rho * count * u - rho * m_sum
+    return (d < 0.0) - (d > 0.0)
+
+
+def plain_block_minimize(
+    s: float,
+    count: int,
+    m_sum: float,
+    rho: float,
+    kind: LossKind,
+    v_lo: float = -math.inf,
+    v_hi: float = math.inf,
+) -> float:
+    if not (math.isfinite(s) and math.isfinite(m_sum)):
+        raise InvalidParameterError("non-finite block objective inputs")
+    if s == 0.0 or kind == LossKind.HINGE:
+        return _closed_form(s, count, m_sum, rho)
+
+    rc = rho * count
+    mean_m = m_sum / count
+    lo = mean_m - s / rc
+    if lo < _LOWEST:
+        lo = _LOWEST
+    hi = mean_m
+    if lo == hi:
+        return lo
+    a, b = max(lo, v_lo), min(hi, v_hi)
+    if a < b:
+        lo, hi = a, b
+
+    rm = rho * m_sum
+    # halves first: 0.5 * (lo + hi) overflows when both ends pass ~9e307
+    v = 0.5 * lo + 0.5 * hi
+    dx_old = dx = hi - lo
+    for _ in range(_NEWTON_MAX_ITER):
+        sg = plain_sigmoid_scalar(v)
+        d = s * sg + rc * v - rm
+        if abs(d) <= _DERIV_TOL:
+            return v
+        if d > 0:
+            hi = v
+        else:
+            lo = v
+        step = d / (s * sg * (1.0 - sg) + rc)
+        v_new = v - step
+        # plain_bisects, written out
+        if v_new <= lo or v_new >= hi or abs(step) > 0.5 * abs(dx_old):
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            v_new = 0.5 * lo + 0.5 * hi
+        else:
+            dx_old, dx = dx, step
+        if v_new == v:
+            return v
+        v = v_new
+    # Rarely reached: the rtsafe rule at least halves the step every
+    # second iteration.  Finish with plain bisection until the midpoint is
+    # a bracket end (or NaN), about 2,100 halvings at most from a bracket
+    # as wide as the float range.
+    while True:
+        v = 0.5 * lo + 0.5 * hi
+        if not lo < v < hi:
+            return v
+        if s * plain_sigmoid_scalar(v) + rc * v - rm > 0:
+            hi = v
+        else:
+            lo = v
+
+
+def plain_singleton_minimize(
+    s: np.ndarray, m: np.ndarray, rho: float, kind: LossKind
+) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if kind == LossKind.HINGE:
+        v_right = (rho * m - s) / rho
+        out = np.where(m < -1.0, m, np.where(v_right > -1.0, v_right, -1.0))
+        return np.where(s == 0.0, m, out)
+
+    out = m.copy()
+    with np.errstate(over="ignore"):
+        lo_all = np.maximum(m - s / rho, _LOWEST)
+    # lo == hi (s == 0, or s/rho below m's ulp) leaves the target itself
+    act = np.flatnonzero(lo_all != m)
+    s, m, lo, hi = s[act], m[act], lo_all[act], m[act]
+    v = 0.5 * lo + 0.5 * hi
+    dx_old = dx = hi - lo
+    for _ in range(_NEWTON_MAX_ITER):
+        if act.size == 0:
+            return out
+        sg = plain_sigmoid(v)
+        d = s * sg + rho * v - rho * m
+        right = d > 0
+        hi = np.where(right, v, hi)
+        lo = np.where(right, lo, v)
+        step = d / (s * sg * (1.0 - sg) + rho)
+        bis = plain_bisects(v - step, lo, hi, step, dx_old)
+        dx_old, dx = dx, np.where(bis, 0.5 * (hi - lo), step)
+        v_new = np.where(bis, 0.5 * lo + 0.5 * hi, v - step)
+        done = (np.abs(d) <= _DERIV_TOL) | (v_new == v)
+        out[act[done]] = v[done]
+        keep = ~done
+        act, s, m, lo, hi, dx_old, dx, v = (
+            a[keep] for a in (act, s, m, lo, hi, dx_old, dx, v_new)
+        )
+    while True:
+        v = 0.5 * lo + 0.5 * hi
+        done = ~((lo < v) & (v < hi))
+        out[act[done]] = v[done]
+        keep = ~done
+        act, s, m, lo, hi, v = (a[keep] for a in (act, s, m, lo, hi, v))
+        if act.size == 0:
+            return out
+        right = s * plain_sigmoid(v) + rho * v - rho * m > 0
+        hi = np.where(right, v, hi)
+        lo = np.where(right, lo, v)
+
+
+def plain_block_minimize_cpt(
+    s_low: float,
+    s_high: float,
+    count: int,
+    m_sum: float,
+    rho: float,
+    boundary: float,
+    kind: LossKind,
+) -> float:
+    if not (math.isfinite(s_low) and math.isfinite(s_high) and math.isfinite(m_sum)):
+        raise InvalidParameterError("non-finite block objective inputs")
+    v_low = v_high = boundary
+    mean_m = m_sum / count
+    logistic = kind == LossKind.LOGISTIC
+    if not (logistic and mean_m - s_low / (rho * count) > boundary):
+        v_low = min(plain_block_minimize(s_low, count, m_sum, rho, kind), boundary)
+    if not (logistic and mean_m < boundary):
+        v_high = max(plain_block_minimize(s_high, count, m_sum, rho, kind), boundary)
+    f_low = plain_block_value(s_low, count, m_sum, rho, kind, v_low)
+    f_high = plain_block_value(s_high, count, m_sum, rho, kind, v_high)
+    if not (math.isfinite(f_low) and math.isfinite(f_high)):
+        f_low = _exact_block_value(s_low, loss_value(kind, v_low), count, m_sum, rho, v_low)
+        f_high = _exact_block_value(s_high, loss_value(kind, v_high), count, m_sum, rho, v_high)
+    return v_low if f_low <= f_high else v_high
+
+
+def plain_singleton_minimize_cpt(
+    s_low: np.ndarray,
+    s_high: np.ndarray,
+    m: np.ndarray,
+    boundary: float,
+    rho: float,
+    kind: LossKind,
+) -> np.ndarray:
+    s_low = np.asarray(s_low, dtype=float)
+    s_high = np.asarray(s_high, dtype=float)
+    m = np.asarray(m, dtype=float)
+
+    low = high = slice(None)
+    if kind == LossKind.LOGISTIC:
+        low = np.flatnonzero(m - s_low / rho <= boundary)
+        high = np.flatnonzero(m >= boundary)
+    v_low = np.full_like(m, boundary)
+    v_low[low] = np.minimum(plain_singleton_minimize(s_low[low], m[low], rho, kind), boundary)
+    v_high = np.full_like(m, boundary)
+    v_high[high] = np.maximum(plain_singleton_minimize(s_high[high], m[high], rho, kind), boundary)
+    loss_low, loss_high = loss_value_vec(kind, v_low), loss_value_vec(kind, v_high)
+    # plain_block_value with count 1; near the float max v * v overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_low = s_low * loss_low + 0.5 * rho * (v_low * v_low - 2.0 * m * v_low)
+        f_high = s_high * loss_high + 0.5 * rho * (v_high * v_high - 2.0 * m * v_high)
+    take_low = f_low <= f_high
+    for i in np.flatnonzero(~(np.isfinite(f_low) & np.isfinite(f_high))).tolist():
+        take_low[i] = _exact_block_value(
+            s_low[i], loss_low[i], 1, m[i], rho, v_low[i]
+        ) <= _exact_block_value(s_high[i], loss_high[i], 1, m[i], rho, v_high[i])
+    out = np.where(take_low, v_low, v_high)
+    return np.where((s_low == 0.0) & (s_high == 0.0), m, out)

@@ -21,7 +21,7 @@ from rankadmm.admm import (
 from rankadmm.baselines import SgdConfig, sgd_solve
 from rankadmm.errors import InvalidParameterError, SolverError
 from rankadmm.losses import LossKind
-from rankadmm.regularizers import ZERO, l1, l2, mcp, reg_value
+from rankadmm.regularizers import ZERO, l1, l2, mcp, reg_value, scad
 from rankadmm.weights import ERM, CPTValueDependent, Superquantile
 from rankadmm.wsolver import WSolver
 from tests.conftest import make_synthetic_problem
@@ -282,6 +282,28 @@ def test_nonfinite_dual_stops_at_its_iteration(monkeypatch):
     with pytest.raises(SolverError, match="non-finite") as info:
         admm_solve(problem, SolverConfig(max_iter=5, stop_eps=0.0))
     assert info.value.iteration == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("reg", [l1(1e-2), mcp(1e-2, 3.0), scad(1e-2, 3.7)],
+                         ids=lambda reg: reg.variant)
+def test_nonfinite_w_step_start_stops_at_its_iteration(monkeypatch, caplog, reg):
+    # the same injection on the prox-gradient w-step: both of its start
+    # objectives overflow, so it raises instead of iterating from either
+    problem = make_synthetic_problem(n=20, d=4, regularizer=reg, seed=10)
+    real_z_step = admm_module.solve_z_subproblem
+    calls = []
+
+    def huge_on_second_call(*args, **kwargs):
+        z = real_z_step(*args, **kwargs)
+        calls.append(z)
+        return np.full_like(z, 1e200) if len(calls) == 2 else z
+
+    monkeypatch.setattr(admm_module, "solve_z_subproblem", huge_on_second_call)
+    with pytest.raises(SolverError, match="w-step objective is non-finite") as info:
+        admm_solve(problem, SolverConfig(max_iter=5, stop_eps=0.0))
+    assert info.value.iteration == 1
+    assert "prox-gradient mapping" not in caplog.text
 
 
 def test_gamma_clamp_warns():

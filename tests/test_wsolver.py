@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rankadmm import wsolver
 from rankadmm.admm import SolverConfig, admm_solve
+from rankadmm.errors import SolverError
 from rankadmm.regularizers import (
     ZERO,
     RegularizerSpec,
@@ -459,10 +460,16 @@ def test_smooth_tiny_gamma_approaches_nonsmooth(rng):
 ])
 def test_overflowing_residual_warns_at_once(reg, gamma, method, rng):
     # targets of 1e200 overflow every norm: the residual and the rounding
-    # floor are non-finite, and no stop test can pass
+    # floor are non-finite, and no stop test can pass.  The prox-gradient
+    # loop would start from the better of two infinite objectives: it
+    # raises before its first iteration instead.
     D, _, anchor = make_instance(rng)
     solver = WSolver(D)
     with np.errstate(all="ignore"):
+        if method == "prox_gradient":
+            with pytest.raises(SolverError, match="objective is non-finite"):
+                solver.solve(np.full(20, 1e200), anchor, 1.0, 2.0, reg, gamma)
+            return
         solver.solve(np.full(20, 1e200), anchor, 1.0, 2.0, reg, gamma)
     info = solver.last_info
     assert info.method == method
