@@ -156,6 +156,7 @@ def trace_array(rows) -> np.recarray:
 
 @dataclass
 class SolverResult:
+    #: The reported point, whose objective is the trace's last.
     w: np.ndarray
     #: TRACE_DTYPE records, one per iteration (attribute access by column).
     trace: np.recarray
@@ -322,7 +323,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             pen_report = reg_value(reg, w_report)
             kkt_feas = float(np.linalg.norm(z_new - Dw_report))
         else:
-            Dw_report, pen_report = Dw_new, pen_new
+            w_report, Dw_report, pen_report = w_new, Dw_new, pen_new
             kkt_feas = float(np.linalg.norm(r_new))
         # Problem.objective(w_report), reusing the product D w_report.
         objective = rank_loss_value(Dw_report, resolved, problem.loss) + pen_report
@@ -344,9 +345,8 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             stop_reason = "wall_budget"
             break
 
-    # gamma is the last iteration's: max_iter >= 1, so the loop ran
-    w_final = prox(reg, gamma, w) if smooth_active else w
-    return SolverResult(w=w_final, trace=trace_array(rows), stop_reason=stop_reason,
+    # the point of the trace's last objective: max_iter >= 1, so the loop ran
+    return SolverResult(w=w_report, trace=trace_array(rows), stop_reason=stop_reason,
                         r_effective=r)
 
 

@@ -3,7 +3,8 @@
 A plain fixed-step subgradient method over shuffled minibatches.  Each
 batch is treated as its own smaller problem: the weight scheme is
 re-resolved at the batch size, which is the usual practice for these
-comparators but introduces bias for non-uniform schemes.
+comparators but introduces bias for non-uniform schemes.  Like the ADMM
+solvers, ``sgd_solve`` returns a SolverResult, one trace row per epoch.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wgt
-from .admm import TRACE_DTYPE
+from .admm import SolverResult, trace_array
 from .errors import InvalidParameterError, SolverError, check_positive_int, store_floats
 from .losses import loss_derivative_vec
 from .problem import Problem
@@ -78,13 +79,14 @@ def rank_subgradient(
     return grad + reg_subgradient(problem.regularizer, w)
 
 
-def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, np.recarray]:
+def sgd_solve(problem: Problem, config: SgdConfig) -> SolverResult:
     """Fixed-step subgradient descent over shuffled batches.
 
     One trace row per epoch with the full objective; the stationarity
     columns stay at zero since the method does not estimate them, and the
-    augmented Lagrangian and gamma are NaN.  A non-finite w or objective
-    raises SolverError at its epoch.
+    augmented Lagrangian and gamma are NaN.  The stop reason is
+    "wall_budget" when the budget ended the loop, else "max_iter".  A
+    non-finite w or objective raises SolverError at its epoch.
     """
     rng = np.random.default_rng(config.seed)
     n = problem.n
@@ -93,7 +95,8 @@ def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, np.recar
     # Every epoch has the same batch sizes: full ones and the remainder.
     sizes = {batch, n - (n - 1) // batch * batch}
     resolved = {nb: wgt.resolve(problem.weights, nb) for nb in sizes}
-    objectives, walls = [], []
+    rows = []
+    stop_reason = "max_iter"
     start = time.perf_counter_ns()
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -104,15 +107,12 @@ def sgd_solve(problem: Problem, config: SgdConfig) -> tuple[np.ndarray, np.recar
         objective = problem.objective(w)
         if not (math.isfinite(objective) and np.all(np.isfinite(w))):
             raise SolverError("w or its objective is non-finite", iteration=epoch)
-        objectives.append(objective)
-        walls.append(time.perf_counter_ns() - start)
+        rows.append((epoch, objective, math.nan, *[0.0] * 7, math.nan,
+                     time.perf_counter_ns() - start))
         if (
             config.wall_budget_s is not None
             and (time.perf_counter_ns() - start) / 1e9 >= config.wall_budget_s
         ):
+            stop_reason = "wall_budget"
             break
-    trace = np.zeros(len(walls), TRACE_DTYPE).view(np.recarray)
-    trace.k = np.arange(len(walls))
-    trace.objective, trace.wall_ns = objectives, walls
-    trace.aug_lagrangian = trace.gamma = np.nan
-    return w, trace
+    return SolverResult(w=w, trace=trace_array(rows), stop_reason=stop_reason)

@@ -182,9 +182,8 @@ def _cmd_train(args, parser) -> int:
         config = _or_usage_error(parser, theory_mode_config, problem, eps=args.theory_eps,
                                  max_iter=config.max_iter, stop_eps=config.stop_eps)
     result = solve(cell.solver, problem, config)
-    obj = problem.objective(result.w)
     acc = accuracy(predict(problem.X, result.w), problem.y)
-    print(f"objective: {obj:.6f}")
+    print(f"objective: {result.trace.objective[-1]:.6f}")
     print(f"train_accuracy: {acc:.4f}")
     print(f"iterations: {len(result.trace)}  converged: {result.converged}  "
           f"stop: {result.stop_reason}")
@@ -244,30 +243,20 @@ def _cmd_oracle(args, parser) -> int:
     return 0
 
 
+_COMMANDS = {"train": _cmd_train, "benchmark": _cmd_benchmark,
+             "weights": _cmd_weights, "oracle": _cmd_oracle}
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return _COMMANDS[args.command](args, parser)
+    except SystemExit as exc:  # a usage error, from parsing or a command's parser.error
         return int(exc.code or 0)
-    try:
-        if args.command == "train":
-            return _cmd_train(args, parser)
-        if args.command == "benchmark":
-            return _cmd_benchmark(args, parser)
-        if args.command == "weights":
-            return _cmd_weights(args, parser)
-        if args.command == "oracle":
-            return _cmd_oracle(args, parser)
-    except SystemExit as exc:  # parser.error inside command handlers
-        return int(exc.code or 0)
-    except RankAdmmError as exc:
+    except (RankAdmmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 2
 
 
 def main() -> None:

@@ -13,6 +13,8 @@ the run's seed only where the cell sets none (the synthetic data's, the
 split's, and sgd's shuffles): ``BenchmarkCell.problem_key`` and
 ``config_at``, then ``build_problem`` and ``solve``, here and for
 ``rankadmm train``, which maps its flags onto a cell.
+A run reports from the SolverResult its solver returns: the objective in
+the trace's last row, which is that of the result's ``w``.
 Every run writes a trace CSV; the harness then writes a summary table
 (mean and sample deviation of objective, accuracy, and time) plus
 sub-optimality traces measured against the best final objective among
@@ -338,12 +340,8 @@ def build_problem(cell: BenchmarkCell, seed: int) -> tuple[Problem, data_io.RawD
         ds = data_io.load_csv(path) if fmt == "csv" else data_io.load_libsvm(path)
     test = None
     if split is not None:
-        parts = data_io.split(ds, *split)
-        if len(parts) >= 2:
-            parts = data_io.standardize(parts[0], *parts[1:])
-            ds, test = parts[0], parts[1]
-        else:
-            ds = data_io.standardize(parts[0])[0]
+        ds, *held_out = data_io.standardize(*data_io.split(ds, *split))
+        test = held_out[0] if held_out else None
     problem = Problem(X=ds.X, y=ds.y, loss=loss, weights=scheme, regularizer=regularizer)
     return problem, test
 
@@ -351,12 +349,8 @@ def build_problem(cell: BenchmarkCell, seed: int) -> tuple[Problem, data_io.RawD
 def solve(solver: str, problem: Problem, config: SolverConfig | SgdConfig) -> SolverResult:
     """Run the named solver.  Its entry point is looked up in this module
     when the run starts, so one that is wrapped or replaced here is the one
-    that runs; sgd's (w, trace) comes back as a SolverResult."""
-    if solver == "sgd":
-        w, trace = sgd_solve(problem, config)
-        stop = "wall_budget" if len(trace) < config.epochs else "max_iter"
-        return SolverResult(w=w, trace=trace, stop_reason=stop)
-    return (sadmm_solve if solver == "sadmm" else admm_solve)(problem, config)
+    that runs."""
+    return {"admm": admm_solve, "sadmm": sadmm_solve, "sgd": sgd_solve}[solver](problem, config)
 
 
 def _trace_path(cell: BenchmarkCell, seed: int, out_dir: Path) -> Path:
@@ -384,9 +378,9 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
             cell=cell.name,
             solver=cell.solver,
             seed=seed,
-            objective=problem.objective(result.w),
+            objective=float(result.trace.objective[-1]),
             accuracy=accuracy(predict(held_out.X, result.w), held_out.y),
-            time_s=int(result.trace.wall_ns[-1]) / 1e9 if len(result.trace) else 0.0,
+            time_s=int(result.trace.wall_ns[-1]) / 1e9,
             trace_path=str(trace_path),
         )
     except (RankAdmmError, OSError) as exc:

@@ -103,7 +103,11 @@ def _exact_block_value(
     v with the loss value ``loss`` there and without its v-independent
     constant ``(rho/2)*sum(m_i^2)``, in exact arithmetic on its float
     terms: it cannot overflow, so it decides the piece choice where the
-    float value does."""
+    float value does.  A non-finite term raises InvalidParameterError."""
+    if not all(map(math.isfinite, (s, loss, m_sum, rho, v))):
+        raise InvalidParameterError(
+            f"non-finite block value term: s={s}, loss={loss}, m_sum={m_sum}, rho={rho}, v={v}"
+        )
     v = Fraction(v)
     return Fraction(s) * Fraction(loss) + Fraction(rho) / 2 * (
         count * v * v - 2 * Fraction(m_sum) * v

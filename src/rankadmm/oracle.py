@@ -19,23 +19,6 @@ from .weights import ResolvedWeights
 _MAX_TABLE_CELLS = 2**28
 
 
-def _theta_on_grid(
-    grid: np.ndarray,
-    sigma_i: float,
-    sigma_high_i: float | None,
-    boundary: float | None,
-    m_i: float,
-    rho: float,
-    kind: LossKind,
-    losses_on_grid: np.ndarray,
-) -> np.ndarray:
-    quad = 0.5 * rho * (grid - m_i) ** 2
-    if sigma_high_i is None:
-        return sigma_i * losses_on_grid + quad
-    w = np.where(grid <= boundary, sigma_i, sigma_high_i)
-    return w * losses_on_grid + quad
-
-
 def grid_dp_chain(
     m: np.ndarray,
     resolved: ResolvedWeights,
@@ -76,29 +59,20 @@ def grid_dp_chain(
     grid = lo + step * np.arange(count)
     losses_on_grid = loss_value_vec(kind, grid)
 
+    # sample i weighs the loss by sig_lo[i] where ``low`` holds, else by sig_hi[i]
     if resolved.is_value_dependent:
-        sig_lo = resolved.sigma_low
-        sig_hi = resolved.sigma_high
-        boundary = resolved.reference
+        sig_lo, sig_hi = resolved.sigma_low, resolved.sigma_high
+        low = grid <= resolved.reference
     else:
-        sig_lo = resolved.sigma
-        sig_hi = None
-        boundary = None
+        sig_lo = sig_hi = resolved.sigma
+        low = True
 
     choice = np.empty((n, count), dtype=np.int32)
     running = np.zeros(count)
     idx = np.arange(count, dtype=np.int32)
     for i in range(n):
-        cost = running + _theta_on_grid(
-            grid,
-            float(sig_lo[i]),
-            None if sig_hi is None else float(sig_hi[i]),
-            boundary,
-            float(m_sorted[i]),
-            rho,
-            kind,
-            losses_on_grid,
-        )
+        weight = np.where(low, sig_lo[i], sig_hi[i])
+        cost = running + (weight * losses_on_grid + 0.5 * rho * (grid - m_sorted[i]) ** 2)
         # Prefix argmin: best grid point at or below each position.
         best = np.minimum.accumulate(cost)
         take_here = cost <= best

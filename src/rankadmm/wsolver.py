@@ -63,6 +63,16 @@ def _stop_at(curvature: float, w: np.ndarray) -> float:
     return max(_TOL, floor) if floor < math.inf else math.nan
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||, as np.linalg.norm forms it for a real vector, rescaled by
+    max|v| where its sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(v @ v)
+    if not math.isfinite(norm) and math.isfinite(scale := np.max(np.abs(v))):
+        norm = scale * np.linalg.norm(v / scale)
+    return norm
+
+
 @dataclass
 class SolveInfo:
     """What the latest w-step did.  ``iterations`` counts inner iterations;
@@ -166,10 +176,10 @@ class WSolver:
                 return x
 
         x = solve_once(rhs)
-        norm_rhs = max(np.linalg.norm(rhs), 1e-300)
+        norm_rhs = max(_norm(rhs), 1e-300)
         for corrections in range(4):
             residual = rhs - (rho * self._gram_matvec(x) + shift * x)
-            norm_res = np.linalg.norm(residual)
+            norm_res = _norm(residual)
             if norm_res <= 1e-12 * norm_rhs or corrections == 3:
                 return x, norm_res / norm_rhs
             x = x + solve_once(residual)

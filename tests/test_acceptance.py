@@ -311,9 +311,9 @@ def test_criterion_10_baseline_contrast():
         max_iter=300, rho_schedule=ScheduleSpec.srm(), r=0.1, stop_eps=0.0,
         wall_budget_s=budget,
     ))
-    w_sgd, trace_sgd = sgd_solve(problem, SgdConfig(
+    w_sgd = sgd_solve(problem, SgdConfig(
         learning_rate=1e-3, batch=64, epochs=10**6, seed=0, wall_budget_s=budget,
-    ))
+    )).w
     f_admm = problem.objective(res.w)
     f_sgd = problem.objective(w_sgd)
     assert f_admm <= f_sgd

@@ -404,7 +404,7 @@ def test_lyapunov_skips_a_trace_without_constant_rho_and_gamma():
     assert report.skipped_reason == "trace has no constant gamma"
     assert report.violations == []
     # the subgradient baseline has no penalty weight: its rho column is 0
-    trace = sgd_solve(problem, SgdConfig(epochs=5))[1]
+    trace = sgd_solve(problem, SgdConfig(epochs=5)).trace
     report = lyapunov_check(trace, r=1.0, sigma_min=1.0)
     assert report.skipped_reason == "trace has no constant positive rho"
     assert report.violations == []
@@ -501,7 +501,7 @@ def test_trace_csv_bytes_pinned(tmp_path):
 def test_trace_csv_write_read_write_bytes(solver, tmp_path):
     problem = make_synthetic_problem(n=20, d=4, regularizer=l1(1e-2), seed=13)
     if solver == "sgd":
-        trace = sgd_solve(problem, SgdConfig(epochs=6, seed=2))[1]
+        trace = sgd_solve(problem, SgdConfig(epochs=6, seed=2)).trace
     else:
         cfg = SolverConfig(max_iter=10, rho_schedule=ScheduleSpec.srm(), stop_eps=0.0)
         trace = (sadmm_solve if solver == "sadmm" else admm_solve)(problem, cfg).trace
@@ -553,8 +553,7 @@ def test_float32_settings_give_the_same_trace(case, tmp_path):
         solve, reg, cfg = _FLOAT_SETTINGS[case](cast)
         out = solve(make_synthetic_problem(n=80, d=6, regularizer=reg, seed=5), cfg)
         paths.append(tmp_path / f"{cast.__name__}.csv")
-        write_trace_csv(out[1] if isinstance(out, tuple) else out.trace, paths[-1],
-                        include_wall=False)
+        write_trace_csv(out.trace, paths[-1], include_wall=False)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 

@@ -63,24 +63,23 @@ def test_empty_batch_rejected():
 
 def test_zero_learning_rate_keeps_w():
     problem = make_synthetic_problem(n=20, d=4, seed=5)
-    w, trace = sgd_solve(problem, SgdConfig(learning_rate=0.0, epochs=3, seed=0))
-    assert w == pytest.approx(np.zeros(4))
-    assert len(trace) == 3
+    result = sgd_solve(problem, SgdConfig(learning_rate=0.0, epochs=3, seed=0))
+    assert result.w == pytest.approx(np.zeros(4))
+    assert len(result.trace) == 3
 
 
 def test_deterministic_under_seed():
     problem = make_synthetic_problem(n=30, d=4, regularizer=l2(1e-2), seed=6)
     cfg = SgdConfig(learning_rate=1e-3, batch=8, epochs=20, seed=9)
-    w1, t1 = sgd_solve(problem, cfg)
-    w2, t2 = sgd_solve(problem, cfg)
-    assert np.array_equal(w1, w2)
-    assert [r.objective for r in t1] == [r.objective for r in t2]
+    first, second = sgd_solve(problem, cfg), sgd_solve(problem, cfg)
+    assert np.array_equal(first.w, second.w)
+    assert first.trace.objective.tolist() == second.trace.objective.tolist()
 
 
 def test_sgd_approaches_admm_on_strongly_convex(rng):
     problem = make_synthetic_problem(n=60, d=5, weights=ERM(),
                                      regularizer=l2(1.0), seed=7)
-    w_sgd, _ = sgd_solve(problem, SgdConfig(learning_rate=1e-3, batch=8, epochs=2000, seed=0))
+    w_sgd = sgd_solve(problem, SgdConfig(learning_rate=1e-3, batch=8, epochs=2000, seed=0)).w
     res = admm_solve(problem, SolverConfig(max_iter=300, rho_schedule=ScheduleSpec.srm(),
                                            r=0.1, stop_eps=0.0))
     assert problem.objective(w_sgd) <= problem.objective(res.w) + 1e-2
@@ -107,7 +106,7 @@ def test_config_rejects_counts_not_integral(name, value):
 
 def test_config_takes_numpy_integer_counts():
     problem = make_synthetic_problem(n=20, d=3, weights=ERM(), seed=0)
-    _, trace = sgd_solve(problem, SgdConfig(epochs=np.int64(3), batch=np.int32(8)))
+    trace = sgd_solve(problem, SgdConfig(epochs=np.int64(3), batch=np.int32(8))).trace
     assert len(trace) == 3
 
 
@@ -128,7 +127,8 @@ def test_diverging_step_stops_at_its_epoch(rate, batch):
 def test_sgd_hinge_scad_trace_is_finite():
     problem = make_synthetic_problem(n=60, d=8, loss=LossKind.HINGE, weights=Superquantile(0.5),
                                      regularizer=scad(0.05, 3.7), seed=3)
-    w, trace = sgd_solve(problem, SgdConfig(learning_rate=1e-2, batch=16, epochs=20, seed=1))
+    result = sgd_solve(problem, SgdConfig(learning_rate=1e-2, batch=16, epochs=20, seed=1))
+    w, trace = result.w, result.trace
     assert len(trace) == 20 and np.all(np.isfinite(w))
     assert np.all(np.isfinite(trace.objective))
     assert trace.objective[-1] < problem.objective(np.zeros(problem.d))
@@ -139,7 +139,7 @@ def test_cached_batch_weights_match_per_batch_resolve():
     problem = make_synthetic_problem(n=37, d=4, weights=Superquantile(0.6),
                                      regularizer=l2(1e-2), seed=8)
     cfg = SgdConfig(learning_rate=1e-2, batch=8, epochs=3, seed=4)
-    w_cached, _ = sgd_solve(problem, cfg)
+    w_cached = sgd_solve(problem, cfg).w
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(problem.d)
     for _ in range(cfg.epochs):

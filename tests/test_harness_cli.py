@@ -16,7 +16,9 @@ from rankadmm.cli import cli_main
 from rankadmm.harness import (
     BenchmarkCell,
     BenchmarkPlan,
+    build_problem,
     run_benchmark,
+    run_cell,
     schedule_from_string,
     scheme_from_dict,
     summarize,
@@ -503,7 +505,7 @@ def _captured_configs(monkeypatch, log):
 
     def fake_sgd(problem, config):
         record(config)
-        return np.zeros(problem.d), _ONE_ROW
+        return SolverResult(w=np.zeros(problem.d), trace=_ONE_ROW)
 
     monkeypatch.setattr(harness, "admm_solve", fake_admm)
     monkeypatch.setattr(harness, "sgd_solve", fake_sgd)
@@ -953,3 +955,43 @@ def test_results_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
             return [(row["objective_mean"], row["accuracy_mean"]) for row in csv.DictReader(fh)]
 
     assert means(outs["1"]) == means(outs["2"]) == means(outs["3"])
+
+
+_MCP = {"variant": "mcp", "mu": 1e-2, "theta": 3.0}
+_L2 = {"variant": "l2", "mu": 1e-2}
+
+
+@pytest.mark.parametrize("solver, regularizer, config, stop", [
+    ("admm", _L2, {"max_iter": 30}, None),
+    ("admm", _MCP, {"max_iter": 30}, None),
+    ("sadmm", _MCP, {"max_iter": 30, "gamma": 0.1}, None),  # held smoothing parameter
+    ("sadmm", _MCP, {"max_iter": 30}, None),  # decaying smoothing parameter
+    ("sadmm", {"variant": "zero"}, {"max_iter": 30}, None),
+    ("sgd", _L2, {"epochs": 5}, "max_iter"),
+    ("sgd", _L2, {"epochs": 5, "wall_budget_s": 1e6}, "max_iter"),
+    # the budget ends the loop at its last epoch, and long before it
+    ("sgd", _L2, {"epochs": 1, "wall_budget_s": 1e-9}, "wall_budget"),
+    ("sgd", _L2, {"epochs": 10**6, "wall_budget_s": 0.05}, "wall_budget"),
+])
+def test_run_reports_its_solver_result(solver, regularizer, config, stop, tmp_path,
+                                       monkeypatch):
+    from rankadmm import harness
+
+    results = []
+    real = getattr(harness, f"{solver}_solve")
+
+    def kept(problem, cfg):
+        results.append(real(problem, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(harness, f"{solver}_solve", kept)
+    cell = BenchmarkCell(name="c", dataset={"synthetic": {"n": 60, "d": 5}},
+                         scheme={"kind": "superquantile", "q": 0.8},
+                         regularizer=regularizer, solver=solver, config=config)
+    record = run_cell(cell, 0, tmp_path)
+    assert record.error is None
+    (result,) = results
+    # the reported objective is that of the returned w, bit for bit
+    assert record.objective == build_problem(cell, 0)[0].objective(result.w)
+    if stop is not None:
+        assert result.stop_reason == stop

@@ -451,3 +451,18 @@ def test_cpt_piece_choice_near_the_float_max_is_exact(kind):
             for a, b, lo, hi, mi in zip(s_low, s_high, v_low, v_high, m)]
     assert got.tolist() == want
     assert scalar == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    # NaN and infinite piece terms, which no exact comparison can take
+    lambda: block_minimize_cpt(0.0, 1.1079e292, 1, 1.7977e168, 1e140, 0.0, LossKind.LOGISTIC),
+    lambda: block_minimize_cpt(0.0, 1.0, 1, 1.7977e292, 1e16, 0.0, LossKind.HINGE),
+    lambda: singleton_minimize_cpt(np.array([0.0]), np.array([1.0]), np.array([1.7977e292]),
+                                   0.0, 1e16, LossKind.HINGE),
+    lambda: solve_z_subproblem(np.array([1.7977e292, 1.0, 2.0]),
+                               resolve(CPTValueDependent(B=0.0), 3), 1e16, LossKind.HINGE),
+], ids=["block-nan", "block-inf", "singleton-inf", "z-step-inf"])
+def test_cpt_non_finite_piece_value_raises_parameter_error(call):
+    with pytest.raises(InvalidParameterError, match="non-finite block value"):
+        call()

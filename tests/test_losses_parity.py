@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankadmm import losses
+from rankadmm.errors import InvalidParameterError
 from rankadmm.losses import (
     _LOWEST,
     LossKind,
@@ -45,12 +46,12 @@ def same_bits(a, b) -> bool:
 
 def outcome(fn, *args):
     """The bytes of ``fn(*args)``, or the type of the error it raises: the
-    exact piece comparison fails on a piece value that overflowed to an
+    exact piece comparison refuses a piece value that overflowed to an
     infinity or a NaN."""
     try:
         with np.errstate(all="ignore"):
             return np.asarray(fn(*args), dtype=float).tobytes()
-    except (OverflowError, ValueError) as exc:
+    except (InvalidParameterError, OverflowError, ValueError) as exc:
         return type(exc)
 
 

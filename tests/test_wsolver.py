@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -120,6 +122,19 @@ def test_closed_form_residual_is_that_of_the_returned_w(rho, r, corrections, mon
     info = solver.last_info
     assert info.method == "closed_form" and info.warning is None
     assert np.float64(info.residual).tobytes() == np.float64(rel).tobytes()
+
+
+@pytest.mark.parametrize("rho", [1e160, 1e200, 1e300])
+def test_closed_form_residual_stays_finite_where_the_rhs_norm_overflows(rho, caplog):
+    # ||rhs||^2 overflows, not rhs itself: the norms are rescaled
+    rng = np.random.default_rng(0)
+    solver = WSolver(rng.standard_normal((40, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver.solve(rng.standard_normal(40), np.zeros(5), rho, 1.0, l2(1e-2))
+    info = solver.last_info
+    assert info.method == "closed_form" and info.residual <= 1e-10
+    assert info.warning is None and caplog.records == []
 
 
 def test_prox_gradient_pure_prox_when_data_vanishes(rng):
@@ -459,10 +474,11 @@ def test_smooth_tiny_gamma_approaches_nonsmooth(rng):
     (mcp(0.5, 1.5), 0.1, "smooth_splitting"),
 ])
 def test_overflowing_residual_warns_at_once(reg, gamma, method, rng):
-    # targets of 1e200 overflow every norm: the residual and the rounding
-    # floor are non-finite, and no stop test can pass.  The prox-gradient
-    # loop would start from the better of two infinite objectives: it
-    # raises before its first iteration instead.
+    # targets of 1e200 overflow the iterative methods' norms: the residual
+    # and the rounding floor are non-finite, and no stop test can pass.
+    # The closed form rescales its norms: its residual stays finite.  The
+    # prox-gradient loop would start from the better of two infinite
+    # objectives: it raises before its first iteration instead.
     D, _, anchor = make_instance(rng)
     solver = WSolver(D)
     with np.errstate(all="ignore"):
@@ -473,6 +489,9 @@ def test_overflowing_residual_warns_at_once(reg, gamma, method, rng):
         solver.solve(np.full(20, 1e200), anchor, 1.0, 2.0, reg, gamma)
     info = solver.last_info
     assert info.method == method
+    if method == "closed_form":
+        assert info.warning is None and info.residual <= 1e-10
+        return
     assert info.warning is not None
     assert not np.isfinite(info.residual)
     assert info.iterations == 1
