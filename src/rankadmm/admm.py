@@ -36,7 +36,7 @@ from .regularizers import (
     prox,
     reg_value,
 )
-from .wsolver import WSolver
+from .wsolver import WSolver, _norm
 
 logger = logging.getLogger(__name__)
 
@@ -227,6 +227,9 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         )
 
     solver = WSolver(problem.X)
+    # ||t - D w|| = ||-y*t - X w|| as y = +-1, and D^T D = X^T X: the
+    # w-step runs on X itself, with no signed copy of the data
+    neg_y = -problem.y
     d_norm = solver.d_norm
     r = _resolve_r(config, reg)
 
@@ -257,24 +260,24 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
     # The penalty (or envelope) of the current w; a decaying gamma moves
     # the envelope every iteration, so only those runs recompute it
     pen = _penalty(reg, gamma, w)
+    # The residual z - Dw and its norm; each iteration hands on its r_new,
+    # which is z_new - Dw_new bit for bit, instead of forming it again.
+    r_old = z - Dw
+    feas_now = _norm(r_old)
 
     for k in range(config.max_iter):
-        r_old = z - Dw
-        feas_now = float(np.linalg.norm(r_old))
         rho = config.rho_schedule.rho_at(k, rho, feas_now)
 
         if decay:
             gamma = max(1e-5 * 0.9**k, 1e-9)
 
         try:
-            m = Dw - lam / rho
-            z_new = solve_z_subproblem(m, resolved, rho, problem.loss, order=order)
-            # ||t - D w|| = ||-y*t - X w|| as y = +-1, and D^T D = X^T X:
-            # the w-step runs on X itself, with no signed copy of the data
-            w_new = solver.solve(-problem.y * (z_new + lam / rho), w, rho, r, reg, gamma)
+            lam_rho = lam / rho
+            z_new = solve_z_subproblem(Dw - lam_rho, resolved, rho, problem.loss, order=order)
+            w_new = solver.solve(neg_y * (z_new + lam_rho), w, rho, r, reg, gamma)
         except RankAdmmError as exc:
             raise SolverError(str(exc), iteration=k) from exc
-        if not np.all(np.isfinite(w_new)):
+        if not np.isfinite(w_new).all():
             raise SolverError("w-step returned non-finite entries", iteration=k)
 
         Dw_new = problem.apply_D(w_new)
@@ -312,8 +315,11 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             - pen_new
         )
 
-        dw_norm = float(np.linalg.norm(dw))
-        dual_step = float(np.linalg.norm(lam_new - lam))
+        # Overflow-safe norms: at rho near RHO_MAX a sum of squares can
+        # overflow while the norm itself is finite
+        dw_norm = _norm(dw)
+        dual_step = _norm(lam_new - lam)
+        feas_new = _norm(r_new)
         kkt_z = rho * d_norm * dw_norm
         kkt_w = r * dw_norm
 
@@ -321,10 +327,10 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             w_report = prox(reg, gamma, w_new)
             Dw_report = problem.apply_D(w_report)
             pen_report = reg_value(reg, w_report)
-            kkt_feas = float(np.linalg.norm(z_new - Dw_report))
+            kkt_feas = _norm(z_new - Dw_report)
         else:
             w_report, Dw_report, pen_report = w_new, Dw_new, pen_new
-            kkt_feas = float(np.linalg.norm(r_new))
+            kkt_feas = feas_new
         # Problem.objective(w_report), reusing the product D w_report.
         objective = rank_loss_value(Dw_report, resolved, problem.loss) + pen_report
 
@@ -334,6 +340,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
             time.perf_counter_ns() - start,
         ))
         w, z, lam, Dw, omega, pen = w_new, z_new, lam_new, Dw_new, omega_new, pen_new
+        r_old, feas_now = r_new, feas_new
 
         if max(kkt_z, kkt_w, kkt_feas) <= config.stop_eps:
             stop_reason = "eps"

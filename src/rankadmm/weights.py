@@ -17,7 +17,7 @@ parsed in ``harness``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -231,6 +231,13 @@ class ResolvedWeights:
     sigma_low: np.ndarray | None = None
     sigma_high: np.ndarray | None = None
     reference: float | None = None
+    #: The band (a, b) of a constant sigma: every weight outside ranks
+    #: a..b-1 is zero, and sigma[a] and sigma[b-1] are not; (0, 0) when
+    #: all weights are zero, (0, n) when none is.  The rank loss evaluates
+    #: its losses only on a window of margins around this band
+    #: (:func:`~rankadmm.problem.sorted_rank_loss`).  None for the
+    #: value-dependent weights.
+    band: tuple[int, int] | None = field(init=False, default=None)
 
     def __post_init__(self):
         names = ("sigma_low", "sigma_high") if self.sigma is None else ("sigma",)
@@ -255,6 +262,10 @@ class ResolvedWeights:
                     f"reference point must be finite, got {self.reference}"
                 )
             object.__setattr__(self, "reference", float(self.reference))
+        else:
+            nonzero = np.flatnonzero(self.sigma)
+            band = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+            object.__setattr__(self, "band", band)
 
     @property
     def is_value_dependent(self) -> bool:

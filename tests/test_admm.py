@@ -168,6 +168,26 @@ def test_kkt_surrogate_identities(iterates):
             assert row.kkt_z / dw == pytest.approx(rho * d_norm, rel=1e-12)
 
 
+def test_dual_step_stays_finite_where_its_sum_of_squares_overflows(iterates):
+    # at rho = 1e300 a residual of 1e-15 is a dual step near 1e285: finite,
+    # though the sum of its squared entries is not
+    problem = make_synthetic_problem(n=40, d=5, loss=LossKind.HINGE, seed=1)
+    w0 = np.random.default_rng(0).standard_normal(problem.d)
+    cfg = SolverConfig(max_iter=5, rho_schedule=ScheduleSpec.constant(1e300), stop_eps=0.0)
+    res = admm_solve(problem, cfg, w0=w0)
+    assert len(res.trace) == 5
+    # the loop's own dual update, from lambda = 0
+    lam = np.zeros(problem.n)
+    for z, w, rho, row in zip(iterates.z, iterates.w, iterates.rho, res.trace):
+        lam_new = lam + rho * (z - problem.apply_D(w))
+        step = lam_new - lam
+        scale = np.max(np.abs(step))
+        expected = scale * np.linalg.norm(step / scale)
+        assert expected > 1e280
+        assert row.dual_step == pytest.approx(expected, rel=1e-12)
+        lam = lam_new
+
+
 def test_descent_margins_nonnegative():
     for weights in (ERM(), Superquantile(0.7)):
         for reg in (ZERO, l2(1e-2), l1(1e-2)):

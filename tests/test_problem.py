@@ -117,19 +117,62 @@ def stable_sort_rank_loss(z, resolved, kind):
     return float(resolved.sigma @ np.sort(losses, kind="stable"))
 
 
+def tied_margins(rng, n):
+    """Few distinct margins, signed zeros among them, and hinge losses that
+    tie at 0 below the kink."""
+    z = rng.choice([-3.0, -2.0, -1.5, -0.5, -0.0, 0.0, 0.25, 1.0], size=n)
+    z[rng.random(n) < 0.2] = rng.standard_normal() * 40.0
+    return z
+
+
+def _descending_pairs():
+    """Adjacent floats u < v in (0.1, 0.5), as (u, v) rows, whose rounded
+    logistic losses descend: about one neighbour pair in ten there."""
+    u = np.concatenate([c + np.spacing(c) * np.arange(4096) for c in (0.1, 0.2, 0.3, 0.4)])
+    losses = loss_value_vec(LossKind.LOGISTIC, u)
+    i = np.flatnonzero(losses[1:] < losses[:-1])
+    return np.column_stack([u[i], u[i + 1]])
+
+
+DESCENDING_PAIRS = _descending_pairs()
+
+
+def band_edge_margins(rng, n):
+    """Pairs of margins one ulp apart whose rounded logistic losses
+    descend, so that a band edge among them often splits a pair.  A random
+    share of the other margins lies below the pairs (ties, signed zeros and
+    deep negatives to -800, where logistic losses are subnormal or 0) and
+    the rest above, so over the draws each band's edges fall among them."""
+    pairs = rng.choice(DESCENDING_PAIRS, size=n // 4).ravel()
+    below = int(rng.integers(0, n - pairs.size + 1))
+    low = rng.choice([-800.0, -745.0, -709.0, -0.0, 0.0], size=below)
+    low[low < 0.0] += np.spacing(-low[low < 0.0]) * rng.integers(-8, 9, size=np.sum(low < 0.0))
+    high = rng.choice([0.5, 40.0], size=n - pairs.size - below)
+    return rng.permutation(np.concatenate([low, pairs, high]))
+
+
+N_MARGINS = 400
+
+
 @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.LOGISTIC])
 @pytest.mark.parametrize(
-    "scheme", [Superquantile(0.7), AoRR(k=150, m=10), CPTValueDependent(B=0.0)],
-    ids=["superquantile", "aorr", "cpt"],
+    "scheme",
+    [
+        Superquantile(0.0), Superquantile(0.7), Superquantile(0.9), AoRR(k=150, m=10),
+        # one-sided bands, each with its weight on the rank at its edge
+        Explicit([0.0] * 300 + [1.0] + [1e-3] * 99),
+        Explicit([1e-3] * 99 + [1.0] + [0.0] * 300),
+        Explicit([0.0] * N_MARGINS),
+        CPTValueDependent(B=0.0),
+    ],
+    ids=["superquantile_0", "superquantile", "superquantile_0.9", "aorr", "explicit_top",
+         "explicit_bottom", "explicit_zero", "cpt"],
 )
 def test_rank_loss_bitwise_equals_stable_sort_on_ties(scheme, kind, rng):
-    n = 400
+    n = N_MARGINS
     resolved = resolve(scheme, n)
-    for _ in range(20):
-        # few distinct margins, signed zeros among them, and hinge losses
-        # that tie at 0 below the kink
-        z = rng.choice([-3.0, -2.0, -1.5, -0.5, -0.0, 0.0, 0.25, 1.0], size=n)
-        z[rng.random(n) < 0.2] = rng.standard_normal() * 40.0
+    for draw in [tied_margins] * 20 + [band_edge_margins] * 20:
+        z = draw(rng, n)
         got, expected = rank_loss_value(z, resolved, kind), stable_sort_rank_loss(z, resolved, kind)
         assert got.hex() == expected.hex()
         # any ascending order of the margins, as the outer loop passes them
