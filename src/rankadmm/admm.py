@@ -24,7 +24,8 @@ from .errors import (
     InvalidParameterError,
     RankAdmmError,
     SolverError,
-    check_positive_int,
+    check_int,
+    check_wall_budget,
     store_floats,
 )
 from .pava import solve_z_subproblem
@@ -119,7 +120,7 @@ class SolverConfig:
     wall_budget_s: float | None = None
 
     def __post_init__(self):
-        check_positive_int("max_iter", self.max_iter)
+        check_int("max_iter", self.max_iter, 1)
         if not (0 < self.r < math.inf):
             raise InvalidParameterError(f"r must be positive and finite, got {self.r}")
         if self.gamma is not None and not (0 < self.gamma < math.inf):
@@ -128,10 +129,7 @@ class SolverConfig:
             )
         if not (self.stop_eps >= 0):
             raise InvalidParameterError(f"stop_eps must be >= 0, got {self.stop_eps}")
-        if self.wall_budget_s is not None and not (self.wall_budget_s > 0):
-            raise InvalidParameterError(
-                f"wall_budget_s must be None or > 0, got {self.wall_budget_s}"
-            )
+        check_wall_budget(self.wall_budget_s)
         store_floats(self, "r", "gamma", "stop_eps", "wall_budget_s")
 
 
@@ -168,6 +166,13 @@ class SolverResult:
     @property
     def converged(self) -> bool:
         return self.stop_reason == "eps"
+
+
+def budget_spent(wall_budget_s: float | None, start_ns: int) -> bool:
+    """Whether a run that began at ``perf_counter_ns()`` == ``start_ns`` has
+    used its wall-clock budget; a budget of None never ends."""
+    return (wall_budget_s is not None
+            and (time.perf_counter_ns() - start_ns) / 1e9 >= wall_budget_s)
 
 
 def _penalty(reg: RegularizerSpec, gamma: float | None, w: np.ndarray) -> float:
@@ -345,10 +350,7 @@ def _solve(problem, config, smooth, w0, z0, lambda0):
         if max(kkt_z, kkt_w, kkt_feas) <= config.stop_eps:
             stop_reason = "eps"
             break
-        if (
-            config.wall_budget_s is not None
-            and (time.perf_counter_ns() - start) / 1e9 >= config.wall_budget_s
-        ):
+        if budget_spent(config.wall_budget_s, start):
             stop_reason = "wall_budget"
             break
 
@@ -413,15 +415,19 @@ def lyapunov_check(
     return LyapunovReport(coefficient=coeff, violations=np.flatnonzero(short).tolist())
 
 
-def sigma_min_positive(problem: Problem, limit: int = 10**6) -> float | None:
+#: Largest n*d whose Gram eigenvalues sigma_min_positive computes.
+_EIGEN_LIMIT = 10**6
+
+
+def sigma_min_positive(problem: Problem) -> float | None:
     """Smallest positive eigenvalue of D D^T (equals that of D^T D).
 
     D D^T and X X^T have the same eigenvalues, as D = -diag(y) X with
-    y = +-1.  Dense eigensolve, restricted to n*d <= limit; None when too
-    large.
+    y = +-1.  Dense eigensolve, restricted to n*d <= ``_EIGEN_LIMIT``;
+    None when too large.
     """
     n, d = problem.n, problem.d
-    if n * d > limit:
+    if n * d > _EIGEN_LIMIT:
         return None
     X = problem.X.toarray() if issparse(problem.X) else problem.X
     G = X @ X.T if n <= d else X.T @ X

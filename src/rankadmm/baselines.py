@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wgt
-from .admm import SolverResult, trace_array
-from .errors import InvalidParameterError, SolverError, check_positive_int, store_floats
+from .admm import SolverResult, budget_spent, trace_array
+from .errors import (InvalidParameterError, SolverError, check_int, check_wall_budget,
+                     store_floats)
 from .losses import loss_derivative_vec
 from .problem import Problem
 from .regularizers import reg_subgradient
@@ -36,13 +37,11 @@ class SgdConfig:
             raise InvalidParameterError(
                 f"learning rate must be finite and >= 0, got {self.learning_rate}"
             )
-        check_positive_int("epochs", self.epochs)
+        check_int("epochs", self.epochs, 1)
         if self.batch is not None:
-            check_positive_int("batch", self.batch)
-        if self.wall_budget_s is not None and not (self.wall_budget_s > 0):
-            raise InvalidParameterError(
-                f"wall_budget_s must be None or > 0, got {self.wall_budget_s}"
-            )
+            check_int("batch", self.batch, 1)
+        check_int("seed", self.seed, 0)
+        check_wall_budget(self.wall_budget_s)
         store_floats(self, "learning_rate", "wall_budget_s")
 
 
@@ -109,10 +108,7 @@ def sgd_solve(problem: Problem, config: SgdConfig) -> SolverResult:
             raise SolverError("w or its objective is non-finite", iteration=epoch)
         rows.append((epoch, objective, math.nan, *[0.0] * 7, math.nan,
                      time.perf_counter_ns() - start))
-        if (
-            config.wall_budget_s is not None
-            and (time.perf_counter_ns() - start) / 1e9 >= config.wall_budget_s
-        ):
+        if budget_spent(config.wall_budget_s, start):
             stop_reason = "wall_budget"
             break
     return SolverResult(w=w, trace=trace_array(rows), stop_reason=stop_reason)

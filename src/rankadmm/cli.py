@@ -27,6 +27,7 @@ from . import weights as wgt
 from .admm import theory_mode_config, write_trace_csv
 from .errors import InvalidParameterError, RankAdmmError
 from .harness import (
+    SCHEDULES,
     BenchmarkCell,
     BenchmarkPlan,
     build_problem,
@@ -39,7 +40,10 @@ from .losses import LossKind
 from .metrics import accuracy, predict
 from .oracle import chain_objective_reference, grid_dp_chain
 from .pava import solve_z_subproblem
+from .regularizers import VARIANTS
 from .weights import resolve
+
+_LOSSES = [kind.value for kind in LossKind]
 
 
 def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
@@ -61,17 +65,8 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
 
 def _scheme_params(args) -> dict:
     """The plan ``scheme`` entry of the scheme flags."""
-    name = args.scheme
-    if name is None:
-        framework = getattr(args, "framework", None)
-        if framework == "aorr":
-            name = "aorr"
-        elif framework == "ehrm":
-            name = "cpt"
-        elif args.q is not None:
-            name = "superquantile"
-        else:
-            name = "erm"
+    preset = _FRAMEWORK_DEFAULTS.get(getattr(args, "framework", None), {})
+    name = args.scheme or preset.get("scheme") or ("erm" if args.q is None else "superquantile")
     kind = name.replace("-", "_")
     params = {
         f.name: getattr(args, f.name)
@@ -90,10 +85,12 @@ def _or_usage_error(parser: argparse.ArgumentParser, build, *args, **kwargs):
         parser.error(str(exc))
 
 
+#: Per --framework, the plan keys it fills where the flags leave them unset,
+#: and the scheme kind (srm's is superquantile with --q, else erm).
 _FRAMEWORK_DEFAULTS = {
     "srm": {"schedule": "srm", "reg": "l2", "mu": 1e-2},
-    "aorr": {"schedule": "aorr", "reg": "l2", "mu": 1e-4},
-    "ehrm": {"schedule": "ehrm", "reg": "l2", "mu": 1e-2},
+    "aorr": {"schedule": "aorr", "reg": "l2", "mu": 1e-4, "scheme": "aorr"},
+    "ehrm": {"schedule": "ehrm", "reg": "l2", "mu": 1e-2, "scheme": "cpt"},
 }
 
 #: --synthetic spelling -> SyntheticSpec field, for the names that differ.
@@ -109,13 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", default=None, help="csv or libsvm file (bundled demo when omitted)")
     train.add_argument("--synthetic", default=None,
                        help="n=...,d=...[,sep=...][,flip=...] generates data instead of --data")
-    train.add_argument("--framework", choices=("srm", "aorr", "ehrm"), default=None)
-    train.add_argument("--loss", choices=("logistic", "hinge"), default="logistic")
-    train.add_argument("--reg", choices=("zero", "l1", "l2", "mcp", "scad"), default=None)
+    train.add_argument("--framework", choices=tuple(_FRAMEWORK_DEFAULTS), default=None)
+    train.add_argument("--loss", choices=_LOSSES, default="logistic")
+    train.add_argument("--reg", choices=VARIANTS, default=None)
     train.add_argument("--mu", type=float, default=None)
     train.add_argument("--theta", type=float, default=4.0)
     _add_scheme_flags(train)
-    train.add_argument("--schedule", default=None, help="srm|aorr|ehrm|constant:<rho>")
+    train.add_argument("--schedule", default=None, help=SCHEDULES)
     # Solver flags left unset keep the SolverConfig field defaults.
     train.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     train.add_argument("--eps", type=float, default=None)
@@ -138,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p = sub.add_parser("oracle", help="grid reference vs block solver on random data")
     oracle_p.add_argument("--n", type=int, default=6)
     oracle_p.add_argument("--rho", type=float, default=1.0)
-    oracle_p.add_argument("--loss", choices=("logistic", "hinge"), default="logistic")
+    oracle_p.add_argument("--loss", choices=_LOSSES, default="logistic")
     oracle_p.add_argument("--seed", type=int, default=0)
     oracle_p.add_argument("--step", type=float, default=1e-4)
     _add_scheme_flags(oracle_p)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidParameterError, to_float
+from .errors import DataFormatError, InvalidParameterError, check_int, to_float
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -65,6 +65,8 @@ class SyntheticSpec:
             raise InvalidParameterError("informative_fraction must be in (0, 1]")
         if not math.isfinite(self.class_sep):
             raise InvalidParameterError(f"class_sep must be finite, got {self.class_sep}")
+        if self.seed is not None:  # None: a plan cell's, which takes the run's seed
+            check_int("seed", self.seed, 0)
 
 
 def _normalize_labels(raw: np.ndarray, context: str) -> np.ndarray:
@@ -215,6 +217,7 @@ def split(
 ) -> tuple[RawDataset, ...]:
     """Seeded shuffle then contiguous slices sized by the fractions."""
     fractions = split_fractions(fractions)
+    check_int("seed", seed, 0)
     n = dataset.sample_count
     perm = np.random.default_rng(seed).permutation(n)
     bounds = np.floor(np.cumsum(fractions) * n + 0.5).astype(int)

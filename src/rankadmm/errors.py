@@ -39,16 +39,25 @@ class SolverError(RankAdmmError):
         self.iteration = iteration
 
 
-def check_positive_int(name: str, value) -> None:
-    """Raise InvalidParameterError unless ``value`` is an integer >= 1.
-    Python and numpy integers pass (through ``operator.index``); a float
-    such as 2.0 or 2.5 does not."""
+def check_int(name: str, value, least: int) -> int:
+    """``value`` as an int; InvalidParameterError unless it is an integer
+    >= ``least`` (0 for a seed, as numpy takes no negative one).  Python and
+    numpy integers pass (through ``operator.index``); a float such as 2.0
+    or 2.5 does not."""
     try:
         as_int = operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
-    if as_int < 1:
-        raise InvalidParameterError(f"{name} must be >= 1, got {as_int}")
+    if as_int < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {as_int}")
+    return as_int
+
+
+def check_wall_budget(wall_budget_s) -> None:
+    """Raise InvalidParameterError unless a solver's wall-clock budget is
+    None (no budget) or > 0."""
+    if wall_budget_s is not None and not (wall_budget_s > 0):
+        raise InvalidParameterError(f"wall_budget_s must be None or > 0, got {wall_budget_s}")
 
 
 def to_float(value) -> float:

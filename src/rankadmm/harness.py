@@ -42,6 +42,7 @@ import numpy as np
 
 from . import data_io, weights as wgt
 from .admm import (
+    _DEFAULT_RHO0,
     ScheduleSpec,
     SolverConfig,
     SolverResult,
@@ -50,7 +51,7 @@ from .admm import (
     write_trace_csv,
 )
 from .baselines import SgdConfig, sgd_solve
-from .errors import InvalidParameterError, RankAdmmError, to_float
+from .errors import InvalidParameterError, RankAdmmError, check_int, to_float
 from .losses import LossKind
 from .metrics import accuracy, predict
 from .problem import Problem
@@ -60,6 +61,7 @@ logger = logging.getLogger(__name__)
 
 THREADS_ENV = "RANK_ADMM_THREADS"
 
+#: The columns of summary.csv, one row per (cell, solver).
 SUMMARY_COLUMNS = (
     "cell",
     "solver",
@@ -82,16 +84,16 @@ def _reject_unknown_keys(what: str, d: dict, allowed: tuple[str, ...]) -> None:
         )
 
 
+#: The schedule spellings of a plan and of ``rankadmm train --schedule``:
+#: the kinds of ``admm``'s table, a constant one with its rho.
+SCHEDULES = "|".join(kind if rho0 else f"{kind}:<rho>" for kind, rho0 in _DEFAULT_RHO0.items())
+
+
 def schedule_from_string(s: str) -> ScheduleSpec:
-    if s.startswith("constant:"):
-        return ScheduleSpec.constant(float(s.split(":", 1)[1]))
-    if s == "srm":
-        return ScheduleSpec.srm()
-    if s == "aorr":
-        return ScheduleSpec.aorr()
-    if s == "ehrm":
-        return ScheduleSpec.ehrm()
-    raise InvalidParameterError(f"unknown schedule {s!r} (srm|aorr|ehrm|constant:<rho>)")
+    kind, colon, rho = s.partition(":")
+    if kind in _DEFAULT_RHO0 and bool(colon) == (_DEFAULT_RHO0[kind] is None):
+        return ScheduleSpec(kind, float(rho) if colon else None)
+    raise InvalidParameterError(f"unknown schedule {s!r} ({SCHEDULES})")
 
 
 def to_int(value) -> int:
@@ -226,12 +228,11 @@ class BenchmarkCell:
         if self.seeds is None:
             reps = self.repetitions
             reps = 1 if reps is None else _parse(to_int, reps, "key 'repetitions'")
-            if reps < 1:
-                raise InvalidParameterError("repetitions must be >= 1")
-            return list(range(reps))
+            return list(range(check_int("key 'repetitions'", reps, 1)))
         if isinstance(self.seeds, str):
             raise InvalidParameterError(f"seeds must be a list, got {self.seeds!r}")
-        seeds = [_parse(to_int, s, "key 'seeds'") for s in self.seeds]
+        seeds = [check_int("key 'seeds' entry", _parse(to_int, s, "key 'seeds'"), 0)
+                 for s in self.seeds]
         if not seeds or len(set(seeds)) < len(seeds):  # two runs would write one trace
             raise InvalidParameterError(f"key 'seeds' must list seeds, none twice, got {seeds}")
         return seeds
@@ -260,7 +261,8 @@ class BenchmarkCell:
                            "split key 'fractions'")
         if "seed" not in self.split:
             return fractions, None
-        return fractions, _parse(to_int, self.split["seed"], "split key 'seed'")
+        return fractions, check_int("split key 'seed'",
+                                    _parse(to_int, self.split["seed"], "split key 'seed'"), 0)
 
     def problem_key(self, seed: int) -> tuple:
         """The problem that the run at ``seed`` solves, as built: ``problem_parts``
@@ -325,7 +327,6 @@ class RunRecord:
     objective: float
     accuracy: float
     time_s: float
-    trace_path: str
     error: str | None = None
 
 
@@ -357,22 +358,20 @@ def _trace_path(cell: BenchmarkCell, seed: int, out_dir: Path) -> Path:
     return out_dir / f"{cell.name}_{cell.solver}_seed{seed}.csv"
 
 
-def _failed_record(cell: BenchmarkCell, seed: int, out_dir: Path, error: str) -> RunRecord:
+def _failed_record(cell: BenchmarkCell, seed: int, error: str) -> RunRecord:
     nan = float("nan")
     return RunRecord(cell=cell.name, solver=cell.solver, seed=seed, objective=nan,
-                     accuracy=nan, time_s=nan, trace_path=str(_trace_path(cell, seed, out_dir)),
-                     error=error)
+                     accuracy=nan, time_s=nan, error=error)
 
 
 def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
     """One seeded run of a cell.  A failure that the run's inputs explain (a
     RankAdmmError or OSError) becomes a failed record whose ``error`` names
     it; any other exception propagates to the caller."""
-    trace_path = _trace_path(cell, seed, out_dir)
     try:
         problem, test = build_problem(cell, seed)
         result = solve(cell.solver, problem, cell.config_at(seed))
-        write_trace_csv(result.trace, trace_path)
+        write_trace_csv(result.trace, _trace_path(cell, seed, out_dir))
         held_out = test if test is not None else problem
         return RunRecord(
             cell=cell.name,
@@ -381,10 +380,9 @@ def run_cell(cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
             objective=float(result.trace.objective[-1]),
             accuracy=accuracy(predict(held_out.X, result.w), held_out.y),
             time_s=int(result.trace.wall_ns[-1]) / 1e9,
-            trace_path=str(trace_path),
         )
     except (RankAdmmError, OSError) as exc:
-        return _failed_record(cell, seed, out_dir, str(exc))
+        return _failed_record(cell, seed, str(exc))
 
 
 def worker_count() -> int:
@@ -406,7 +404,7 @@ def worker_count() -> int:
     return count if hasattr(os, "fork") else 1
 
 
-def _settle(run, cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
+def _settle(run, cell: BenchmarkCell, seed: int) -> RunRecord:
     """The record that ``run()`` returns for one (cell, seed), or a failed
     record if it raises, in the run or by the death of the worker it ran
     on.  Every failure is logged here, in the parent process."""
@@ -415,7 +413,7 @@ def _settle(run, cell: BenchmarkCell, seed: int, out_dir: Path) -> RunRecord:
     except Exception as exc:
         # not a failure the run's inputs explain: log the traceback too
         logger.exception("cell %s seed %d failed", cell.name, seed)
-        return _failed_record(cell, seed, out_dir, f"{type(exc).__name__}: {exc}")
+        return _failed_record(cell, seed, f"{type(exc).__name__}: {exc}")
     if record.error is not None:
         logger.error("cell %s seed %d failed: %s", cell.name, seed, record.error)
     return record
@@ -435,7 +433,7 @@ def _run_with_workers(forks: int, tasks, records, out_dir: Path) -> None:
             except IndexError:
                 return
             cell, seed = tasks[i]
-            records[i] = _settle(lambda: run_cell(cell, seed, out_dir), cell, seed, out_dir)
+            records[i] = _settle(lambda: run_cell(cell, seed, out_dir), cell, seed)
 
     if forks >= 1:
         # Here, not at module import, which the CLI pays for on every command.
@@ -454,7 +452,7 @@ def _run_with_workers(forks: int, tasks, records, out_dir: Path) -> None:
                 return
 
             def done(future) -> None:
-                records[i] = _settle(future.result, *tasks[i], out_dir)
+                records[i] = _settle(future.result, *tasks[i])
                 # A broken pool takes no run, and from Python 3.12 it calls this
                 # holding the lock that submit takes: submitting would deadlock.
                 if not isinstance(future.exception(), BrokenProcessPool):
@@ -500,36 +498,25 @@ def run_benchmark(plan: BenchmarkPlan, out_dir=None) -> dict:
 
 
 def summarize(plan: BenchmarkPlan, records: list[RunRecord]) -> list[dict]:
-    """Per (cell, solver): mean and sample standard deviation (n-1)."""
+    """Per (cell, solver), a row keyed by SUMMARY_COLUMNS: the run and
+    failure counts, and the mean and sample standard deviation (n-1) of
+    the successful runs' objective, accuracy and time."""
+
+    def stats(vals):
+        if not vals:
+            return float("nan"), float("nan")
+        if len(vals) == 1:
+            return vals[0], 0.0
+        return statistics.fmean(vals), statistics.stdev(vals)
+
     summary = []
     for cell in plan.cells:
         rows = [r for r in records if r.cell == cell.name and r.solver == cell.solver]
         ok = [r for r in rows if r.error is None]
-
-        def stats(vals):
-            if not vals:
-                return float("nan"), float("nan")
-            if len(vals) == 1:
-                return vals[0], 0.0
-            return statistics.fmean(vals), statistics.stdev(vals)
-
-        obj_m, obj_s = stats([r.objective for r in ok])
-        acc_m, acc_s = stats([r.accuracy for r in ok])
-        t_m, t_s = stats([r.time_s for r in ok])
-        summary.append(
-            {
-                "cell": cell.name,
-                "solver": cell.solver,
-                "runs": len(rows),
-                "failures": len(rows) - len(ok),
-                "objective_mean": obj_m,
-                "objective_std": obj_s,
-                "accuracy_mean": acc_m,
-                "accuracy_std": acc_s,
-                "time_s_mean": t_m,
-                "time_s_std": t_s,
-            }
-        )
+        values = (cell.name, cell.solver, len(rows), len(rows) - len(ok),
+                  *stats([r.objective for r in ok]), *stats([r.accuracy for r in ok]),
+                  *stats([r.time_s for r in ok]))
+        summary.append(dict(zip(SUMMARY_COLUMNS, values, strict=True)))
     return summary
 
 
@@ -555,13 +542,13 @@ def _write_suboptimality(tasks: list[tuple], records: list[RunRecord], out: Path
         if rec.error is not None or not np.isfinite(rec.objective):
             continue
         best[key] = min(best.get(key, np.inf), rec.objective)
-    for rec, key in zip(records, keys):
+    for (cell, seed), rec, key in zip(tasks, records, keys):
         if rec.error is not None or key not in best:
             continue
         fstar = best[key]
-        trace = read_trace_csv(rec.trace_path)
-        sub_path = Path(rec.trace_path).with_name(Path(rec.trace_path).stem + "_subopt.csv")
-        with open(sub_path, "w") as fh:
+        path = _trace_path(cell, seed, out)
+        trace = read_trace_csv(path)
+        with open(path.with_name(path.stem + "_subopt.csv"), "w") as fh:
             fh.write("k,wall_ns,suboptimality\n")
             # tolist() gives Python ints and floats, whose repr is plain
             for k, wall_ns, objective in trace[["k", "wall_ns", "objective"]].tolist():

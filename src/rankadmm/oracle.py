@@ -15,48 +15,57 @@ from .errors import InvalidParameterError
 from .losses import LossKind, loss_value_vec
 from .weights import ResolvedWeights
 
-#: Cells of grid_dp_chain's (n, grid points) int32 choice table: 1 GiB.
+#: Cells of grid_dp_chain's (n, grid points) int32 choice table, with 16
+#: more per grid point for its float64 work arrays over the grid: 1 GiB.
 _MAX_TABLE_CELLS = 2**28
 
 
-def grid_dp_chain(
-    m: np.ndarray,
-    resolved: ResolvedWeights,
-    rho: float,
-    kind: LossKind,
-    step: float = 1e-4,
-    pad_lo: float = 3.0,
-    pad_hi: float = 1.0,
-) -> tuple[np.ndarray, float]:
-    """Grid solution of min sum theta_i(z_i) subject to the sorted chain.
-
-    Returns (z, objective) with z in the original sample order.  The grid
-    spans [min(m) - pad_lo, max(m) + pad_hi]; the chain constraint is
-    enforced by taking running minima of the accumulated cost.  The
-    backtracking table holds one int32 per sample and grid point; a table
-    above ``_MAX_TABLE_CELLS`` cells, or a ``step`` or ``rho`` that is not
-    finite and positive, raises InvalidParameterError before anything is
-    allocated.
-    """
+def chain_grid(m: np.ndarray, resolved: ResolvedWeights, rho: float, step: float) -> np.ndarray:
+    """The points of :func:`grid_dp_chain`'s grid, ``step`` apart."""
     if not (0.0 < step < np.inf):
         raise InvalidParameterError(f"step must be finite and > 0, got {step}")
     if not (0.0 < rho < np.inf):
         raise InvalidParameterError(f"rho must be finite and > 0, got {rho}")
+    columns = (resolved.sigma, resolved.sigma_low, resolved.sigma_high)
+    lo = float(m.min()) - max(float(col.max()) for col in columns if col is not None) / rho
+    hi = float(m.max())
+    if resolved.is_value_dependent:
+        lo, hi = min(lo, resolved.reference), max(hi, resolved.reference)
+    points = np.ceil((hi - lo) / step) + 3.0  # a step beyond each end; inf for a tiny step
+    if not (m.size + 16) * points <= _MAX_TABLE_CELLS:
+        raise InvalidParameterError(
+            f"grid table of {m.size} x {points:.3g} cells with its work arrays exceeds "
+            f"{_MAX_TABLE_CELLS}; use fewer samples, a larger step or a larger rho"
+        )
+    return lo - step + step * np.arange(int(points))
+
+
+def grid_dp_chain(m: np.ndarray, resolved: ResolvedWeights, rho: float, kind: LossKind,
+                  step: float = 1e-4) -> tuple[np.ndarray, float]:
+    """Grid solution of min sum theta_i(z_i) subject to the sorted chain.
+
+    Returns (z, objective) with z in the original sample order.  The grid
+    spans [min(min(m) - sigma_max/rho, B), max(max(m), B)], widened by one
+    step, with sigma_max the largest weight of any column and B the
+    reference point, which counts only for value-dependent weights.  Every
+    optimum lies there.  It splits into blocks of equal value v, and a
+    block of ``count`` samples with target mean ``mean`` and weight sum S
+    on a piece of fixed weights has rho*count*(v - mean) = -S*l'(v) with
+    0 <= l' <= 1, so v lies in [mean - S/(rho*count), mean] and
+    S/count <= sigma_max; a value-dependent block may instead sit at B,
+    where its weights switch.  The chain constraint is enforced by taking
+    running minima of the accumulated cost.  The backtracking table holds
+    one int32 per sample and grid point; a table that would pass
+    ``_MAX_TABLE_CELLS`` cells with its work arrays, which a small rho
+    widens, or a ``step`` or ``rho`` that is not finite and positive,
+    raises InvalidParameterError before anything is allocated.
+    """
     m = np.asarray(m, dtype=float).ravel()
+    grid = chain_grid(m, resolved, rho, step)
+    count = grid.size
     order = np.argsort(m, kind="stable")
     m_sorted = m[order]
     n = m_sorted.shape[0]
-
-    lo = float(m_sorted[0]) - pad_lo
-    hi = float(m_sorted[-1]) + pad_hi
-    points = np.ceil((hi - lo) / step) + 1.0  # a float: inf for a tiny step
-    if not n * points <= _MAX_TABLE_CELLS:
-        raise InvalidParameterError(
-            f"grid table of {n} x {points:.3g} cells exceeds {_MAX_TABLE_CELLS}; "
-            "use fewer samples or a larger step"
-        )
-    count = int(points)
-    grid = lo + step * np.arange(count)
     losses_on_grid = loss_value_vec(kind, grid)
 
     # sample i weighs the loss by sig_lo[i] where ``low`` holds, else by sig_hi[i]

@@ -18,6 +18,9 @@ from .errors import InvalidParameterError, store_floats
 
 MOREAU_CURVATURE_LIMIT = 1.0 / 3.0
 
+#: The penalties a RegularizerSpec names.
+VARIANTS = ("zero", "l2", "l1", "mcp", "scad")
+
 
 @dataclass(frozen=True)
 class RegularizerSpec:
@@ -30,8 +33,8 @@ class RegularizerSpec:
 
     def __post_init__(self):
         v = self.variant
-        if v not in ("zero", "l2", "l1", "mcp", "scad"):
-            raise InvalidParameterError(f"unknown regularizer {v!r}")
+        if v not in VARIANTS:
+            raise InvalidParameterError(f"unknown regularizer {v!r} ({'|'.join(VARIANTS)})")
         if v != "zero" and not (0 < self.mu < math.inf):
             raise InvalidParameterError(f"{v} needs a finite mu > 0, got {self.mu}")
         # an infinite theta would put inf - inf into the prox
@@ -97,21 +100,15 @@ def reg_value(spec: RegularizerSpec, w: np.ndarray) -> float:
 
 
 def reg_subgradient(spec: RegularizerSpec, w: np.ndarray) -> np.ndarray:
-    """A subgradient, taking 0 at nonsmooth points (coordinatewise)."""
+    """A subgradient, taking 0 at nonsmooth points (coordinatewise); for
+    l1, MCP and SCAD it is alpha * sign(w) - beta * w of :func:`affine_pieces`."""
     w = np.asarray(w, dtype=float)
     if spec.variant == "zero":
         return np.zeros_like(w)
     if spec.variant == "l2":
         return spec.mu * w
-    if spec.variant == "l1":
-        return 0.5 * spec.mu * np.sign(w)
-    a = np.abs(w)
-    if spec.variant == "mcp":
-        slope = np.where(a <= spec.theta * spec.mu, spec.mu - a / spec.theta, 0.0)
-        return np.sign(w) * slope
-    mu, th = spec.mu, spec.theta
-    slope = np.where(a <= mu, mu, np.where(a <= th * mu, (th * mu - a) / (th - 1.0), 0.0))
-    return np.sign(w) * slope
+    alpha, beta = affine_pieces(spec, w)
+    return alpha * np.sign(w) - beta * w
 
 
 def prox(spec: RegularizerSpec, gamma: float, w: np.ndarray) -> np.ndarray:

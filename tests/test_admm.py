@@ -601,13 +601,14 @@ def test_dense_solve_allocates_no_n_by_d_array(solve, reg):
     assert peak < n * d * 8 / 2
 
 
-def test_sigma_min_positive_small():
+def test_sigma_min_positive_small(monkeypatch):
     problem = make_synthetic_problem(n=10, d=20, seed=15)
     sig = sigma_min_positive(problem)
     D = -problem.y[:, None] * problem.X
     eig = np.linalg.eigvalsh(D @ D.T)
     assert sig == pytest.approx(eig[eig > 1e-9][0], rel=1e-9)
-    assert sigma_min_positive(problem, limit=10) is None
+    monkeypatch.setattr(admm_module, "_EIGEN_LIMIT", 10)
+    assert sigma_min_positive(problem) is None
 
 
 def test_theory_mode_config():

@@ -95,6 +95,8 @@ def test_config_validation():
         SgdConfig(batch=0)
     with pytest.raises(InvalidParameterError):
         SgdConfig(batch=5.5)
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        SgdConfig(seed=-1)
 
 
 @pytest.mark.parametrize("name", ["epochs", "batch"])

@@ -216,6 +216,10 @@ def test_synthetic_validation():
         SyntheticSpec(n=0, d=3)
     with pytest.raises(InvalidParameterError):
         SyntheticSpec(n=3, d=3, flip_fraction=0.5)
+    # numpy takes no negative seed; None is a plan cell's, filled in per run
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        SyntheticSpec(n=3, d=3, seed=-1)
+    assert SyntheticSpec(n=3, d=3, seed=None).seed is None
 
 
 def test_split_all_train():
@@ -249,6 +253,8 @@ def test_split_fraction_validation():
     ds = generate_synthetic(SyntheticSpec(n=10, d=2, seed=1))
     with pytest.raises(InvalidParameterError):
         split(ds, (0.6, 0.3), seed=0)
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        split(ds, (0.6, 0.4), seed=-1)
 
 
 def test_standardize_constant_feature():

@@ -76,7 +76,7 @@ def test_summary_stdev_hand_triple(tmp_path):
         name="c", dataset={"synthetic": {"n": 4, "d": 2}}, solver="admm",
         repetitions=3)])
     records = [
-        RunRecord("c", "admm", s, obj, 0.5, 1.0, "x") for s, obj in
+        RunRecord("c", "admm", s, obj, 0.5, 1.0) for s, obj in
         [(0, 1.0), (1, 2.0), (2, 4.0)]
     ]
     summary = summarize(plan, records)
@@ -273,6 +273,10 @@ _INVALID_CELLS = [
     ({"dataset": {"synthetic": {"n": 40, "d": 5, "class_sep": np.inf}}}, "class_sep"),
     ({"regularizer": {"variant": "mcp", "mu": 0.01, "theta": np.inf}}, "finite theta"),
     ({"regularizer": {"variant": "scad", "mu": 0.01, "theta": np.inf}}, "finite theta"),
+    # numpy takes no negative seed: refused before any run, not by every run
+    ({"dataset": {"synthetic": {"n": 40, "d": 5, "seed": -1}}}, "seed must be >= 0"),
+    ({"split": {"fractions": [0.6, 0.4], "seed": -1}}, "split key 'seed' must be >= 0"),
+    ({"repetitions": None, "seeds": [0, -1]}, "'seeds' entry must be >= 0"),
 ]
 
 
@@ -572,7 +576,8 @@ def test_cli_missing_data_file_exits_1(tmp_path):
 @pytest.mark.parametrize("spec, named", [
     pytest.param(spec, named, id=spec)
     for spec, named in [("n=abc,d=3", "'n'"), ("n=20,d=3,seed=1.5", "'seed'"), ("n=0,d=3", "n >= 1"),
-                        ("n=20,d=3,flip=0.7", "flip_fraction"), ("n=20", "'d'")]
+                        ("n=20,d=3,flip=0.7", "flip_fraction"), ("n=20", "'d'"),
+                        ("n=10,d=5,seed=-1", "seed must be >= 0")]
 ])
 def test_cli_train_bad_synthetic_exits_2(tmp_path, capsys, spec, named):
     assert cli_main(["train", "--synthetic", spec, "--out", str(tmp_path)]) == 2

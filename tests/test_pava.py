@@ -13,7 +13,8 @@ from rankadmm.losses import (
     loss_value_vec,
     singleton_minimize,
 )
-from rankadmm.oracle import chain_objective_reference, grid_dp_chain
+from rankadmm import oracle
+from rankadmm.oracle import chain_grid, chain_objective_reference, grid_dp_chain
 from rankadmm.pava import merge_blocks, solve_z_subproblem
 from rankadmm.weights import (
     AoRR,
@@ -89,6 +90,14 @@ def test_grid_dp_rejects_a_table_too_large():
         grid_dp_chain(np.zeros(3), resolve(ERM(), 3), 1.0, LossKind.LOGISTIC, step=5e-324)
 
 
+def test_grid_dp_counts_its_work_arrays_in_the_table_cap(monkeypatch):
+    # sigma/rho = 100 spans 1e6 grid points: the one-sample table fits a
+    # 2**21 cap, the float work arrays over the grid do not
+    monkeypatch.setattr(oracle, "_MAX_TABLE_CELLS", 2**21)
+    with pytest.raises(InvalidParameterError, match="grid table"):
+        grid_dp_chain(np.zeros(1), resolve(ERM(), 1), 0.01, LossKind.LOGISTIC)
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
 def test_grid_dp_rejects_a_step_not_finite_and_positive(step):
     with pytest.raises(InvalidParameterError, match="step must be finite and > 0"):
@@ -99,6 +108,19 @@ def test_grid_dp_rejects_a_step_not_finite_and_positive(step):
 def test_grid_dp_rejects_a_rho_not_finite_and_positive(rho):
     with pytest.raises(InvalidParameterError, match="rho must be finite and > 0"):
         grid_dp_chain(np.zeros(3), resolve(ERM(), 3), rho, LossKind.LOGISTIC)
+
+
+@pytest.mark.parametrize("m, rho, kind", [
+    # sigma/rho = 100: the optimum lies 100 below its target
+    ([0.3], 0.01, LossKind.LOGISTIC),
+    # each value lies sigma/rho = 5 below its target, on hinge's sloped side
+    ([5.0, 6.0], 0.1, LossKind.HINGE),
+])
+def test_grid_dp_spans_optima_far_below_the_targets(m, rho, kind):
+    m, resolved = np.array(m), resolve(ERM(), len(m))
+    z = solve_z_subproblem(m, resolved, rho, kind)
+    _, ref_obj = grid_dp_chain(m, resolved, rho, kind)
+    assert abs(chain_objective_reference(z, m, resolved, rho, kind) - ref_obj) <= 1e-6
 
 
 CONSTANT_SCHEMES = {
@@ -129,10 +151,7 @@ def test_differential_against_grid_dp_with_ties(scheme_name, kind, data):
     z = solve_z_subproblem(m, resolved, rho, kind)
     order = np.argsort(m, kind="stable")
     assert np.all(np.diff(z[order]) >= 0.0)
-    # every optimal value lies in [min(m) - sum(sigma)/rho, max(m)]
-    _, ref_obj = grid_dp_chain(
-        m, resolved, rho, kind, pad_lo=1.0 + float(np.sum(resolved.sigma)) / rho
-    )
+    _, ref_obj = grid_dp_chain(m, resolved, rho, kind)
     got = chain_objective_reference(z, m, resolved, rho, kind)
     assert got <= ref_obj + 1e-9
     assert ref_obj - got <= 1e-3
@@ -470,11 +489,10 @@ def test_cpt_first_order_and_competitive(kind, rng):
             assert obj <= cand_obj + 1e-8
 
 
-def grid_brute_force(m, resolved, rho, kind, step, pad_lo=3.0, pad_hi=1.0):
+def grid_brute_force(m, resolved, rho, kind, step):
     """Least objective over every nondecreasing tuple of grid_dp_chain's grid."""
     m_sorted = np.sort(m)
-    lo, hi = m_sorted[0] - pad_lo, m_sorted[-1] + pad_hi
-    grid = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
+    grid = chain_grid(m, resolved, rho, step)
     tuples = np.array(list(itertools.combinations_with_replacement(range(grid.size), m.size)))
     z = grid[tuples]
     sigma = np.where(z <= resolved.reference, resolved.sigma_low, resolved.sigma_high)
